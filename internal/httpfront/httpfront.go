@@ -7,7 +7,9 @@
 // where the blocks live. Responses stream through a middleware.FileReader
 // in bounded chunks — the gateway never materializes a whole file — and
 // http.ServeContent supplies Range, If-Range, HEAD, and conditional-GET
-// semantics on top of it.
+// semantics on top of it. A plain GET opens the reader with the round trip
+// that also brings back the file's first 64 KB, so a file that small costs
+// the cluster one RPC.
 package httpfront
 
 import (
@@ -15,6 +17,8 @@ import (
 	"mime"
 	"net/http"
 	"path"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -153,14 +157,22 @@ func (g *Gateway) Invalidate(f block.FileID) {
 }
 
 // validator derives the strong ETag for file f without touching content:
-// identity, size, and write generation. The size comes from the open's
-// zero-length probe, so a conditional GET that matches costs zero cluster
-// block reads.
+// identity, size, and write generation, in hex: "file-size-gen". The size
+// comes from the open, and a conditional request's open is the zero-length
+// probe, so a conditional GET that matches costs zero cluster block reads.
 func (g *Gateway) validator(f block.FileID, size int64) string {
 	g.genMu.RLock()
 	gen := g.gens[f]
 	g.genMu.RUnlock()
-	return fmt.Sprintf("\"%x-%x-%x\"", uint64(f), uint64(size), gen)
+	b := make([]byte, 0, 3*16+4)
+	b = append(b, '"')
+	b = strconv.AppendUint(b, uint64(f), 16)
+	b = append(b, '-')
+	b = strconv.AppendUint(b, uint64(size), 16)
+	b = append(b, '-')
+	b = strconv.AppendUint(b, gen, 16)
+	b = append(b, '"')
+	return string(b)
 }
 
 // StatusForError maps a middleware read failure to an HTTP status:
@@ -185,6 +197,10 @@ type countingWriter struct {
 	bytes  uint64
 }
 
+// Unwrap lets http.ResponseController reach the real writer (flush,
+// deadlines, hijack).
+func (cw *countingWriter) Unwrap() http.ResponseWriter { return cw.ResponseWriter }
+
 func (cw *countingWriter) WriteHeader(code int) {
 	cw.status = code
 	cw.ResponseWriter.WriteHeader(code)
@@ -199,11 +215,28 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// wantsBody reports whether r is certain to be answered with the file from
+// its first byte: a GET that neither asks for a range nor carries a
+// precondition. Only such a request is worth opening with the head; a HEAD,
+// a 304 or a 412 sends no body and a range may start anywhere.
+func wantsBody(r *http.Request) bool {
+	if r.Method != http.MethodGet {
+		return false
+	}
+	for name := range r.Header {
+		if name == "Range" || strings.HasPrefix(name, "If-") {
+			return false
+		}
+	}
+	return true
+}
+
 // ServeHTTP implements http.Handler: resolves the path, opens a streaming
 // reader through the cluster — entering at the file's home node when the
 // membership view knows it — and delegates Range/HEAD/conditional handling
 // to http.ServeContent over the reader. Peak gateway memory per request is
-// one copy buffer, never the file.
+// the reader's head (at most 64 KB, plain GETs only) plus one copy buffer,
+// never the file.
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
 		w.Header().Set("Allow", "GET, HEAD")
@@ -225,17 +258,27 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if home, ok := g.client.HomeOf(f); ok {
 			entry = home
 			g.nHandoffs.Add(1)
-			g.tracer.Record(obs.Event{
-				UnixNanos: time.Now().UnixNano(),
-				Kind:      "http_handoff",
-				Node:      -1, // the gateway is not a cluster member
-				Peer:      int32(home),
-				File:      int64(f),
-				Idx:       -1,
-			})
+			if g.tracer != nil {
+				g.tracer.Record(obs.Event{
+					UnixNanos: time.Now().UnixNano(),
+					Kind:      "http_handoff",
+					Node:      -1, // the gateway is not a cluster member
+					Peer:      int32(home),
+					File:      int64(f),
+					Idx:       -1,
+				})
+			}
 		}
 	}
-	fr, err := g.client.OpenVia(entry, f)
+	var fr *middleware.FileReader
+	var err error
+	if wantsBody(r) {
+		// The open's reply carries the sniffed bytes and the first copy
+		// chunks along with the size; only bytes past the head cost RPCs.
+		fr, err = g.client.OpenHeadVia(entry, f)
+	} else {
+		fr, err = g.client.OpenVia(entry, f)
+	}
 	if err != nil {
 		status := StatusForError(err)
 		if status == http.StatusNotFound {
@@ -250,14 +293,15 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("ETag", g.validator(f, fr.Size()))
 	if ct := mime.TypeByExtension(path.Ext(r.URL.Path)); ct != "" {
-		// Known extensions skip ServeContent's sniff (which would cost a
-		// ranged read of the first 512 bytes on every response).
+		// Known extensions skip ServeContent's sniff (which, on a reader
+		// opened without the head, costs a ranged read of 512 bytes).
 		w.Header().Set("Content-Type", ct)
 	}
 	cw := &countingWriter{ResponseWriter: w}
 	// ServeContent handles If-None-Match/If-Range before any read, so a
 	// 304's only cluster traffic is the open's zero-length size probe.
 	http.ServeContent(cw, r, path.Base(r.URL.Path), time.Time{}, fr)
+	fr.Close() //nolint:errcheck // only recycles the head buffer
 	g.nBytes.Add(cw.bytes)
 	if cw.status == http.StatusNotModified {
 		g.nNotModified.Add(1)

@@ -28,7 +28,7 @@ type gwEnv struct {
 }
 
 // startGateway spins an n-node live cluster plus a gateway over it.
-func startGateway(t *testing.T, n int, sizes map[block.FileID]int64, table map[string]block.FileID) *gwEnv {
+func startGateway(t testing.TB, n int, sizes map[block.FileID]int64, table map[string]block.FileID) *gwEnv {
 	t.Helper()
 	nodes := make([]*middleware.Node, n)
 	addrs := make([]string, n)

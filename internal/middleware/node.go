@@ -1165,7 +1165,7 @@ func (n *Node) handle(f *Frame) *Frame {
 		if err != nil {
 			return errFrameFrom(err, "read range %d: %v", f.File, err)
 		}
-		data, err := n.ReadRange(f.File, off, length)
+		data, err := n.readRange(f.File, size, off, length)
 		if err != nil {
 			return errFrameFrom(err, "read range %d: %v", f.File, err)
 		}

@@ -17,6 +17,14 @@ func (n *Node) ReadRange(f block.FileID, off int64, length int) ([]byte, error) 
 	if err != nil {
 		return nil, err
 	}
+	return n.readRange(f, size, off, length)
+}
+
+// readRange is ReadRange against a file size the caller already looked up:
+// the MsgReadRange handler reports that same size in its reply, so the
+// range is clamped to exactly the size the client is told, and the source
+// is asked once per request.
+func (n *Node) readRange(f block.FileID, size, off int64, length int) ([]byte, error) {
 	if off < 0 || length < 0 || off > size {
 		return nil, fmt.Errorf("middleware: range %d+%d outside file %d (%d bytes)", off, length, f, size)
 	}
@@ -81,11 +89,18 @@ func (n *Node) ReadRange(f block.FileID, off int64, length int) ([]byte, error) 
 	return out, nil
 }
 
+// openHeadLen is how much of the file a head-carrying open asks for: one
+// readWindow extent of default-geometry (8 KB) blocks, 64 KB, which is also
+// a payload pool class. It bounds what a reader holds beyond its caller's
+// buffer, and one run fetch on the entry node covers it.
+const openHeadLen = readWindow * 8 << 10
+
 // FileReader is a random-access view of a file served through the cluster.
 // It implements io.ReaderAt, io.Reader and io.Seeker, so cluster files plug
 // directly into code written against the standard library. Each read is one
-// or more ranged RPCs of at most maxRangeLen bytes; the reader never holds
-// more than the caller's buffer.
+// or more ranged RPCs of at most maxRangeLen bytes; the reader holds no
+// file bytes beyond the caller's buffer, except the head (at most
+// openHeadLen bytes) a head-carrying open brought back.
 type FileReader struct {
 	c    *Client
 	file block.FileID
@@ -95,6 +110,11 @@ type FileReader struct {
 	// (-1: round-robin). A gateway pins it to the file's home so the read
 	// enters where the blocks live — the §4.1 hand-off.
 	entry int
+	// head is the opening reply's payload, the file's first len(head.data)
+	// bytes; reads inside it cost no RPC. It is set by the open and cleared
+	// only by Close, so parallel ReadAt calls share it without locking. Nil
+	// after a probe-only open, for an empty file and after Close.
+	head *payloadBuf
 }
 
 // Open returns a reader for file f. The open itself is one zero-length
@@ -108,11 +128,46 @@ func (c *Client) Open(f block.FileID) (*FileReader, error) {
 // round-robin). Transient failures still fail over to other nodes; the pin
 // only biases where requests land first.
 func (c *Client) OpenVia(node int, f block.FileID) (*FileReader, error) {
-	fr := &FileReader{c: c, file: f, size: -1, entry: node}
-	if _, err := fr.probeSize(); err != nil {
+	return c.open(node, f, 0)
+}
+
+// OpenHeadVia is OpenVia whose opening round trip also brings back the
+// file's first 64 KB, so a reader that goes on to stream the file from the
+// start pays one RPC for size and head together where OpenVia plus a read
+// pays two. Close the reader to hand the head's buffer back for reuse; a
+// reader dropped without Close leaves it to the garbage collector.
+func (c *Client) OpenHeadVia(node int, f block.FileID) (*FileReader, error) {
+	return c.open(node, f, openHeadLen)
+}
+
+// open performs the ranged read [0, headLen) that validates the file,
+// sizes it, and keeps the reply's payload as the reader's head.
+func (c *Client) open(node int, f block.FileID, headLen int) (*FileReader, error) {
+	fr := &FileReader{c: c, file: f, entry: node}
+	req := getFrame()
+	req.Type, req.File, req.Aux = MsgReadRange, f, packRange(0, headLen)
+	resp, _, err := c.failoverTrip(fr.entryNode(), req)
+	releaseFrame(req)
+	if err != nil {
 		return nil, err
 	}
+	fr.size = resp.Aux
+	if len(resp.Payload) > 0 {
+		fr.head = resp.TakePayloadBuf() // pool backing travels with the bytes
+	}
+	releaseFrame(resp)
 	return fr, nil
+}
+
+// Close releases the head buffer, if the open brought one back. The reader
+// stays usable (every read is then a ranged RPC), but Close must not run
+// concurrently with reads.
+func (fr *FileReader) Close() error {
+	if head := fr.head; head != nil {
+		fr.head = nil
+		head.release()
+	}
+	return nil
 }
 
 // entryNode picks the node a ranged RPC enters at.
@@ -123,26 +178,13 @@ func (fr *FileReader) entryNode() int {
 	return fr.c.next()
 }
 
-// probeSize performs the zero-length ranged read that sizes the file.
-func (fr *FileReader) probeSize() (int64, error) {
-	req := getFrame()
-	req.Type, req.File, req.Aux = MsgReadRange, fr.file, packRange(0, 0)
-	resp, _, err := fr.c.failoverTrip(fr.entryNode(), req)
-	releaseFrame(req)
-	if err != nil {
-		return 0, err
-	}
-	fr.size = resp.Aux
-	releaseFrame(resp)
-	return fr.size, nil
-}
-
 // Size reports the file's size in bytes.
 func (fr *FileReader) Size() int64 { return fr.size }
 
 // ReadAt implements io.ReaderAt: it reads len(p) bytes at off or reports
-// why it could not, looping over ranged RPCs when len(p) exceeds the
-// per-RPC range limit, and returning io.EOF only at true end of file.
+// why it could not, copying what the head covers and looping over ranged
+// RPCs for the rest (more than one when len(p) exceeds the per-RPC range
+// limit), and returning io.EOF only at true end of file.
 func (fr *FileReader) ReadAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		// Rejected up front: packRange would silently corrupt a negative
@@ -153,6 +195,12 @@ func (fr *FileReader) ReadAt(p []byte, off int64) (int, error) {
 	for total < len(p) {
 		if off >= fr.size {
 			return total, io.EOF
+		}
+		if head := fr.head; head != nil && off < int64(len(head.data)) {
+			n := copy(p[total:], head.data[off:])
+			total += n
+			off += int64(n)
+			continue
 		}
 		want := len(p) - total
 		if rem := fr.size - off; int64(want) > rem {
