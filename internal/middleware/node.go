@@ -1026,11 +1026,13 @@ func (n *Node) peer(i int) (*conn, error) {
 	nc = n.cfg.Fault.Wrap(nc, n.cfg.ID, i)
 	c := newConn(nc, n.connConfig())
 	n.mu.Lock()
-	if n.peers[i] != nil {
-		// Lost the dial race; keep the established one.
+	if won := n.peers[i]; won != nil {
+		// Lost the dial race; keep the established one. The winner is read
+		// under the lock: a concurrent roundTripTo may clear the slot the
+		// moment the lock is released.
 		n.mu.Unlock()
 		c.close()
-		return n.peers[i], nil
+		return won, nil
 	}
 	n.peers[i] = c
 	n.mu.Unlock()
@@ -1307,10 +1309,11 @@ func (n *Node) handleGetBlock(f *Frame) *Frame {
 
 // handleGetRun serves a contiguous run of blocks in one response: the run's
 // blocks concatenated in the payload, the served count and per-block master
-// flags packed into Aux. A home run (FlagMaster) reads the backing store;
-// in hint mode it stops before the first block whose hint points at a third
-// node, so the requester finishes those through the per-block redirect
-// machinery. A peer run gathers local cache hits and stops at the first
+// flags packed into Aux. A home run (FlagMaster) reads the backing store,
+// the run's blocks together (readSourceRun), and serves the leading blocks
+// that read; in hint mode it stops before the first block whose hint points
+// at a third node, so the requester finishes those through the per-block
+// redirect machinery. A peer run gathers local cache hits and stops at the first
 // gap. A short (even empty) run is a valid response, never an error: the
 // requester completes the remainder per-block.
 func (n *Node) handleGetRun(f *Frame) *Frame {
@@ -1321,29 +1324,31 @@ func (n *Node) handleGetRun(f *Frame) *Frame {
 	first := f.Idx
 	if f.Flags&FlagMaster != 0 {
 		n.ensureMigrated(f.File)
-		segs := make([][]byte, 0, want)
-		var masters uint32
-		for len(segs) < want {
-			id := block.ID{File: f.File, Idx: first + int32(len(segs))}
-			if n.hints != nil {
-				if holder, ok, _ := n.hints.Lookup(id); ok &&
-					holder != int32(n.cfg.ID) && holder != f.Sender {
+		if n.hints != nil {
+			// The hints bound the run before anything is read: it stops at
+			// the first block a third node probably holds.
+			for k := 0; k < want; k++ {
+				holder, ok, _ := n.hints.Lookup(block.ID{File: f.File, Idx: first + int32(k)})
+				if ok && holder != int32(n.cfg.ID) && holder != f.Sender {
+					want = k
 					break
 				}
 			}
-			data, err := n.cfg.Source.ReadBlock(f.File, id.Idx)
-			if err != nil {
-				if len(segs) == 0 {
-					return errFrame("home run read %v: %v", id, err)
-				}
-				break
-			}
-			masters |= 1 << uint(len(segs))
-			segs = append(segs, data)
-			if f.Sender >= 0 {
-				n.noteHint(id, f.Sender)
+		}
+		var segs [][]byte
+		if want > 0 {
+			var err error
+			segs, err = n.readSourceRun(f.File, first, want)
+			if len(segs) == 0 {
+				return errFrame("home run read %v: %v", f.ID(), err)
 			}
 		}
+		if f.Sender >= 0 {
+			for k := range segs {
+				n.noteHint(block.ID{File: f.File, Idx: first + int32(k)}, f.Sender)
+			}
+		}
+		masters := uint32(1)<<uint(len(segs)) - 1
 		r := getFrame()
 		r.Type, r.Flags, r.File, r.Idx = MsgRunData, FlagMaster, f.File, first
 		r.Aux = packRunAux(len(segs), masters)

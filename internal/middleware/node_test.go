@@ -2,6 +2,7 @@ package middleware
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -293,4 +294,59 @@ func TestPeerBeforeMembershipFails(t *testing.T) {
 	if _, err := n.home(0); err == nil {
 		t.Fatal("home mapping without membership should fail")
 	}
+}
+
+// TestPeerDialRace: peer must hand back a connection or an error, never
+// neither. Many goroutines use one peer while its connection keeps dying,
+// so dials race each other and the redial in roundTripTo clears the slot a
+// dial's loser is about to read. A failed round trip is expected here; a
+// nil connection (a panic in conn.roundTrip) is the bug.
+func TestPeerDialRace(t *testing.T) {
+	sizes := map[block.FileID]int64{0: 1024}
+	nodes, _ := startCluster(t, 2, 16, core.PolicyMaster, false, sizes)
+	n := nodes[0]
+
+	stop := make(chan struct{})
+	var closer sync.WaitGroup
+	closer.Add(1)
+	go func() {
+		defer closer.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			n.mu.Lock()
+			c := n.peers[1]
+			n.mu.Unlock()
+			if c != nil {
+				c.close()
+			}
+			runtime.Gosched()
+		}
+	}()
+
+	var users sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		users.Add(1)
+		go func() {
+			defer users.Done()
+			for i := 0; i < 200; i++ {
+				if c, err := n.peer(1); c == nil && err == nil {
+					t.Error("peer returned neither a connection nor an error")
+					return
+				}
+				req := getFrame()
+				req.Type, req.File = MsgGetBlock, 0
+				if resp, err := n.roundTripTo(1, req); err == nil {
+					releaseFrame(resp)
+				}
+				releaseFrame(req)
+			}
+		}()
+	}
+	users.Wait()
+	close(stop)
+	closer.Wait()
 }

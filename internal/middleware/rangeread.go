@@ -46,7 +46,7 @@ func (n *Node) readRange(f block.FileID, size, off int64, length int) ([]byte, e
 		// Unaligned head: the needed bytes are a mid-block suffix, which a
 		// prefix-copying GetBlockInto cannot produce — pin the block once and
 		// copy just the suffix out of the pinned buffer.
-		pb, _, err := n.getBlock(block.ID{File: f, Idx: first}, nil, true)
+		pb, _, err := n.getBlock(block.ID{File: f, Idx: first}, nil, true, lookupHolder)
 		if err != nil {
 			return nil, err
 		}

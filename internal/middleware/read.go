@@ -7,9 +7,74 @@ import (
 	"repro/internal/block"
 )
 
-// readWindow bounds a single ReadFile's concurrent block fetches — the live
-// counterpart of the simulator's pipelined fetch window (one 64 KB extent).
+// readWindow bounds how many blocks of one read are outstanding at once —
+// the live counterpart of the simulator's pipelined fetch window (one 64 KB
+// extent). Both read paths honour it: the run planner launches a read's
+// runs together, each holding one slot per block (fetchRuns); a home reads
+// the blocks of one run from its source at the same time (readSourceRun);
+// and the legacy per-block path keeps this many block fetches in flight.
 const readWindow = 8
+
+// window runs the fetches of one read on goroutines with at most readWindow
+// blocks outstanding. Tasks are started from one goroutine, in order. Once
+// a task has failed no further task starts, and wait reports the failure of
+// the earliest-started task: the error a serial loop would have returned.
+type window struct {
+	slots   chan struct{}
+	wg      sync.WaitGroup
+	started int
+
+	mu     sync.Mutex
+	err    error
+	errSeq int // start order of the task that reported err; read after wait
+}
+
+func newWindow() *window {
+	return &window{slots: make(chan struct{}, readWindow)}
+}
+
+func (w *window) failed() bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.err != nil
+}
+
+// start waits for `blocks` free slots (at most readWindow) and runs task on
+// its own goroutine. It reports false, starting nothing, when a task has
+// failed by then; the caller stops starting tasks and calls wait.
+func (w *window) start(blocks int, task func() error) bool {
+	for i := 0; i < blocks; i++ {
+		w.slots <- struct{}{}
+	}
+	if w.failed() {
+		return false
+	}
+	seq := w.started
+	w.started++
+	w.wg.Add(1)
+	go func() {
+		defer w.wg.Done()
+		if err := task(); err != nil {
+			w.mu.Lock()
+			if w.err == nil || seq < w.errSeq {
+				w.err, w.errSeq = err, seq
+			}
+			w.mu.Unlock()
+		}
+		// The slots free only after the error is recorded, so a task that
+		// queued behind this one sees the failure and never starts.
+		for i := 0; i < blocks; i++ {
+			<-w.slots
+		}
+	}()
+	return true
+}
+
+// wait returns once every started task has, with the first failure.
+func (w *window) wait() error {
+	w.wg.Wait()
+	return w.err
+}
 
 // ReadFile materializes a whole file through the cooperative cache and
 // returns its content. The default path is the run-granular planner
@@ -44,31 +109,14 @@ func (n *Node) ReadFile(f block.FileID) ([]byte, error) {
 // Each block is decoded straight into the output slice (GetBlockInto), so a
 // cached block costs one copy and no intermediate allocation.
 func (n *Node) readFilePerBlock(f block.FileID, size int64, nblocks int32, out []byte) error {
-	var (
-		wg       sync.WaitGroup
-		sem      = make(chan struct{}, readWindow)
-		mu       sync.Mutex
-		firstErr error
-	)
-	failed := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return firstErr != nil
-	}
+	w := newWindow()
 	for i := int32(0); i < nblocks; i++ {
-		if failed() {
-			break
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int32) {
-			defer wg.Done()
-			defer func() { <-sem }()
+		started := w.start(1, func() error {
 			// A block that failed while this goroutine queued for the window
 			// makes the remaining fetches pointless: short-circuit before
 			// issuing any network traffic.
-			if failed() {
-				return
+			if w.failed() {
+				return nil
 			}
 			off := int64(i) * int64(n.geom.Size)
 			want := blockLen(n.geom, size, i)
@@ -76,17 +124,13 @@ func (n *Node) readFilePerBlock(f block.FileID, size int64, nblocks int32, out [
 			if err == nil && got != want {
 				err = fmt.Errorf("middleware: block %d:%d is %d bytes, want %d", f, i, got, want)
 			}
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}
-		}(i)
+			return err
+		})
+		if !started {
+			break
+		}
 	}
-	wg.Wait()
-	return firstErr
+	return w.wait()
 }
 
 // runPlan is one planned fetch: count contiguous missing blocks starting at
@@ -138,28 +182,29 @@ func (n *Node) planRuns(f block.FileID, missing []int32) ([]runPlan, error) {
 	return runs, nil
 }
 
+// blockDst is block i's part of out, whose first byte is the head of block
+// base. A nil out (prefetch mode: install, copy nowhere) gives nil.
+func (n *Node) blockDst(out []byte, size int64, base, i int32) []byte {
+	if out == nil {
+		return nil
+	}
+	off := int64(i-base) * int64(n.geom.Size)
+	end := off + int64(blockLen(n.geom, size, i))
+	if end > int64(len(out)) {
+		end = int64(len(out))
+	}
+	return out[off:end]
+}
+
 // readPlanned fills out — whose first byte is the head of block first —
 // with blocks [first, last] of f. Phase one is a synchronous local sweep
 // (CopyInto: the reference is pinned under the shard lock, the copy runs
-// outside it; a fully cached file costs zero goroutines and zero RPCs). Phase two groups the misses into runs and fetches each
-// with one MsgGetRun; whatever a run does not deliver (stale holder, fault,
-// concurrent eviction) falls back to the per-block getBlock path, which
-// carries the full §3 race and fault semantics — a degraded run is
-// correctness-equivalent, never an error. Runs of one block skip straight
-// to getBlock: the batch framing would buy nothing.
+// outside it; a fully cached file costs zero goroutines and zero RPCs).
+// Phase two groups the misses into runs and fetches them (fetchRuns).
 func (n *Node) readPlanned(f block.FileID, size int64, first, last int32, out []byte) error {
-	bs := int64(n.geom.Size)
-	dst := func(i int32) []byte {
-		off := int64(i-first) * bs
-		end := off + int64(blockLen(n.geom, size, i))
-		if end > int64(len(out)) {
-			end = int64(len(out))
-		}
-		return out[off:end]
-	}
 	var missing []int32
 	for i := first; i <= last; i++ {
-		if _, ok := n.store.CopyInto(block.ID{File: f, Idx: i}, dst(i)); ok {
+		if _, ok := n.store.CopyInto(block.ID{File: f, Idx: i}, n.blockDst(out, size, first, i)); ok {
 			n.c.accesses.Add(1)
 			n.c.localHits.Add(1)
 			continue
@@ -176,31 +221,97 @@ func (n *Node) readPlanned(f block.FileID, size int64, first, last int32, out []
 	if err != nil {
 		return err
 	}
+	return n.fetchRuns(f, size, runs, out, first)
+}
+
+// fetchRuns executes a plan, for a read (out's first byte is the head of
+// block outBase) or for readahead (out == nil). A plan of one run — the
+// common case — runs on the caller's goroutine and allocates nothing. The
+// runs of a longer plan go out together, each holding one window slot per
+// block, so a read that misses at several holders waits for the slowest of
+// them and not for their sum. Runs start in plan order; after the first
+// failure none starts and that failure is returned.
+func (n *Node) fetchRuns(f block.FileID, size int64, runs []runPlan, out []byte, outBase int32) error {
+	if len(runs) == 1 {
+		return n.execRun(f, size, runs[0], out, outBase)
+	}
+	w := newWindow()
 	for _, r := range runs {
-		served := 0
-		if r.count > 1 {
-			served = n.fetchRun(f, size, r, out, first)
+		if !w.start(r.count, func() error { return n.execRun(f, size, r, out, outBase) }) {
+			break
 		}
-		for i := r.first + int32(served); i < r.first+int32(r.count); i++ {
-			id := block.ID{File: f, Idx: i}
-			want := len(dst(i))
-			got, err := n.getBlockSized(id, dst(i))
-			if err != nil {
-				return err
-			}
-			if got != want {
-				return fmt.Errorf("middleware: block %d:%d is %d bytes, want %d", f, i, got, want)
-			}
+	}
+	return w.wait()
+}
+
+// execRun fetches one planned run: a multi-block run with one MsgGetRun
+// (fetchRun), and whatever that does not deliver (stale holder, fault,
+// concurrent eviction) through the per-block getBlock path, which carries
+// the full §3 race and fault semantics — a degraded run is
+// correctness-equivalent, never an error. A run of one block skips
+// straight to getBlock, the batch framing would buy nothing, and hands it
+// the holder the plan resolved, so the fetch does not ask the directory a
+// second time; the fallback after a degraded run looks up afresh. With
+// out == nil the blocks are installed, counted as prefetches and copied
+// nowhere, and a fetch triggers no further readahead.
+func (n *Node) execRun(f block.FileID, size int64, r runPlan, out []byte, outBase int32) error {
+	served, holder := 0, lookupHolder
+	if r.count > 1 {
+		served = n.fetchRun(f, size, r, out, outBase)
+		if out == nil {
+			n.c.prefetches.Add(uint64(served))
+		}
+	} else if r.home {
+		holder = dirNoEntry
+	} else {
+		holder = int32(r.src)
+	}
+	for i := r.first + int32(served); i < r.first+int32(r.count); i++ {
+		id := block.ID{File: f, Idx: i}
+		dst := n.blockDst(out, size, outBase, i)
+		pb, got, err := n.getBlock(id, dst, out != nil, holder)
+		if err != nil {
+			return err
+		}
+		if out == nil {
+			pb.release() // prefetch installs only; no reader to hand to
+			n.c.prefetches.Add(1)
+		} else if got != len(dst) {
+			return fmt.Errorf("middleware: block %d:%d is %d bytes, want %d", f, i, got, len(dst))
 		}
 	}
 	return nil
 }
 
-// getBlockSized is the planner's per-block fallback: the full §3 protocol
-// with readahead triggering, filling dst.
-func (n *Node) getBlockSized(id block.ID, dst []byte) (int, error) {
-	_, nn, err := n.getBlock(id, dst, true)
-	return nn, err
+// readSourceRun reads blocks [first, first+count) of f from this node's
+// backing source, at most readWindow at a time, and returns the leading
+// blocks that read without error, with the error that ended the prefix. A
+// k-block miss then waits one source latency and not k. A run of one block
+// is a plain call.
+func (n *Node) readSourceRun(f block.FileID, first int32, count int) ([][]byte, error) {
+	if count == 1 {
+		data, err := n.cfg.Source.ReadBlock(f, first)
+		if err != nil {
+			return nil, err
+		}
+		return [][]byte{data}, nil
+	}
+	blocks := make([][]byte, count)
+	w := newWindow()
+	for k := range blocks {
+		started := w.start(1, func() (err error) {
+			blocks[k], err = n.cfg.Source.ReadBlock(f, first+int32(k))
+			return err
+		})
+		if !started {
+			break
+		}
+	}
+	if err := w.wait(); err != nil {
+		// Tasks start in order, so every block before the failed one was read.
+		return blocks[:w.errSeq], err
+	}
+	return blocks, nil
 }
 
 // fetchRun issues one MsgGetRun for run r and installs what came back:
@@ -213,33 +324,20 @@ func (n *Node) getBlockSized(id block.ID, dst []byte) (int, error) {
 // store (home == self) reads disk directly with no RPC. out == nil is
 // prefetch mode (readahead): blocks are installed but copied nowhere.
 func (n *Node) fetchRun(f block.FileID, size int64, r runPlan, out []byte, outBase int32) int {
-	bs := int64(n.geom.Size)
-	dst := func(i int32) []byte {
-		if out == nil {
-			return nil
-		}
-		off := int64(i-outBase) * bs
-		end := off + int64(blockLen(n.geom, size, i))
-		if end > int64(len(out)) {
-			end = int64(len(out))
-		}
-		return out[off:end]
-	}
 	if r.home && r.src == n.cfg.ID {
 		// Local home: disk reads, no wire. Still one InsertRun/UpdateN.
 		// A home that just moved here pulls the previous home's
 		// write-through state before the first authoritative read.
 		n.ensureMigrated(f)
-		blocks := make([]*payloadBuf, 0, r.count)
-		for i := r.first; i < r.first+int32(r.count); i++ {
-			data, err := n.cfg.Source.ReadBlock(f, i)
-			if err != nil {
-				break
-			}
-			copy(dst(i), data)
+		// A failed block ends the run; the per-block fallback reads it again
+		// and reports its error.
+		read, _ := n.readSourceRun(f, r.first, r.count)
+		blocks := make([]*payloadBuf, len(read))
+		for k, data := range read {
+			copy(n.blockDst(out, size, outBase, r.first+int32(k)), data)
 			n.c.accesses.Add(1)
 			n.c.diskReads.Add(1)
-			blocks = append(blocks, newPayloadBuf(data))
+			blocks[k] = newPayloadBuf(data)
 		}
 		n.installRun(f, r.first, blocks, true)
 		return len(blocks)
@@ -282,7 +380,7 @@ func (n *Node) fetchRun(f block.FileID, size int64, r runPlan, out []byte, outBa
 				pb := newPooledPayloadBuf(l)
 				copy(pb.data, resp.Payload[off:off+l])
 				off += l
-				copy(dst(i), pb.data)
+				copy(n.blockDst(out, size, outBase, i), pb.data)
 				n.c.accesses.Add(1)
 				if r.home {
 					n.c.diskReads.Add(1)
@@ -331,7 +429,7 @@ func (n *Node) installRun(f block.FileID, first int32, blocks []*payloadBuf, mas
 // the caller's own copy: the cache can evict and recycle its buffer without
 // the returned bytes ever changing underneath the caller.
 func (n *Node) GetBlock(id block.ID) ([]byte, error) {
-	pb, _, err := n.getBlock(id, nil, true)
+	pb, _, err := n.getBlock(id, nil, true, lookupHolder)
 	if err != nil {
 		return nil, err
 	}
@@ -346,16 +444,25 @@ func (n *Node) GetBlock(id block.ID) ([]byte, error) {
 // straight into dst. Returns the number of bytes copied (min of the block
 // and dst lengths).
 func (n *Node) GetBlockInto(id block.ID, dst []byte) (int, error) {
-	_, nn, err := n.getBlock(id, dst, true)
+	_, nn, err := n.getBlock(id, dst, true, lookupHolder)
 	return nn, err
 }
+
+// lookupHolder is the holder argument of a fetch that must ask the
+// directory where the master is. Any other value is the answer a batched
+// lookup already gave: a node, or dirNoEntry for "no master cached, read
+// through the home".
+const lookupHolder = int32(-2)
 
 // getBlock is the shared fetch path with control over readahead triggering
 // (prefetch fetches must not recursively spawn further readahead windows).
 // With dst == nil it returns a pinned reference to the block payload — the
 // caller must release it, and until then eviction cannot recycle the bytes;
-// with dst != nil it copies into dst and returns the count.
-func (n *Node) getBlock(id block.ID, dst []byte, triggerRA bool) (*payloadBuf, int, error) {
+// with dst != nil it copies into dst and returns the count. holder is what
+// the caller already knows of the master's location (lookupHolder:
+// nothing); it serves the first fetch only, a fetch after a coalesced wait
+// asks the directory again.
+func (n *Node) getBlock(id block.ID, dst []byte, triggerRA bool, holder int32) (*payloadBuf, int, error) {
 	for {
 		n.c.accesses.Add(1)
 		if dst != nil {
@@ -375,13 +482,14 @@ func (n *Node) getBlock(id block.ID, dst []byte, triggerRA bool) (*payloadBuf, i
 			<-ch
 			// Re-check the cache; if the block was already evicted again
 			// (or the fetch failed), loop and fetch for ourselves.
+			holder = lookupHolder
 			continue
 		}
 		ch := make(chan struct{})
 		sh.waiting[id] = ch
 		sh.mu.Unlock()
 
-		pb, err := n.fetchBlock(id)
+		pb, err := n.fetchBlock(id, holder)
 
 		sh.mu.Lock()
 		delete(sh.waiting, id)
@@ -449,29 +557,13 @@ func (n *Node) readahead(after block.ID) {
 		return
 	}
 	if !n.cfg.NoRunReads {
-		runs, err := n.planRuns(after.File, missing)
-		if err != nil {
-			return
-		}
-		for _, r := range runs {
-			served := 0
-			if r.count > 1 {
-				served = n.fetchRun(after.File, size, r, nil, 0)
-				n.c.prefetches.Add(uint64(served))
-			}
-			for i := r.first + int32(served); i < r.first+int32(r.count); i++ {
-				pb, _, err := n.getBlock(block.ID{File: after.File, Idx: i}, nil, false)
-				if err != nil {
-					return
-				}
-				pb.release() // prefetch installs only; no reader to hand to
-				n.c.prefetches.Add(1)
-			}
+		if runs, err := n.planRuns(after.File, missing); err == nil {
+			n.fetchRuns(after.File, size, runs, nil, 0) //nolint:errcheck // prefetch is best effort
 		}
 		return
 	}
 	for _, i := range missing {
-		pb, _, err := n.getBlock(block.ID{File: after.File, Idx: i}, nil, false)
+		pb, _, err := n.getBlock(block.ID{File: after.File, Idx: i}, nil, false, lookupHolder)
 		if err != nil {
 			return
 		}
@@ -485,10 +577,19 @@ func (n *Node) readahead(after block.ID) {
 // is the home fallback, which keeps a block fetch bounded by roughly
 // RPCTimeout × (Retries + 1) even when the believed master is dead. The
 // returned payload is pinned for the caller (one reference), with a second
-// reference handed to the store by the install.
-func (n *Node) fetchBlock(id block.ID) (*payloadBuf, error) {
+// reference handed to the store by the install. holder is the believed
+// master when the caller has already resolved it (see lookupHolder); a wrong
+// one costs what a stale directory answer costs, a race miss and the home
+// read.
+func (n *Node) fetchBlock(id block.ID, holder int32) (*payloadBuf, error) {
 	self := int32(n.cfg.ID)
-	if m, ok, err := n.loc.Lookup(id); err == nil && ok && m != self {
+	m, ok := holder, holder != dirNoEntry
+	if holder == lookupHolder {
+		var err error
+		m, ok, err = n.loc.Lookup(id)
+		ok = ok && err == nil
+	}
+	if ok && m != self {
 		req := getFrame()
 		req.Type, req.File, req.Idx = MsgGetBlock, id.File, id.Idx
 		resp, err := n.reliableRPC(int(m), req, 0)

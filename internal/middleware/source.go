@@ -24,6 +24,8 @@ func IsNotFound(err error) bool { return errors.Is(err, ErrUnknownFile) }
 
 // BlockSource is a node's backing store: the "disk" holding the files whose
 // home this node is. The simulator models it; the live middleware reads it.
+// Implementations must be safe for concurrent use: a node serves many
+// requests at once, and one miss reads up to readWindow blocks together.
 type BlockSource interface {
 	// FileSize reports the size of file f, or an error if unknown.
 	FileSize(f block.FileID) (int64, error)

@@ -3,46 +3,74 @@ package middleware
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"repro/internal/block"
 	"repro/internal/core"
 )
 
+// TestWriteInvalidateReadBack checks the three things a reader may rely on
+// after Client.Write returns (DESIGN.md, "Write path & invalidation bus"):
+// the writing client reads its write at once; until the bus has drained,
+// any other entry returns the old or the new block, whole; once every node
+// has flushed, every entry returns the new block.
 func TestWriteInvalidateReadBack(t *testing.T) {
-	sizes := map[block.FileID]int64{0: 3 * 1024}
+	const bs = 1024
+	sizes := map[block.FileID]int64{0: 3 * bs}
 	nodes, client := startCluster(t, 3, 64, core.PolicyMaster, false, sizes)
 
 	// Warm every node's cache with the file.
-	for i := 0; i < 3; i++ {
+	for i := range nodes {
 		if _, err := client.ReadVia(i, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	// Overwrite the middle block.
-	newData := bytes.Repeat([]byte{0xAB}, 1024)
+	newData := bytes.Repeat([]byte{0xAB}, bs)
 	if err := client.Write(0, 1, newData); err != nil {
 		t.Fatal(err)
 	}
+	old := expect(testGeom, 0, sizes[0])
+	want := append(append(append([]byte{}, old[:bs]...), newData...), old[2*bs:]...)
 
-	// Every entry node must observe the new content (stale copies were
-	// invalidated cluster-wide).
-	want := append(append(append([]byte{},
-		SyntheticBlock(0, 0, 1024)...),
-		newData...),
-		SyntheticBlock(0, 2, 1024)...)
-	for i := 0; i < 3; i++ {
+	// 1. Read-your-writes: the client re-enters at the node that took the
+	// write, which installed the new master before acknowledging.
+	got, err := client.Read(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("the writing client did not read its own write")
+	}
+
+	// 2. Bounded staleness: the invalidation may still be in flight, so an
+	// entry may serve its old copy, but never anything else.
+	for i := range nodes {
+		got, err := client.ReadVia(i, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) && !bytes.Equal(got, old) {
+			t.Fatalf("node %d returned neither the old nor the new content before the flush", i)
+		}
+	}
+
+	// 3. Convergence: once every bus has drained, every entry serves the write.
+	for i, n := range nodes {
+		if !n.FlushInval(5 * time.Second) {
+			t.Fatalf("node %d: invalidation bus did not drain", i)
+		}
+	}
+	var inval uint64
+	for i, n := range nodes {
 		got, err := client.ReadVia(i, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("node %d returned stale content after write", i)
+			t.Fatalf("node %d returned stale content after the flush", i)
 		}
-	}
-
-	var inval uint64
-	for _, n := range nodes {
 		inval += n.Stats().Invalidations
 	}
 	if inval == 0 {
