@@ -56,7 +56,7 @@ func main() {
 		bench       = flag.Bool("bench", false, "run the benchmark presets and write -benchout")
 		chaos       = flag.Bool("chaos", false, "run the node-crash chaos scenario and record it in -benchout")
 		resize      = flag.Bool("resize", false, "run the elastic-membership resize scenario (grow 4→8 mid-replay, drain back to 4) and record it in -benchout")
-		writesBench = flag.Bool("writesbench", false, "run the write-latency A/B matrix (sync/async invalidation × healthy/slow peer) and record it in -benchout")
+		writesBench = flag.Bool("writesbench", false, "run the write-latency pair (invalidation bus, healthy and with one slow peer) and record it in -benchout")
 		scenario    = flag.String("scenario", "", "run one named protocol scenario with its expected-counter signature, or 'all' (full_hit, partial_hit, cold_miss, write_invalidate, flash_crowd, node_drain)")
 		httpMode    = flag.Bool("http", false, "replay over HTTP through an httpfront gateway and record the 'http' section in -benchout")
 		httpURL     = flag.String("http-url", "", "http mode: drive this running gateway (ccnode -serve -http-addr) instead of an in-process one; /httpstats is scraped for hand-off counters")
@@ -75,7 +75,6 @@ func main() {
 		zipf        = flag.Float64("zipf", 0.85, "popularity skew of the replayed stream")
 		zipfS       = flag.Float64("zipf-s", 0, "override the Zipf exponent everywhere, bench presets included (0: use -zipf / preset values)")
 		seed        = flag.Int64("seed", 1, "workload seed")
-		noRun       = flag.Bool("norun", false, "in-process clusters only: disable run-granular reads (legacy per-block fetch path, for A/B comparison)")
 		flash       = flag.Bool("flash", false, "bench mode: run the flash-crowd preset (non-stationary trace, adaptive replication + admission)")
 		flashAt     = flag.Float64("flash-at", 0.35, "flash window start as a fraction of the stream")
 		flashDur    = flag.Float64("flash-dur", 0.5, "flash window length as a fraction of the stream")
@@ -116,13 +115,13 @@ func main() {
 		return
 	}
 	if *bench {
-		if err := runBench(*benchOut, *requests, *concurrency, *seed, benchInterval(*interval), *noRun, *zipfS); err != nil {
+		if err := runBench(*benchOut, *requests, *concurrency, *seed, benchInterval(*interval), *zipfS); err != nil {
 			log.Fatal(err)
 		}
 		return
 	}
 	if *chaos {
-		if err := runChaos(*benchOut, *requests, *concurrency, *seed, benchInterval(*interval), *noRun); err != nil {
+		if err := runChaos(*benchOut, *requests, *concurrency, *seed, benchInterval(*interval)); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -183,7 +182,6 @@ func main() {
 	switch {
 	case *selftest:
 		mut := func(i int, cfg *middleware.Config) {
-			cfg.NoRunReads = *noRun
 			if *traceDump {
 				cfg.Tracer = obs.NewTracer(0)
 			}
@@ -273,9 +271,12 @@ func startCluster(nNodes, capacity int, hints bool, sizes map[block.FileID]int64
 	}
 	for i := 0; i < nNodes; i++ {
 		cfg := middleware.Config{
-			ID: i, Hints: hints, CapacityBlocks: capacity,
+			ID: i, CapacityBlocks: capacity,
 			Policy: core.PolicyMaster,
 			Source: middleware.NewMemSource(block.DefaultGeometry, sizes),
+		}
+		if hints {
+			cfg.DirMode = middleware.DirHints
 		}
 		if mut != nil {
 			mut(i, &cfg)
@@ -342,6 +343,7 @@ type benchRecord struct {
 	benchPreset
 	Requests  int     `json:"requests"`
 	Writes    int     `json:"writes"`
+	Errors    int     `json:"errors"`
 	Bytes     int64   `json:"bytes"`
 	ElapsedMS float64 `json:"elapsed_ms"`
 	ReqPerSec float64 `json:"req_per_sec"`
@@ -356,19 +358,16 @@ type benchRecord struct {
 	Disk      uint64  `json:"disk_reads"`
 	Forwards  uint64  `json:"forwards"`
 	// WriteP50US/WriteP99US are the write-only latency percentiles (set when
-	// the preset replays writes); SyncInvalidate and SlowPeer mark the arm of
-	// a writes A/B run (ccload -writesbench). InvalBatched/InvalCatchups
-	// count the invalidation bus's batched deliveries and gap repairs.
-	WriteP50US     float64 `json:"write_p50_us,omitempty"`
-	WriteP99US     float64 `json:"write_p99_us,omitempty"`
-	SyncInvalidate bool    `json:"sync_invalidate,omitempty"`
-	SlowPeer       bool    `json:"slow_peer,omitempty"`
-	InvalBatched   uint64  `json:"inval_batched,omitempty"`
-	InvalCatchups  uint64  `json:"inval_catchups,omitempty"`
-	// NoRun marks an A/B run with the run-granular fast path disabled
-	// (ccload -bench -norun); Runs/RunsDegraded count the run fetches the
-	// cluster issued and how many fell back to per-block repair.
-	NoRun        bool   `json:"no_run_reads,omitempty"`
+	// the preset replays writes); SlowPeer marks the degraded arm of a
+	// ccload -writesbench run. InvalBatched/InvalCatchups count the
+	// invalidation bus's batched deliveries and gap repairs.
+	WriteP50US    float64 `json:"write_p50_us,omitempty"`
+	WriteP99US    float64 `json:"write_p99_us,omitempty"`
+	SlowPeer      bool    `json:"slow_peer,omitempty"`
+	InvalBatched  uint64  `json:"inval_batched,omitempty"`
+	InvalCatchups uint64  `json:"inval_catchups,omitempty"`
+	// Runs/RunsDegraded count the run fetches the cluster issued and how
+	// many fell back to per-block repair.
 	Runs         uint64 `json:"runs_issued"`
 	RunsDegraded uint64 `json:"runs_degraded"`
 	// Flash carries the non-stationary workload and adaptive-replication
@@ -458,30 +457,27 @@ type chaosRecord struct {
 }
 
 // benchDoc is the BENCH_live.json document. Bench and chaos runs each
-// rewrite their own section and preserve the others'. A `-bench -norun` run
-// fills PresetsPerBlock instead of Presets, so the document carries the
-// run-path/per-block before-and-after side by side.
+// rewrite their own section and preserve the others'.
 type benchDoc struct {
 	Generated string `json:"generated"`
 	// GoMaxProcs/NumCPU/GoVersion record the machine behind the numbers:
 	// contention-sensitive results (the sharded store, writev batching) are
 	// only comparable between runs at equal NumCPU, and the 1-CPU CI
 	// container legitimately reports lower throughput than a dev box.
-	GoMaxProcs      int           `json:"gomaxprocs"`
-	NumCPU          int           `json:"num_cpu"`
-	GoVersion       string        `json:"go_version"`
-	Requests        int           `json:"requests_per_preset"`
-	Presets         []benchRecord `json:"presets"`
-	PresetsPerBlock []benchRecord `json:"presets_per_block,omitempty"`
+	GoMaxProcs int           `json:"gomaxprocs"`
+	NumCPU     int           `json:"num_cpu"`
+	GoVersion  string        `json:"go_version"`
+	Requests   int           `json:"requests_per_preset"`
+	Presets    []benchRecord `json:"presets"`
 	// FlashAdaptive/FlashStatic are the flash-crowd A/B: the same
 	// non-stationary trace replayed with adaptive replication + admission
 	// on (`-bench -flash`) and off (`-bench -flash -noreplicate`).
 	FlashAdaptive []benchRecord `json:"flash_adaptive,omitempty"`
 	FlashStatic   []benchRecord `json:"flash_static,omitempty"`
-	// Writes is the write-latency A/B matrix (ccload -writesbench):
-	// {sync fan-out, async bus} × {healthy, one slow peer}, on a
-	// write-heavy preset. The async/slow arm is the bus's reason to exist —
-	// the slow peer's delay must vanish from the writer's percentiles.
+	// Writes is the write-latency pair (ccload -writesbench): the
+	// invalidation bus healthy and with one slow peer, on a write-heavy
+	// preset. The slow arm is the bus's reason to exist — the slow peer's
+	// delay must vanish from the writer's percentiles.
 	Writes []benchRecord `json:"writes,omitempty"`
 	Chaos  *chaosRecord  `json:"chaos,omitempty"`
 	// Resize is the elastic-membership scenario (ccload -resize): the
@@ -533,18 +529,14 @@ var benchPresets = []benchPreset{
 
 // runBench replays every preset against a fresh in-process cluster and
 // writes the results to out. zipfS > 0 overrides every preset's skew.
-func runBench(out string, requests, concurrency int, seed int64, interval time.Duration, noRun bool, zipfS float64) error {
-	var mut func(i int, cfg *middleware.Config)
-	if noRun {
-		mut = func(i int, cfg *middleware.Config) { cfg.NoRunReads = true }
-	}
+func runBench(out string, requests, concurrency int, seed int64, interval time.Duration, zipfS float64) error {
 	records := make([]benchRecord, 0, len(benchPresets))
 	for _, p := range benchPresets {
 		if zipfS > 0 {
 			p.Zipf = zipfS
 		}
 		sizes := fileSizes(p.Files, p.AvgSize)
-		_, addrs, shutdown, err := startCluster(p.Nodes, p.Capacity, p.Hints, sizes, mut)
+		_, addrs, shutdown, err := startCluster(p.Nodes, p.Capacity, p.Hints, sizes, nil)
 		if err != nil {
 			return fmt.Errorf("preset %s: %w", p.Name, err)
 		}
@@ -565,7 +557,6 @@ func runBench(out string, requests, concurrency int, seed int64, interval time.D
 			return fmt.Errorf("preset %s: %w", p.Name, err)
 		}
 		rec := recordOf(p, res)
-		rec.NoRun = noRun
 		records = append(records, rec)
 		log.Printf("%-20s %8.0f req/s %7.1f MB/s p50=%v p95=%v p99=%v hit=%.1f%%",
 			p.Name, rec.ReqPerSec, rec.MBPerSec,
@@ -574,11 +565,7 @@ func runBench(out string, requests, concurrency int, seed int64, interval time.D
 	}
 	doc := loadBenchDoc(out)
 	doc.Requests = requests
-	if noRun {
-		doc.PresetsPerBlock = records
-	} else {
-		doc.Presets = records
-	}
+	doc.Presets = records
 	return writeBenchDoc(out, doc)
 }
 
@@ -588,6 +575,7 @@ func recordOf(p benchPreset, res loadgen.Result) benchRecord {
 		benchPreset:      p,
 		Requests:         res.Requests,
 		Writes:           res.Writes,
+		Errors:           res.Errors,
 		Bytes:            res.Bytes,
 		ElapsedMS:        float64(res.Elapsed) / float64(time.Millisecond),
 		ReqPerSec:        res.Throughput,
@@ -818,7 +806,7 @@ func buildFlashTrace(files int, sizes map[block.FileID]int64, requests int, zipf
 // heartbeats promote the crash to dead and re-home its ring slice for
 // good. The run must finish with zero client-visible errors, and the
 // fault-handling and membership counters it records must be nonzero.
-func runChaos(out string, requests, concurrency int, seed int64, interval time.Duration, noRun bool) error {
+func runChaos(out string, requests, concurrency int, seed int64, interval time.Duration) error {
 	const (
 		nNodes    = 4
 		crashNode = nNodes - 1 // never the coordinator (lowest alive ID)
@@ -845,7 +833,6 @@ func runChaos(out string, requests, concurrency int, seed int64, interval time.D
 	nodes, addrs, shutdown, err := startCluster(nNodes, capacity, false, sizes,
 		func(i int, cfg *middleware.Config) {
 			cfg.Fault = plan
-			cfg.NoRunReads = noRun
 			cfg.RPCTimeout = 300 * time.Millisecond
 			cfg.Retries = 2
 			// Aggressive heartbeats so the crash is suspected and promoted
@@ -952,9 +939,9 @@ func runChaos(out string, requests, concurrency int, seed int64, interval time.D
 	return writeBenchDoc(out, doc)
 }
 
-// --- write-latency A/B matrix ---
+// --- write-latency pair ---
 
-// writesPreset is the write-heavy workload of the invalidation-bus A/B: a
+// writesPreset is the write-heavy workload of the invalidation-bus pair: a
 // four-node cluster where every fourth request is a block write. 25% writes
 // is past the point where the flash bench's adaptive layer pays (see
 // flashPreset), which makes it exactly the regime where write latency is
@@ -973,57 +960,39 @@ const (
 	writesSlowDelay  = writesRPCTimeout / 2
 )
 
-// runWritesBench measures the same write-heavy replay over the four arms of
-// {synchronous fan-out, asynchronous bus} × {healthy, one slow peer} and
-// records them in the document's writes section. The matrix is the bus's
-// acceptance test: with a peer delaying every frame by half the RPC timeout,
-// the sync arm's write tail absorbs the delay wholesale while the async
-// arm's must stay within sight of healthy.
+// runWritesBench measures the same write-heavy replay with every peer
+// healthy and with one slow peer, and records both in the document's writes
+// section. The pair is the bus's acceptance test: with a peer delaying every
+// frame by half the RPC timeout, the write tail must stay within sight of
+// healthy. (A blocking fan-out absorbs the delay wholesale: the PR 7 table
+// in DESIGN.md.)
 func runWritesBench(out string, requests, concurrency int, seed int64, interval time.Duration) error {
-	arms := []struct{ syncInval, slow bool }{
-		{true, false}, {false, false}, {true, true}, {false, true},
+	healthy, err := runWritesArm(requests, concurrency, seed, interval, false)
+	if err != nil {
+		return err
 	}
-	records := make([]benchRecord, 0, len(arms))
-	for _, arm := range arms {
-		rec, err := runWritesArm(requests, concurrency, seed, interval, arm.syncInval, arm.slow)
-		if err != nil {
-			return err
-		}
-		records = append(records, rec)
+	slow, err := runWritesArm(requests, concurrency, seed, interval, true)
+	if err != nil {
+		return err
 	}
-	pick := func(syncInval, slow bool) benchRecord {
-		for _, r := range records {
-			if r.SyncInvalidate == syncInval && r.SlowPeer == slow {
-				return r
-			}
-		}
-		return benchRecord{}
-	}
-	ss, as := pick(true, true), pick(false, true)
-	if as.WriteP99US > 0 {
-		log.Printf("writes A/B: slow-peer write p99 sync=%.0fµs async=%.0fµs (%.1fx)",
-			ss.WriteP99US, as.WriteP99US, ss.WriteP99US/as.WriteP99US)
-	}
-	sh, ah := pick(true, false), pick(false, false)
-	if ah.WriteP50US > 0 {
-		log.Printf("writes A/B: healthy write p50 sync=%.0fµs async=%.0fµs",
-			sh.WriteP50US, ah.WriteP50US)
+	if healthy.WriteP99US > 0 {
+		log.Printf("writes: write p99 healthy=%.0fµs slow-peer=%.0fµs (%.1fx)",
+			healthy.WriteP99US, slow.WriteP99US, slow.WriteP99US/healthy.WriteP99US)
 	}
 	doc := loadBenchDoc(out)
-	doc.Writes = records
+	doc.Writes = []benchRecord{healthy, slow}
 	return writeBenchDoc(out, doc)
 }
 
 // runWritesArm replays the writes preset once against a fresh cluster with
-// the given invalidation mode and peer health.
-func runWritesArm(requests, concurrency int, seed int64, interval time.Duration, syncInval, slow bool) (benchRecord, error) {
+// the given peer health.
+func runWritesArm(requests, concurrency int, seed int64, interval time.Duration, slow bool) (benchRecord, error) {
 	p := writesPreset
 	plan := &middleware.FaultPlan{Seed: seed, DelayProb: 1, Delay: writesSlowDelay}
 	mut := func(i int, cfg *middleware.Config) {
-		// The matrix's manifest filter excludes the slow peer's homed files
-		// by modulo: pin the static placement so the filter stays exact.
+		// The manifest filter below excludes the slow peer's homed files by
+		// modulo: pin the static placement so the filter stays exact.
 		cfg.StaticHome = true
-		cfg.SyncInvalidate = syncInval
 		cfg.RPCTimeout = writesRPCTimeout
 		cfg.Retries = 2
 		if slow && i == writesSlowNode {
@@ -1038,7 +1007,7 @@ func runWritesArm(requests, concurrency int, seed int64, interval time.Duration,
 	defer shutdown()
 	// Entry nodes exclude the slow peer, and so does the file manifest of
 	// the replay (its homed files would put the delay on the write-through
-	// path of both arms, drowning the fan-out difference being measured).
+	// path, which no invalidation protocol can take off the writer).
 	client, err := middleware.DialClusterConfig(addrs[:writesSlowNode], middleware.ClientConfig{
 		RPCTimeout: 2 * time.Second,
 		Retries:    3,
@@ -1064,18 +1033,13 @@ func runWritesArm(requests, concurrency int, seed int64, interval time.Duration,
 		return benchRecord{}, fmt.Errorf("writes bench: %w", err)
 	}
 	rec := recordOf(p, res)
-	rec.SyncInvalidate = syncInval
 	rec.SlowPeer = slow
-	mode := "async"
-	if syncInval {
-		mode = "sync"
-	}
 	health := "healthy"
 	if slow {
 		health = "slow-peer"
 	}
-	log.Printf("%-20s %-5s %-9s %8.0f req/s write_p50=%v write_p99=%v p99=%v skips=%d batched=%d",
-		p.Name, mode, health, rec.ReqPerSec,
+	log.Printf("%-20s %-9s %8.0f req/s write_p50=%v write_p99=%v p99=%v skips=%d batched=%d",
+		p.Name, health, rec.ReqPerSec,
 		res.WriteP50.Round(time.Microsecond), res.WriteP99.Round(time.Microsecond),
 		res.P99.Round(time.Microsecond), rec.InvalidateSkips, rec.InvalBatched)
 	return rec, nil

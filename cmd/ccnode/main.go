@@ -64,7 +64,6 @@ func main() {
 		repThr   = flag.Float64("replicate-threshold", 0, "with -serve: serve-rate score above which hot masters push replica copies (0: replication off)")
 		repFan   = flag.Int("replica-fanout", 0, "with -serve: replica copies pushed per hot block (0: default of 2)")
 		admit    = flag.Bool("admission", false, "with -serve: TinyLFU admission filter on the cache (one-hit wonders never evict hot blocks)")
-		syncInv  = flag.Bool("sync-invalidate", false, "with -serve: synchronous write-invalidate fan-out instead of the async invalidation bus")
 		join     = flag.String("join", "", "with -serve: join a running cluster through this seed node address instead of -cluster (requires -listen; -id picks this node's slot)")
 		drain    = flag.Int("drain", -1, "drain this node ID out of the cluster: mark it draining, wait for the survivors to pull its ring slice, then remove it")
 		static   = flag.Bool("static-home", false, "with -serve: pin the paper's static int(f)%%clusterSize placement (no ring, no elastic membership)")
@@ -90,7 +89,7 @@ func main() {
 	case *serve:
 		ad := adaptive{threshold: *repThr, fanout: *repFan, admission: *admit}
 		ms := membership{join: *join, static: *static, heartbeat: *hbIvl, suspect: *suspect, dead: *deadTO}
-		runNode(*id, *listen, addrs, *capacity, *policy, *hints, *files, *avg, ft, ad, ms, *metrics, *httpAddr, *traceCap, *syncInv)
+		runNode(*id, *listen, addrs, *capacity, *policy, *hints, *files, *avg, ft, ad, ms, *metrics, *httpAddr, *traceCap)
 	case *drain >= 0:
 		client := dial(addrs, ft)
 		defer client.Close()
@@ -206,7 +205,7 @@ func drainNode(client *middleware.Client, id int) error {
 	return nil
 }
 
-func runNode(id int, listen string, addrs []string, capacity int, policy string, hints bool, files int, avg int64, ft faultTolerance, ad adaptive, ms membership, metricsAddr, httpAddr string, traceCap int, syncInval bool) {
+func runNode(id int, listen string, addrs []string, capacity int, policy string, hints bool, files int, avg int64, ft faultTolerance, ad adaptive, ms membership, metricsAddr, httpAddr string, traceCap int) {
 	if ms.join != "" {
 		if listen == "" {
 			log.Fatal("-join requires -listen (the joiner's own address)")
@@ -239,10 +238,14 @@ func runNode(id int, listen string, addrs []string, capacity int, policy string,
 	if traceCap > 0 {
 		tracer = obs.NewTracer(traceCap)
 	}
+	dirMode := middleware.DirCentral
+	if hints {
+		dirMode = middleware.DirHints
+	}
 	n, err := middleware.Start(middleware.Config{
 		ID:                 id,
 		Listen:             listen,
-		Hints:              hints,
+		DirMode:            dirMode,
 		CapacityBlocks:     capacity,
 		Policy:             pol,
 		Source:             middleware.NewMemSource(block.DefaultGeometry, sizes),
@@ -253,7 +256,6 @@ func runNode(id int, listen string, addrs []string, capacity int, policy string,
 		ReplicateThreshold: ad.threshold,
 		ReplicaFanout:      ad.fanout,
 		AdmissionFilter:    ad.admission,
-		SyncInvalidate:     syncInval,
 		StaticHome:         ms.static,
 		HeartbeatInterval:  ms.heartbeat,
 		SuspectTimeout:     ms.suspect,

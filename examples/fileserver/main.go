@@ -34,7 +34,7 @@ func main() {
 	for i := 0; i < n; i++ {
 		node, err := middleware.Start(middleware.Config{
 			ID:             i,
-			Hints:          true,
+			DirMode:        middleware.DirHints,
 			CapacityBlocks: 32,
 			Policy:         core.PolicyMaster,
 			Geometry:       geom,

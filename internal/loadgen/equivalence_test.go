@@ -7,447 +7,201 @@ import (
 
 	"repro/internal/block"
 	"repro/internal/middleware"
+	"repro/internal/trace"
 )
 
-// TestReplayOutputEquivalence pins the cluster's observable behaviour for a
-// deterministic replay: a serial client, ample capacity, and the central
-// directory make every counter exactly predictable from the §3 protocol, so
-// any change to the wire path (pooling, buffer reuse, worker dispatch) that
-// altered what the cluster *does* — rather than how fast — fails here. File
-// bytes are checked against the synthetic content generator independently.
-func TestReplayOutputEquivalence(t *testing.T) {
-	const k = 3
-	geom := block.Geometry{Size: 1024, ExtentBlocks: 8}
-	// SyncInvalidate keeps the write section exactly predictable: the
-	// fan-out completes before WriteBlock returns, so the per-write
-	// invalidation delta is deterministic. (The async-bus counterpart is
-	// pinned by TestSyncInvalidateReplayEquivalence.)
-	client, sizes := startClusterMut(t, k, 4096, func(i int, cfg *middleware.Config) {
-		cfg.SyncInvalidate = true
-	}, middleware.ClientConfig{})
-	tr := replayTrace(sizes, 120)
+// modelCounts is what the abstract §3 protocol predicts for a replay.
+type modelCounts struct{ accesses, local, remote, disk uint64 }
 
-	res, err := Replay(client, tr, Config{Concurrency: 1, WarmupFrac: 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Replay the §3 protocol against an abstract model: requests round-robin
-	// over the nodes (one serial worker), each block is a local hit where a
-	// copy exists, a remote hit where any master exists, and a disk read
-	// (installing the reader as master) otherwise. With ample capacity there
-	// are no evictions, hence no forwards, races, or invalidations.
+// protocolModel replays tr against an abstract model of the §3 protocol:
+// requests round-robin over the k nodes (one serial worker), and each block
+// is a local hit where the entry node holds a copy, a remote hit where any
+// master exists, and a disk read (installing the reader as master)
+// otherwise. With ample capacity there are no evictions, hence no forwards,
+// races, or invalidations. It knows nothing of runs, shards, rings, buses or
+// replicas: every configuration of the live path must reproduce it.
+func protocolModel(tr *trace.Trace, sizes map[block.FileID]int64, k int) modelCounts {
 	copies := map[block.ID]map[int]bool{}
-	master := map[block.ID]int{}
-	var accesses, local, remote, disk uint64
+	master := map[block.ID]bool{}
+	var m modelCounts
 	for req, f := range tr.Requests {
 		e := req % k
-		nb := geom.Count(sizes[f])
-		for i := int32(0); i < nb; i++ {
+		for i := int32(0); i < replayGeom.Count(sizes[f]); i++ {
 			id := block.ID{File: f, Idx: i}
-			accesses++
+			m.accesses++
 			if copies[id][e] {
-				local++
+				m.local++
 				continue
 			}
 			if copies[id] == nil {
 				copies[id] = map[int]bool{}
 			}
-			if _, ok := master[id]; ok {
-				remote++
+			if master[id] {
+				m.remote++
 			} else {
-				disk++
-				master[id] = e
+				m.disk++
+				master[id] = true
 			}
 			copies[id][e] = true
 		}
 	}
-	got := res.Cluster
-	if got.Accesses != accesses || got.LocalHits != local ||
-		got.RemoteHits != remote || got.DiskReads != disk {
-		t.Errorf("counters diverged from protocol model:\n got accesses=%d local=%d remote=%d disk=%d\nwant accesses=%d local=%d remote=%d disk=%d",
-			got.Accesses, got.LocalHits, got.RemoteHits, got.DiskReads,
-			accesses, local, remote, disk)
-	}
-	if got.RaceMisses != 0 || got.Forwards != 0 || got.Invalidations != 0 {
-		t.Errorf("unexpected races=%d forwards=%d invalidations=%d (ample capacity: want 0)",
-			got.RaceMisses, got.Forwards, got.Invalidations)
-	}
-
-	// Byte equivalence: every file read through the cluster must match the
-	// synthetic content, block by block.
-	for f := 0; f < len(sizes); f++ {
-		id := block.FileID(f)
-		data, err := client.Read(id)
-		if err != nil {
-			t.Fatalf("read file %d: %v", f, err)
-		}
-		if want := syntheticFile(geom, id, sizes[id]); !bytes.Equal(data, want) {
-			t.Fatalf("file %d content diverged (%d bytes)", f, len(data))
-		}
-	}
-
-	// Write-invalidate equivalence: one write costs exactly one invalidation
-	// per cluster node and the new bytes are visible from every entry node.
-	patch := bytes.Repeat([]byte{0xAB}, int(sizes[0]))
-	if err := client.Write(0, 0, patch); err != nil {
-		t.Fatal(err)
-	}
-	after, err := client.ClusterStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := after.Invalidations - got.Invalidations; d != k {
-		t.Errorf("invalidations per write = %d, want %d (one per node)", d, k)
-	}
-	if d := after.Writes - got.Writes; d != 1 {
-		t.Errorf("writes = %d, want 1", d)
-	}
-	for e := 0; e < k; e++ {
-		data, err := client.ReadVia(e, 0)
-		if err != nil {
-			t.Fatalf("read via %d after write: %v", e, err)
-		}
-		if !bytes.Equal(data, patch) {
-			t.Fatalf("node %d served stale bytes after write-invalidate", e)
-		}
-	}
+	return m
 }
 
-// TestShardedStoreReplayEquivalence pins the shard-count contract of the
-// lock-striped store: a cluster whose stores run 8 lock shards and one whose
-// stores run the single-lock configuration (StoreShards = 1, the historical
-// store) replay the same deterministic trace with identical §3 counters and
-// identical bytes. Sharding partitions the *lock*, not the protocol: with
-// capacity ample enough that no shard ever evicts, the partitioned LRU and
-// the global LRU are observably the same machine. (Under eviction pressure
-// the partition approximates the global order — that regime is covered by
-// the faulted replays and the shard unit tests, not by exact equivalence.)
-func TestShardedStoreReplayEquivalence(t *testing.T) {
+// TestReplayEquivalence pins the cluster's observable behaviour for a
+// deterministic replay: a serial client, ample capacity, and the central
+// directory make every counter exactly predictable from the §3 protocol, so
+// any change that altered what the cluster *does* — rather than how fast —
+// fails here. Each row is one configuration that must be the same machine
+// as the model: the default path, the store with eight lock shards and with
+// the single lock, the paper's static home mapping, and adaptive replication
+// armed below an unreachable threshold. File bytes are checked against the
+// synthetic content generator independently, and one write must cost one
+// invalidation per node and be visible through every entry once the bus has
+// drained. The last subtest replays the default path under a seeded fault
+// plan, where only the invariants hold.
+func TestReplayEquivalence(t *testing.T) {
 	const k = 3
-	geom := block.Geometry{Size: 1024, ExtentBlocks: 8}
-	shardedClient, sizes := startClusterMut(t, k, 4096, func(i int, cfg *middleware.Config) {
-		cfg.StoreShards = 8
-	}, middleware.ClientConfig{})
-	singleClient, _ := startClusterMut(t, k, 4096, func(i int, cfg *middleware.Config) {
-		cfg.StoreShards = 1
-	}, middleware.ClientConfig{})
-	tr := replayTrace(sizes, 120)
-
-	resSharded, err := Replay(shardedClient, tr, Config{Concurrency: 1, WarmupFrac: 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resSingle, err := Replay(singleClient, tr, Config{Concurrency: 1, WarmupFrac: 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, g := resSharded.Cluster, resSingle.Cluster
-	if s.Accesses != g.Accesses || s.LocalHits != g.LocalHits ||
-		s.RemoteHits != g.RemoteHits || s.DiskReads != g.DiskReads {
-		t.Errorf("sharded store diverged from single-lock store:\nsharded: accesses=%d local=%d remote=%d disk=%d\n single: accesses=%d local=%d remote=%d disk=%d",
-			s.Accesses, s.LocalHits, s.RemoteHits, s.DiskReads,
-			g.Accesses, g.LocalHits, g.RemoteHits, g.DiskReads)
-	}
-	if s.RaceMisses != g.RaceMisses || s.Forwards != g.Forwards || s.Invalidations != g.Invalidations {
-		t.Errorf("secondary counters diverged: sharded races=%d forwards=%d inval=%d, single races=%d forwards=%d inval=%d",
-			s.RaceMisses, s.Forwards, s.Invalidations, g.RaceMisses, g.Forwards, g.Invalidations)
-	}
-	for f := 0; f < len(sizes); f++ {
-		id := block.FileID(f)
-		want := syntheticFile(geom, id, sizes[id])
-		for name, cl := range map[string]*middleware.Client{"sharded": shardedClient, "single": singleClient} {
-			got, err := cl.Read(id)
-			if err != nil {
-				t.Fatalf("%s read file %d: %v", name, f, err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("%s cluster corrupted file %d (%d bytes)", name, f, len(got))
-			}
-		}
-	}
-}
-
-// TestRunPathReplayEquivalence replays the same deterministic trace against
-// two clusters that differ only in the read planner — run-granular fetches vs
-// the per-block path — and requires identical observable behaviour: the §3
-// counters (accesses, local hits, remote hits, disk reads) and the returned
-// bytes must match exactly. The run path is a transport optimization; any
-// divergence here means it changed what the protocol does, not just how many
-// round trips it takes.
-func TestRunPathReplayEquivalence(t *testing.T) {
-	const k = 3
-	geom := block.Geometry{Size: 1024, ExtentBlocks: 8}
-	runClient, sizes := startClusterMut(t, k, 4096, nil, middleware.ClientConfig{})
-	pbClient, _ := startClusterMut(t, k, 4096, func(i int, cfg *middleware.Config) {
-		cfg.NoRunReads = true
-	}, middleware.ClientConfig{})
-	tr := replayTrace(sizes, 120)
-
-	resRun, err := Replay(runClient, tr, Config{Concurrency: 1, WarmupFrac: 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resPB, err := Replay(pbClient, tr, Config{Concurrency: 1, WarmupFrac: 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	r, p := resRun.Cluster, resPB.Cluster
-	if r.Accesses != p.Accesses || r.LocalHits != p.LocalHits ||
-		r.RemoteHits != p.RemoteHits || r.DiskReads != p.DiskReads {
-		t.Errorf("run path diverged from per-block path:\n run: accesses=%d local=%d remote=%d disk=%d\n  pb: accesses=%d local=%d remote=%d disk=%d",
-			r.Accesses, r.LocalHits, r.RemoteHits, r.DiskReads,
-			p.Accesses, p.LocalHits, p.RemoteHits, p.DiskReads)
-	}
-	if r.RaceMisses != p.RaceMisses || r.Forwards != p.Forwards || r.Invalidations != p.Invalidations {
-		t.Errorf("secondary counters diverged: run races=%d forwards=%d inval=%d, pb races=%d forwards=%d inval=%d",
-			r.RaceMisses, r.Forwards, r.Invalidations, p.RaceMisses, p.Forwards, p.Invalidations)
-	}
-	if r.RunsIssued == 0 {
-		t.Error("run cluster issued no run fetches — fast path never engaged")
-	}
-	if r.RunsDegraded != 0 {
-		t.Errorf("runs degraded on a healthy cluster: %d", r.RunsDegraded)
-	}
-	if p.RunsIssued != 0 {
-		t.Errorf("NoRunReads cluster issued %d run fetches", p.RunsIssued)
-	}
-
-	// Byte equivalence against the synthetic generator, through both planners.
-	for f := 0; f < len(sizes); f++ {
-		id := block.FileID(f)
-		want := syntheticFile(geom, id, sizes[id])
-		got, err := runClient.Read(id)
-		if err != nil {
-			t.Fatalf("run-path read file %d: %v", f, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("run path corrupted file %d (%d bytes)", f, len(got))
-		}
-		got, err = pbClient.Read(id)
-		if err != nil {
-			t.Fatalf("per-block read file %d: %v", f, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("per-block path corrupted file %d (%d bytes)", f, len(got))
-		}
-	}
-}
-
-// TestAdaptiveOffReplayEquivalence pins the disabled-mode guarantee of the
-// adaptive replication layer: with the hotness tracker armed but the
-// threshold unreachable and admission filtering off, the cluster must be
-// observably identical — every §3 counter and every byte — to one that never
-// constructed the machinery at all. This is what lets the replication path
-// ship as a strict superset of the single-master protocol: nothing it adds
-// can leak into the read path until a score actually crosses the threshold.
-func TestAdaptiveOffReplayEquivalence(t *testing.T) {
-	const k = 3
-	geom := block.Geometry{Size: 1024, ExtentBlocks: 8}
-	plainClient, sizes := startClusterMut(t, k, 4096, func(i int, cfg *middleware.Config) {
-		cfg.SyncInvalidate = true // deterministic per-write invalidation count
-	}, middleware.ClientConfig{})
-	inertClient, _ := startClusterMut(t, k, 4096, func(i int, cfg *middleware.Config) {
-		cfg.SyncInvalidate = true
-		cfg.ReplicateThreshold = 1e18 // armed, never crossed
-		cfg.ReplicaFanout = 2
-		cfg.AdmissionFilter = false
-	}, middleware.ClientConfig{})
-	tr := replayTrace(sizes, 120)
-
-	resPlain, err := Replay(plainClient, tr, Config{Concurrency: 1, WarmupFrac: 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resInert, err := Replay(inertClient, tr, Config{Concurrency: 1, WarmupFrac: 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	a, b := resPlain.Cluster, resInert.Cluster
-	if a.Accesses != b.Accesses || a.LocalHits != b.LocalHits ||
-		a.RemoteHits != b.RemoteHits || a.DiskReads != b.DiskReads {
-		t.Errorf("inert adaptive cluster diverged from plain PolicyMaster:\nplain: accesses=%d local=%d remote=%d disk=%d\ninert: accesses=%d local=%d remote=%d disk=%d",
-			a.Accesses, a.LocalHits, a.RemoteHits, a.DiskReads,
-			b.Accesses, b.LocalHits, b.RemoteHits, b.DiskReads)
-	}
-	if a.RaceMisses != b.RaceMisses || a.Forwards != b.Forwards || a.Invalidations != b.Invalidations {
-		t.Errorf("secondary counters diverged: plain races=%d forwards=%d inval=%d, inert races=%d forwards=%d inval=%d",
-			a.RaceMisses, a.Forwards, a.Invalidations, b.RaceMisses, b.Forwards, b.Invalidations)
-	}
-	// The machinery must have stayed fully inert: no pushes, no replica
-	// serves, no admission rejects, no replicas resident anywhere.
-	if b.ReplicasPushed != 0 || b.ReplicaHits != 0 || b.AdmissionRejects != 0 || b.StoreReplicas != 0 {
-		t.Errorf("adaptive machinery engaged below threshold: pushed=%d hits=%d rejects=%d resident=%d",
-			b.ReplicasPushed, b.ReplicaHits, b.AdmissionRejects, b.StoreReplicas)
-	}
-
-	// Byte equivalence through both clusters against the synthetic generator.
-	for f := 0; f < len(sizes); f++ {
-		id := block.FileID(f)
-		want := syntheticFile(geom, id, sizes[id])
-		got, err := plainClient.Read(id)
-		if err != nil {
-			t.Fatalf("plain read file %d: %v", f, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("plain cluster corrupted file %d (%d bytes)", f, len(got))
-		}
-		got, err = inertClient.Read(id)
-		if err != nil {
-			t.Fatalf("inert read file %d: %v", f, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("inert adaptive cluster corrupted file %d (%d bytes)", f, len(got))
-		}
-	}
-
-	// Writes through the inert cluster keep the same per-write invalidation
-	// fan-out (one per node) and must not wake the replication path.
-	patch := bytes.Repeat([]byte{0xCD}, int(sizes[0]))
-	if err := inertClient.Write(0, 0, patch); err != nil {
-		t.Fatal(err)
-	}
-	after, err := inertClient.ClusterStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := after.Invalidations - b.Invalidations; d != k {
-		t.Errorf("invalidations per write = %d, want %d", d, k)
-	}
-	if after.ReplicasPushed != 0 {
-		t.Errorf("write re-push fired below threshold: %d pushes", after.ReplicasPushed)
-	}
-}
-
-// TestSyncInvalidateReplayEquivalence pins the equivalence contract of the
-// asynchronous invalidation bus: a cluster running the bus must be
-// observably identical on the read path to one running the legacy blocking
-// fan-out (Config.SyncInvalidate), and on the write path it must converge
-// to the same invalidation totals and the same bytes — the bus changes
-// *when* peers learn of a write, never *what* the cluster does. The same
-// pair is then replayed under a seeded fault plan: both modes must finish
-// with zero errors, keep the §3 counter identity, and serve uncorrupted
-// bytes.
-func TestSyncInvalidateReplayEquivalence(t *testing.T) {
-	const k = 3
-	geom := block.Geometry{Size: 1024, ExtentBlocks: 8}
-	syncClient, sizes := startClusterMut(t, k, 4096, func(i int, cfg *middleware.Config) {
-		cfg.SyncInvalidate = true
-	}, middleware.ClientConfig{})
-	busClient, _ := startClusterMut(t, k, 4096, nil, middleware.ClientConfig{})
-	tr := replayTrace(sizes, 120)
-
-	resSync, err := Replay(syncClient, tr, Config{Concurrency: 1, WarmupFrac: 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resBus, err := Replay(busClient, tr, Config{Concurrency: 1, WarmupFrac: 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, b := resSync.Cluster, resBus.Cluster
-	if s.Accesses != b.Accesses || s.LocalHits != b.LocalHits ||
-		s.RemoteHits != b.RemoteHits || s.DiskReads != b.DiskReads {
-		t.Errorf("bus cluster diverged from sync fan-out on the read path:\nsync: accesses=%d local=%d remote=%d disk=%d\n bus: accesses=%d local=%d remote=%d disk=%d",
-			s.Accesses, s.LocalHits, s.RemoteHits, s.DiskReads,
-			b.Accesses, b.LocalHits, b.RemoteHits, b.DiskReads)
-	}
-	if s.RaceMisses != b.RaceMisses || s.Forwards != b.Forwards || s.Invalidations != b.Invalidations {
-		t.Errorf("secondary counters diverged: sync races=%d forwards=%d inval=%d, bus races=%d forwards=%d inval=%d",
-			s.RaceMisses, s.Forwards, s.Invalidations, b.RaceMisses, b.Forwards, b.Invalidations)
-	}
-
-	// One write through each cluster. The sync fan-out lands all k
-	// invalidations before WriteBlock returns; the bus converges to the
-	// same total within the staleness bound.
-	patch := bytes.Repeat([]byte{0x5A}, int(sizes[0]))
-	if err := syncClient.Write(0, 0, patch); err != nil {
-		t.Fatal(err)
-	}
-	afterSync, err := syncClient.ClusterStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := afterSync.Invalidations - s.Invalidations; d != k {
-		t.Errorf("sync invalidations per write = %d, want %d", d, k)
-	}
-	if err := busClient.Write(0, 0, patch); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		afterBus, err := busClient.ClusterStats()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if afterBus.Invalidations-b.Invalidations == k && afterBus.InvalBacklog == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("bus never converged: %d invalidations (want +%d), backlog %d",
-				afterBus.Invalidations-b.Invalidations, k, afterBus.InvalBacklog)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// Past the staleness bound no node serves stale bytes, in either mode.
-	for e := 0; e < k; e++ {
-		for _, cl := range []*middleware.Client{syncClient, busClient} {
-			data, err := cl.ReadVia(e, 0)
-			if err != nil {
-				t.Fatalf("read via %d after write: %v", e, err)
-			}
-			if !bytes.Equal(data, patch) {
-				t.Fatalf("node %d served stale bytes after write", e)
-			}
-		}
-	}
-	if afterBus, _ := busClient.ClusterStats(); afterBus.InvalBatched == 0 {
-		t.Error("bus cluster delivered no batched invalidations — the bus never engaged")
-	}
-
-	// Same pair under a seeded fault plan: the invariants (no errors, §3
-	// counter identity, uncorrupted bytes) hold in both modes.
-	for _, mode := range []struct {
+	rows := []struct {
 		name string
-		sync bool
-	}{{"sync", true}, {"bus", false}} {
-		t.Run(mode.name+"_faulted", func(t *testing.T) {
-			plan := &middleware.FaultPlan{
-				Seed: 7, DelayProb: 0.05, Delay: time.Millisecond, DropProb: 0.05,
-			}
-			client, sizes := startClusterMut(t, k, 64, func(i int, cfg *middleware.Config) {
-				cfg.SyncInvalidate = mode.sync
-				cfg.Fault = plan
-				cfg.RPCTimeout = 250 * time.Millisecond
-				cfg.Retries = 3
-				cfg.RetryBackoff = time.Millisecond
-			}, middleware.ClientConfig{RPCTimeout: 1500 * time.Millisecond, Retries: 4})
-			res, err := Replay(client, replayTrace(sizes, 150), Config{Concurrency: 2, WarmupFrac: 0.25})
+		mut  func(i int, cfg *middleware.Config)
+	}{
+		{"default", nil},
+		{"shards_8", func(i int, cfg *middleware.Config) { cfg.StoreShards = 8 }},
+		{"shards_1", func(i int, cfg *middleware.Config) { cfg.StoreShards = 1 }},
+		{"static_home", func(i int, cfg *middleware.Config) { cfg.StaticHome = true }},
+		{"inert_replication", func(i int, cfg *middleware.Config) {
+			cfg.ReplicateThreshold = 1e18 // armed, never crossed
+			cfg.ReplicaFanout = 2
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			client, sizes := startClusterMut(t, k, 4096, row.mut, middleware.ClientConfig{})
+			tr := replayTrace(sizes, 120)
+			res, err := Replay(client, tr, Config{Concurrency: 1, WarmupFrac: 0.3})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Errors != 0 {
-				t.Fatalf("replay surfaced %d errors", res.Errors)
+			got, want := res.Cluster, protocolModel(tr, sizes, k)
+			if got.Accesses != want.accesses || got.LocalHits != want.local ||
+				got.RemoteHits != want.remote || got.DiskReads != want.disk {
+				t.Errorf("counters diverged from protocol model:\n got accesses=%d local=%d remote=%d disk=%d\nwant accesses=%d local=%d remote=%d disk=%d",
+					got.Accesses, got.LocalHits, got.RemoteHits, got.DiskReads,
+					want.accesses, want.local, want.remote, want.disk)
 			}
-			st := res.Cluster
-			if sum := st.LocalHits + st.RemoteHits + st.DiskReads; sum > st.Accesses {
-				t.Errorf("counter identity broken: local=%d + remote=%d + disk=%d > accesses=%d",
-					st.LocalHits, st.RemoteHits, st.DiskReads, st.Accesses)
+			if got.RaceMisses != 0 || got.Forwards != 0 || got.Invalidations != 0 {
+				t.Errorf("unexpected races=%d forwards=%d invalidations=%d (ample capacity: want 0)",
+					got.RaceMisses, got.Forwards, got.Invalidations)
 			}
+			if got.RunsIssued == 0 || got.RunsDegraded != 0 {
+				t.Errorf("runs issued=%d degraded=%d, want some issued and none degraded on a healthy cluster",
+					got.RunsIssued, got.RunsDegraded)
+			}
+			// Placement is a pure function of the unchanging membership and
+			// no score crosses a threshold: nothing rebalances, no heartbeat
+			// runs, no replica is pushed, served, rejected or resident.
+			if got.RebalancedBlocks != 0 || got.RebalancePending != 0 || got.HeartbeatFailures != 0 {
+				t.Errorf("elastic machinery ran: rebalanced=%d pending=%d hbfail=%d",
+					got.RebalancedBlocks, got.RebalancePending, got.HeartbeatFailures)
+			}
+			if got.ReplicasPushed != 0 || got.ReplicaHits != 0 || got.AdmissionRejects != 0 || got.StoreReplicas != 0 {
+				t.Errorf("adaptive machinery engaged: pushed=%d hits=%d rejects=%d resident=%d",
+					got.ReplicasPushed, got.ReplicaHits, got.AdmissionRejects, got.StoreReplicas)
+			}
+
+			// Byte equivalence: every file read through the cluster must match
+			// the synthetic content, block by block.
 			for f := 0; f < len(sizes); f++ {
 				id := block.FileID(f)
 				data, err := client.Read(id)
 				if err != nil {
 					t.Fatalf("read file %d: %v", f, err)
 				}
-				if want := syntheticFile(geom, id, sizes[id]); !bytes.Equal(data, want) {
-					t.Fatalf("file %d corrupted under faults (%d bytes)", f, len(data))
+				if !bytes.Equal(data, syntheticFile(replayGeom, id, sizes[id])) {
+					t.Fatalf("file %d content diverged (%d bytes)", f, len(data))
+				}
+			}
+
+			// One write: the writer's own invalidation lands before the write
+			// returns, the bus brings the others; once its backlog is empty
+			// there has been exactly one per node, and every entry serves the
+			// new bytes.
+			patch := bytes.Repeat([]byte{0xAB}, int(sizes[0]))
+			if err := client.Write(0, 0, patch); err != nil {
+				t.Fatal(err)
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			var after middleware.Stats
+			for {
+				if after, err = client.ClusterStats(); err != nil {
+					t.Fatal(err)
+				}
+				if after.Invalidations-got.Invalidations == k && after.InvalBacklog == 0 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("bus never converged: %d invalidations (want %d), backlog %d",
+						after.Invalidations-got.Invalidations, k, after.InvalBacklog)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if d := after.Writes - got.Writes; d != 1 {
+				t.Errorf("writes = %d, want 1", d)
+			}
+			if after.InvalBatched == 0 {
+				t.Error("no batched invalidations delivered: the bus never engaged")
+			}
+			if after.ReplicasPushed != 0 {
+				t.Errorf("write re-push fired below threshold: %d pushes", after.ReplicasPushed)
+			}
+			for e := 0; e < k; e++ {
+				data, err := client.ReadVia(e, 0)
+				if err != nil {
+					t.Fatalf("read via %d after write: %v", e, err)
+				}
+				if !bytes.Equal(data, patch) {
+					t.Fatalf("node %d served stale bytes after write", e)
 				}
 			}
 		})
 	}
+
+	// The default path under a seeded fault plan: the invariants (no errors,
+	// §3 counter identity, uncorrupted bytes) hold.
+	t.Run("bus_faulted", func(t *testing.T) {
+		plan := &middleware.FaultPlan{
+			Seed: 7, DelayProb: 0.05, Delay: time.Millisecond, DropProb: 0.05,
+		}
+		client, sizes := startClusterMut(t, k, 64, func(i int, cfg *middleware.Config) {
+			cfg.Fault = plan
+			cfg.RPCTimeout = 250 * time.Millisecond
+			cfg.Retries = 3
+			cfg.RetryBackoff = time.Millisecond
+		}, middleware.ClientConfig{RPCTimeout: 1500 * time.Millisecond, Retries: 4})
+		res, err := Replay(client, replayTrace(sizes, 150), Config{Concurrency: 2, WarmupFrac: 0.25})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Errors != 0 {
+			t.Fatalf("replay surfaced %d errors", res.Errors)
+		}
+		st := res.Cluster
+		if sum := st.LocalHits + st.RemoteHits + st.DiskReads; sum > st.Accesses {
+			t.Errorf("counter identity broken: local=%d + remote=%d + disk=%d > accesses=%d",
+				st.LocalHits, st.RemoteHits, st.DiskReads, st.Accesses)
+		}
+		for f := 0; f < len(sizes); f++ {
+			id := block.FileID(f)
+			data, err := client.Read(id)
+			if err != nil {
+				t.Fatalf("read file %d: %v", f, err)
+			}
+			if want := syntheticFile(replayGeom, id, sizes[id]); !bytes.Equal(data, want) {
+				t.Fatalf("file %d corrupted under faults (%d bytes)", f, len(data))
+			}
+		}
+	})
 }
 
 // TestRunPathReplayUnderFaults replays through a seeded fault plan with cache
@@ -528,97 +282,4 @@ func syntheticFile(geom block.Geometry, f block.FileID, size int64) []byte {
 		out = append(out, middleware.SyntheticBlock(f, i, n)...)
 	}
 	return out
-}
-
-// TestStaticHomeReplayEquivalence pins the compatibility contract of the
-// elastic-membership layer: a Config.StaticHome cluster — the legacy
-// int(f) % clusterSize mapping — and a consistent-hash ring cluster replay
-// the same deterministic trace with identical §3 counters and identical
-// bytes. Placement decides *where* each master lives, never *what* the
-// protocol does, so any divergence here means the membership machinery
-// leaked into the caching protocol. The static cluster must also show zero
-// elastic activity: no rebalanced blocks, no heartbeat failures, no view.
-func TestStaticHomeReplayEquivalence(t *testing.T) {
-	const k = 3
-	geom := block.Geometry{Size: 1024, ExtentBlocks: 8}
-	staticClient, sizes := startClusterMut(t, k, 4096, func(i int, cfg *middleware.Config) {
-		cfg.SyncInvalidate = true
-		cfg.StaticHome = true
-	}, middleware.ClientConfig{})
-	ringClient, _ := startClusterMut(t, k, 4096, func(i int, cfg *middleware.Config) {
-		cfg.SyncInvalidate = true
-	}, middleware.ClientConfig{})
-	tr := replayTrace(sizes, 120)
-
-	resStatic, err := Replay(staticClient, tr, Config{Concurrency: 1, WarmupFrac: 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resRing, err := Replay(ringClient, tr, Config{Concurrency: 1, WarmupFrac: 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, r := resStatic.Cluster, resRing.Cluster
-	if s.Accesses != r.Accesses || s.LocalHits != r.LocalHits ||
-		s.RemoteHits != r.RemoteHits || s.DiskReads != r.DiskReads {
-		t.Errorf("static home diverged from ring placement:\nstatic: accesses=%d local=%d remote=%d disk=%d\n  ring: accesses=%d local=%d remote=%d disk=%d",
-			s.Accesses, s.LocalHits, s.RemoteHits, s.DiskReads,
-			r.Accesses, r.LocalHits, r.RemoteHits, r.DiskReads)
-	}
-	if s.RaceMisses != r.RaceMisses || s.Forwards != r.Forwards || s.Invalidations != r.Invalidations {
-		t.Errorf("secondary counters diverged: static races=%d forwards=%d inval=%d, ring races=%d forwards=%d inval=%d",
-			s.RaceMisses, s.Forwards, s.Invalidations, r.RaceMisses, r.Forwards, r.Invalidations)
-	}
-	// The legacy mode must not have constructed any elastic machinery.
-	if s.RebalancedBlocks != 0 || s.RebalancePending != 0 || s.HeartbeatFailures != 0 {
-		t.Errorf("static cluster ran elastic machinery: rebalanced=%d pending=%d hbfail=%d",
-			s.RebalancedBlocks, s.RebalancePending, s.HeartbeatFailures)
-	}
-	// The ring cluster, steady-state, must be equally quiet: placement is a
-	// pure function of the (unchanging) membership, so no rebalance happens.
-	if r.RebalancedBlocks != 0 || r.RebalancePending != 0 {
-		t.Errorf("steady-state ring cluster rebalanced: %d blocks, %d pending",
-			r.RebalancedBlocks, r.RebalancePending)
-	}
-
-	// Byte equivalence through both placements, and a write through each:
-	// the same one-invalidation-per-node cost, the same bytes everywhere.
-	for f := 0; f < len(sizes); f++ {
-		id := block.FileID(f)
-		want := syntheticFile(geom, id, sizes[id])
-		for name, cl := range map[string]*middleware.Client{"static": staticClient, "ring": ringClient} {
-			got, err := cl.Read(id)
-			if err != nil {
-				t.Fatalf("%s read file %d: %v", name, f, err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("%s cluster corrupted file %d (%d bytes)", name, f, len(got))
-			}
-		}
-	}
-	patch := bytes.Repeat([]byte{0xE7}, int(sizes[0]))
-	for name, pair := range map[string]struct {
-		cl   *middleware.Client
-		base uint64
-	}{"static": {staticClient, s.Invalidations}, "ring": {ringClient, r.Invalidations}} {
-		if err := pair.cl.Write(0, 0, patch); err != nil {
-			t.Fatalf("%s write: %v", name, err)
-		}
-		after, err := pair.cl.ClusterStats()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := after.Invalidations - pair.base; d != k {
-			t.Errorf("%s invalidations per write = %d, want %d", name, d, k)
-		}
-		for e := 0; e < k; e++ {
-			data, err := pair.cl.ReadVia(e, 0)
-			if err != nil {
-				t.Fatalf("%s read via %d after write: %v", name, e, err)
-			}
-			if !bytes.Equal(data, patch) {
-				t.Fatalf("%s node %d served stale bytes after write", name, e)
-			}
-		}
-	}
 }

@@ -10,16 +10,20 @@ import (
 	"repro/internal/trace"
 )
 
+// replayGeom is the block layout of every test cluster here, and of the
+// model and the expected bytes the equivalence suite checks them against.
+var replayGeom = block.Geometry{Size: 1024, ExtentBlocks: 8}
+
 func startCluster(t *testing.T, k, capacity int) (*middleware.Client, map[block.FileID]int64) {
 	return startClusterMut(t, k, capacity, nil, middleware.ClientConfig{})
 }
 
 // startClusterMut is startCluster with a per-node Config hook and an explicit
-// client config (run-path equivalence tests flip NoRunReads and attach fault
-// plans through it).
+// client config (the equivalence suite sets one option per row and attaches
+// fault plans through it).
 func startClusterMut(t *testing.T, k, capacity int, mut func(i int, cfg *middleware.Config), ccfg middleware.ClientConfig) (*middleware.Client, map[block.FileID]int64) {
 	t.Helper()
-	geom := block.Geometry{Size: 1024, ExtentBlocks: 8}
+	geom := replayGeom
 	sizes := map[block.FileID]int64{}
 	for f := 0; f < 10; f++ {
 		sizes[block.FileID(f)] = int64(1024 + 512*f)

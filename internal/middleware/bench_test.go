@@ -263,12 +263,13 @@ func BenchmarkServeRun(b *testing.B) {
 	}
 }
 
-// benchColdReads measures client whole-file reads against a cluster under
-// permanent cache pressure: 128 files × 8 blocks cycle through 4 nodes whose
-// combined capacity holds a quarter of the working set, so nearly every read
-// finds its blocks gone from the entry node and must fetch them — the
-// cold multi-block case the run-granular fast path targets.
-func benchColdReads(b *testing.B, noRun bool) {
+// BenchmarkClientReadFileCold measures client whole-file reads against a
+// cluster under permanent cache pressure: 128 files × 8 blocks cycle through
+// 4 nodes whose combined capacity holds a quarter of the working set, so
+// nearly every read finds its blocks gone from the entry node and must fetch
+// them — the cold multi-block case the run-granular planner targets (one
+// MsgGetRun per believed holder).
+func BenchmarkClientReadFileCold(b *testing.B) {
 	geom := block.Geometry{Size: 8192, ExtentBlocks: 8}
 	const files = 128
 	sizes := map[block.FileID]int64{}
@@ -281,7 +282,7 @@ func benchColdReads(b *testing.B, noRun bool) {
 		n, err := Start(Config{
 			ID: i, CapacityBlocks: 64, Policy: core.PolicyMaster,
 			Geometry: geom, Source: NewMemSource(geom, sizes),
-			NoRunReads: noRun, StaticHome: true,
+			StaticHome: true,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -315,15 +316,6 @@ func benchColdReads(b *testing.B, noRun bool) {
 		}
 	}
 }
-
-// BenchmarkClientReadFileCold is the cold multi-block read through the
-// run-granular planner (one MsgGetRun per believed holder).
-func BenchmarkClientReadFileCold(b *testing.B) { benchColdReads(b, false) }
-
-// BenchmarkClientReadFileColdPerBlock is the same workload forced down the
-// legacy per-block path (one MsgGetBlock round trip per missing block) — the
-// before side of the run-path comparison.
-func BenchmarkClientReadFileColdPerBlock(b *testing.B) { benchColdReads(b, true) }
 
 // BenchmarkClientReadFile measures the full client→cluster path over
 // loopback TCP: one MsgReadFile round trip returning a 64 KB file served

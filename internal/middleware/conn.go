@@ -33,10 +33,10 @@ type connConfig struct {
 	// stamp decorates every outgoing frame (sender id, piggybacked age);
 	// may be nil.
 	stamp func(*Frame)
-	// workers bounds concurrent request handling on this conn. > 0 starts
-	// that many worker goroutines fed from a bounded queue (a request
-	// burst applies TCP backpressure instead of spawning unboundedly);
-	// <= 0 keeps the legacy one-goroutine-per-request dispatch.
+	// workers bounds concurrent request handling on this conn: that many
+	// worker goroutines are fed from a bounded queue, so a request burst
+	// applies TCP backpressure instead of spawning unboundedly. It must be
+	// positive when handle is set.
 	workers int
 	// maxPayload caps accepted frame payloads (<= 0: the 64 MB default).
 	maxPayload int
@@ -52,8 +52,8 @@ type connConfig struct {
 
 // conn is a multiplexed protocol connection: concurrent round trips are
 // correlated by request ID, incoming requests are dispatched to the
-// handler (through the worker pool when configured), and every received
-// frame is offered to observe (piggyback processing).
+// handler through the worker pool, and every received frame is offered to
+// observe (piggyback processing).
 //
 // Frame ownership: frames decoded from the wire are pooled. A response
 // frame returned by roundTrip belongs to the caller, who must releaseFrame
@@ -76,7 +76,7 @@ type conn struct {
 	reqSeq  uint32
 	closed  bool
 
-	reqCh chan *Frame // non-nil when the worker pool is active
+	reqCh chan *Frame // the worker pool's queue (nil without a handler)
 
 	closeOnce sync.Once
 	done      chan struct{}
@@ -93,7 +93,7 @@ func newConn(nc net.Conn, cfg connConfig) *conn {
 		pending: make(map[uint32]chan *Frame),
 		done:    make(chan struct{}),
 	}
-	if cfg.handle != nil && cfg.workers > 0 {
+	if cfg.handle != nil {
 		c.reqCh = make(chan *Frame, 4*cfg.workers)
 		for i := 0; i < cfg.workers; i++ {
 			go c.workLoop()
@@ -305,20 +305,16 @@ func (c *conn) readLoop() {
 			releaseFrame(f)
 			continue
 		}
-		if c.reqCh != nil {
-			select {
-			case c.reqCh <- f:
-			case <-c.done:
-				releaseFrame(f)
-				return
-			}
-			continue
+		select {
+		case c.reqCh <- f:
+		case <-c.done:
+			releaseFrame(f)
+			return
 		}
-		go c.serveRequest(f)
 	}
 }
 
-// workLoop is one bounded-pool worker: it drains the request queue until
+// workLoop is one pool worker: it drains the request queue until
 // the conn closes.
 func (c *conn) workLoop() {
 	for {

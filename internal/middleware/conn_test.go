@@ -2,6 +2,7 @@ package middleware
 
 import (
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -218,7 +219,7 @@ func TestConnStampApplied(t *testing.T) {
 	var gotSender int32
 	var gotAge int64
 	ready := make(chan struct{})
-	server := newConn(sn, connConfig{handle: func(f *Frame) *Frame {
+	server := newConn(sn, connConfig{workers: 1, handle: func(f *Frame) *Frame {
 		gotSender, gotAge = f.Sender, f.OldestAge
 		close(ready)
 		return &Frame{Type: MsgAck}
@@ -235,5 +236,71 @@ func TestConnStampApplied(t *testing.T) {
 	<-ready
 	if gotSender != 42 || gotAge != 777 {
 		t.Fatalf("stamp not applied: sender=%d age=%d", gotSender, gotAge)
+	}
+}
+
+// TestConnBoundsConcurrentHandlers: a burst of requests on one conn runs on
+// the conn's worker pool and nowhere else. Each handler parks until as many
+// handlers as there are workers are inside together, so the pool must
+// really run that many at once, and it must never run more (the parent's
+// one-goroutine-per-request dispatch reaches 9 to 64 here). Nothing is
+// timed: barrierWait only elapses when the handlers never meet.
+func TestConnBoundsConcurrentHandlers(t *testing.T) {
+	const workers, burst = 2, 64
+	var mu sync.Mutex
+	inside, peak, arrived := 0, 0, 0
+	gate := make(chan struct{})
+	cn, sn := net.Pipe()
+	server := newConn(sn, connConfig{workers: workers, handle: func(f *Frame) *Frame {
+		mu.Lock()
+		inside++
+		if inside > peak {
+			peak = inside
+		}
+		round := gate
+		if arrived++; arrived%workers == 0 {
+			close(gate)
+			gate = make(chan struct{})
+		}
+		mu.Unlock()
+		select {
+		case <-round:
+		case <-time.After(barrierWait):
+			t.Errorf("request %d waited %v for %d concurrent handlers", f.Idx, barrierWait, workers)
+		}
+		// Linger by yielding, not by sleeping: a dispatcher that starts a
+		// goroutine per request gets every chance to bring more handlers in
+		// while these are still counted inside.
+		for i := 0; i < burst; i++ {
+			runtime.Gosched()
+		}
+		mu.Lock()
+		inside--
+		mu.Unlock()
+		return &Frame{Type: MsgAck, Idx: f.Idx}
+	}})
+	client := newConn(cn, connConfig{})
+	defer server.close()
+	defer client.close()
+
+	var wg sync.WaitGroup
+	for i := int32(0); i < burst; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := client.roundTrip(&Frame{Type: MsgGetBlock, Idx: i})
+			if err != nil {
+				t.Errorf("request %d: %v", i, err)
+				return
+			}
+			if resp.Idx != i {
+				t.Errorf("request %d answered with reply %d", i, resp.Idx)
+			}
+			releaseFrame(resp)
+		}()
+	}
+	wg.Wait()
+	if arrived != burst || peak != workers {
+		t.Fatalf("%d of %d requests handled, at most %d handlers at once, want %d", arrived, burst, peak, workers)
 	}
 }

@@ -10,10 +10,10 @@ import (
 
 // This file is the asynchronous invalidation bus of the §6 write protocol.
 //
-// In sync mode (Config.SyncInvalidate, or a single-node cluster) a write
-// blocks on a point-to-point MsgInvalidate fan-out, so one slow peer puts
-// its RPC timeout directly on the writer's critical path. With the bus, a
-// write appends one sequenced invalidation record locally and returns after
+// A write that blocked on a point-to-point MsgInvalidate fan-out would put
+// one slow peer's RPC timeout directly on the writer's critical path (the
+// measured reason is the PR 7 table in DESIGN.md). With the bus, a write
+// appends one sequenced invalidation record locally and returns after
 // the local invalidate + durable write-through; persistent per-peer sender
 // loops drain the record history in the background with batched
 // MsgInvalidateN frames, coalescing back-to-back writes to the same block.
@@ -31,10 +31,9 @@ import (
 //     degrades to "start over", never to unbounded memory or a blocked
 //     writer.
 //
-// The old degradation counter keeps its meaning: a failed sender delivery
-// attempt counts one InvalidateSkips, so "how stale could a peer be" is
-// observable (together with the cc_inval_lag_seconds histogram and the
-// cc_inval_bus_depth gauge).
+// A failed sender delivery attempt counts one InvalidateSkips, so "how
+// stale could a peer be" is observable (together with the
+// cc_inval_lag_seconds histogram and the cc_inval_bus_depth gauge).
 
 // invalHistory is the bounded per-origin record history: deep enough that a
 // peer only loses the range during a long partition (at which point a full
@@ -251,10 +250,9 @@ func (b *invalBus) drained() bool {
 
 // senderLoop drains the bus toward one peer: batched MsgInvalidateN frames,
 // retried forever with capped backoff (a failed attempt counts one
-// InvalidateSkips — the old sync fan-out's degradation signal, now meaning
-// "this peer's staleness window grew by one delivery attempt"). The backoff
-// cap stretches to the breaker cooldown so a dead peer costs about two
-// probe attempts per cooldown, not a hot retry loop.
+// InvalidateSkips: this peer's staleness window grew by one delivery
+// attempt). The backoff cap stretches to the breaker cooldown so a dead
+// peer costs about two probe attempts per cooldown, not a hot retry loop.
 func (b *invalBus) senderLoop(s *invalSender) {
 	n := b.n
 	recs := make([]block.ID, 0, maxInvalBatch)
@@ -534,9 +532,9 @@ func (n *Node) flushSuspect(origin int) {
 
 // FlushInval blocks until every peer has acknowledged every invalidation
 // record published before the call, or the timeout expires, reporting
-// success. With the bus disabled (sync mode) invalidation is already
-// synchronous and FlushInval reports true immediately. Intended for tests
-// and orderly drains (ccload's node-drain scenario).
+// success. A single-node cluster has no bus and nothing to wait for:
+// FlushInval reports true immediately. Intended for tests and orderly
+// drains (ccload's node-drain scenario).
 func (n *Node) FlushInval(timeout time.Duration) bool {
 	n.mu.Lock()
 	b := n.bus
@@ -562,8 +560,7 @@ func (n *Node) FlushInval(timeout time.Duration) bool {
 // manager registering the copy set) rejects a push strictly older than what
 // it has already applied. Without this, a push that read its data before a
 // teardown could install a stale replica the new copy set never learns
-// about. Sync mode records no stamps (both sides see zero), keeping the
-// pre-bus protocol byte-identical.
+// about.
 
 // stampSeqBits splits a stamp: origin+1 in the high 16 bits, sequence in
 // the low 48 (wraps after 2^48 writes per node — not a live concern).

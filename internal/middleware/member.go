@@ -249,7 +249,7 @@ func (n *Node) growMembership(v *memberView) {
 // replaced view and the new one.
 func (n *Node) afterViewInstall(old, v *memberView) {
 	n.mu.Lock()
-	if n.bus == nil && !n.cfg.SyncInvalidate && v.size() > 1 && !n.closed {
+	if n.bus == nil && v.size() > 1 && !n.closed {
 		n.bus = newInvalBus(n, v.size())
 	}
 	bus := n.bus

@@ -25,8 +25,6 @@ type Config struct {
 	DirMode DirectoryMode
 	// DirNode hosts the central directory (DirCentral only).
 	DirNode int
-	// Hints is a shorthand for DirMode = DirHints (kept for convenience).
-	Hints bool
 	// CapacityBlocks is the local cache size in blocks.
 	CapacityBlocks int
 	// StoreShards is the number of lock stripes in the local store (rounded
@@ -51,14 +49,6 @@ type Config struct {
 	// the request-scheduling/prefetching remedy §5 suggests for the
 	// interleaving pathology.
 	Readahead int
-	// NoRunReads disables the run-granular read fast path: ReadFile,
-	// ReadRange, and readahead fall back to the per-block §3 protocol for
-	// every miss. Equivalence testing and before/after benchmarking only.
-	NoRunReads bool
-	// Workers bounds concurrent request handling per connection: 0 uses
-	// GOMAXPROCS workers (the default), a negative value restores the
-	// legacy one-goroutine-per-request dispatch (unbounded under bursts).
-	Workers int
 	// MaxPayload caps the payload size this node accepts per frame (0:
 	// the 64 MB default). Smaller deployments can lower it so a bad peer
 	// cannot force large allocations.
@@ -104,16 +94,9 @@ type Config struct {
 	// frequency beats the would-be eviction victim's, so one-hit wonders
 	// never displace hot masters or replicas. Default off.
 	AdmissionFilter bool
-	// SyncInvalidate restores the synchronous write-invalidate fan-out:
-	// WriteBlock blocks until every peer acknowledged (or degraded to) its
-	// MsgInvalidate, exactly the pre-bus protocol, byte for byte. Default
-	// off: writes publish to the asynchronous invalidation bus (inval.go)
-	// and return after the local invalidate + durable write-through, with
-	// peers converging within the bounded staleness window.
-	SyncInvalidate bool
 	// StaticHome pins the paper's original static home mapping — file ID
-	// modulo cluster size — byte for byte (pinned by replay equivalence,
-	// like SyncInvalidate). Membership is then fixed at SetAddrs: join and
+	// modulo cluster size — byte for byte (pinned by the replay-equivalence
+	// suite). Membership is then fixed at SetAddrs: join and
 	// drain requests are rejected and heartbeat suspicion never promotes a
 	// peer to dead. Default off: homes come from the consistent-hash ring
 	// and the cluster is elastic.
@@ -251,9 +234,9 @@ type Node struct {
 	repFanout    int
 	epochStop    chan struct{}
 
-	// bus is the asynchronous invalidation bus (nil: sync mode or a
-	// single-node cluster — writes fan out synchronously). invalIn is the
-	// per-origin receive state (index = origin node ID). See inval.go.
+	// bus is the asynchronous invalidation bus (nil: a single-node cluster,
+	// which has no peer to tell). invalIn is the per-origin receive state
+	// (index = origin node ID). See inval.go.
 	bus     *invalBus
 	invalIn []*invalOrigin
 
@@ -265,10 +248,9 @@ type Node struct {
 	stampRing []block.ID
 	stampPos  int
 
-	// workers/maxPayload/rpcTimeout/retries/retryBase/retryCap and the
-	// breaker parameters are the resolved settings (Config values with
-	// defaults applied).
-	workers    int
+	// maxPayload/rpcTimeout/retries/retryBase/retryCap and the breaker
+	// parameters are the resolved settings (Config values with defaults
+	// applied).
 	maxPayload int
 	rpcTimeout time.Duration
 	retries    int
@@ -440,13 +422,6 @@ func Start(cfg Config) (*Node, error) {
 	for i := range n.pend {
 		n.pend[i].waiting = make(map[block.ID]chan struct{})
 	}
-	n.workers = cfg.Workers
-	if n.workers == 0 {
-		n.workers = runtime.GOMAXPROCS(0)
-	}
-	if n.workers < 0 {
-		n.workers = 0 // legacy per-request goroutines
-	}
 	n.maxPayload = cfg.MaxPayload
 	if n.maxPayload <= 0 {
 		n.maxPayload = maxPayload
@@ -530,10 +505,6 @@ func Start(cfg Config) (*Node, error) {
 			epoch = defaultHotnessEpoch
 		}
 		go n.epochLoop(epoch)
-	}
-	if cfg.Hints {
-		cfg.DirMode = DirHints
-		n.cfg.DirMode = DirHints
 	}
 	switch cfg.DirMode {
 	case DirHints:
@@ -633,7 +604,7 @@ func (n *Node) SetAddrs(addrs []string) {
 	}
 	old := n.bus
 	n.bus = nil
-	if !n.cfg.SyncInvalidate && len(addrs) > 1 && !n.closed {
+	if len(addrs) > 1 && !n.closed {
 		n.bus = newInvalBus(n, len(addrs))
 	}
 	epoch := uint64(1)
@@ -876,7 +847,7 @@ func (n *Node) connConfig() connConfig {
 		handle:     n.handle,
 		observe:    n.observe,
 		stamp:      n.stamp,
-		workers:    n.workers,
+		workers:    runtime.GOMAXPROCS(0),
 		maxPayload: n.maxPayload,
 		timeout:    n.rpcTimeout,
 		latency:    n.observeRPCLatency,
@@ -1216,15 +1187,11 @@ func (n *Node) handle(f *Frame) *Frame {
 		if err := n.cfg.Source.WriteBlock(f.File, f.Idx, f.TakePayload()); err != nil {
 			return errFrame("put %v: %v", f.ID(), err)
 		}
-		// Under the async bus the writer's invalidation record may still be
-		// in flight: drop any cached copy of the just-overwritten block so
-		// the home never serves bytes it knows its own disk supersedes.
-		// (Sync mode skips this — the fan-out already ran, and the pre-bus
-		// protocol is kept byte-identical.)
-		if n.busRef() != nil {
-			if present, master := n.store.Remove(f.ID()); present && master {
-				n.loc.Drop(f.ID(), int32(n.cfg.ID)) //nolint:errcheck // best effort
-			}
+		// The writer's invalidation record may still be in flight on the
+		// bus: drop any cached copy of the just-overwritten block so the
+		// home never serves bytes it knows its own disk supersedes.
+		if present, master := n.store.Remove(f.ID()); present && master {
+			n.loc.Drop(f.ID(), int32(n.cfg.ID)) //nolint:errcheck // best effort
 		}
 		return ackFrame()
 	case MsgStats:

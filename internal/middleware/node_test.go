@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/block"
 	"repro/internal/core"
@@ -18,10 +19,14 @@ func startCluster(t *testing.T, k int, capacityBlocks int, policy core.Policy, h
 	geom := block.Geometry{Size: 1024, ExtentBlocks: 8} // small blocks keep tests light
 	nodes := make([]*Node, k)
 	addrs := make([]string, k)
+	dirMode := DirCentral
+	if hints {
+		dirMode = DirHints
+	}
 	for i := 0; i < k; i++ {
 		n, err := Start(Config{
 			ID:             i,
-			Hints:          hints,
+			DirMode:        dirMode,
 			CapacityBlocks: capacityBlocks,
 			Policy:         policy,
 			Geometry:       geom,
@@ -349,4 +354,52 @@ func TestPeerDialRace(t *testing.T) {
 	users.Wait()
 	close(stop)
 	closer.Wait()
+}
+
+// TestCloseLeavesNoGoroutines: a cluster that has served reads and writes
+// through every entry, with the heartbeat and hotness loops running, gives
+// every goroutine back once its nodes and its client are closed — conn
+// readers and workers, bus senders, accept loops and tickers.
+func TestCloseLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+
+	const k = 4
+	sizes := map[block.FileID]int64{}
+	for f := 0; f < 8; f++ {
+		sizes[block.FileID(f)] = 4 * int64(testGeom.Size)
+	}
+	// The cleanup startClusterCfg registers closes everything a second
+	// time, which is harmless: Close is idempotent on nodes and client.
+	nodes, client := startClusterCfg(t, k, 64, sizes, func(i int, cfg *Config) {
+		cfg.StaticHome = false
+		cfg.HeartbeatInterval = 5 * time.Millisecond
+		cfg.ReplicateThreshold = 2
+		cfg.Readahead = 2
+	})
+	for entry := 0; entry < k; entry++ {
+		for f := range sizes {
+			if _, err := client.ReadVia(entry, f); err != nil {
+				t.Fatalf("read file %d via %d: %v", f, entry, err)
+			}
+		}
+		// Client.Write enters round-robin: k writes pass through every entry.
+		patch := bytes.Repeat([]byte{byte(entry + 1)}, testGeom.Size)
+		if err := client.Write(block.FileID(entry), 0, patch); err != nil {
+			t.Fatalf("write %d: %v", entry, err)
+		}
+	}
+
+	client.Close()
+	for _, n := range nodes {
+		n.Close()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines before the cluster started, %d after everything closed:\n%s",
+				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
+	}
 }

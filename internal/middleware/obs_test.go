@@ -16,7 +16,7 @@ import (
 func TestClusterStatsAggregation(t *testing.T) {
 	sizes := map[block.FileID]int64{0: 4096, 1: 4096, 2: 4096, 3: 4096}
 	nodes, client := startFaultCluster(t, 4, 64, sizes, func(i int, cfg *Config) {
-		cfg.Hints = true
+		cfg.DirMode = DirHints
 	}, ClientConfig{})
 
 	// Touch every file through every entry node so each node records

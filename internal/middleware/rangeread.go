@@ -37,15 +37,14 @@ func (n *Node) readRange(f block.FileID, size, off int64, length int) ([]byte, e
 	bs := int64(n.geom.Size)
 	first := int32(off / bs)
 	last := int32((off + int64(length) - 1) / bs)
-	// Presized output filled in place (GetBlockInto / the run planner): one
-	// copy per block instead of the old alias-then-append double copy.
+	// Presized output filled in place by the run planner: one copy per block.
 	out := make([]byte, length)
 	pos := 0
 	i := first
 	if start := off - int64(first)*bs; start > 0 {
-		// Unaligned head: the needed bytes are a mid-block suffix, which a
-		// prefix-copying GetBlockInto cannot produce — pin the block once and
-		// copy just the suffix out of the pinned buffer.
+		// Unaligned head: the needed bytes are a mid-block suffix, which the
+		// planner's prefix copy cannot produce — pin the block once and copy
+		// just the suffix out of the pinned buffer.
 		pb, _, err := n.getBlock(block.ID{File: f, Idx: first}, nil, true, lookupHolder)
 		if err != nil {
 			return nil, err
@@ -64,23 +63,6 @@ func (n *Node) readRange(f block.FileID, size, off int64, length int) ([]byte, e
 		i++
 	}
 	if i > last || pos == length {
-		return out, nil
-	}
-	if n.cfg.NoRunReads {
-		for ; i <= last; i++ {
-			want := blockLen(n.geom, size, i)
-			if rem := length - pos; want > rem {
-				want = rem
-			}
-			got, err := n.GetBlockInto(block.ID{File: f, Idx: i}, out[pos:pos+want])
-			if err != nil {
-				return nil, err
-			}
-			if got != want {
-				return nil, fmt.Errorf("middleware: block %d:%d is %d bytes, want %d", f, i, got, want)
-			}
-			pos += got
-		}
 		return out, nil
 	}
 	if err := n.readPlanned(f, size, i, last, out[pos:]); err != nil {

@@ -9,10 +9,9 @@ import (
 
 // readWindow bounds how many blocks of one read are outstanding at once —
 // the live counterpart of the simulator's pipelined fetch window (one 64 KB
-// extent). Both read paths honour it: the run planner launches a read's
-// runs together, each holding one slot per block (fetchRuns); a home reads
-// the blocks of one run from its source at the same time (readSourceRun);
-// and the legacy per-block path keeps this many block fetches in flight.
+// extent): the run planner launches a read's runs together, each holding
+// one slot per block (fetchRuns), and a home reads the blocks of one run
+// from its source at the same time (readSourceRun).
 const readWindow = 8
 
 // window runs the fetches of one read on goroutines with at most readWindow
@@ -77,12 +76,10 @@ func (w *window) wait() error {
 }
 
 // ReadFile materializes a whole file through the cooperative cache and
-// returns its content. The default path is the run-granular planner
-// (readPlanned): a synchronous local sweep that spawns zero goroutines for
-// a fully cached file, then missing blocks grouped by believed holder and
-// fetched as runs, one MsgGetRun per (source, run). Config.NoRunReads
-// restores the per-block path (every miss walks the full §3 protocol on
-// its own).
+// returns its content through the run-granular planner (readPlanned): a
+// synchronous local sweep that spawns zero goroutines for a fully cached
+// file, then missing blocks grouped by believed holder and fetched as
+// runs, one MsgGetRun per (source, run).
 func (n *Node) ReadFile(f block.FileID) ([]byte, error) {
 	size, err := n.cfg.Source.FileSize(f)
 	if err != nil {
@@ -90,47 +87,12 @@ func (n *Node) ReadFile(f block.FileID) ([]byte, error) {
 	}
 	nblocks := n.geom.Count(size)
 	out := make([]byte, size)
-	if n.cfg.NoRunReads {
-		if err := n.readFilePerBlock(f, size, nblocks, out); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
 	if nblocks > 0 {
 		if err := n.readPlanned(f, size, 0, nblocks-1, out); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
-}
-
-// readFilePerBlock is the legacy per-block read: missing blocks are fetched
-// through a bounded concurrent window, each walking the §3 protocol alone.
-// Each block is decoded straight into the output slice (GetBlockInto), so a
-// cached block costs one copy and no intermediate allocation.
-func (n *Node) readFilePerBlock(f block.FileID, size int64, nblocks int32, out []byte) error {
-	w := newWindow()
-	for i := int32(0); i < nblocks; i++ {
-		started := w.start(1, func() error {
-			// A block that failed while this goroutine queued for the window
-			// makes the remaining fetches pointless: short-circuit before
-			// issuing any network traffic.
-			if w.failed() {
-				return nil
-			}
-			off := int64(i) * int64(n.geom.Size)
-			want := blockLen(n.geom, size, i)
-			got, err := n.GetBlockInto(block.ID{File: f, Idx: i}, out[off:off+int64(want)])
-			if err == nil && got != want {
-				err = fmt.Errorf("middleware: block %d:%d is %d bytes, want %d", f, i, got, want)
-			}
-			return err
-		})
-		if !started {
-			break
-		}
-	}
-	return w.wait()
 }
 
 // runPlan is one planned fetch: count contiguous missing blocks starting at
@@ -211,7 +173,7 @@ func (n *Node) readPlanned(f block.FileID, size int64, first, last int32, out []
 		}
 		// A miss's access is counted when the block is actually served
 		// (fetchRun, or the per-block fallback which counts for itself), so
-		// the totals match the per-block path exactly.
+		// every block of the read is counted once.
 		missing = append(missing, i)
 	}
 	if len(missing) == 0 {
@@ -316,13 +278,13 @@ func (n *Node) readSourceRun(f block.FileID, first int32, count int) ([][]byte, 
 
 // fetchRun issues one MsgGetRun for run r and installs what came back:
 // blocks copied into out, the run installed into the store under one lock
-// (InsertRun), per-block hit accounting identical to the per-block path
-// (remote hits for a peer run, disk reads for a home run), and for home
-// runs one batched directory UpdateN claiming mastership. It returns how
-// many leading blocks of the run were fully handled; the caller falls back
-// per-block for the rest. A run whose source is this node's own backing
-// store (home == self) reads disk directly with no RPC. out == nil is
-// prefetch mode (readahead): blocks are installed but copied nowhere.
+// (InsertRun), one access per block (a remote hit for a peer run, a disk
+// read for a home run), and for home runs one batched directory UpdateN
+// claiming mastership. It returns how many leading blocks of the run were
+// fully handled; the caller falls back per-block for the rest. A run whose
+// source is this node's own backing store (home == self) reads disk
+// directly with no RPC. out == nil is prefetch mode (readahead): blocks are
+// installed but copied nowhere.
 func (n *Node) fetchRun(f block.FileID, size int64, r runPlan, out []byte, outBase int32) int {
 	if r.home && r.src == n.cfg.ID {
 		// Local home: disk reads, no wire. Still one InsertRun/UpdateN.
@@ -439,15 +401,6 @@ func (n *Node) GetBlock(id block.ID) ([]byte, error) {
 	return out, nil
 }
 
-// GetBlockInto is GetBlock filling a caller-provided buffer: a local hit
-// copies once under the store lock, a remote hit copies the received payload
-// straight into dst. Returns the number of bytes copied (min of the block
-// and dst lengths).
-func (n *Node) GetBlockInto(id block.ID, dst []byte) (int, error) {
-	_, nn, err := n.getBlock(id, dst, true, lookupHolder)
-	return nn, err
-}
-
 // lookupHolder is the holder argument of a fetch that must ask the
 // directory where the master is. Any other value is the answer a batched
 // lookup already gave: a node, or dirNoEntry for "no master cached, read
@@ -535,8 +488,8 @@ func (n *Node) raEnd(f block.FileID) {
 // readahead prefetches the next blocks of the file after a miss; prefetched
 // blocks count in the prefetch statistic (and, like any access, in the
 // access counters). The missing window is fetched through the run fast path
-// (one MsgGetRun per source run) unless NoRunReads, with the per-block path
-// finishing whatever the runs do not deliver.
+// (one MsgGetRun per source run), with the per-block path finishing whatever
+// the runs do not deliver.
 func (n *Node) readahead(after block.ID) {
 	size, err := n.cfg.Source.FileSize(after.File)
 	if err != nil {
@@ -556,19 +509,8 @@ func (n *Node) readahead(after block.ID) {
 	if len(missing) == 0 {
 		return
 	}
-	if !n.cfg.NoRunReads {
-		if runs, err := n.planRuns(after.File, missing); err == nil {
-			n.fetchRuns(after.File, size, runs, nil, 0) //nolint:errcheck // prefetch is best effort
-		}
-		return
-	}
-	for _, i := range missing {
-		pb, _, err := n.getBlock(block.ID{File: after.File, Idx: i}, nil, false, lookupHolder)
-		if err != nil {
-			return
-		}
-		pb.release() // prefetch installs only; no reader to hand to
-		n.c.prefetches.Add(1)
+	if runs, err := n.planRuns(after.File, missing); err == nil {
+		n.fetchRuns(after.File, size, runs, nil, 0) //nolint:errcheck // prefetch is best effort
 	}
 }
 

@@ -62,41 +62,3 @@ func TestReadFileShortCircuitsAfterError(t *testing.T) {
 		t.Fatalf("%d disk reads after early failure, want the window to short-circuit (< 32)", reads)
 	}
 }
-
-// TestGetBlockInto verifies the copy-into-buffer read path end to end: local
-// hits and home reads both land in the caller's slice with the right length.
-func TestGetBlockInto(t *testing.T) {
-	sizes := map[block.FileID]int64{0: 2500}
-	nodes, _ := startCluster(t, 1, 64, core.PolicyMaster, false, sizes)
-	n := nodes[0]
-
-	buf := make([]byte, testGeom.Size)
-	// Miss → home (self) disk read.
-	got, err := n.GetBlockInto(block.ID{File: 0, Idx: 0}, buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != testGeom.Size || string(buf) != string(SyntheticBlock(0, 0, testGeom.Size)) {
-		t.Fatalf("cold GetBlockInto: %d bytes", got)
-	}
-	// Hit → copy under the store lock.
-	for i := range buf {
-		buf[i] = 0
-	}
-	got, err = n.GetBlockInto(block.ID{File: 0, Idx: 0}, buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != testGeom.Size || string(buf) != string(SyntheticBlock(0, 0, testGeom.Size)) {
-		t.Fatalf("warm GetBlockInto: %d bytes", got)
-	}
-	// The final, short block reports its true length.
-	short := 2500 - 2*testGeom.Size
-	got, err = n.GetBlockInto(block.ID{File: 0, Idx: 2}, buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != short {
-		t.Fatalf("short block: %d bytes, want %d", got, short)
-	}
-}

@@ -171,22 +171,26 @@ func TestAdaptiveReplicationSpreads(t *testing.T) {
 		}
 		return pushed > 0
 	}
-	// Nodes 2 and 3 fetch and forget the block, so every round is a fresh
-	// directory lookup and peer serve against node 1's master.
+	// Node 0 fetches and forgets the block, so every round is a fresh
+	// directory lookup and a peer serve. It reads because it is the one node
+	// that is neither the master nor a push target (node 1's ring successors
+	// 2 and 3): forgetting the block there can never delete a replica that
+	// was just pushed.
+	refetch := func() {
+		nodes[0].store.Remove(id)
+		data, err := nodes[0].GetBlock(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, want) {
+			t.Fatal("content mismatch")
+		}
+	}
 	for !replicated() {
 		if time.Now().After(deadline) {
 			t.Fatal("no replicas pushed despite sustained peer serves")
 		}
-		for _, r := range []int{2, 3} {
-			nodes[r].store.Remove(id)
-			data, err := nodes[r].GetBlock(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(data, want) {
-				t.Fatal("content mismatch during replication ramp")
-			}
-		}
+		refetch()
 	}
 	// Keep fetching until a rotated lookup lands on a replica holder.
 	for {
@@ -200,14 +204,7 @@ func TestAdaptiveReplicationSpreads(t *testing.T) {
 		if hits > 0 {
 			break
 		}
-		nodes[2].store.Remove(id)
-		data, err := nodes[2].GetBlock(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(data, want) {
-			t.Fatal("content mismatch after replication")
-		}
+		refetch()
 	}
 }
 

@@ -1,9 +1,7 @@
 package middleware
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/block"
 )
@@ -16,11 +14,11 @@ import (
 // block is not defined (the paper leaves full write protocols to future
 // work).
 //
-// By default the cluster-wide invalidation rides the asynchronous bus
-// (inval.go): the writer invalidates locally, writes through, installs the
-// new master, publishes one sequenced record, and returns — peer latency is
-// off the critical path, and peers converge within the bounded staleness
-// window. Config.SyncInvalidate restores the blocking fan-out.
+// The cluster-wide invalidation rides the asynchronous bus (inval.go): the
+// writer invalidates locally, writes through, installs the new master,
+// publishes one sequenced record, and returns — peer latency is off the
+// critical path, and peers converge within the bounded staleness window. A
+// one-node cluster has no bus and no peer to tell: it skips the publish.
 func (n *Node) WriteBlock(id block.ID, data []byte) error {
 	size, err := n.cfg.Source.FileSize(id.File)
 	if err != nil {
@@ -30,11 +28,7 @@ func (n *Node) WriteBlock(id block.ID, data []byte) error {
 		return fmt.Errorf("middleware: write of %d bytes to %v (block is %d bytes)", len(data), id, want)
 	}
 	n.c.writes.Add(1)
-
 	bus := n.busRef()
-	if bus == nil {
-		return n.writeBlockSync(id, data)
-	}
 
 	// 1. Invalidate the local copy now: the writer must never read its own
 	// stale bytes, and the new master is installed below.
@@ -56,75 +50,14 @@ func (n *Node) WriteBlock(id block.ID, data []byte) error {
 	// 4. Publish the invalidation record: per-peer sender loops deliver it
 	// in batched MsgInvalidateN frames in the background. The stamp orders
 	// this write against racing replica pushes of the old content.
-	if seq := bus.publish(id); seq != 0 {
-		n.recordInvalStamp(id, n.cfg.ID, seq)
-	}
-
-	// 5. Hot-block fast re-replication, as in the sync path.
-	if n.hot != nil && n.hot.Score(hotKey(id)) >= n.repThreshold && n.pushAllowed(id) {
-		go n.pushReplicas(id)
-	}
-	return err
-}
-
-// writeBlockSync is the pre-bus §6 write path: a blocking MsgInvalidate
-// fan-out to every peer, then the write-through. Kept byte-identical for
-// Config.SyncInvalidate (and single-node clusters, where there is no peer
-// to invalidate).
-func (n *Node) writeBlockSync(id block.ID, data []byte) error {
-	// 1. Invalidate every cached copy cluster-wide (including our own; the
-	// new content is installed below). The fan-out always completes: a
-	// failure at one peer must not leave later peers holding copies that
-	// were never told about the write. Transport failures (crashed,
-	// partitioned, or suspect peers) degrade to "that peer holds no
-	// cache" — its copy dies with it, or goes stale until the breaker
-	// heals and the next fetch repairs it — while application errors are
-	// aggregated and reported after the full fan-out.
-	n.handleInvalidate(id)
-	v := n.viewRef()
-	var wg sync.WaitGroup
-	errs := make([]error, n.clusterSize())
-	for i := 0; i < n.clusterSize(); i++ {
-		if i == n.cfg.ID || (v != nil && !v.reachable(i)) {
-			continue
+	if bus != nil {
+		if seq := bus.publish(id); seq != 0 {
+			n.recordInvalStamp(id, n.cfg.ID, seq)
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			req := getFrame()
-			req.Type, req.File, req.Idx = MsgInvalidate, id.File, id.Idx
-			resp, err := n.reliableRPC(i, req, 0)
-			releaseFrame(req)
-			if err == nil {
-				releaseFrame(resp)
-				return
-			}
-			if isTransient(err) {
-				n.c.invalidateSkips.Add(1)
-				n.trace(traceInvalidateSkip, i, id, 0)
-				return
-			}
-			errs[i] = fmt.Errorf("node %d: %w", i, err)
-		}(i)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return fmt.Errorf("middleware: invalidate %v: %w", id, err)
 	}
 
-	// 2. Write through to the home node's disk. This is the durability
-	// point: transient failures retry, and a home that stays down fails
-	// the write (reported to the caller, unlike the degradable fan-out).
-	if err := n.writeThrough(id, data); err != nil {
-		return err
-	}
-
-	// 3. The writer holds the new master copy.
-	n.insertBlock(id, data, true)
-	err := n.loc.Update(id, int32(n.cfg.ID))
-
-	// 4. A write to a hot block tore down its whole copy set (step 1): if
-	// the writer's own serve history says the block is still above the
+	// 5. A write to a hot block tore down its whole copy set: if the
+	// writer's own serve history says the block is still above the
 	// replication threshold, push fresh replicas immediately instead of
 	// waiting for the serve rate to re-cross it — under a flash crowd the
 	// gap between invalidation and re-replication is exactly where tail

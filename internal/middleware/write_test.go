@@ -145,3 +145,38 @@ func TestWriteWorksInHintMode(t *testing.T) {
 		t.Fatal("hint-mode write not visible")
 	}
 }
+
+// TestSingleNodeWrite: a one-node cluster has no invalidation bus and no
+// peer to tell. Its write still invalidates the local copy, writes through
+// to the source and installs the new master, and there is nothing to flush.
+func TestSingleNodeWrite(t *testing.T) {
+	sizes := map[block.FileID]int64{0: 2048}
+	nodes, client := startCluster(t, 1, 64, core.PolicyMaster, false, sizes)
+	n := nodes[0]
+	if n.busRef() != nil {
+		t.Fatal("one-node cluster started an invalidation bus")
+	}
+	if _, err := client.Read(0); err != nil { // cache the old bytes first
+		t.Fatal(err)
+	}
+	newData := bytes.Repeat([]byte{0x3E}, 1024)
+	if err := client.Write(0, 1, newData); err != nil {
+		t.Fatal(err)
+	}
+	got, err := client.Read(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := append(SyntheticBlock(0, 0, 1024), newData...); !bytes.Equal(got, want) {
+		t.Fatal("read after write did not return the new bytes")
+	}
+	if onDisk, err := n.cfg.Source.ReadBlock(0, 1); err != nil || !bytes.Equal(onDisk, newData) {
+		t.Fatalf("write did not reach the source (err %v)", err)
+	}
+	if st := n.Stats(); st.Writes != 1 || st.Invalidations != 1 || st.InvalBacklog != 0 {
+		t.Fatalf("writes=%d invalidations=%d backlog=%d, want 1, 1, 0", st.Writes, st.Invalidations, st.InvalBacklog)
+	}
+	if !n.FlushInval(0) {
+		t.Fatal("FlushInval reported an unfinished flush on a node without a bus")
+	}
+}
