@@ -24,7 +24,6 @@ type httpOpts struct {
 	clf         string // Common Log Format access log ("" → synthetic trace)
 	nodes       int
 	capacity    int
-	hints       bool
 	files       int
 	avg         int64
 	requests    int
@@ -189,7 +188,7 @@ func replayInProcess(o httpOpts, tr *trace.Trace, rec *httpRecord) (loadgen.HTTP
 		sizes[f.ID] = f.Size
 		table[loadgen.PathForFile(f.ID)] = f.ID
 	}
-	_, addrs, shutdown, err := startCluster(o.nodes, o.capacity, o.hints, sizes, nil)
+	_, addrs, shutdown, err := startCluster(o.nodes, o.capacity, sizes, nil)
 	if err != nil {
 		return loadgen.HTTPResult{}, nil, err
 	}

@@ -65,7 +65,6 @@ func main() {
 		benchOut    = flag.String("benchout", "BENCH_live.json", "benchmark result path (bench mode)")
 		nNodes      = flag.Int("nodes", 4, "selftest cluster size")
 		capacity    = flag.Int("capacity", 1024, "selftest per-node cache capacity in blocks")
-		hints       = flag.Bool("hints", false, "selftest: hint-based directory")
 		files       = flag.Int("files", 100, "synthetic file count (must match the running cluster's)")
 		avg         = flag.Int64("avg", 16384, "synthetic average file size (must match the running cluster's)")
 		requests    = flag.Int("requests", 10000, "requests to replay (also scales bench presets)")
@@ -155,7 +154,6 @@ func main() {
 			clf:         *clfPath,
 			nodes:       *nNodes,
 			capacity:    *capacity,
-			hints:       *hints,
 			files:       *files,
 			avg:         *avg,
 			requests:    *requests,
@@ -187,7 +185,7 @@ func main() {
 			}
 		}
 		var err error
-		_, addrs, shutdown, err = startCluster(*nNodes, *capacity, *hints, sizes, mut)
+		_, addrs, shutdown, err = startCluster(*nNodes, *capacity, sizes, mut)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -260,7 +258,7 @@ func fileSizes(files int, avg int64) map[block.FileID]int64 {
 // startCluster brings up an in-process cluster and returns its nodes,
 // addresses, and a shutdown function. mut, when non-nil, adjusts each
 // node's Config before start (chaos mode sets fault plans and timeouts).
-func startCluster(nNodes, capacity int, hints bool, sizes map[block.FileID]int64,
+func startCluster(nNodes, capacity int, sizes map[block.FileID]int64,
 	mut func(i int, cfg *middleware.Config)) ([]*middleware.Node, []string, func(), error) {
 	nodes := make([]*middleware.Node, 0, nNodes)
 	addrs := make([]string, 0, nNodes)
@@ -274,9 +272,6 @@ func startCluster(nNodes, capacity int, hints bool, sizes map[block.FileID]int64
 			ID: i, CapacityBlocks: capacity,
 			Policy: core.PolicyMaster,
 			Source: middleware.NewMemSource(block.DefaultGeometry, sizes),
-		}
-		if hints {
-			cfg.DirMode = middleware.DirHints
 		}
 		if mut != nil {
 			mut(i, &cfg)
@@ -331,7 +326,6 @@ type benchPreset struct {
 	Name      string  `json:"name"`
 	Nodes     int     `json:"nodes"`
 	Capacity  int     `json:"capacity_blocks"`
-	Hints     bool    `json:"hints"`
 	Files     int     `json:"files"`
 	AvgSize   int64   `json:"avg_file_bytes"`
 	Zipf      float64 `json:"zipf"`
@@ -523,7 +517,6 @@ func writeBenchDoc(path string, doc benchDoc) error {
 // (the paper's §4 configuration, scaled down to benchmark duration).
 var benchPresets = []benchPreset{
 	{Name: "read-central-4node", Nodes: 4, Capacity: 512, Files: 200, AvgSize: 16384, Zipf: 0.85},
-	{Name: "read-hints-4node", Nodes: 4, Capacity: 512, Hints: true, Files: 200, AvgSize: 16384, Zipf: 0.85},
 	{Name: "mixed-writes-4node", Nodes: 4, Capacity: 512, Files: 200, AvgSize: 16384, Zipf: 0.85, WriteFrac: 0.05},
 }
 
@@ -536,7 +529,7 @@ func runBench(out string, requests, concurrency int, seed int64, interval time.D
 			p.Zipf = zipfS
 		}
 		sizes := fileSizes(p.Files, p.AvgSize)
-		_, addrs, shutdown, err := startCluster(p.Nodes, p.Capacity, p.Hints, sizes, nil)
+		_, addrs, shutdown, err := startCluster(p.Nodes, p.Capacity, sizes, nil)
 		if err != nil {
 			return fmt.Errorf("preset %s: %w", p.Name, err)
 		}
@@ -730,7 +723,7 @@ func runFlashArm(p benchPreset, requests, concurrency int, seed int64, interval 
 	}
 
 	sizes := fileSizes(p.Files, p.AvgSize)
-	_, addrs, shutdown, err := startCluster(p.Nodes, p.Capacity, p.Hints, sizes, mut)
+	_, addrs, shutdown, err := startCluster(p.Nodes, p.Capacity, sizes, mut)
 	if err != nil {
 		return benchRecord{}, fmt.Errorf("flash: %w", err)
 	}
@@ -830,7 +823,7 @@ func runChaos(out string, requests, concurrency int, seed int64, interval time.D
 	// recorded beside the fault counters (and stay readable even for the
 	// crashed node, whose tracer outlives its sockets in-process).
 	tracers := make([]*obs.Tracer, nNodes)
-	nodes, addrs, shutdown, err := startCluster(nNodes, capacity, false, sizes,
+	nodes, addrs, shutdown, err := startCluster(nNodes, capacity, sizes,
 		func(i int, cfg *middleware.Config) {
 			cfg.Fault = plan
 			cfg.RPCTimeout = 300 * time.Millisecond
@@ -1000,7 +993,7 @@ func runWritesArm(requests, concurrency int, seed int64, interval time.Duration,
 		}
 	}
 	sizes := fileSizes(p.Files, p.AvgSize)
-	_, addrs, shutdown, err := startCluster(p.Nodes, p.Capacity, p.Hints, sizes, mut)
+	_, addrs, shutdown, err := startCluster(p.Nodes, p.Capacity, sizes, mut)
 	if err != nil {
 		return benchRecord{}, fmt.Errorf("writes bench: %w", err)
 	}

@@ -73,7 +73,7 @@ func runResize(out string, requests, concurrency int, seed int64, interval time.
 		// best-effort view broadcast converges off its next ping exchange.
 		cfg.HeartbeatInterval = 50 * time.Millisecond
 	}
-	_, addrs, shutdown, err := startCluster(baseNodes, capacity, false, sizes, mut)
+	_, addrs, shutdown, err := startCluster(baseNodes, capacity, sizes, mut)
 	if err != nil {
 		return fmt.Errorf("resize: %w", err)
 	}

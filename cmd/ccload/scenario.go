@@ -59,7 +59,7 @@ func runScenarios(name string, requests, concurrency int, seed int64) error {
 // elastic-membership counterpart is ccload -resize.
 func scenarioCluster(capacity, files int, mut func(i int, cfg *middleware.Config)) (map[block.FileID]int64, []*middleware.Node, *middleware.Client, func(), error) {
 	sizes := fileSizes(files, 16384)
-	nodes, addrs, shutdown, err := startCluster(4, capacity, false, sizes, func(i int, cfg *middleware.Config) {
+	nodes, addrs, shutdown, err := startCluster(4, capacity, sizes, func(i int, cfg *middleware.Config) {
 		cfg.StaticHome = true
 		if mut != nil {
 			mut(i, cfg)

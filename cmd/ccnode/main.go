@@ -49,7 +49,6 @@ func main() {
 		cluster  = flag.String("cluster", "", "comma-separated node addresses, index = node ID")
 		capacity = flag.Int("capacity", 4096, "cache capacity in blocks")
 		policy   = flag.String("policy", "cc-master", "replacement policy (cc-basic, cc-master)")
-		hints    = flag.Bool("hints", false, "use the hint-based directory instead of the central one")
 		files    = flag.Int("files", 100, "synthetic file count")
 		avg      = flag.Int64("avg", 16384, "synthetic average file size (bytes)")
 		get      = flag.Int("get", -1, "read this file ID through the cluster and print its size")
@@ -89,7 +88,7 @@ func main() {
 	case *serve:
 		ad := adaptive{threshold: *repThr, fanout: *repFan, admission: *admit}
 		ms := membership{join: *join, static: *static, heartbeat: *hbIvl, suspect: *suspect, dead: *deadTO}
-		runNode(*id, *listen, addrs, *capacity, *policy, *hints, *files, *avg, ft, ad, ms, *metrics, *httpAddr, *traceCap)
+		runNode(*id, *listen, addrs, *capacity, *policy, *files, *avg, ft, ad, ms, *metrics, *httpAddr, *traceCap)
 	case *drain >= 0:
 		client := dial(addrs, ft)
 		defer client.Close()
@@ -205,7 +204,7 @@ func drainNode(client *middleware.Client, id int) error {
 	return nil
 }
 
-func runNode(id int, listen string, addrs []string, capacity int, policy string, hints bool, files int, avg int64, ft faultTolerance, ad adaptive, ms membership, metricsAddr, httpAddr string, traceCap int) {
+func runNode(id int, listen string, addrs []string, capacity int, policy string, files int, avg int64, ft faultTolerance, ad adaptive, ms membership, metricsAddr, httpAddr string, traceCap int) {
 	if ms.join != "" {
 		if listen == "" {
 			log.Fatal("-join requires -listen (the joiner's own address)")
@@ -238,14 +237,9 @@ func runNode(id int, listen string, addrs []string, capacity int, policy string,
 	if traceCap > 0 {
 		tracer = obs.NewTracer(traceCap)
 	}
-	dirMode := middleware.DirCentral
-	if hints {
-		dirMode = middleware.DirHints
-	}
 	n, err := middleware.Start(middleware.Config{
 		ID:                 id,
 		Listen:             listen,
-		DirMode:            dirMode,
 		CapacityBlocks:     capacity,
 		Policy:             pol,
 		Source:             middleware.NewMemSource(block.DefaultGeometry, sizes),
@@ -286,8 +280,8 @@ func runNode(id int, listen string, addrs []string, capacity int, policy string,
 		}
 		go serveHTTP(httpAddr, clusterAddrs, files, ft)
 	}
-	log.Printf("node %d serving on %s (capacity %d blocks, %s, hints=%v, static_home=%v)",
-		id, n.Addr(), capacity, policy, hints, ms.static)
+	log.Printf("node %d serving on %s (capacity %d blocks, %s, static_home=%v)",
+		id, n.Addr(), capacity, policy, ms.static)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)

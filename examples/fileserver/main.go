@@ -1,7 +1,7 @@
 // Fileserver: a read/write block service on the middleware, exercising the
-// paper's §6 future-work extensions — the write-invalidate protocol and the
-// hint-based directory. A writer updates blocks while readers stream the
-// file through different nodes; invalidation keeps every reader coherent.
+// paper's §6 future-work extension to writes — the write-invalidate
+// protocol. A writer updates blocks while readers stream the file through
+// different nodes; invalidation keeps every reader coherent.
 //
 // Run with:
 //
@@ -26,15 +26,12 @@ func main() {
 	fileSize := int64(4 * geom.Size) // 4 blocks
 	sizes := map[block.FileID]int64{fileID: fileSize}
 
-	// Hint-based directory mode: no central directory node, location
-	// knowledge spreads through the protocol traffic itself.
 	const n = 3
 	nodes := make([]*middleware.Node, n)
 	addrs := make([]string, n)
 	for i := 0; i < n; i++ {
 		node, err := middleware.Start(middleware.Config{
 			ID:             i,
-			DirMode:        middleware.DirHints,
 			CapacityBlocks: 32,
 			Policy:         core.PolicyMaster,
 			Geometry:       geom,
@@ -55,7 +52,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer client.Close()
-	fmt.Printf("cluster up (hint-based directory): %v\n\n", addrs)
+	fmt.Printf("cluster up: %v\n\n", addrs)
 
 	// Warm every node's cache with the file.
 	for i := 0; i < n; i++ {
@@ -91,6 +88,5 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\ninvalidations=%d writes=%d hint accuracy=%.1f%%\n",
-		s.Invalidations, s.Writes, s.HintAccuracy*100)
+	fmt.Printf("\ninvalidations=%d writes=%d\n", s.Invalidations, s.Writes)
 }

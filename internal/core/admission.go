@@ -77,7 +77,7 @@ func (a *Admission) Observe(key uint64) {
 		a.doorSet(h)
 	} else {
 		for i := range a.rows {
-			j := mix(key ^ rowSeeds[i]) & a.mask
+			j := mix(key^rowSeeds[i]) & a.mask
 			if a.rows[i][j] < counterMax {
 				a.rows[i][j]++
 			}
@@ -108,7 +108,7 @@ func (a *Admission) resetLocked() {
 func (a *Admission) estimateLocked(key uint64) uint32 {
 	est := uint32(counterMax + 1)
 	for i := range a.rows {
-		j := mix(key ^ rowSeeds[i]) & a.mask
+		j := mix(key^rowSeeds[i]) & a.mask
 		if c := uint32(a.rows[i][j]); c < est {
 			est = c
 		}

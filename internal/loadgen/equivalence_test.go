@@ -49,8 +49,8 @@ func protocolModel(tr *trace.Trace, sizes map[block.FileID]int64, k int) modelCo
 }
 
 // TestReplayEquivalence pins the cluster's observable behaviour for a
-// deterministic replay: a serial client, ample capacity, and the central
-// directory make every counter exactly predictable from the §3 protocol, so
+// deterministic replay: a serial client, ample capacity, and one directory
+// entry per block make every counter exactly predictable from the §3 protocol, so
 // any change that altered what the cluster *does* — rather than how fast —
 // fails here. Each row is one configuration that must be the same machine
 // as the model: the default path, the store with eight lock shards and with

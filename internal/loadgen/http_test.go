@@ -31,7 +31,7 @@ func TestReplayHTTP(t *testing.T) {
 			http.NotFound(w, r)
 			return
 		}
-		served[f]++ // racy count is fine for a smoke assertion via total below
+		served[f]++                                                 // racy count is fine for a smoke assertion via total below
 		w.Write([]byte(strings.Repeat("x", int(tr.Files[f].Size)))) //nolint:errcheck
 	}))
 	defer srv.Close()

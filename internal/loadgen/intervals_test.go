@@ -17,9 +17,9 @@ func TestBuildIntervals(t *testing.T) {
 	ms := int64(time.Millisecond)
 
 	samples := []isample{
-		{at: start - 1*ms, lat: time.Millisecond, bytes: 999},       // warmup: excluded
-		{at: start + 10*ms, lat: 1 * time.Millisecond, bytes: 1000}, // bucket 0
-		{at: start + 90*ms, lat: 3 * time.Millisecond, bytes: 1000}, // bucket 0
+		{at: start - 1*ms, lat: time.Millisecond, bytes: 999},                     // warmup: excluded
+		{at: start + 10*ms, lat: 1 * time.Millisecond, bytes: 1000},               // bucket 0
+		{at: start + 90*ms, lat: 3 * time.Millisecond, bytes: 1000},               // bucket 0
 		{at: start + 150*ms, lat: 5 * time.Millisecond, bytes: 2000, write: true}, // bucket 1
 		{at: start + 310*ms, lat: 7 * time.Millisecond, bytes: 4000},              // bucket 3
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 // benchFrame builds a representative hot-path frame: one cached block of
-// payload plus a couple of piggybacked hint deltas.
+// payload.
 func benchFrame(payload []byte) *Frame {
 	return &Frame{
 		Type:      MsgBlockData,
@@ -20,11 +20,7 @@ func benchFrame(payload []byte) *Frame {
 		OldestAge: 123456789,
 		File:      11,
 		Idx:       3,
-		Hints: []HintDelta{
-			{File: 11, Idx: 2, Node: 1},
-			{File: 9, Idx: 0, Node: 3},
-		},
-		Payload: payload,
+		Payload:   payload,
 	}
 }
 

@@ -250,7 +250,7 @@ func TestReadUnderPartitionBounded(t *testing.T) {
 	}
 	// The stale entry naming node 2 was repaired: the directory now names
 	// node 0 (the fallback read's new master) for the fetched blocks.
-	if holder, ok := nodes[0].dirSrv.lookup(block.ID{File: 1, Idx: 0}); !ok || holder != 0 {
+	if holder, ok := dirOf(t, nodes, 1).lookup(block.ID{File: 1, Idx: 0}); !ok || holder != 0 {
 		t.Fatalf("directory entry not repaired: holder=%d ok=%v", holder, ok)
 	}
 }

@@ -623,7 +623,6 @@ func (c *Client) FaultStats() ClientFaultStats {
 // garbage.
 func (c *Client) ClusterStats() (Stats, error) {
 	var sum Stats
-	sum.HintAccuracy = 1
 	reached := 0
 	var lastErr error
 	m := c.members.Load()
@@ -673,9 +672,6 @@ func (c *Client) ClusterStats() (Stats, error) {
 		sum.HeartbeatFailures += s.HeartbeatFailures
 		if s.MembershipEpoch > sum.MembershipEpoch {
 			sum.MembershipEpoch = s.MembershipEpoch
-		}
-		if s.HintAccuracy < sum.HintAccuracy {
-			sum.HintAccuracy = s.HintAccuracy
 		}
 		for k, h := range s.RPCLatency {
 			if sum.RPCLatency == nil {

@@ -113,7 +113,7 @@ const inlinePayloadMax = 64 << 10
 // decisions operate on whole frames and never tear the stream framing.
 type singleFrameWriter interface{ singleFrameWrites() }
 
-// write sends one frame: header, hints, and payload in a single socket
+// write sends one frame: header and payload in a single socket
 // write (one writev for large payloads) instead of one write per section.
 // A socket-level write failure poisons the stream (a frame may be half
 // out), so it tears the connection down; encode errors leave it intact.

@@ -2,15 +2,20 @@ package middleware
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"repro/internal/block"
 )
 
-// dirServer is the central master-block directory, hosted on one node of
-// the cluster (the live stand-in for the paper's zero-cost perfect
-// directory; its real message costs are what the hint mode then removes).
+// The master-block directory is placed by the membership ring: the entries
+// of file f live on view.home(f), the node that already homes f's bytes, so
+// homes and directory managers share one placement function and a whole
+// window of one file always has one manager. Every node hosts a dirServer
+// for the files it homes. The entries are soft state: a crash or a resize
+// loses them, the next miss reads through the home and records the new
+// master there.
+
+// dirServer holds the directory entries this node manages.
 type dirServer struct {
 	mu      sync.Mutex
 	masters map[block.ID]int32
@@ -48,11 +53,11 @@ func (d *dirServer) drop(id block.ID, ifNode int32) {
 }
 
 // lookupN resolves a window of entries of file f under one lock
-// acquisition: out[i] is the master of block idxs[i], dirNoEntry if absent.
+// acquisition, appending to out the master of each block idxs[i],
+// dirNoEntry if absent.
 func (d *dirServer) lookupN(f block.FileID, idxs []int32, out []int32) []int32 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out = out[:0]
 	for _, idx := range idxs {
 		if n, ok := d.masters[block.ID{File: f, Idx: idx}]; ok {
 			out = append(out, n)
@@ -73,399 +78,168 @@ func (d *dirServer) updateN(f block.FileID, idxs []int32, node int32) {
 	}
 }
 
+// sweep drops the entries of every file v does not home on node self.
+func (d *dirServer) sweep(v *memberView, self int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for id := range d.masters {
+		if h, ok := v.home(id.File); !ok || h != self {
+			delete(d.masters, id)
+		}
+	}
+}
+
 func (d *dirServer) size() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return len(d.masters)
 }
 
-// locator is the node-side interface for master location.
-type locator interface {
-	// Lookup reports the believed master holder.
-	Lookup(id block.ID) (node int32, ok bool, err error)
-	// Update records this claim of mastership.
-	Update(id block.ID, node int32) error
-	// Drop forgets the master, conditioned on it still naming ifNode
-	// (ifNode < 0: unconditional).
-	Drop(id block.ID, ifNode int32) error
-	// Miss reports that a lookup's answer proved wrong (hint maintenance).
-	Miss(id block.ID, node int32)
-	// LookupN resolves a window of entries of one file in as few RPCs as
-	// the mode allows (one for central and hints, one per manager for the
-	// partitioned directory): out[i] is the believed master of block
-	// idxs[i], dirNoEntry when unknown. A transport failure degrades the
-	// affected entries to dirNoEntry (the read falls back to home) rather
-	// than failing the window.
-	LookupN(f block.FileID, idxs []int32) ([]int32, error)
-	// UpdateN records node's claim of mastership over a window of blocks.
-	UpdateN(f block.FileID, idxs []int32, node int32) error
-}
-
-// dirBatchRPC sends one batched directory message (MsgDirLookupN or
-// MsgDirUpdateN) for a window of blocks of f to node m and, for lookups,
-// decodes the per-index answer into out.
-func dirBatchRPC(n *Node, m int, typ MsgType, f block.FileID, idxs []int32, aux int64, out []int32) ([]int32, error) {
-	req := getFrame()
-	req.Type, req.File, req.Aux = typ, f, aux
-	req.Payload = appendIdxPayload(make([]byte, 0, 4*len(idxs)), idxs)
-	resp, err := n.reliableRPC(m, req, n.retries)
-	releaseFrame(req)
-	if err != nil {
-		return nil, err
-	}
-	if typ == MsgDirLookupN {
-		if resp.Type != MsgDirResultN || len(resp.Payload) != 4*len(idxs) {
-			typ, plen := resp.Type, len(resp.Payload)
-			releaseFrame(resp)
-			return nil, fmt.Errorf("middleware: bad dir batch reply (type %d, %d bytes for %d idxs)", typ, plen, len(idxs))
+// serveDir applies one single-block directory message on the node that
+// manages id: the body of handleDir, and of dirOp when the manager is this
+// node. A lookup rotates its answer across the block's copy set (the master
+// when the set is empty: adaptive replication's load balancing). A drop may
+// target a replica holder (failed fetch after rotation): it is retired from
+// the copy set; the master entry itself is compare-and-delete, so a replica
+// failure never erases a live master claim.
+func (n *Node) serveDir(typ MsgType, id block.ID, node, requester int32) (int32, bool) {
+	switch typ {
+	case MsgDirLookup:
+		master, ok := n.dirSrv.lookup(id)
+		if ok {
+			master = n.reps.pick(id, master, requester, n.repRR.Add(1))
 		}
-		out, err = decodeIdxPayload(resp.Payload, out)
-		releaseFrame(resp)
-		return out, err
+		return master, ok
+	case MsgDirUpdate:
+		n.dirSrv.update(id, node)
+		n.maybeRepush(id, node)
+	case MsgDirDrop:
+		n.reps.drop(id, node)
+		n.dirSrv.drop(id, node)
 	}
-	releaseFrame(resp)
-	return nil, nil
+	return 0, false
 }
 
-// rotateLookupN applies the replica-set rotation to a colocated lookupN
-// result, one draw per window (blocks sharing a copy set land on the same
-// holder, so the requester's runs stay coalesced). Mirrors handleDirBatch
-// for the node that hosts (a slice of) the directory itself.
-func rotateLookupN(n *Node, f block.FileID, idxs, res []int32) []int32 {
-	if n.reps.len() == 0 {
-		return res
+// serveDirBatch is serveDir for a window of blocks of f: MsgDirUpdateN
+// repoints the window to node, MsgDirLookupN appends its answers to out,
+// with one rotation draw per window, so blocks sharing a copy set land on
+// the same holder and the requester's runs stay coalesced.
+func (n *Node) serveDirBatch(typ MsgType, f block.FileID, idxs []int32, node, requester int32, out []int32) []int32 {
+	if typ == MsgDirUpdateN {
+		n.dirSrv.updateN(f, idxs, node)
+		return out
 	}
-	self := int32(n.cfg.ID)
+	base := len(out)
+	out = n.dirSrv.lookupN(f, idxs, out)
+	if n.reps.len() == 0 {
+		return out
+	}
 	draw := n.repRR.Add(1)
 	for i, idx := range idxs {
-		if res[i] != dirNoEntry {
-			res[i] = n.reps.pick(block.ID{File: f, Idx: idx}, res[i], self, draw)
+		if res := &out[base+i]; *res != dirNoEntry {
+			*res = n.reps.pick(block.ID{File: f, Idx: idx}, *res, requester, draw)
 		}
-	}
-	return res
-}
-
-// lookupNUnknown fills a window result with dirNoEntry (transport-degraded
-// lookups: the planner routes those blocks through the home node, exactly
-// as a failed single Lookup does).
-func lookupNUnknown(idxs []int32) []int32 {
-	out := make([]int32, len(idxs))
-	for i := range out {
-		out[i] = dirNoEntry
 	}
 	return out
 }
 
-// dirRPC sends one directory message to node m with pooled frames and
-// returns the response's Aux and Flags. Directory operations are
-// idempotent (lookup reads, update/drop are absolute or compare-and-
-// delete), so transient failures retry under the node's budget; when the
-// directory node stays down its breaker opens and subsequent lookups fail
-// fast, degrading reads to the home path instead of paying a timeout each.
-func dirRPC(n *Node, m int, typ MsgType, id block.ID, aux int64) (int64, uint8, error) {
+// dirOp runs one single-block directory operation where id's entry lives: a
+// local call when this node homes the file, else one RPC to the home.
+// Directory operations are idempotent (lookup reads, update and drop are
+// absolute or compare-and-delete), so transient failures retry under the
+// node's budget; when the home stays down its breaker opens and lookups
+// fail fast, degrading reads to the home path and its ring successor
+// instead of paying a timeout each.
+func (n *Node) dirOp(typ MsgType, id block.ID, node int32) (int32, bool, error) {
+	m, err := n.home(id.File)
+	if err != nil {
+		return 0, false, err
+	}
+	if m == n.cfg.ID {
+		master, ok := n.serveDir(typ, id, node, int32(m))
+		return master, ok, nil
+	}
 	req := getFrame()
-	req.Type, req.File, req.Idx, req.Aux = typ, id.File, id.Idx, aux
+	req.Type, req.File, req.Idx, req.Aux = typ, id.File, id.Idx, int64(node)
 	resp, err := n.reliableRPC(m, req, n.retries)
 	releaseFrame(req)
 	if err != nil {
-		return 0, 0, err
-	}
-	rAux, rFlags := resp.Aux, resp.Flags
-	releaseFrame(resp)
-	return rAux, rFlags, nil
-}
-
-// centralLocator talks to the dirServer, over the network or directly when
-// co-located.
-type centralLocator struct {
-	n *Node
-}
-
-func (c *centralLocator) Lookup(id block.ID) (int32, bool, error) {
-	if srv := c.n.dirSrv; srv != nil {
-		node, ok := srv.lookup(id)
-		if ok {
-			node = c.n.reps.pick(id, node, int32(c.n.cfg.ID), c.n.repRR.Add(1))
-		}
-		return node, ok, nil
-	}
-	aux, flags, err := dirRPC(c.n, c.n.cfg.DirNode, MsgDirLookup, id, 0)
-	if err != nil {
 		return 0, false, err
 	}
-	return int32(aux), flags != 0, nil
+	defer releaseFrame(resp)
+	return int32(resp.Aux), resp.Flags != 0, nil
 }
 
-func (c *centralLocator) Update(id block.ID, node int32) error {
-	if srv := c.n.dirSrv; srv != nil {
-		srv.update(id, node)
-		c.n.maybeRepush(id, node)
-		return nil
-	}
-	_, _, err := dirRPC(c.n, c.n.cfg.DirNode, MsgDirUpdate, id, int64(node))
+// dirLookup reports the believed holder of id's master copy.
+func (n *Node) dirLookup(id block.ID) (int32, bool, error) {
+	return n.dirOp(MsgDirLookup, id, 0)
+}
+
+// dirUpdate records node's claim of mastership of id.
+func (n *Node) dirUpdate(id block.ID, node int32) error {
+	_, _, err := n.dirOp(MsgDirUpdate, id, node)
 	return err
 }
 
-func (c *centralLocator) Drop(id block.ID, ifNode int32) error {
-	if srv := c.n.dirSrv; srv != nil {
-		c.n.reps.drop(id, ifNode)
-		srv.drop(id, ifNode)
-		return nil
-	}
-	_, _, err := dirRPC(c.n, c.n.cfg.DirNode, MsgDirDrop, id, int64(ifNode))
-	return err
+// dirDrop forgets id's master, conditioned on the entry still naming ifNode
+// (ifNode < 0: unconditional). Best effort: a lost drop leaves a stale
+// entry, which costs the next reader one race miss.
+func (n *Node) dirDrop(id block.ID, ifNode int32) {
+	n.dirOp(MsgDirDrop, id, ifNode) //nolint:errcheck // best effort
 }
 
-func (c *centralLocator) Miss(id block.ID, node int32) {
-	// The central directory is corrected by the follow-up Update/Drop of
-	// the home read; nothing to do here.
-}
-
-func (c *centralLocator) LookupN(f block.FileID, idxs []int32) ([]int32, error) {
-	if srv := c.n.dirSrv; srv != nil {
-		return rotateLookupN(c.n, f, idxs, srv.lookupN(f, idxs, make([]int32, 0, len(idxs)))), nil
-	}
-	out, err := dirBatchRPC(c.n, c.n.cfg.DirNode, MsgDirLookupN, f, idxs, 0, make([]int32, 0, len(idxs)))
+// dirBatch is dirOp for a window of at most maxDirBatch blocks of f, typ
+// MsgDirLookupN or MsgDirUpdateN; a lookup appends its answers to out.
+func (n *Node) dirBatch(typ MsgType, f block.FileID, idxs []int32, node int32, out []int32) ([]int32, error) {
+	m, err := n.home(f)
 	if err != nil {
-		if isTransient(err) {
-			return lookupNUnknown(idxs), nil
-		}
-		return nil, err
+		return out, err
 	}
-	return out, nil
-}
-
-func (c *centralLocator) UpdateN(f block.FileID, idxs []int32, node int32) error {
-	if srv := c.n.dirSrv; srv != nil {
-		srv.updateN(f, idxs, node)
-		return nil
+	if m == n.cfg.ID {
+		return n.serveDirBatch(typ, f, idxs, node, int32(m), out), nil
 	}
-	_, err := dirBatchRPC(c.n, c.n.cfg.DirNode, MsgDirUpdateN, f, idxs, int64(node), nil)
-	return err
-}
-
-// hintLocator is the §6 hint-based directory: a purely local, possibly
-// stale map maintained from observed protocol traffic, costing no lookup
-// messages. Wrong or absent hints fall back to the home node. Accuracy is
-// measured so deployments can compare against Sarkar & Hartman's ≈98%.
-type hintLocator struct {
-	mu      sync.Mutex
-	hints   map[block.ID]int32
-	lookups uint64
-	misses  uint64
-}
-
-func newHintLocator() *hintLocator {
-	return &hintLocator{hints: make(map[block.ID]int32)}
-}
-
-func (h *hintLocator) Lookup(id block.ID) (int32, bool, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.lookups++
-	n, ok := h.hints[id]
-	return n, ok, nil
-}
-
-func (h *hintLocator) Update(id block.ID, node int32) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.hints[id] = node
-	return nil
-}
-
-func (h *hintLocator) Drop(id block.ID, ifNode int32) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if cur, ok := h.hints[id]; ok && (ifNode < 0 || cur == ifNode) {
-		delete(h.hints, id)
+	req := getFrame()
+	req.Type, req.File, req.Aux = typ, f, int64(node)
+	req.Payload = appendIdxPayload(make([]byte, 0, 4*len(idxs)), idxs)
+	resp, err := n.reliableRPC(m, req, n.retries)
+	releaseFrame(req)
+	if err != nil {
+		return out, err
 	}
-	return nil
-}
-
-func (h *hintLocator) Miss(id block.ID, node int32) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	// Only a miss that contradicts the CURRENT hint counts against
-	// accuracy (and deletes the entry). A failed fetch from a node the
-	// table no longer names — a rotated replica holder that evicted its
-	// copy, or a hint already corrected by piggybacked deltas — says
-	// nothing about the hint table's quality.
-	if cur, ok := h.hints[id]; ok && cur == node {
-		h.misses++
-		delete(h.hints, id)
+	defer releaseFrame(resp)
+	if typ != MsgDirLookupN {
+		return out, nil
 	}
+	if resp.Type != MsgDirResultN || len(resp.Payload) != 4*len(idxs) {
+		return out, fmt.Errorf("middleware: bad dir batch reply (type %d, %d bytes for %d idxs)", resp.Type, len(resp.Payload), len(idxs))
+	}
+	res, err := decodeIdxPayload(resp.Payload, out[len(out):])
+	return append(out, res...), err
 }
 
-func (h *hintLocator) LookupN(f block.FileID, idxs []int32) ([]int32, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+// dirLookupN resolves a window of blocks of f, maxDirBatch per message:
+// out[i] is the believed master of block idxs[i], dirNoEntry when unknown.
+// A failure degrades the entries not yet resolved to dirNoEntry — the
+// planner routes those blocks through the home node — and never fails the
+// read.
+func (n *Node) dirLookupN(f block.FileID, idxs []int32) []int32 {
 	out := make([]int32, 0, len(idxs))
-	for _, idx := range idxs {
-		h.lookups++
-		if n, ok := h.hints[block.ID{File: f, Idx: idx}]; ok {
-			out = append(out, n)
-		} else {
-			out = append(out, dirNoEntry)
+	var err error
+	for len(out) < len(idxs) && err == nil {
+		chunk := idxs[len(out):]
+		if len(chunk) > maxDirBatch {
+			chunk = chunk[:maxDirBatch]
 		}
+		out, err = n.dirBatch(MsgDirLookupN, f, chunk, 0, out)
 	}
-	return out, nil
+	for len(out) < len(idxs) {
+		out = append(out, dirNoEntry)
+	}
+	return out
 }
 
-func (h *hintLocator) UpdateN(f block.FileID, idxs []int32, node int32) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for _, idx := range idxs {
-		h.hints[block.ID{File: f, Idx: idx}] = node
-	}
-	return nil
-}
-
-// Accuracy reports the observed fraction of hint lookups that were not
-// later contradicted (1 when no lookups happened yet).
-func (h *hintLocator) Accuracy() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.lookups == 0 {
-		return 1
-	}
-	return 1 - float64(h.misses)/float64(h.lookups)
-}
-
-// noAge is the OldestAge piggyback value for an empty cache or a client.
-const noAge = math.MaxInt64
-
-// DirectoryMode selects how the live middleware locates master copies.
-type DirectoryMode int
-
-const (
-	// DirCentral hosts the whole directory on one node (Config.DirNode) —
-	// the closest live analogue of the paper's single global directory.
-	DirCentral DirectoryMode = iota
-	// DirPartitioned spreads the directory over all nodes by block hash
-	// (xFS-style manager maps): each lookup costs at most one RPC to the
-	// block's manager, and no node is a directory bottleneck.
-	DirPartitioned
-	// DirHints uses purely local, possibly stale hints (§6 future work;
-	// Sarkar & Hartman).
-	DirHints
-)
-
-// partitionedLocator routes directory operations to the block's manager
-// node, determined by a stable hash of the block ID.
-type partitionedLocator struct {
-	n *Node
-}
-
-// manager reports the node managing id's directory entry: the legacy
-// hash % clusterSize partition for static clusters, the same hash mapped
-// over the in-ring members under the elastic view (dead and draining
-// slots stop managing; entries they held are soft state that the next
-// miss rebuilds via the home).
-func (p *partitionedLocator) manager(id block.ID) int {
-	v := p.n.viewRef()
-	if v == nil || v.size() == 0 {
-		return p.n.cfg.ID // membership not installed yet: stay local
-	}
-	h := uint32(id.File)*2654435761 + uint32(id.Idx)*40503
-	if v.static {
-		return int(h % uint32(v.size()))
-	}
-	if m, ok := v.manager(h); ok {
-		return m
-	}
-	return p.n.cfg.ID
-}
-
-func (p *partitionedLocator) Lookup(id block.ID) (int32, bool, error) {
-	m := p.manager(id)
-	if m == p.n.cfg.ID {
-		node, ok := p.n.dirSrv.lookup(id)
-		if ok {
-			node = p.n.reps.pick(id, node, int32(p.n.cfg.ID), p.n.repRR.Add(1))
-		}
-		return node, ok, nil
-	}
-	aux, flags, err := dirRPC(p.n, m, MsgDirLookup, id, 0)
-	if err != nil {
-		return 0, false, err
-	}
-	return int32(aux), flags != 0, nil
-}
-
-func (p *partitionedLocator) Update(id block.ID, node int32) error {
-	m := p.manager(id)
-	if m == p.n.cfg.ID {
-		p.n.dirSrv.update(id, node)
-		p.n.maybeRepush(id, node)
-		return nil
-	}
-	_, _, err := dirRPC(p.n, m, MsgDirUpdate, id, int64(node))
+// dirUpdateN records node's claim of mastership over a window of blocks.
+func (n *Node) dirUpdateN(f block.FileID, idxs []int32, node int32) error {
+	_, err := n.dirBatch(MsgDirUpdateN, f, idxs, node, nil)
 	return err
-}
-
-func (p *partitionedLocator) Drop(id block.ID, ifNode int32) error {
-	m := p.manager(id)
-	if m == p.n.cfg.ID {
-		p.n.reps.drop(id, ifNode)
-		p.n.dirSrv.drop(id, ifNode)
-		return nil
-	}
-	_, _, err := dirRPC(p.n, m, MsgDirDrop, id, int64(ifNode))
-	return err
-}
-
-func (p *partitionedLocator) Miss(id block.ID, node int32) {
-	// As with the central directory, the follow-up Update/Drop corrects
-	// the manager's entry.
-}
-
-// batchByManager groups a window of block indices of f by managing node.
-func (p *partitionedLocator) batchByManager(f block.FileID, idxs []int32) map[int][]int32 {
-	groups := make(map[int][]int32)
-	for _, idx := range idxs {
-		m := p.manager(block.ID{File: f, Idx: idx})
-		groups[m] = append(groups[m], idx)
-	}
-	return groups
-}
-
-func (p *partitionedLocator) LookupN(f block.FileID, idxs []int32) ([]int32, error) {
-	out := lookupNUnknown(idxs)
-	pos := make(map[int32]int, len(idxs))
-	for i, idx := range idxs {
-		pos[idx] = i
-	}
-	for m, group := range p.batchByManager(f, idxs) {
-		var res []int32
-		if m == p.n.cfg.ID {
-			res = rotateLookupN(p.n, f, group, p.n.dirSrv.lookupN(f, group, make([]int32, 0, len(group))))
-		} else {
-			var err error
-			res, err = dirBatchRPC(p.n, m, MsgDirLookupN, f, group, 0, make([]int32, 0, len(group)))
-			if err != nil {
-				// This manager's entries degrade to unknown; the rest of the
-				// window still resolves.
-				continue
-			}
-		}
-		for j, idx := range group {
-			out[pos[idx]] = res[j]
-		}
-	}
-	return out, nil
-}
-
-func (p *partitionedLocator) UpdateN(f block.FileID, idxs []int32, node int32) error {
-	var firstErr error
-	for m, group := range p.batchByManager(f, idxs) {
-		if m == p.n.cfg.ID {
-			p.n.dirSrv.updateN(f, group, node)
-			continue
-		}
-		if _, err := dirBatchRPC(p.n, m, MsgDirUpdateN, f, group, int64(node), nil); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
 }

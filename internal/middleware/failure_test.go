@@ -15,7 +15,7 @@ func TestPeerFailureFallsBackToHome(t *testing.T) {
 	// File 0 homes at node 0 (0 % 3). Reading it via node 2 makes node 2
 	// the master holder.
 	sizes := map[block.FileID]int64{0: 2048}
-	nodes, client := startCluster(t, 3, 64, core.PolicyMaster, false, sizes)
+	nodes, client := startCluster(t, 3, 64, core.PolicyMaster, sizes)
 	want := expect(testGeom, 0, 2048)
 	if got, err := client.ReadVia(2, 0); err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("prime read: %v", err)
@@ -41,30 +41,11 @@ func TestPeerFailureFallsBackToHome(t *testing.T) {
 	}
 }
 
-// TestDirectoryFailureFallsBackToHome kills the directory node; reads on
-// the surviving nodes degrade to home reads (for files homed on survivors).
-func TestDirectoryFailureFallsBackToHome(t *testing.T) {
-	// 3 nodes; directory on node 0. File 1 homes at node 1, file 2 at 2.
-	sizes := map[block.FileID]int64{1: 2048, 2: 2048}
-	nodes, client := startCluster(t, 3, 64, core.PolicyMaster, false, sizes)
-	nodes[0].Close() // directory gone
-
-	for _, f := range []block.FileID{1, 2} {
-		got, err := client.ReadVia(int(f), f) // entry node = home node
-		if err != nil {
-			t.Fatalf("read of %d with dead directory: %v", f, err)
-		}
-		if !bytes.Equal(got, expect(testGeom, f, 2048)) {
-			t.Fatalf("content mismatch for %d", f)
-		}
-	}
-}
-
 // TestNodeRestartRejoins restarts a node on its old address; the survivors'
 // lazy redial lets the cluster resume serving through it.
 func TestNodeRestartRejoins(t *testing.T) {
 	sizes := map[block.FileID]int64{0: 2048, 1: 2048, 2: 2048}
-	nodes, client := startCluster(t, 3, 64, core.PolicyMaster, false, sizes)
+	nodes, client := startCluster(t, 3, 64, core.PolicyMaster, sizes)
 	addrs := make([]string, 3)
 	for i, n := range nodes {
 		addrs[i] = n.Addr()
@@ -107,7 +88,7 @@ func TestNodeRestartRejoins(t *testing.T) {
 func TestParallelReadLargeFile(t *testing.T) {
 	const size = 40 * 1024 // 40 blocks of 1 KB
 	sizes := map[block.FileID]int64{0: size}
-	_, client := startCluster(t, 3, 128, core.PolicyMaster, false, sizes)
+	_, client := startCluster(t, 3, 128, core.PolicyMaster, sizes)
 	for entry := 0; entry < 3; entry++ {
 		got, err := client.ReadVia(entry, 0)
 		if err != nil {

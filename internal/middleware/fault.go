@@ -83,7 +83,7 @@ func (p *FaultPlan) Wrap(nc net.Conn, from, to int) net.Conn {
 // per-frame decisions and dropped frames never tear the stream framing.
 type faultConn struct {
 	net.Conn
-	plan *FaultPlan
+	plan     *FaultPlan
 	from, to int
 
 	mu  sync.Mutex

@@ -8,6 +8,9 @@ import (
 	"repro/internal/block"
 )
 
+// plenOff is where the 4-byte payload length sits in the frame header.
+const plenOff = headerLen - 4
+
 // FuzzReadFrame hardens the wire decoder against malformed input: it must
 // either return an error or a frame that re-encodes losslessly — never
 // panic or over-allocate.
@@ -17,7 +20,7 @@ func FuzzReadFrame(f *testing.F) {
 		{Type: MsgAck},
 		{Type: MsgGetBlock, Flags: FlagMaster, File: 1, Idx: 2, Aux: 3},
 		{Type: MsgBlockData, Payload: []byte("payload")},
-		{Type: MsgForward, Hints: []HintDelta{{File: 1, Idx: 0, Node: 2}}, Payload: []byte("x")},
+		{Type: MsgForward, Aux: 99, Payload: []byte("x")},
 	}
 	for _, fr := range seed {
 		var buf bytes.Buffer
@@ -41,12 +44,8 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(enc[:headerLen])   // header promises a payload that never arrives
 
 	huge := append([]byte(nil), enc[:headerLen]...)
-	binary.BigEndian.PutUint32(huge[35:], 0xFFFFFFFF) // plen far past any limit
+	binary.BigEndian.PutUint32(huge[plenOff:], 0xFFFFFFFF) // plen far past any limit
 	f.Add(huge)
-
-	manyHints := append([]byte(nil), enc[:headerLen]...)
-	manyHints[34] = 255 // nhints over maxHintDeltas
-	f.Add(manyHints)
 
 	ackPayload := append([]byte(nil), enc...)
 	ackPayload[0] = byte(MsgAck) // payload on a payload-less type
@@ -68,10 +67,10 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(renc[:len(renc)-64]) // truncated: promises 128 payload bytes, carries 64
 	f.Add(renc[:headerLen])    // header only: the whole run payload never arrives
 	runHuge := append([]byte(nil), renc...)
-	binary.BigEndian.PutUint32(runHuge[35:], 1<<30) // oversized: plen lies far past the limit
+	binary.BigEndian.PutUint32(runHuge[plenOff:], 1<<30) // oversized: plen lies far past the limit
 	f.Add(runHuge)
 	runShort := append([]byte(nil), renc...)
-	binary.BigEndian.PutUint32(runShort[35:], 16) // plen shorter than the carried run
+	binary.BigEndian.PutUint32(runShort[plenOff:], 16) // plen shorter than the carried run
 	f.Add(runShort)
 
 	// Batched directory lookups: a valid index window, then a ragged one.
@@ -110,7 +109,7 @@ func FuzzReadFrame(f *testing.F) {
 	senc := sinceBuf.Bytes()
 	f.Add(senc)
 	invHuge := append([]byte(nil), ienc[:headerLen]...)
-	binary.BigEndian.PutUint32(invHuge[35:], uint32(8+(maxInvalBatch+1)*8)) // batch over the limit
+	binary.BigEndian.PutUint32(invHuge[plenOff:], uint32(8+(maxInvalBatch+1)*8)) // batch over the limit
 	f.Add(invHuge)
 
 	// Membership frames: heartbeat pings, the join/drain control messages,
@@ -148,7 +147,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(badState)
 	viewTrailing := append([]byte(nil), venc...)
 	viewTrailing = append(viewTrailing, 0xEE) // trailing garbage after the member list
-	binary.BigEndian.PutUint32(viewTrailing[35:], uint32(len(viewPayload)+1))
+	binary.BigEndian.PutUint32(viewTrailing[plenOff:], uint32(len(viewPayload)+1))
 	f.Add(viewTrailing)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -167,8 +166,88 @@ func FuzzReadFrame(f *testing.F) {
 		if fr2.Type != fr.Type || fr2.Flags != fr.Flags || fr2.Req != fr.Req ||
 			fr2.Sender != fr.Sender || fr2.OldestAge != fr.OldestAge ||
 			fr2.File != fr.File || fr2.Idx != fr.Idx || fr2.Aux != fr.Aux ||
-			!bytes.Equal(fr2.Payload, fr.Payload) || len(fr2.Hints) != len(fr.Hints) {
+			!bytes.Equal(fr2.Payload, fr.Payload) {
 			t.Fatal("round trip not lossless")
+		}
+	})
+}
+
+// FuzzDecodeView hardens the membership-view decoder, which every node runs
+// on payloads pushed by peers: it must reject or decode, never panic, and a
+// decoded view re-encodes to bytes that decode to the same view.
+func FuzzDecodeView(f *testing.F) {
+	valid := appendView(nil, newMemberView(9, false, []memberInfo{
+		{Addr: "127.0.0.1:7001", State: stateAlive},
+		{Addr: "127.0.0.1:7002", State: stateDraining},
+		{Addr: "", State: stateDead},
+	}))
+	f.Add(valid)
+	f.Add(appendView(nil, newMemberView(1, true, []memberInfo{{Addr: "a:1"}, {Addr: "b:2"}})))
+	f.Add([]byte{})
+	f.Add(valid[:12])           // shorter than the fixed prefix
+	f.Add(valid[:len(valid)-1]) // cut inside the last member
+	f.Add(valid[:20])           // cut inside the first member's address
+	badState := append([]byte(nil), valid...)
+	badState[13] = 99 // first member's state byte out of range
+	f.Add(badState)
+	oversized := append([]byte(nil), valid[:13]...)
+	binary.BigEndian.PutUint32(oversized[9:], maxViewMembers+1) // count past the limit
+	f.Add(oversized)
+	lyingCount := append([]byte(nil), valid...)
+	binary.BigEndian.PutUint32(lyingCount[9:], 1000) // count far past the members carried
+	f.Add(lyingCount)
+	f.Add(append(append([]byte(nil), valid...), 0xEE)) // trailing byte
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		v, err := decodeView(data)
+		if err != nil {
+			return
+		}
+		enc := appendView(nil, v)
+		v2, err := decodeView(enc)
+		if err != nil {
+			t.Fatalf("re-encoded view failed to decode: %v", err)
+		}
+		if v2.epoch != v.epoch || v2.static != v.static || len(v2.members) != len(v.members) || len(v2.ring) != len(v.ring) {
+			t.Fatal("view round trip not lossless")
+		}
+		for i := range v.members {
+			if v2.members[i] != v.members[i] {
+				t.Fatalf("member %d: %+v != %+v", i, v2.members[i], v.members[i])
+			}
+		}
+		if !bytes.Equal(appendView(nil, v2), enc) {
+			t.Fatal("view encoding not stable")
+		}
+	})
+}
+
+// FuzzDecodeIdxPayload hardens the batched-directory index decoder, which a
+// file's home runs on every MsgDirLookupN/MsgDirUpdateN: it never panics and
+// never hands the directory more than maxDirBatch indices.
+func FuzzDecodeIdxPayload(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(appendIdxPayload(nil, []int32{0, 1, 2, 3}))
+	f.Add(appendIdxPayload(nil, []int32{-1, 1 << 30}))
+	f.Add([]byte{0, 0, 0})          // ragged: shorter than one index
+	f.Add([]byte{0, 0, 0, 1, 0, 2}) // ragged tail
+	f.Add(make([]byte, 4*maxDirBatch))
+	f.Add(make([]byte, 4*(maxDirBatch+1))) // one index over the limit
+	f.Add(make([]byte, 4*300))             // the 300-block window of TestLargeFileStaysCooperative
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		idxs, err := decodeIdxPayload(data, nil)
+		if err != nil {
+			if idxs != nil {
+				t.Fatal("error with a non-nil result")
+			}
+			return
+		}
+		if len(idxs) > maxDirBatch {
+			t.Fatalf("decoded %d indices, limit %d", len(idxs), maxDirBatch)
+		}
+		if !bytes.Equal(appendIdxPayload(nil, idxs), data) {
+			t.Fatal("index payload round trip not lossless")
 		}
 	})
 }

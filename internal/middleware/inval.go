@@ -524,7 +524,7 @@ func (n *Node) invalCatchup(origin int, o *invalOrigin, from uint64) {
 func (n *Node) flushSuspect(origin int) {
 	masters := n.store.RemoveAll()
 	for _, id := range masters {
-		n.loc.Drop(id, int32(n.cfg.ID)) //nolint:errcheck // best effort
+		n.dirDrop(id, int32(n.cfg.ID))
 	}
 	n.reps.clearAll()
 	n.trace(traceInvalCatchup, origin, block.ID{}, -1)

@@ -21,7 +21,7 @@ import (
 // recorded stamp is rejected whole.
 func TestStaleReplicaRejectedByStamp(t *testing.T) {
 	sizes := map[block.FileID]int64{0: 2048}
-	nodes, _ := startCluster(t, 3, 64, core.PolicyMaster, false, sizes)
+	nodes, _ := startCluster(t, 3, 64, core.PolicyMaster, sizes)
 	n := nodes[1]
 	id := block.ID{File: 0, Idx: 0}
 

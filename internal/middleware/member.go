@@ -245,8 +245,9 @@ func (n *Node) growMembership(v *memberView) {
 }
 
 // afterViewInstall runs once per successful install: bus lifecycle, dead
-// member cleanup, membership traces, and the rebalance diff between the
-// replaced view and the new one.
+// member cleanup, membership traces, the sweep of directory entries whose
+// files moved away, and the rebalance diff between the replaced view and
+// the new one.
 func (n *Node) afterViewInstall(old, v *memberView) {
 	n.mu.Lock()
 	if n.bus == nil && v.size() > 1 && !n.closed {
@@ -285,6 +286,7 @@ func (n *Node) afterViewInstall(old, v *memberView) {
 			n.trace(traceMemberDead, i, block.ID{}, int64(v.epoch))
 		}
 	}
+	n.dirSrv.sweep(v, n.cfg.ID)
 	n.computeRebalance(old, v)
 }
 

@@ -384,7 +384,7 @@ func TestClientSurvivesOriginalEntryDeath(t *testing.T) {
 // a StaticHome cluster's membership is fixed.
 func TestStaticClusterRejectsMembershipChanges(t *testing.T) {
 	sizes := map[block.FileID]int64{0: 2048}
-	nodes, client := startCluster(t, 2, 64, core.PolicyMaster, false, sizes)
+	nodes, client := startCluster(t, 2, 64, core.PolicyMaster, sizes)
 	if err := client.DrainNode(1); err == nil {
 		t.Fatal("static cluster accepted a drain")
 	}

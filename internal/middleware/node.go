@@ -21,10 +21,6 @@ type Config struct {
 	ID int
 	// Listen is the TCP address to listen on (e.g. "127.0.0.1:0").
 	Listen string
-	// DirMode selects how masters are located (see DirectoryMode).
-	DirMode DirectoryMode
-	// DirNode hosts the central directory (DirCentral only).
-	DirNode int
 	// CapacityBlocks is the local cache size in blocks.
 	CapacityBlocks int
 	// StoreShards is the number of lock stripes in the local store (rounded
@@ -130,7 +126,7 @@ type Config struct {
 const (
 	traceForward        = "forward"         // eviction forward shipped (Aux: 1 accepted, 0 rejected/failed)
 	traceHomeFallback   = "home_fallback"   // peer fetch degraded to the home node
-	traceStaleDrop      = "stale_drop"      // directory/hint entry dropped after a peer failure
+	traceStaleDrop      = "stale_drop"      // directory entry dropped after a peer failure
 	traceInvalidate     = "invalidate"      // block invalidated (write protocol)
 	traceInvalidateSkip = "invalidate_skip" // invalidation degraded to "peer holds no cache"
 	traceBreakerOpen    = "breaker_open"    // circuit breaker opened for Peer
@@ -155,9 +151,7 @@ type Node struct {
 	ln   net.Listener
 
 	store  *Store
-	dirSrv *dirServer // non-nil when this node hosts the directory
-	loc    locator
-	hints  *hintLocator // non-nil in hint mode
+	dirSrv *dirServer // directory entries of the files this node homes (dir.go)
 
 	mu       sync.Mutex
 	addrs    []string
@@ -181,12 +175,12 @@ type Node struct {
 	// reset on success — dead promotion needs deadMinFails of them).
 	// hbSuspect marks peers this node currently routes around (local
 	// judgement — not a view state).
-	hbStop    chan struct{}
-	hbMu      sync.Mutex
-	hbBusy    map[int]bool
-	hbLast    map[int]time.Time
-	hbFails   map[int]int
-	hbSuspect map[int]bool
+	hbStop                                  chan struct{}
+	hbMu                                    sync.Mutex
+	hbBusy                                  map[int]bool
+	hbLast                                  map[int]time.Time
+	hbFails                                 map[int]int
+	hbSuspect                               map[int]bool
 	hbInterval, hbSuspectAfter, hbDeadAfter time.Duration
 
 	// Rebalance state (rebalance.go): migrPending maps each file whose home
@@ -208,11 +202,6 @@ type Node struct {
 	// (misses on a file already being prefetched do not spawn another).
 	raMu   sync.Mutex
 	raBusy map[block.FileID]struct{}
-
-	// hintMu guards hintRing, the recent locally observed directory
-	// deltas piggybacked on outgoing frames (hint mode only).
-	hintMu   sync.Mutex
-	hintRing []HintDelta
 
 	// hot tracks the epoch-decayed peer-serve rate of local master copies
 	// (nil: adaptive replication disabled). reps is the replica set this
@@ -338,7 +327,7 @@ type Stats struct {
 	BreakerOpens    uint64 // closed→open circuit breaker transitions
 	BreakerSkips    uint64 // requests failed fast by an open breaker
 	HomeFallbacks   uint64 // block fetches degraded to the home node after a peer transport failure
-	StaleDrops      uint64 // directory/hint entries dropped because the named peer failed
+	StaleDrops      uint64 // directory entries dropped because the named peer failed
 	InvalidateSkips uint64 // write invalidations treated as "peer holds no cache" after a peer failure
 	// Run fast-path counters: see the Run-granular reads section of DESIGN.md.
 	RunsIssued   uint64 // MsgGetRun RPCs issued by the read planner
@@ -359,10 +348,9 @@ type Stats struct {
 	RebalancedBlocks  uint64 // blocks pulled here by home re-assignment (rebalance)
 	RebalancePending  uint64 // files whose re-homing pull has not completed yet
 	HeartbeatFailures uint64 // heartbeat probes that failed
-	StoreLen         int
-	StoreMasters     int
-	StoreReplicas    int // replica copies currently cached
-	HintAccuracy float64
+	StoreLen          int
+	StoreMasters      int
+	StoreReplicas     int // replica copies currently cached
 	// RPCLatency holds the node's per-RPC-type latency histograms, keyed by
 	// the request frame type's metric name (only types with observations).
 	// ClusterStats merges them bucket-wise across nodes.
@@ -414,6 +402,7 @@ func Start(cfg Config) (*Node, error) {
 		geom:     cfg.Geometry,
 		ln:       ln,
 		store:    NewStoreShards(cfg.CapacityBlocks, cfg.Policy, cfg.StoreShards),
+		dirSrv:   newDirServer(),
 		accepted: make(map[*conn]struct{}),
 		raBusy:   make(map[block.FileID]struct{}),
 	}
@@ -505,24 +494,6 @@ func Start(cfg Config) (*Node, error) {
 			epoch = defaultHotnessEpoch
 		}
 		go n.epochLoop(epoch)
-	}
-	switch cfg.DirMode {
-	case DirHints:
-		n.hints = newHintLocator()
-		n.loc = &ringHintLocator{n: n}
-	case DirPartitioned:
-		// Every node manages a hash slice of the block space (xFS-style
-		// manager maps): no single directory bottleneck.
-		n.dirSrv = newDirServer()
-		n.loc = &partitionedLocator{n: n}
-	case DirCentral:
-		if cfg.ID == cfg.DirNode {
-			n.dirSrv = newDirServer()
-		}
-		n.loc = &centralLocator{n: n}
-	default:
-		ln.Close()
-		return nil, fmt.Errorf("middleware: unknown directory mode %d", cfg.DirMode)
 	}
 	go n.acceptLoop()
 	return n, nil
@@ -700,7 +671,6 @@ func (n *Node) Stats() Stats {
 		StoreLen:         n.store.Len(),
 		StoreMasters:     n.store.Masters(),
 		StoreReplicas:    n.store.Replicas(),
-		HintAccuracy:     1,
 
 		RebalancedBlocks:  n.c.rebalancedBlocks.Load(),
 		RebalancePending:  uint64(n.migrCount.Load()),
@@ -711,9 +681,6 @@ func (n *Node) Stats() Stats {
 	}
 	if b := n.busRef(); b != nil {
 		s.InvalBacklog = b.depth()
-	}
-	if n.hints != nil {
-		s.HintAccuracy = n.hints.Accuracy()
 	}
 	for t := range n.rpcLat {
 		if d := n.rpcLat[t].Snapshot(); d.Count > 0 {
@@ -751,7 +718,7 @@ func (n *Node) RegisterMetrics(r *obs.Registry) {
 		{"cc_breaker_opens_total", "circuit breaker transitions into the open state", c.breakerOpens.Load},
 		{"cc_breaker_skips_total", "requests failed fast by an open breaker", c.breakerSkips.Load},
 		{"cc_home_fallbacks_total", "peer fetches degraded to the home node", c.homeFallbacks.Load},
-		{"cc_stale_drops_total", "directory/hint entries dropped after peer failures", c.staleDrops.Load},
+		{"cc_stale_drops_total", "directory entries dropped after peer failures", c.staleDrops.Load},
 		{"cc_invalidate_skips_total", "invalidations degraded to 'peer holds no cache'", c.invalidateSkips.Load},
 		{"cc_runs_total", "MsgGetRun fetches issued by the read planner", c.runsIssued.Load},
 		{"cc_runs_degraded_total", "run fetches that served fewer blocks than asked", c.runsDegraded.Load},
@@ -787,9 +754,6 @@ func (n *Node) RegisterMetrics(r *obs.Registry) {
 	r.Gauge("cc_store_blocks", "blocks currently cached", "", func() float64 { return float64(n.store.Len()) })
 	r.Gauge("cc_store_masters", "master copies currently cached", "", func() float64 { return float64(n.store.Masters()) })
 	r.Gauge("cc_store_replicas", "replica copies currently cached", "", func() float64 { return float64(n.store.Replicas()) })
-	if n.hints != nil {
-		r.Gauge("cc_hint_accuracy", "fraction of hint lookups that located a live master", "", n.hints.Accuracy)
-	}
 	if n.tracer != nil {
 		r.Gauge("cc_trace_events_total", "protocol trace events recorded (including overwritten)", "",
 			func() float64 { return float64(n.tracer.Total()) })
@@ -879,8 +843,8 @@ func (n *Node) trace(kind string, peer int, id block.ID, aux int64) {
 	})
 }
 
-// stamp decorates outgoing frames with identity, the oldest-age piggyback,
-// and (in hint mode) the most recent directory deltas.
+// stamp decorates outgoing frames with identity and the oldest-age
+// piggyback.
 func (n *Node) stamp(f *Frame) {
 	f.Sender = int32(n.cfg.ID)
 	if age, ok := n.store.OldestAge(); ok {
@@ -888,17 +852,9 @@ func (n *Node) stamp(f *Frame) {
 	} else {
 		f.OldestAge = noAge
 	}
-	if n.hints != nil && f.Hints == nil {
-		n.hintMu.Lock()
-		if len(n.hintRing) > 0 {
-			// The frame's inline hint array keeps stamping allocation-free.
-			f.Hints = append(f.hintArr[:0], n.hintRing...)
-		}
-		n.hintMu.Unlock()
-	}
 }
 
-// observe harvests piggybacked peer ages and hint deltas.
+// observe harvests piggybacked peer ages.
 func (n *Node) observe(f *Frame) {
 	if f.Sender < 0 {
 		return
@@ -912,60 +868,6 @@ func (n *Node) observe(f *Frame) {
 	if age != nil {
 		age.Store(f.OldestAge)
 	}
-	if n.hints != nil {
-		for _, d := range f.Hints {
-			if d.Node >= 0 && int(d.Node) != n.cfg.ID {
-				n.hints.Update(block.ID{File: d.File, Idx: d.Idx}, d.Node) //nolint:errcheck // local map
-			}
-		}
-	}
-}
-
-// noteHint records a locally observed directory fact and queues it for
-// piggybacked spreading.
-func (n *Node) noteHint(id block.ID, holder int32) {
-	if n.hints == nil {
-		return
-	}
-	n.hints.Update(id, holder) //nolint:errcheck // local map
-	n.hintMu.Lock()
-	n.hintRing = append(n.hintRing, HintDelta{File: id.File, Idx: id.Idx, Node: holder})
-	if len(n.hintRing) > maxHintDeltas {
-		n.hintRing = n.hintRing[len(n.hintRing)-maxHintDeltas:]
-	}
-	n.hintMu.Unlock()
-}
-
-// ringHintLocator is the hint-mode locator: lookups are local; updates also
-// enter the piggyback ring so the knowledge spreads.
-type ringHintLocator struct{ n *Node }
-
-func (r *ringHintLocator) Lookup(id block.ID) (int32, bool, error) {
-	return r.n.hints.Lookup(id)
-}
-
-func (r *ringHintLocator) Update(id block.ID, node int32) error {
-	r.n.noteHint(id, node)
-	return nil
-}
-
-func (r *ringHintLocator) Drop(id block.ID, ifNode int32) error {
-	return r.n.hints.Drop(id, ifNode)
-}
-
-func (r *ringHintLocator) Miss(id block.ID, node int32) {
-	r.n.hints.Miss(id, node)
-}
-
-func (r *ringHintLocator) LookupN(f block.FileID, idxs []int32) ([]int32, error) {
-	return r.n.hints.LookupN(f, idxs)
-}
-
-func (r *ringHintLocator) UpdateN(f block.FileID, idxs []int32, node int32) error {
-	for _, idx := range idxs {
-		r.n.noteHint(block.ID{File: f, Idx: idx}, node)
-	}
-	return nil
 }
 
 // peer returns (dialing lazily) the connection to node i.
@@ -1191,7 +1093,7 @@ func (n *Node) handle(f *Frame) *Frame {
 		// bus: drop any cached copy of the just-overwritten block so the
 		// home never serves bytes it knows its own disk supersedes.
 		if present, master := n.store.Remove(f.ID()); present && master {
-			n.loc.Drop(f.ID(), int32(n.cfg.ID)) //nolint:errcheck // best effort
+			n.dirDrop(f.ID(), int32(n.cfg.ID))
 		}
 		return ackFrame()
 	case MsgStats:
@@ -1222,33 +1124,11 @@ func (n *Node) handle(f *Frame) *Frame {
 func (n *Node) handleGetBlock(f *Frame) *Frame {
 	id := f.ID()
 	if f.Flags&FlagMaster != 0 {
-		// Home read. In hint mode the home acts as the probable-owner
-		// chain's anchor: if it believes another node holds the master, it
-		// redirects the requester there instead of reading disk (Sarkar &
-		// Hartman's forwarding), unless the requester forces a disk read
-		// after a failed redirect.
-		if n.hints != nil && f.Flags&FlagForce == 0 {
-			holder, ok, _ := n.hints.Lookup(id)
-			if !ok {
-				holder = int32(n.cfg.ID)
-			}
-			// The home anchors the block's copy set in hint mode: rotate the
-			// redirect across the believed master and any pushed replicas.
-			holder = n.reps.pick(id, holder, f.Sender, n.repRR.Add(1))
-			if holder != int32(n.cfg.ID) && holder != f.Sender {
-				r := getFrame()
-				r.Type, r.Flags, r.File, r.Idx, r.Aux = MsgBlockMiss, FlagMaster, f.File, f.Idx, int64(holder)
-				return r
-			}
-		}
+		// Home read.
 		n.ensureMigrated(f.File)
 		data, err := n.cfg.Source.ReadBlock(f.File, f.Idx)
 		if err != nil {
 			return errFrame("home read %v: %v", id, err)
-		}
-		if f.Sender >= 0 {
-			// The home learns the new master location from this exchange.
-			n.noteHint(id, f.Sender)
 		}
 		r := getFrame()
 		r.Type, r.Flags, r.File, r.Idx, r.Payload = MsgBlockData, FlagMaster, f.File, f.Idx, data
@@ -1262,8 +1142,6 @@ func (n *Node) handleGetBlock(f *Frame) *Frame {
 		r.Type, r.File, r.Idx, r.Payload = MsgBlockData, f.File, f.Idx, pb.data
 		r.pin(pb)
 		if master {
-			// The response says whether a master or a replica served it, so
-			// the requester only records master locations as hints.
 			r.Flags = FlagMaster
 			n.observeServe(id)
 		}
@@ -1278,9 +1156,7 @@ func (n *Node) handleGetBlock(f *Frame) *Frame {
 // blocks concatenated in the payload, the served count and per-block master
 // flags packed into Aux. A home run (FlagMaster) reads the backing store,
 // the run's blocks together (readSourceRun), and serves the leading blocks
-// that read; in hint mode it stops before the first block whose hint points
-// at a third node, so the requester finishes those through the per-block
-// redirect machinery. A peer run gathers local cache hits and stops at the first
+// that read. A peer run gathers local cache hits and stops at the first
 // gap. A short (even empty) run is a valid response, never an error: the
 // requester completes the remainder per-block.
 func (n *Node) handleGetRun(f *Frame) *Frame {
@@ -1291,29 +1167,9 @@ func (n *Node) handleGetRun(f *Frame) *Frame {
 	first := f.Idx
 	if f.Flags&FlagMaster != 0 {
 		n.ensureMigrated(f.File)
-		if n.hints != nil {
-			// The hints bound the run before anything is read: it stops at
-			// the first block a third node probably holds.
-			for k := 0; k < want; k++ {
-				holder, ok, _ := n.hints.Lookup(block.ID{File: f.File, Idx: first + int32(k)})
-				if ok && holder != int32(n.cfg.ID) && holder != f.Sender {
-					want = k
-					break
-				}
-			}
-		}
-		var segs [][]byte
-		if want > 0 {
-			var err error
-			segs, err = n.readSourceRun(f.File, first, want)
-			if len(segs) == 0 {
-				return errFrame("home run read %v: %v", f.ID(), err)
-			}
-		}
-		if f.Sender >= 0 {
-			for k := range segs {
-				n.noteHint(block.ID{File: f.File, Idx: first + int32(k)}, f.Sender)
-			}
+		segs, err := n.readSourceRun(f.File, first, want)
+		if len(segs) == 0 {
+			return errFrame("home run read %v: %v", f.ID(), err)
 		}
 		masters := uint32(1)<<uint(len(segs)) - 1
 		r := getFrame()
@@ -1351,28 +1207,15 @@ func (n *Node) handleGetRun(f *Frame) *Frame {
 // handleDirBatch answers the batched directory messages: one lock
 // acquisition resolves or repoints a whole window of entries.
 func (n *Node) handleDirBatch(f *Frame) *Frame {
-	if n.dirSrv == nil {
-		return errFrame("node %d does not host the directory", n.cfg.ID)
-	}
 	idxs, err := decodeIdxPayload(f.Payload, nil)
 	if err != nil {
 		return errFrame("dir batch: %v", err)
 	}
 	if f.Type == MsgDirUpdateN {
-		n.dirSrv.updateN(f.File, idxs, int32(f.Aux))
+		n.serveDirBatch(f.Type, f.File, idxs, int32(f.Aux), f.Sender, nil)
 		return ackFrame()
 	}
-	res := n.dirSrv.lookupN(f.File, idxs, make([]int32, 0, len(idxs)))
-	if n.reps.len() > 0 {
-		// One rotation draw per window, so blocks sharing a copy set land
-		// on the same holder and the requester's runs stay coalesced.
-		draw := n.repRR.Add(1)
-		for i, idx := range idxs {
-			if res[i] != dirNoEntry {
-				res[i] = n.reps.pick(block.ID{File: f.File, Idx: idx}, res[i], f.Sender, draw)
-			}
-		}
-	}
+	res := n.serveDirBatch(f.Type, f.File, idxs, 0, f.Sender, make([]int32, 0, len(idxs)))
 	r := getFrame()
 	r.Type, r.File = MsgDirResultN, f.File
 	r.Payload = appendIdxPayload(make([]byte, 0, 4*len(res)), res)
@@ -1380,35 +1223,16 @@ func (n *Node) handleDirBatch(f *Frame) *Frame {
 }
 
 func (n *Node) handleDir(f *Frame) *Frame {
-	if n.dirSrv == nil {
-		return errFrame("node %d does not host the directory", n.cfg.ID)
+	master, ok := n.serveDir(f.Type, f.ID(), int32(f.Aux), f.Sender)
+	if f.Type != MsgDirLookup {
+		return ackFrame()
 	}
-	id := f.ID()
-	switch f.Type {
-	case MsgDirLookup:
-		node, ok := n.dirSrv.lookup(id)
-		if ok {
-			// Rotate the answer across the block's copy set (master when
-			// the set is empty): adaptive replication's load balancing.
-			node = n.reps.pick(id, node, f.Sender, n.repRR.Add(1))
-		}
-		r := getFrame()
-		r.Type, r.File, r.Idx, r.Aux = MsgDirResult, f.File, f.Idx, int64(node)
-		if ok {
-			r.Flags = 1
-		}
-		return r
-	case MsgDirUpdate:
-		n.dirSrv.update(id, int32(f.Aux))
-		n.maybeRepush(id, int32(f.Aux))
-	case MsgDirDrop:
-		// A drop may target a replica holder (failed fetch after rotation):
-		// retire it from the copy set; the master entry itself is CAS-
-		// protected, so a replica failure never erases a live master claim.
-		n.reps.drop(id, int32(f.Aux))
-		n.dirSrv.drop(id, int32(f.Aux))
+	r := getFrame()
+	r.Type, r.File, r.Idx, r.Aux = MsgDirResult, f.File, f.Idx, int64(master)
+	if ok {
+		r.Flags = 1
 	}
-	return ackFrame()
+	return r
 }
 
 func (n *Node) handleForward(f *Frame) *Frame {
@@ -1418,13 +1242,11 @@ func (n *Node) handleForward(f *Frame) *Frame {
 	accepted, displaced := n.store.AcceptForwardBuf(id, f.TakePayloadBuf(), f.Aux)
 	if displaced != nil && displaced.Master {
 		// The block we discarded to make room was a master: the cluster
-		// forgets it (no cascaded forwarding, §3).
-		n.loc.Drop(displaced.ID, int32(n.cfg.ID)) //nolint:errcheck // best effort
+		// forgets it (no cascaded forwarding, §3). Off the handler, like
+		// every RPC a peer's request causes: see handleInvalidate.
+		go n.dirDrop(displaced.ID, int32(n.cfg.ID))
 	} else if displaced != nil && displaced.Replica {
 		go n.retireReplica(displaced.ID)
-	}
-	if accepted {
-		n.noteHint(id, int32(n.cfg.ID))
 	}
 	r := getFrame()
 	r.Type, r.File, r.Idx = MsgForwardAck, f.File, f.Idx
@@ -1434,20 +1256,22 @@ func (n *Node) handleForward(f *Frame) *Frame {
 	return r
 }
 
+// handleInvalidate discards this node's copy of a block a write superseded.
+// It leaves the directory alone: the writer repoints the entry to itself at
+// the block's home before it publishes the invalidation, so a drop sent from
+// here would never find this node's name. It must also issue no RPC. It runs
+// on the worker pool of a peer's connection, every node manages directory
+// entries, and two nodes whose workers all wait on directory RPCs to each
+// other would serve nothing until the RPCs time out.
 func (n *Node) handleInvalidate(id block.ID) {
 	n.c.invalidations.Add(1)
 	n.trace(traceInvalidate, -1, id, 0)
-	if present, master := n.store.Remove(id); present && master {
-		n.loc.Drop(id, int32(n.cfg.ID)) //nolint:errcheck // best effort
-	}
+	n.store.Remove(id)
 	// The write fan-out reaches every node, so the manager clears the
 	// block's replica set with no extra RPC. Tearing down a non-empty set
 	// tombstones the block: it was hot a moment ago, so when the writer's
 	// mastership claim arrives, the manager asks it to push fresh replicas.
 	if n.reps.clear(id) && n.hot != nil {
 		n.markRepush(id)
-	}
-	if n.hints != nil {
-		n.hints.Drop(id, -1) //nolint:errcheck // local map
 	}
 }

@@ -14,45 +14,19 @@ import (
 // startCluster spins up k live nodes on loopback sharing a synthetic file
 // set, returning the nodes and a connected client. Cleanup is registered on
 // t.
-func startCluster(t *testing.T, k int, capacityBlocks int, policy core.Policy, hints bool, sizes map[block.FileID]int64) ([]*Node, *Client) {
+func startCluster(t *testing.T, k int, capacityBlocks int, policy core.Policy, sizes map[block.FileID]int64) ([]*Node, *Client) {
 	t.Helper()
-	geom := block.Geometry{Size: 1024, ExtentBlocks: 8} // small blocks keep tests light
-	nodes := make([]*Node, k)
-	addrs := make([]string, k)
-	dirMode := DirCentral
-	if hints {
-		dirMode = DirHints
-	}
-	for i := 0; i < k; i++ {
-		n, err := Start(Config{
-			ID:             i,
-			DirMode:        dirMode,
-			CapacityBlocks: capacityBlocks,
-			Policy:         policy,
-			Geometry:       geom,
-			Source:         NewMemSource(geom, sizes),
-			StaticHome:     true, // legacy placement tests assume f % k homes
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = n
-		addrs[i] = n.Addr()
-	}
-	for _, n := range nodes {
-		n.SetAddrs(addrs)
-	}
-	client, err := DialCluster(addrs)
+	return startClusterCfg(t, k, capacityBlocks, sizes, func(_ int, cfg *Config) { cfg.Policy = policy })
+}
+
+// dirOf is the directory server that manages file f's entries: its home's.
+func dirOf(t *testing.T, nodes []*Node, f block.FileID) *dirServer {
+	t.Helper()
+	h, err := nodes[0].home(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		client.Close()
-		for _, n := range nodes {
-			n.Close()
-		}
-	})
-	return nodes, client
+	return nodes[h].dirSrv
 }
 
 // expect reconstructs the synthetic content of a whole file.
@@ -68,7 +42,7 @@ var testGeom = block.Geometry{Size: 1024, ExtentBlocks: 8}
 
 func TestLiveReadSingleFile(t *testing.T) {
 	sizes := map[block.FileID]int64{0: 3500}
-	_, client := startCluster(t, 3, 64, core.PolicyMaster, false, sizes)
+	_, client := startCluster(t, 3, 64, core.PolicyMaster, sizes)
 	got, err := client.Read(0)
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +57,7 @@ func TestLiveReadsAllNodesAllFiles(t *testing.T) {
 	for f := 0; f < 12; f++ {
 		sizes[block.FileID(f)] = int64(500 + f*700)
 	}
-	_, client := startCluster(t, 4, 128, core.PolicyMaster, false, sizes)
+	_, client := startCluster(t, 4, 128, core.PolicyMaster, sizes)
 	for f := 0; f < 12; f++ {
 		for node := 0; node < 4; node++ {
 			got, err := client.ReadVia(node, block.FileID(f))
@@ -115,7 +89,7 @@ func TestLiveReadsAllNodesAllFiles(t *testing.T) {
 
 func TestLiveSingleMasterPerBlock(t *testing.T) {
 	sizes := map[block.FileID]int64{0: 4096, 1: 4096, 2: 4096}
-	nodes, client := startCluster(t, 3, 64, core.PolicyMaster, false, sizes)
+	nodes, client := startCluster(t, 3, 64, core.PolicyMaster, sizes)
 	for f := 0; f < 3; f++ {
 		for i := 0; i < 3; i++ {
 			if _, err := client.ReadVia(i, block.FileID(f)); err != nil {
@@ -141,7 +115,7 @@ func TestLiveSingleMasterPerBlock(t *testing.T) {
 
 func TestLiveRemoteHitServesFromPeerMemory(t *testing.T) {
 	sizes := map[block.FileID]int64{5: 2048}
-	nodes, client := startCluster(t, 2, 64, core.PolicyMaster, false, sizes)
+	nodes, client := startCluster(t, 2, 64, core.PolicyMaster, sizes)
 	if _, err := client.ReadVia(0, 5); err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +138,7 @@ func TestLiveEvictionForwarding(t *testing.T) {
 	for f := 0; f < 30; f++ {
 		sizes[block.FileID(f)] = 1024
 	}
-	nodes, client := startCluster(t, 3, 8, core.PolicyBasic, false, sizes)
+	nodes, client := startCluster(t, 3, 8, core.PolicyBasic, sizes)
 	// Phase 1: node 1 fills with blocks that then sit idle (old ages).
 	for f := 0; f < 8; f++ {
 		if _, err := client.ReadVia(1, block.FileID(f)); err != nil {
@@ -196,37 +170,12 @@ func TestLiveEvictionForwarding(t *testing.T) {
 	}
 }
 
-func TestLiveHintMode(t *testing.T) {
-	sizes := map[block.FileID]int64{}
-	for f := 0; f < 10; f++ {
-		sizes[block.FileID(f)] = 2048
-	}
-	nodes, client := startCluster(t, 3, 64, core.PolicyMaster, true, sizes)
-	for round := 0; round < 4; round++ {
-		for f := 0; f < 10; f++ {
-			got, err := client.Read(block.FileID(f))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, expect(testGeom, block.FileID(f), 2048)) {
-				t.Fatalf("round %d file %d: content mismatch", round, f)
-			}
-		}
-	}
-	// Hint accuracy is tracked and sane.
-	for i, n := range nodes {
-		if acc := n.Stats().HintAccuracy; acc < 0 || acc > 1 {
-			t.Fatalf("node %d hint accuracy = %f", i, acc)
-		}
-	}
-}
-
 func TestLiveConcurrentReaders(t *testing.T) {
 	sizes := map[block.FileID]int64{}
 	for f := 0; f < 20; f++ {
 		sizes[block.FileID(f)] = int64(1024 + f*512)
 	}
-	_, client := startCluster(t, 4, 32, core.PolicyMaster, false, sizes)
+	_, client := startCluster(t, 4, 32, core.PolicyMaster, sizes)
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	for w := 0; w < 8; w++ {
@@ -262,7 +211,7 @@ func (*contentErr) Error() string { return "content mismatch under concurrency" 
 
 func TestLiveStatsRPC(t *testing.T) {
 	sizes := map[block.FileID]int64{0: 1024}
-	nodes, client := startCluster(t, 2, 16, core.PolicyMaster, false, sizes)
+	nodes, client := startCluster(t, 2, 16, core.PolicyMaster, sizes)
 	if _, err := client.Read(0); err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +257,7 @@ func TestPeerBeforeMembershipFails(t *testing.T) {
 // nil connection (a panic in conn.roundTrip) is the bug.
 func TestPeerDialRace(t *testing.T) {
 	sizes := map[block.FileID]int64{0: 1024}
-	nodes, _ := startCluster(t, 2, 16, core.PolicyMaster, false, sizes)
+	nodes, _ := startCluster(t, 2, 16, core.PolicyMaster, sizes)
 	n := nodes[0]
 
 	stop := make(chan struct{})

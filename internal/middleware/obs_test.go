@@ -9,15 +9,13 @@ import (
 )
 
 // TestClusterStatsAggregation pins the aggregation rules of ClusterStats
-// against a live 4-node cluster: counters sum, HintAccuracy takes the
-// cluster minimum, per-RPC-type latency histograms merge bucket-wise, and
+// against a live 4-node cluster: counters sum, per-RPC-type latency
+// histograms merge bucket-wise, and
 // a crashed node is skipped (its counters died with it) instead of failing
 // the aggregate.
 func TestClusterStatsAggregation(t *testing.T) {
 	sizes := map[block.FileID]int64{0: 4096, 1: 4096, 2: 4096, 3: 4096}
-	nodes, client := startFaultCluster(t, 4, 64, sizes, func(i int, cfg *Config) {
-		cfg.DirMode = DirHints
-	}, ClientConfig{})
+	nodes, client := startFaultCluster(t, 4, 64, sizes, nil, ClientConfig{})
 
 	// Touch every file through every entry node so each node records
 	// accesses and at least one RPC (peer fetch or home read).
@@ -43,15 +41,11 @@ func TestClusterStatsAggregation(t *testing.T) {
 	}
 
 	var wantAccesses, wantLocal, wantDisk uint64
-	wantAcc := 1.0
 	wantLat := make(map[string]uint64)
 	for _, s := range per {
 		wantAccesses += s.Accesses
 		wantLocal += s.LocalHits
 		wantDisk += s.DiskReads
-		if s.HintAccuracy < wantAcc {
-			wantAcc = s.HintAccuracy
-		}
 		for k, h := range s.RPCLatency {
 			wantLat[k] += h.Count
 		}
@@ -59,9 +53,6 @@ func TestClusterStatsAggregation(t *testing.T) {
 	if sum.Accesses != wantAccesses || sum.LocalHits != wantLocal || sum.DiskReads != wantDisk {
 		t.Fatalf("aggregate counters = %d/%d/%d, want %d/%d/%d",
 			sum.Accesses, sum.LocalHits, sum.DiskReads, wantAccesses, wantLocal, wantDisk)
-	}
-	if sum.HintAccuracy != wantAcc {
-		t.Fatalf("aggregate HintAccuracy = %v, want the minimum %v", sum.HintAccuracy, wantAcc)
 	}
 	if len(wantLat) == 0 {
 		t.Fatal("no node recorded any RPC latency — the cross-node reads should have produced RPCs")

@@ -142,11 +142,11 @@ func TestRunPathOverlapAlternatingHolders(t *testing.T) {
 	const f, nblocks, peer = block.FileID(1), 8, 2
 	sizes := map[block.FileID]int64{f: nblocks * int64(testGeom.Size)}
 	src := newBarrierSource(t, sizes, 4)
-	nodes, client := startBarrierCluster(t, 3, src) // directory at 0, home at 1
+	nodes, client := startBarrierCluster(t, 3, src) // home and directory at 1
 	for _, i := range []int32{0, 1, 4, 5} {
 		id := block.ID{File: f, Idx: i}
 		nodes[peer].store.Insert(id, SyntheticBlock(f, i, testGeom.Size), true)
-		nodes[0].dirSrv.update(id, peer)
+		dirOf(t, nodes, f).update(id, peer)
 	}
 	data, err := client.ReadVia(0, f)
 	if err != nil {
@@ -229,7 +229,7 @@ func TestRunPathNoRunAfterFailure(t *testing.T) {
 func TestRunPathSingleBlockReusesLookup(t *testing.T) {
 	const f = block.FileID(1)
 	sizes := map[block.FileID]int64{f: int64(testGeom.Size)}
-	nodes, client := startClusterCfg(t, 3, 64, sizes, nil) // directory at 0, home at 1
+	nodes, client := startClusterCfg(t, 3, 64, sizes, nil) // home and directory at 1
 	// Node 1 reads first, so it holds the master.
 	if _, err := client.ReadVia(1, f); err != nil {
 		t.Fatal(err)
@@ -276,7 +276,7 @@ func TestRunPathStalePlannedHolder(t *testing.T) {
 	if l, d := rpcCount(n, "dir_lookup"), rpcCount(n, "dir_drop"); l != 0 || d != 1 {
 		t.Fatalf("dir_lookup/dir_drop = %d/%d, want 0/1", l, d)
 	}
-	if holder, ok := nodes[0].dirSrv.lookup(id); !ok || holder != 2 {
+	if holder, ok := dirOf(t, nodes, f).lookup(id); !ok || holder != 2 {
 		t.Fatalf("directory names %d (present %v) after the home read, want node 2", holder, ok)
 	}
 }

@@ -2,15 +2,14 @@
 // caching layer the paper simulates: N nodes on a LAN (or one machine) pool
 // their memories into a single block cache with master-copy tracking, a
 // global directory, eviction forwarding, and the master-preserving
-// replacement policy. It also implements the paper's §6 future work: a
-// hint-based directory mode and a write(-invalidate) protocol.
+// replacement policy. It also implements the paper's §6 future work on
+// writes: a write-invalidate protocol.
 //
 // The wire protocol is deliberately small: length-prefixed binary frames
 // over long-lived TCP connections, with request/response correlation IDs so
 // many operations multiplex over one connection. Every frame piggybacks the
 // sender's oldest-block age, giving each node the peer-age knowledge the
-// replacement algorithm needs (§3) without dedicated traffic — the same
-// trick Sarkar & Hartman use for hints.
+// replacement algorithm needs (§3) without dedicated traffic.
 //
 // The codec is allocation-light: Frame structs and payload buffers are
 // recycled through size-classed pools, and a frame is encoded into a single
@@ -23,6 +22,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 
 	"repro/internal/block"
@@ -44,8 +44,8 @@ const (
 	MsgReadFile
 	// MsgFileData returns whole-file content.
 	MsgFileData
-	// MsgDirLookup/MsgDirResult/MsgDirUpdate/MsgDirDrop are the central
-	// directory RPCs.
+	// MsgDirLookup/MsgDirResult/MsgDirUpdate/MsgDirDrop are the single-block
+	// directory RPCs, sent to the block's file's home node.
 	MsgDirLookup
 	MsgDirResult
 	MsgDirUpdate
@@ -350,28 +350,14 @@ func decodeInvalPayload(p []byte, out []block.ID) (uint64, []block.ID, error) {
 const (
 	// FlagMaster marks block data as the master copy / requests a master.
 	FlagMaster uint8 = 1 << iota
-	// FlagForce, on a home read, demands a disk read even when the home
-	// holds a hint pointing elsewhere (breaks probable-owner redirect
-	// loops in hint mode).
-	FlagForce
 	// FlagNotFound, on a MsgErr reply, marks the failure as "file unknown
 	// to the cluster" so clients can classify it (ErrUnknownFile) instead
 	// of treating every remote error alike.
 	FlagNotFound
 )
 
-// HintDelta is one piggybacked directory update: "the master of this block
-// is (believed to be) at Node". Frames carry a few recent deltas so
-// location knowledge spreads on existing traffic, as in Sarkar & Hartman's
-// hint-based cooperative caching.
-type HintDelta struct {
-	File block.FileID
-	Idx  int32
-	Node int32
-}
-
-// maxHintDeltas bounds the deltas piggybacked per frame.
-const maxHintDeltas = 8
+// noAge is the OldestAge piggyback value for an empty cache or a client.
+const noAge = math.MaxInt64
 
 // Frame is one protocol message.
 type Frame struct {
@@ -389,10 +375,6 @@ type Frame struct {
 	Idx  int32
 	// Aux carries a message-specific integer (directory node, block age...).
 	Aux int64
-	// Hints are piggybacked directory deltas (hint mode only; ≤
-	// maxHintDeltas). For pooled frames Hints aliases hintArr, so it is
-	// only valid until the frame is released.
-	Hints []HintDelta
 	// Payload is the block/file content or error text. For frames decoded
 	// from the wire it is backed by a pooled buffer: use TakePayload to
 	// keep the bytes past releaseFrame.
@@ -407,9 +389,6 @@ type Frame struct {
 	// contiguous Payload.
 	Segs [][]byte
 
-	// hintArr provides allocation-free backing for Hints on decode and
-	// stamp.
-	hintArr [maxHintDeltas]HintDelta
 	// pbuf, when non-nil, is the pooled buffer backing Payload; it returns
 	// to its size-class pool on releaseFrame.
 	pbuf *[]byte
@@ -441,9 +420,8 @@ func (f *Frame) payloadLen() int {
 }
 
 // header layout: type(1) flags(1) req(4) sender(4) oldest(8) file(4) idx(4)
-// aux(8) nhints(1) plen(4) = 39 bytes; hint deltas (12 bytes each) follow
-// the header, then the payload.
-const headerLen = 39
+// aux(8) plen(4) = 38 bytes; the payload follows.
+const headerLen = 38
 
 // maxPayload bounds a frame payload (64 MB covers any file in the traces).
 // It is the write-side cap and the read-side default; conns can lower the
@@ -474,8 +452,8 @@ func getFrame() *Frame { return framePool.Get().(*Frame) }
 
 // releaseFrame recycles a frame and, if its payload is pool-backed, the
 // payload buffer; payload references pinned to the frame are released. The
-// frame and any slices reaching into it (Payload, Segs, Hints) must not be
-// used afterwards.
+// frame and any slices reaching into it (Payload, Segs) must not be used
+// afterwards.
 func releaseFrame(f *Frame) {
 	if f == nil {
 		return
@@ -570,8 +548,7 @@ func growSlice(buf []byte, n int) []byte {
 	return nb
 }
 
-// appendHeader validates f and appends its header and hint deltas (not the
-// payload) to buf. The encoded payload length covers Payload plus every
+// appendHeader validates f and appends its header (not the payload) to buf. The encoded payload length covers Payload plus every
 // scatter-gather segment: the receiver cannot tell (and need not care)
 // whether the sender gathered the bytes or held them contiguously.
 func appendHeader(buf []byte, f *Frame) ([]byte, error) {
@@ -582,12 +559,8 @@ func appendHeader(buf []byte, f *Frame) ([]byte, error) {
 	if plen > 0 && !typeCarriesPayload(f.Type) {
 		return nil, fmt.Errorf("middleware: frame type %d does not carry a payload", f.Type)
 	}
-	if len(f.Hints) > maxHintDeltas {
-		return nil, fmt.Errorf("middleware: %d hint deltas exceed limit %d", len(f.Hints), maxHintDeltas)
-	}
-	need := headerLen + 12*len(f.Hints)
-	buf = growSlice(buf, need)
-	hdr := buf[len(buf)-need:]
+	buf = growSlice(buf, headerLen)
+	hdr := buf[len(buf)-headerLen:]
 	hdr[0] = byte(f.Type)
 	hdr[1] = f.Flags
 	binary.BigEndian.PutUint32(hdr[2:], f.Req)
@@ -596,14 +569,7 @@ func appendHeader(buf []byte, f *Frame) ([]byte, error) {
 	binary.BigEndian.PutUint32(hdr[18:], uint32(f.File))
 	binary.BigEndian.PutUint32(hdr[22:], uint32(f.Idx))
 	binary.BigEndian.PutUint64(hdr[26:], uint64(f.Aux))
-	hdr[34] = byte(len(f.Hints))
-	binary.BigEndian.PutUint32(hdr[35:], uint32(plen))
-	for i, h := range f.Hints {
-		d := hdr[headerLen+12*i:]
-		binary.BigEndian.PutUint32(d, uint32(h.File))
-		binary.BigEndian.PutUint32(d[4:], uint32(h.Idx))
-		binary.BigEndian.PutUint32(d[8:], uint32(h.Node))
-	}
+	binary.BigEndian.PutUint32(hdr[34:], uint32(plen))
 	return buf, nil
 }
 
@@ -655,12 +621,7 @@ func readFrame(r io.Reader, limit int) (*Frame, error) {
 	f.File = block.FileID(binary.BigEndian.Uint32(hdr[18:]))
 	f.Idx = int32(binary.BigEndian.Uint32(hdr[22:]))
 	f.Aux = int64(binary.BigEndian.Uint64(hdr[26:]))
-	nhints := int(hdr[34])
-	plen := binary.BigEndian.Uint32(hdr[35:])
-	if nhints > maxHintDeltas {
-		releaseFrame(f)
-		return nil, fmt.Errorf("middleware: frame carries %d hint deltas", nhints)
-	}
+	plen := binary.BigEndian.Uint32(hdr[34:])
 	if int64(plen) > int64(limit) {
 		releaseFrame(f)
 		return nil, fmt.Errorf("middleware: frame payload %d exceeds limit %d", plen, limit)
@@ -669,21 +630,6 @@ func readFrame(r io.Reader, limit int) (*Frame, error) {
 		t := f.Type
 		releaseFrame(f)
 		return nil, fmt.Errorf("middleware: frame type %d carries unexpected %d-byte payload", t, plen)
-	}
-	if nhints > 0 {
-		var deltas [12 * maxHintDeltas]byte
-		if _, err := io.ReadFull(r, deltas[:12*nhints]); err != nil {
-			releaseFrame(f)
-			return nil, err
-		}
-		for i := 0; i < nhints; i++ {
-			f.hintArr[i] = HintDelta{
-				File: block.FileID(binary.BigEndian.Uint32(deltas[12*i:])),
-				Idx:  int32(binary.BigEndian.Uint32(deltas[12*i+4:])),
-				Node: int32(binary.BigEndian.Uint32(deltas[12*i+8:])),
-			}
-		}
-		f.Hints = f.hintArr[:nhints]
 	}
 	if plen > 0 {
 		f.pbuf = getPayload(int(plen))

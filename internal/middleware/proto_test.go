@@ -2,6 +2,7 @@ package middleware
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -77,7 +78,7 @@ func TestReadFrameRejectsHugePayload(t *testing.T) {
 	}
 	raw := buf.Bytes()
 	// Corrupt the payload length field to exceed the limit.
-	raw[35], raw[36], raw[37], raw[38] = 0xFF, 0xFF, 0xFF, 0xFF
+	binary.BigEndian.PutUint32(raw[plenOff:], 0xFFFFFFFF)
 	if _, err := ReadFrame(bytes.NewReader(raw)); err == nil {
 		t.Fatal("oversized payload length accepted")
 	}

@@ -109,13 +109,9 @@ type runPlan struct {
 // into contiguous runs of at most readWindow blocks: one batched directory
 // lookup resolves the whole window, then consecutive indices with the same
 // source coalesce. Unknown holders and stale self-entries route to the home
-// node, exactly as a failed or absent per-block Lookup does.
+// node, exactly as a failed or absent per-block lookup does.
 func (n *Node) planRuns(f block.FileID, missing []int32) ([]runPlan, error) {
-	holders, err := n.loc.LookupN(f, missing)
-	if err != nil || len(holders) != len(missing) {
-		// A degraded directory degrades the plan, not the read.
-		holders = lookupNUnknown(missing)
-	}
+	holders := n.dirLookupN(f, missing)
 	home, err := n.home(f)
 	if err != nil {
 		return nil, err
@@ -380,13 +376,13 @@ func (n *Node) installRun(f block.FileID, first int32, blocks []*payloadBuf, mas
 		for i := range idxs {
 			idxs[i] = first + int32(i)
 		}
-		n.loc.UpdateN(f, idxs, int32(n.cfg.ID)) //nolint:errcheck // next miss self-corrects via home
+		n.dirUpdateN(f, idxs, int32(n.cfg.ID)) //nolint:errcheck // next miss self-corrects via home
 	}
 }
 
 // GetBlock returns the content of one block, implementing the §3 protocol:
-// local cache, then the master copy located through the directory (central
-// or hints), then a master read through the file's home node. Concurrent
+// local cache, then the master copy located through the directory, then a
+// master read through the file's home node. Concurrent
 // misses for the same block coalesce into one fetch. The returned slice is
 // the caller's own copy: the cache can evict and recycle its buffer without
 // the returned bytes ever changing underneath the caller.
@@ -528,7 +524,7 @@ func (n *Node) fetchBlock(id block.ID, holder int32) (*payloadBuf, error) {
 	m, ok := holder, holder != dirNoEntry
 	if holder == lookupHolder {
 		var err error
-		m, ok, err = n.loc.Lookup(id)
+		m, ok, err = n.dirLookup(id)
 		ok = ok && err == nil
 	}
 	if ok && m != self {
@@ -547,60 +543,52 @@ func (n *Node) fetchBlock(id block.ID, holder int32) (*payloadBuf, error) {
 			releaseFrame(resp)
 		}
 		// The master vanished while the request traveled (§3's explicitly
-		// tolerated race), the hint was stale, or the peer is down:
-		// correct and fall through to the home node.
+		// tolerated race) or the peer is down: fall through to the home
+		// node. A peer that answered "miss" or is unreachable has its stale
+		// entry dropped (compare-and-delete on m, so a newer claim survives)
+		// instead of being re-dialed on every future miss; the home read
+		// below repairs the entry to name this node.
 		n.c.raceMisses.Add(1)
-		n.loc.Miss(id, m)
 		if isTransient(err) {
-			// The believed master is unreachable: drop the stale
-			// directory/hint entry (CAS on m, so a newer claim survives)
-			// instead of re-dialing a dead peer on every future miss. The
-			// home read below repairs the entry to name this node.
 			n.c.staleDrops.Add(1)
 			n.c.homeFallbacks.Add(1)
 			n.trace(traceStaleDrop, int(m), id, 0)
 			n.trace(traceHomeFallback, int(m), id, 0)
-			n.loc.Drop(id, m) //nolint:errcheck // best effort
-		} else if err == nil && n.hints == nil {
-			// Central mode: clear the stale entry if it still names m.
-			n.loc.Drop(id, m) //nolint:errcheck // best effort
+		}
+		if err == nil || isTransient(err) {
+			n.dirDrop(id, m)
 		}
 	}
-	// A failed directory lookup (directory node unreachable) also lands
-	// here: availability degrades to home reads instead of failing the
-	// request.
+	// A failed directory lookup (the home unreachable) also lands here: the
+	// read degrades to the home path and its ring successor instead of
+	// failing.
 	return n.fetchFromHome(id)
 }
 
 // fetchFromHome reads the master copy via the file's home node and installs
-// this node as the master holder. In hint mode the home may instead
-// redirect to the probable owner; a failed redirect forces the disk read.
-// Under the elastic ring, an unreachable home degrades to its ring
-// successor — the node that inherits the file once the failure is promoted
-// to a membership change — so reads stay error-free through a crash.
+// this node as the master holder. Under the elastic ring, an unreachable
+// home degrades to its ring successor — the node that inherits the file
+// once the failure is promoted to a membership change — so reads stay
+// error-free through a crash.
 func (n *Node) fetchFromHome(id block.ID) (*payloadBuf, error) {
 	home, err := n.home(id.File)
 	if err != nil {
 		return nil, err
 	}
-	pb, redirected, err := n.readMaster(id, home)
+	pb, err := n.readMaster(id, home)
 	if err != nil && isTransient(err) {
 		if succ, ok := n.ringSuccessor(id.File, home); ok {
 			n.c.homeFallbacks.Add(1)
 			n.trace(traceHomeFallback, home, id, 1)
-			pb, redirected, err = n.readMaster(id, succ)
+			pb, err = n.readMaster(id, succ)
 		}
 	}
 	if err != nil {
 		return nil, err
 	}
-	if redirected {
-		// fetchRedirected already accounted and installed the copy.
-		return pb, nil
-	}
 	n.c.diskReads.Add(1)
 	n.insertBlockBuf(id, pb.retain(), true)
-	n.loc.Update(id, int32(n.cfg.ID)) //nolint:errcheck // next miss self-corrects via home
+	n.dirUpdate(id, int32(n.cfg.ID)) //nolint:errcheck // next miss self-corrects via home
 	return pb, nil
 }
 
@@ -619,86 +607,31 @@ func (n *Node) ringSuccessor(f block.FileID, down int) (int, bool) {
 	return succ, true
 }
 
-// readMaster reads one authoritative block via the given home node — the
-// local backing store when that is us, the retried MsgGetBlock protocol
-// (with probable-owner redirects) otherwise. redirected reports that the
-// block came from a probable-owner redirect (served, accounted, and
-// installed by fetchRedirected) rather than from the home.
-func (n *Node) readMaster(id block.ID, home int) (pb *payloadBuf, redirected bool, err error) {
+// readMaster reads one authoritative block via the given home node: the
+// local backing store when that is us, a retried MsgGetBlock otherwise (the
+// home is the only source of this block's truth, and a restarting home
+// comes back).
+func (n *Node) readMaster(id block.ID, home int) (*payloadBuf, error) {
 	if home == n.cfg.ID {
 		n.ensureMigrated(id.File)
-		data, rerr := n.cfg.Source.ReadBlock(id.File, id.Idx)
-		if rerr != nil {
-			return nil, false, rerr
+		data, err := n.cfg.Source.ReadBlock(id.File, id.Idx)
+		if err != nil {
+			return nil, err
 		}
-		pb = newPayloadBuf(data) // fresh source slice, GC-owned
-	} else {
-		flags := FlagMaster
-		for {
-			req := getFrame()
-			req.Type, req.Flags, req.File, req.Idx = MsgGetBlock, flags, id.File, id.Idx
-			// The home is the only source of this block's truth: retry
-			// transient failures (a restarting home comes back).
-			resp, rerr := n.reliableRPC(home, req, n.retries)
-			releaseFrame(req)
-			if rerr != nil {
-				return nil, false, rerr
-			}
-			if resp.Type == MsgBlockMiss && resp.Aux >= 0 && flags&FlagForce == 0 {
-				holder := int(resp.Aux)
-				releaseFrame(resp)
-				// Probable-owner redirect: try the hinted holder; on
-				// success this is a remote memory hit, not a disk read.
-				if d, ok := n.fetchRedirected(id, holder); ok {
-					return d, true, nil
-				}
-				flags |= FlagForce
-				continue
-			}
-			if resp.Type != MsgBlockData {
-				typ := resp.Type
-				releaseFrame(resp)
-				return nil, false, fmt.Errorf("middleware: home %d returned %d for %v", home, typ, id)
-			}
-			pb = resp.TakePayloadBuf() // pool backing travels with the bytes
-			releaseFrame(resp)
-			break
-		}
-	}
-	return pb, false, nil
-}
-
-// fetchRedirected follows a home redirect to the probable master holder.
-func (n *Node) fetchRedirected(id block.ID, holder int) (*payloadBuf, bool) {
-	if holder == n.cfg.ID || holder >= n.clusterSize() {
-		return nil, false
+		return newPayloadBuf(data), nil // fresh source slice, GC-owned
 	}
 	req := getFrame()
-	req.Type, req.File, req.Idx = MsgGetBlock, id.File, id.Idx
-	// One attempt: a failed redirect falls back to a forced home read.
-	resp, err := n.reliableRPC(holder, req, 0)
+	req.Type, req.Flags, req.File, req.Idx = MsgGetBlock, FlagMaster, id.File, id.Idx
+	resp, err := n.reliableRPC(home, req, n.retries)
 	releaseFrame(req)
-	if err != nil || resp.Type != MsgBlockData {
-		if err == nil {
-			releaseFrame(resp)
-		}
-		if n.hints != nil {
-			n.hints.Miss(id, int32(holder))
-		}
-		return nil, false
+	if err != nil {
+		return nil, err
 	}
-	served := resp.Flags
-	pb := resp.TakePayloadBuf() // pool backing travels with the bytes
-	releaseFrame(resp)
-	n.c.remoteHits.Add(1)
-	n.insertBlockBuf(id, pb.retain(), false)
-	if served&FlagMaster != 0 {
-		// Only a master serve is a location fact worth spreading: a
-		// replica holder answering for the master must not be recorded
-		// (and later counted against hint accuracy) as the master.
-		n.noteHint(id, int32(holder))
+	defer releaseFrame(resp)
+	if resp.Type != MsgBlockData {
+		return nil, fmt.Errorf("middleware: home %d returned %d for %v", home, resp.Type, id)
 	}
-	return pb, true
+	return resp.TakePayloadBuf(), nil // pool backing travels with the bytes
 }
 
 // insertBlock caches content and handles the eviction it may cause: a
@@ -740,11 +673,11 @@ func (n *Node) forwardEvicted(ev *Evicted) {
 	}
 	if target < 0 {
 		// Globally oldest as far as this node knows: drop it.
-		n.loc.Drop(ev.ID, self) //nolint:errcheck // best effort
+		n.dirDrop(ev.ID, self)
 		return
 	}
 	// Optimistically repoint the directory, then ship the block.
-	n.loc.Update(ev.ID, int32(target)) //nolint:errcheck // corrected below
+	n.dirUpdate(ev.ID, int32(target)) //nolint:errcheck // corrected below
 	req := getFrame()
 	req.Type, req.File, req.Idx, req.Aux = MsgForward, ev.ID.File, ev.ID.Idx, ev.Age
 	req.Payload = ev.Data // pinned by ev until the Release above
@@ -761,7 +694,7 @@ func (n *Node) forwardEvicted(ev *Evicted) {
 		// forgets this master.
 		n.c.forwardsRejected.Add(1)
 		n.trace(traceForward, target, ev.ID, 0)
-		n.loc.Drop(ev.ID, int32(target)) //nolint:errcheck // best effort
+		n.dirDrop(ev.ID, int32(target))
 		return
 	}
 	n.c.forwards.Add(1)

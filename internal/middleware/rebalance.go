@@ -67,7 +67,7 @@ func (n *Node) migrateFile(f block.FileID) {
 
 // pullFile copies file f's authoritative blocks from its previous home
 // into the local source: run-granular MsgGetRun/FlagMaster sweeps, with a
-// per-block forced-read fallback when hint-mode redirects truncate a run.
+// per-block fallback when a block that fails to read truncates a run.
 // The loop is bounded by the locally-known file size (the file-set metadata
 // every node shares). An unreachable old home fails fast — its write-
 // through state is lost with it and the local baseline stands, same as any
@@ -118,14 +118,15 @@ func (n *Node) pullFile(f block.FileID, oldHome int) {
 			data = data[end:]
 		}
 		releaseFrame(resp)
-		// A short run means the old home's hints redirect mid-run: finish
-		// the window block-by-block with forced disk reads.
+		// A short run means one of its blocks failed to read at the old
+		// home: finish the window block by block, so a bad block costs
+		// itself and not the blocks behind it.
 		for k := idx + count; k < idx+want; k++ {
 			bq := getFrame()
 			bq.Type = MsgGetBlock
 			bq.File = f
 			bq.Idx = int32(k)
-			bq.Flags = FlagMaster | FlagForce
+			bq.Flags = FlagMaster
 			bresp, berr := n.reliableRPC(oldHome, bq, 1)
 			releaseFrame(bq)
 			if berr != nil {

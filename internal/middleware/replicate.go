@@ -120,23 +120,6 @@ func (r *replicaSets) len() int {
 // candidate array).
 const maxReplicaFanout = 8
 
-// replicaManager reports the node that tracks id's replica set: the node
-// hosting its directory entry (the lookup rotation happens where lookups
-// land), or the file's home in hint mode (the probable-owner anchor).
-func (n *Node) replicaManager(id block.ID) int {
-	switch n.cfg.DirMode {
-	case DirPartitioned:
-		if p, ok := n.loc.(*partitionedLocator); ok {
-			return p.manager(id)
-		}
-	case DirHints:
-		if h, err := n.home(id.File); err == nil {
-			return h
-		}
-	}
-	return n.cfg.DirNode
-}
-
 // observeServe feeds the hotness tracker after this node served a master
 // copy to a peer, and triggers a replica push when the score crosses the
 // threshold (at most once per cooldown window, so a sustained flash crowd
@@ -250,7 +233,10 @@ func (n *Node) pushReplicas(id block.ID) {
 // whose stamp predates an invalidation the manager already applied is
 // refused, so a racing push can never revive a just-torn-down copy set.
 func (n *Node) replicaOps(id block.ID, nodes []int32, add bool, stamp uint64) {
-	mgr := n.replicaManager(id)
+	mgr, err := n.home(id.File) // the directory manager: lookups rotate where they land
+	if err != nil {
+		return
+	}
 	if mgr == n.cfg.ID {
 		if add && stampNewer(n.invalStamp(id), stamp) {
 			return

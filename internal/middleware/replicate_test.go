@@ -9,43 +9,12 @@ import (
 	"repro/internal/core"
 )
 
-// TestHintMissAccounting is the HintAccuracy regression test: a failed
-// fetch from a node the hint table does not currently name — a rotated
-// replica holder that evicted its copy, or an entry already corrected by
-// piggybacked deltas — must not count against accuracy. Only a miss that
-// contradicts the live entry does.
-func TestHintMissAccounting(t *testing.T) {
-	h := newHintLocator()
-	id := block.ID{File: 1, Idx: 2}
-	h.Update(id, 3) //nolint:errcheck
-	if _, ok, _ := h.Lookup(id); !ok {
-		t.Fatal("hint not recorded")
-	}
-	// A miss against a node the table never named: no penalty, entry kept.
-	h.Miss(id, 7)
-	if acc := h.Accuracy(); acc != 1 {
-		t.Fatalf("accuracy %v after a miss on a non-hinted node, want 1", acc)
-	}
-	if cur, ok, _ := h.Lookup(id); !ok || cur != 3 {
-		t.Fatalf("hint entry disturbed: (%d, %v)", cur, ok)
-	}
-	// A miss contradicting the live entry: counted, entry deleted.
-	h.Miss(id, 3)
-	if acc := h.Accuracy(); acc >= 1 {
-		t.Fatalf("accuracy %v after a real stale hint, want < 1", acc)
-	}
-	if _, ok, _ := h.Lookup(id); ok {
-		t.Fatal("stale hint entry survived its miss")
-	}
-}
-
 // TestPeerServeFlagsMasterOnly pins the wire contract adaptive replication
 // relies on: a peer serve carries FlagMaster iff the block is held as a
-// master copy, so requesters never record a replica holder as the master in
-// their hint tables.
+// master copy.
 func TestPeerServeFlagsMasterOnly(t *testing.T) {
 	sizes := map[block.FileID]int64{0: 2048}
-	nodes, _ := startCluster(t, 2, 16, core.PolicyMaster, false, sizes)
+	nodes, _ := startCluster(t, 2, 16, core.PolicyMaster, sizes)
 	n := nodes[0]
 	id := block.ID{File: 0, Idx: 0}
 	data := SyntheticBlock(0, 0, 1024)
@@ -99,7 +68,10 @@ func TestStoreAdmissionFilter(t *testing.T) {
 		t.Fatal("no admission rejects recorded")
 	}
 	// Masters bypass the filter: the directory depends on the insert.
-	if !func() bool { s.Insert(block.ID{File: 3, Idx: 0}, data, true); return s.Contains(block.ID{File: 3, Idx: 0}) }() {
+	if !func() bool {
+		s.Insert(block.ID{File: 3, Idx: 0}, data, true)
+		return s.Contains(block.ID{File: 3, Idx: 0})
+	}() {
 		t.Fatal("master insert rejected by the admission filter")
 	}
 }

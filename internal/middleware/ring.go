@@ -71,9 +71,6 @@ type memberView struct {
 	static  bool
 	members []memberInfo
 	ring    []ringPoint
-	// alive lists the in-ring slot IDs in ascending order — the domain of
-	// the partitioned directory's manager mapping.
-	alive []int32
 }
 
 // mix64 is the splitmix64 finalizer: a cheap, well-distributed 64-bit hash
@@ -99,7 +96,6 @@ func newMemberView(epoch uint64, static bool, members []memberInfo) *memberView 
 		if m.State != stateAlive || m.Addr == "" {
 			continue
 		}
-		v.alive = append(v.alive, int32(i))
 		base := mix64(uint64(i+1) * 0x9e3779b97f4a7c15)
 		for k := 0; k < vnodesPerMember; k++ {
 			v.ring = append(v.ring, ringPoint{hash: mix64(base + uint64(k)), node: int32(i)})
@@ -114,7 +110,8 @@ func newMemberView(epoch uint64, static bool, members []memberInfo) *memberView 
 	return v
 }
 
-// home maps a file to its home node under this view: the modulo mapping in
+// home maps a file to its home node under this view — the node that stores
+// the file and manages its blocks' directory entries: the modulo mapping in
 // static mode, the ring successor of the key's hash otherwise. ok is false
 // when the view has no placeable member.
 func (v *memberView) home(f block.FileID) (int, bool) {
@@ -165,15 +162,6 @@ func (v *memberView) size() int { return len(v.members) }
 // Draining members are reachable — they keep serving until handed off.
 func (v *memberView) reachable(i int) bool {
 	return i >= 0 && i < len(v.members) && v.members[i].State != stateDead && v.members[i].Addr != ""
-}
-
-// manager deterministically maps a directory hash onto an in-ring member —
-// the elastic counterpart of the static hash % clusterSize partition.
-func (v *memberView) manager(h uint32) (int, bool) {
-	if len(v.alive) == 0 {
-		return 0, false
-	}
-	return int(v.alive[h%uint32(len(v.alive))]), true
 }
 
 // aliveCount counts the slots currently in the ring.

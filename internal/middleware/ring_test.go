@@ -224,7 +224,6 @@ func TestConcurrentLookupsDuringEpochSwap(t *testing.T) {
 					t.Errorf("successor %d equals excluded home", s)
 					return
 				}
-				v.manager(uint32(f))
 			}
 		}(r * 1000)
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 // startClusterCfg is startCluster with a per-node Config hook, so run-path
-// tests can set directory modes, readahead, or fault plans per cluster.
+// tests can set readahead or fault plans per cluster.
 func startClusterCfg(t *testing.T, k, capacityBlocks int, sizes map[block.FileID]int64, mut func(i int, cfg *Config)) ([]*Node, *Client) {
 	t.Helper()
 	nodes := make([]*Node, k)
@@ -199,8 +199,9 @@ func TestRunPathColdRPCCount(t *testing.T) {
 	const nblocks = 64
 	sizes := map[block.FileID]int64{1: nblocks * int64(testGeom.Size)}
 	nodes, client := startClusterCfg(t, 4, 256, sizes, nil)
-	// Entry node 3, home node 1 (file 1 % 4), directory node 0: every
-	// protocol message crosses the wire.
+	// Entry node 3, home node 1 (file 1 % 4), which also manages the file's
+	// directory entries: every protocol message crosses the wire, and the
+	// lookup, the eight runs and the eight updates all go to node 1.
 	data, err := client.ReadVia(3, 1)
 	if err != nil {
 		t.Fatal(err)

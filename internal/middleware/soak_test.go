@@ -31,7 +31,7 @@ func TestSoakConcurrentReadWrite(t *testing.T) {
 		sizes[block.FileID(f)] = fileSize
 	}
 	// Small caches force constant eviction/forwarding during the soak.
-	_, client := startCluster(t, 3, 16, core.PolicyMaster, false, sizes)
+	_, client := startCluster(t, 3, 16, core.PolicyMaster, sizes)
 
 	// validBlock reports whether data is a legal value for the block:
 	// the synthetic original or a writer-tagged pattern.

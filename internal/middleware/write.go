@@ -43,9 +43,12 @@ func (n *Node) WriteBlock(id block.ID, data []byte) error {
 		return err
 	}
 
-	// 3. The writer holds the new master copy.
+	// 3. The writer holds the new master copy. The claim is soft state kept
+	// on the file's home: when the home is down the write-through above
+	// already went to its ring successor, and a claim that cannot be
+	// recorded costs the next reader a home read, not the write.
 	n.insertBlock(id, data, true)
-	err = n.loc.Update(id, int32(n.cfg.ID))
+	n.dirUpdate(id, int32(n.cfg.ID)) //nolint:errcheck // next miss self-corrects via home
 
 	// 4. Publish the invalidation record: per-peer sender loops deliver it
 	// in batched MsgInvalidateN frames in the background. The stamp orders
@@ -68,7 +71,7 @@ func (n *Node) WriteBlock(id block.ID, data []byte) error {
 	if n.hot != nil && n.hot.Score(hotKey(id)) >= n.repThreshold && n.pushAllowed(id) {
 		go n.pushReplicas(id)
 	}
-	return err
+	return nil
 }
 
 // writeThrough persists data at id's home: a local disk write when this

@@ -17,7 +17,7 @@ import (
 func TestWriteInvalidateReadBack(t *testing.T) {
 	const bs = 1024
 	sizes := map[block.FileID]int64{0: 3 * bs}
-	nodes, client := startCluster(t, 3, 64, core.PolicyMaster, false, sizes)
+	nodes, client := startCluster(t, 3, 64, core.PolicyMaster, sizes)
 
 	// Warm every node's cache with the file.
 	for i := range nodes {
@@ -80,7 +80,7 @@ func TestWriteInvalidateReadBack(t *testing.T) {
 
 func TestWritePersistsAtHome(t *testing.T) {
 	sizes := map[block.FileID]int64{1: 2048}
-	nodes, client := startCluster(t, 2, 64, core.PolicyMaster, false, sizes)
+	nodes, client := startCluster(t, 2, 64, core.PolicyMaster, sizes)
 	newData := bytes.Repeat([]byte{0x5C}, 1024)
 	if err := client.Write(1, 0, newData); err != nil {
 		t.Fatal(err)
@@ -98,7 +98,7 @@ func TestWritePersistsAtHome(t *testing.T) {
 
 func TestWriteRejectsWrongLength(t *testing.T) {
 	sizes := map[block.FileID]int64{0: 2048}
-	_, client := startCluster(t, 2, 64, core.PolicyMaster, false, sizes)
+	_, client := startCluster(t, 2, 64, core.PolicyMaster, sizes)
 	if err := client.Write(0, 0, []byte("short")); err == nil {
 		t.Fatal("short write accepted")
 	}
@@ -109,7 +109,7 @@ func TestWriteRejectsWrongLength(t *testing.T) {
 
 func TestWriteThenWriteAgain(t *testing.T) {
 	sizes := map[block.FileID]int64{0: 1024}
-	_, client := startCluster(t, 3, 64, core.PolicyMaster, false, sizes)
+	_, client := startCluster(t, 3, 64, core.PolicyMaster, sizes)
 	v1 := bytes.Repeat([]byte{1}, 1024)
 	v2 := bytes.Repeat([]byte{2}, 1024)
 	if err := client.Write(0, 0, v1); err != nil {
@@ -127,31 +127,12 @@ func TestWriteThenWriteAgain(t *testing.T) {
 	}
 }
 
-func TestWriteWorksInHintMode(t *testing.T) {
-	sizes := map[block.FileID]int64{0: 2048}
-	_, client := startCluster(t, 3, 64, core.PolicyMaster, true, sizes)
-	if _, err := client.Read(0); err != nil {
-		t.Fatal(err)
-	}
-	v := bytes.Repeat([]byte{7}, 1024)
-	if err := client.Write(0, 1, v); err != nil {
-		t.Fatal(err)
-	}
-	got, err := client.Read(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got[1024:], v) {
-		t.Fatal("hint-mode write not visible")
-	}
-}
-
 // TestSingleNodeWrite: a one-node cluster has no invalidation bus and no
 // peer to tell. Its write still invalidates the local copy, writes through
 // to the source and installs the new master, and there is nothing to flush.
 func TestSingleNodeWrite(t *testing.T) {
 	sizes := map[block.FileID]int64{0: 2048}
-	nodes, client := startCluster(t, 1, 64, core.PolicyMaster, false, sizes)
+	nodes, client := startCluster(t, 1, 64, core.PolicyMaster, sizes)
 	n := nodes[0]
 	if n.busRef() != nil {
 		t.Fatal("one-node cluster started an invalidation bus")
