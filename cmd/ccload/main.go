@@ -35,7 +35,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strings"
 	"time"
 
@@ -74,17 +73,6 @@ func main() {
 		zipf        = flag.Float64("zipf", 0.85, "popularity skew of the replayed stream")
 		zipfS       = flag.Float64("zipf-s", 0, "override the Zipf exponent everywhere, bench presets included (0: use -zipf / preset values)")
 		seed        = flag.Int64("seed", 1, "workload seed")
-		flash       = flag.Bool("flash", false, "bench mode: run the flash-crowd preset (non-stationary trace, adaptive replication + admission)")
-		flashAt     = flag.Float64("flash-at", 0.35, "flash window start as a fraction of the stream")
-		flashDur    = flag.Float64("flash-dur", 0.5, "flash window length as a fraction of the stream")
-		flashFiles  = flag.Int("flash-files", 24, "flash set size (cold files that capture the boost)")
-		flashBoost  = flag.Float64("flash-boost", 0.7, "request probability mass the flash set captures")
-		noReplicate = flag.Bool("noreplicate", false, "flash bench: run only the static PolicyMaster baseline arm (replication + admission off)")
-		flashReps   = flag.Int("flash-reps", 3, "flash bench: alternating static/adaptive rounds (medians reported; >1 cancels host drift)")
-		repThr      = flag.Float64("rep-threshold", flashReplicateThreshold, "flash bench: replication threshold (serve-rate score)")
-		repFan      = flag.Int("rep-fanout", flashReplicaFanout, "flash bench: replica copies pushed per hot block")
-		repEpoch    = flag.Duration("rep-epoch", flashHotnessEpoch, "flash bench: hotness decay epoch (reaction time of the adaptive layer)")
-		admission   = flag.Bool("admission", true, "flash bench: TinyLFU admission filter on the adaptive cluster")
 		interval    = flag.Duration("interval", 0, "time-series bucket width (0: 1s, 250ms in bench/chaos mode; negative: no time series)")
 		traceDump   = flag.Bool("trace-dump", false, "after the replay, dump each node's protocol event trace as JSON (nodes must run with tracing on; -selftest attaches tracers)")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the run to this path")
@@ -105,14 +93,6 @@ func main() {
 	}
 	defer obs.ContentionProfiles(*mtxProfile, *blkProfile)()
 
-	if *bench && *flash {
-		spec := trace.FlashSpec{At: *flashAt, Dur: *flashDur, Files: *flashFiles, Boost: *flashBoost}
-		ad := flashAdaptiveCfg{threshold: *repThr, fanout: *repFan, epoch: *repEpoch, admission: *admission}
-		if err := runFlashBench(*benchOut, *requests, *concurrency, *seed, benchInterval(*interval), *noReplicate, *flashReps, spec, ad, *zipfS); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 	if *bench {
 		if err := runBench(*benchOut, *requests, *concurrency, *seed, benchInterval(*interval), *zipfS); err != nil {
 			log.Fatal(err)
@@ -364,14 +344,6 @@ type benchRecord struct {
 	// many fell back to per-block repair.
 	Runs         uint64 `json:"runs_issued"`
 	RunsDegraded uint64 `json:"runs_degraded"`
-	// Flash carries the non-stationary workload and adaptive-replication
-	// parameters of a flash-crowd run (ccload -bench -flash); the replica
-	// and admission counters show how far the adaptive layer engaged (all
-	// zero on the -noreplicate static baseline).
-	Flash            *flashMeta `json:"flash,omitempty"`
-	ReplicasPushed   uint64     `json:"replicas_pushed,omitempty"`
-	ReplicaHits      uint64     `json:"replica_hits,omitempty"`
-	AdmissionRejects uint64     `json:"admission_rejects,omitempty"`
 	faultCounters
 	// Intervals is the measured window's per-interval time series (req/s,
 	// MB/s, latency percentiles, client fault deltas per bucket).
@@ -463,11 +435,6 @@ type benchDoc struct {
 	GoVersion  string        `json:"go_version"`
 	Requests   int           `json:"requests_per_preset"`
 	Presets    []benchRecord `json:"presets"`
-	// FlashAdaptive/FlashStatic are the flash-crowd A/B: the same
-	// non-stationary trace replayed with adaptive replication + admission
-	// on (`-bench -flash`) and off (`-bench -flash -noreplicate`).
-	FlashAdaptive []benchRecord `json:"flash_adaptive,omitempty"`
-	FlashStatic   []benchRecord `json:"flash_static,omitempty"`
 	// Writes is the write-latency pair (ccload -writesbench): the
 	// invalidation bus healthy and with one slow peer, on a write-heavy
 	// preset. The slow arm is the bus's reason to exist — the slow peer's
@@ -565,226 +532,33 @@ func runBench(out string, requests, concurrency int, seed int64, interval time.D
 // recordOf maps one replay result onto the serialized benchmark record.
 func recordOf(p benchPreset, res loadgen.Result) benchRecord {
 	rec := benchRecord{
-		benchPreset:      p,
-		Requests:         res.Requests,
-		Writes:           res.Writes,
-		Errors:           res.Errors,
-		Bytes:            res.Bytes,
-		ElapsedMS:        float64(res.Elapsed) / float64(time.Millisecond),
-		ReqPerSec:        res.Throughput,
-		MBPerSec:         res.MBps,
-		MeanUS:           float64(res.Mean) / float64(time.Microsecond),
-		P50US:            float64(res.P50) / float64(time.Microsecond),
-		P95US:            float64(res.P95) / float64(time.Microsecond),
-		P99US:            float64(res.P99) / float64(time.Microsecond),
-		HitRate:          res.Cluster.HitRate(),
-		Local:            res.Cluster.LocalHits,
-		Remote:           res.Cluster.RemoteHits,
-		Disk:             res.Cluster.DiskReads,
-		Forwards:         res.Cluster.Forwards,
-		Runs:             res.Cluster.RunsIssued,
-		RunsDegraded:     res.Cluster.RunsDegraded,
-		ReplicasPushed:   res.Cluster.ReplicasPushed,
-		ReplicaHits:      res.Cluster.ReplicaHits,
-		AdmissionRejects: res.Cluster.AdmissionRejects,
-		WriteP50US:       float64(res.WriteP50) / float64(time.Microsecond),
-		WriteP99US:       float64(res.WriteP99) / float64(time.Microsecond),
-		InvalBatched:     res.Cluster.InvalBatched,
-		InvalCatchups:    res.Cluster.InvalCatchups,
-		Intervals:        res.Intervals,
+		benchPreset:   p,
+		Requests:      res.Requests,
+		Writes:        res.Writes,
+		Errors:        res.Errors,
+		Bytes:         res.Bytes,
+		ElapsedMS:     float64(res.Elapsed) / float64(time.Millisecond),
+		ReqPerSec:     res.Throughput,
+		MBPerSec:      res.MBps,
+		MeanUS:        float64(res.Mean) / float64(time.Microsecond),
+		P50US:         float64(res.P50) / float64(time.Microsecond),
+		P95US:         float64(res.P95) / float64(time.Microsecond),
+		P99US:         float64(res.P99) / float64(time.Microsecond),
+		HitRate:       res.Cluster.HitRate(),
+		Local:         res.Cluster.LocalHits,
+		Remote:        res.Cluster.RemoteHits,
+		Disk:          res.Cluster.DiskReads,
+		Forwards:      res.Cluster.Forwards,
+		Runs:          res.Cluster.RunsIssued,
+		RunsDegraded:  res.Cluster.RunsDegraded,
+		WriteP50US:    float64(res.WriteP50) / float64(time.Microsecond),
+		WriteP99US:    float64(res.WriteP99) / float64(time.Microsecond),
+		InvalBatched:  res.Cluster.InvalBatched,
+		InvalCatchups: res.Cluster.InvalCatchups,
+		Intervals:     res.Intervals,
 	}
 	rec.faultCounters = faultCountersOf(res)
 	return rec
-}
-
-// --- flash-crowd benchmark ---
-
-// flashMeta records the non-stationary workload and the adaptive
-// configuration it ran against, so an A/B pair in the document is
-// self-describing.
-type flashMeta struct {
-	trace.FlashSpec
-	ReplicateThreshold float64 `json:"replicate_threshold,omitempty"`
-	ReplicaFanout      int     `json:"replica_fanout,omitempty"`
-	HotnessEpochMS     float64 `json:"hotness_epoch_ms,omitempty"`
-	AdmissionFilter    bool    `json:"admission_filter"`
-	Static             bool    `json:"static_baseline,omitempty"`
-}
-
-// flashPreset is the standing flash-crowd workload: a four-node cluster, a
-// skewed base stream, and one scheduled flash crowd that captures most of
-// the request mass mid-run. The capacity leaves slack beyond the singlet
-// working set — replication needs room: with aggregate capacity below the
-// working set, every pushed copy evicts something the cluster needed, and
-// the measured adaptive layer goes negative (the paper's argument for
-// singlet preservation, reproduced). Writes are the scenario's teeth: a
-// write invalidates every cached copy cluster-wide, demand caching cannot
-// pre-warm peers, and the post-write re-fetch storm is what the
-// rate-limited repush path pre-empts. The threshold and epoch are tuned so
-// a flash-hot block promotes within one or two epochs off the
-// post-invalidation serve burst (a handful of serves, not a sustained
-// rate), and fanout 2 keeps the push payload cost under the refetch savings.
-//
-// WriteFrac sets the economics of a push: a pushed replica only pays for
-// itself while it lives, and the next write to its block tears it down. At
-// 10% writes a flash-hot block sees ~10 reads per write cycle (~3 per peer
-// cache), so each push earns ~3 replica hits — above the ~2-hit break-even
-// where the push round (payload + replica-set op) costs more frames than
-// the remote fetches it saves. At 25% writes the measured ratio drops to
-// ~1.7 and the adaptive layer loses its whole margin to push churn.
-var flashPreset = benchPreset{
-	Name: "flash-crowd-4node", Nodes: 4, Capacity: 256,
-	Files: 300, AvgSize: 16384, Zipf: 0.9, WriteFrac: 0.1,
-}
-
-const (
-	flashReplicateThreshold = 4.0
-	flashReplicaFanout      = 2
-	flashHotnessEpoch       = 50 * time.Millisecond
-)
-
-// flashAdaptiveCfg carries the tunable adaptive knobs of a flash bench run.
-type flashAdaptiveCfg struct {
-	threshold float64
-	fanout    int
-	epoch     time.Duration
-	admission bool
-}
-
-// runFlashBench builds the flash-crowd A/B: the same non-stationary trace
-// replayed against fresh clusters with the adaptive layer off (static
-// PolicyMaster baseline) and on, alternating static/adaptive for reps
-// rounds inside one process. Alternation matters: single-CPU benchmark
-// hosts drift by ±10-15% on a timescale of minutes, so two separate
-// invocations mostly measure the drift; back-to-back arms share it, and the
-// per-arm medians over a few rounds cancel most of the rest. With
-// staticOnly only the baseline arm runs (refreshing flash_static while
-// preserving flash_adaptive in the document).
-func runFlashBench(out string, requests, concurrency int, seed int64, interval time.Duration, staticOnly bool, reps int, spec trace.FlashSpec, ad flashAdaptiveCfg, zipfS float64) error {
-	p := flashPreset
-	if zipfS > 0 {
-		p.Zipf = zipfS
-	}
-	if reps < 1 {
-		reps = 1
-	}
-	var statics, adaptives []benchRecord
-	for r := 0; r < reps; r++ {
-		// Alternate which arm goes first: throughput ramps over a process's
-		// first seconds (scheduler/cache warmup), so a fixed order would
-		// systematically favor the second arm.
-		order := []bool{true, false}
-		if r%2 == 1 {
-			order = []bool{false, true}
-		}
-		for _, static := range order {
-			if staticOnly && !static {
-				continue
-			}
-			rec, err := runFlashArm(p, requests, concurrency, seed, interval, static, spec, ad)
-			if err != nil {
-				return err
-			}
-			if static {
-				statics = append(statics, rec)
-			} else {
-				adaptives = append(adaptives, rec)
-			}
-		}
-	}
-
-	doc := loadBenchDoc(out)
-	doc.FlashStatic = statics
-	if !staticOnly {
-		doc.FlashAdaptive = adaptives
-		s, a := medianRecord(statics), medianRecord(adaptives)
-		log.Printf("flash A/B medians (%d rounds): static %8.0f req/s p99=%.2fms | adaptive %8.0f req/s p99=%.2fms",
-			reps, s.ReqPerSec, s.P99US/1000, a.ReqPerSec, a.P99US/1000)
-	}
-	return writeBenchDoc(out, doc)
-}
-
-// runFlashArm replays the flash trace once against a fresh cluster with the
-// adaptive layer on or off and returns the result record.
-func runFlashArm(p benchPreset, requests, concurrency int, seed int64, interval time.Duration, static bool, spec trace.FlashSpec, ad flashAdaptiveCfg) (benchRecord, error) {
-	meta := &flashMeta{FlashSpec: spec, Static: static}
-	mut := func(i int, cfg *middleware.Config) {}
-	if !static {
-		meta.ReplicateThreshold = ad.threshold
-		meta.ReplicaFanout = ad.fanout
-		meta.HotnessEpochMS = float64(ad.epoch) / float64(time.Millisecond)
-		meta.AdmissionFilter = ad.admission
-		mut = func(i int, cfg *middleware.Config) {
-			cfg.ReplicateThreshold = ad.threshold
-			cfg.ReplicaFanout = ad.fanout
-			cfg.HotnessEpoch = ad.epoch
-			cfg.AdmissionFilter = ad.admission
-		}
-	}
-
-	sizes := fileSizes(p.Files, p.AvgSize)
-	_, addrs, shutdown, err := startCluster(p.Nodes, p.Capacity, sizes, mut)
-	if err != nil {
-		return benchRecord{}, fmt.Errorf("flash: %w", err)
-	}
-	defer shutdown()
-	client, err := middleware.DialCluster(addrs)
-	if err != nil {
-		return benchRecord{}, fmt.Errorf("flash: %w", err)
-	}
-	defer client.Close()
-
-	tr := buildFlashTrace(p.Files, sizes, requests, p.Zipf, p.AvgSize, seed, spec)
-	res, err := loadgen.Replay(client, tr, loadgen.Config{
-		Concurrency: concurrency,
-		WriteFrac:   p.WriteFrac,
-		Interval:    interval,
-	})
-	if err != nil {
-		return benchRecord{}, fmt.Errorf("flash: %w", err)
-	}
-	rec := recordOf(p, res)
-	rec.Flash = meta
-	mode := "adaptive"
-	if static {
-		mode = "static"
-	}
-	log.Printf("%-20s %-8s %8.0f req/s %7.1f MB/s p50=%v p95=%v p99=%v hit=%.1f%% pushed=%d replica_hits=%d rejects=%d",
-		p.Name, mode, rec.ReqPerSec, rec.MBPerSec,
-		res.P50.Round(time.Microsecond), res.P95.Round(time.Microsecond),
-		res.P99.Round(time.Microsecond), rec.HitRate*100,
-		rec.ReplicasPushed, rec.ReplicaHits, rec.AdmissionRejects)
-	return rec, nil
-}
-
-// medianRecord picks the record with the median throughput of a non-empty
-// run set — a whole real run, not a synthetic mix of percentiles.
-func medianRecord(recs []benchRecord) benchRecord {
-	sorted := append([]benchRecord(nil), recs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ReqPerSec < sorted[j].ReqPerSec })
-	return sorted[len(sorted)/2]
-}
-
-// buildFlashTrace is buildTrace with the flash-crowd schedule applied: same
-// file manifest, same base skew, one scheduled popularity shift.
-func buildFlashTrace(files int, sizes map[block.FileID]int64, requests int, zipf float64, avg, seed int64, spec trace.FlashSpec) *trace.Trace {
-	gen := trace.NonStationary{
-		Base: trace.Preset{
-			Name:         "ccload-flash",
-			NumFiles:     files,
-			FileSetBytes: totalBytes(sizes),
-			NumRequests:  requests,
-			AvgReqKB:     float64(avg) / 1024,
-			Alpha:        zipf,
-			SizeSigma:    0.01,
-		},
-		Flashes: []trace.FlashSpec{spec},
-	}.Generate(seed, 1.0)
-	tr := &trace.Trace{Name: "ccload-flash", Requests: gen.Requests}
-	for f := 0; f < files; f++ {
-		tr.Files = append(tr.Files, trace.File{ID: block.FileID(f), Size: sizes[block.FileID(f)]})
-	}
-	return tr
 }
 
 // --- chaos scenario ---
@@ -935,10 +709,8 @@ func runChaos(out string, requests, concurrency int, seed int64, interval time.D
 // --- write-latency pair ---
 
 // writesPreset is the write-heavy workload of the invalidation-bus pair: a
-// four-node cluster where every fourth request is a block write. 25% writes
-// is past the point where the flash bench's adaptive layer pays (see
-// flashPreset), which makes it exactly the regime where write latency is
-// the product — there is no replica margin left to hide a slow fan-out in.
+// four-node cluster where every fourth request is a block write, the
+// regime where write latency is the product.
 var writesPreset = benchPreset{
 	Name: "writes-25pct-4node", Nodes: 4, Capacity: 512,
 	Files: 200, AvgSize: 16384, Zipf: 0.85, WriteFrac: 0.25,

@@ -60,9 +60,6 @@ func main() {
 		metrics  = flag.String("metrics-addr", "", "with -serve: HTTP address exposing /metrics (Prometheus), /debug/vars, and /debug/pprof")
 		httpAddr = flag.String("http-addr", "", "with -serve: HTTP front door serving the cluster's files as /f/<id> (keep-alive + h2c, locality hand-off; /httpstats for gateway counters)")
 		traceCap = flag.Int("trace", 0, "with -serve: retain the last N protocol trace events, dumpable via the trace RPC (0: tracing off)")
-		repThr   = flag.Float64("replicate-threshold", 0, "with -serve: serve-rate score above which hot masters push replica copies (0: replication off)")
-		repFan   = flag.Int("replica-fanout", 0, "with -serve: replica copies pushed per hot block (0: default of 2)")
-		admit    = flag.Bool("admission", false, "with -serve: TinyLFU admission filter on the cache (one-hit wonders never evict hot blocks)")
 		join     = flag.String("join", "", "with -serve: join a running cluster through this seed node address instead of -cluster (requires -listen; -id picks this node's slot)")
 		drain    = flag.Int("drain", -1, "drain this node ID out of the cluster: mark it draining, wait for the survivors to pull its ring slice, then remove it")
 		static   = flag.Bool("static-home", false, "with -serve: pin the paper's static int(f)%%clusterSize placement (no ring, no elastic membership)")
@@ -86,9 +83,8 @@ func main() {
 
 	switch {
 	case *serve:
-		ad := adaptive{threshold: *repThr, fanout: *repFan, admission: *admit}
 		ms := membership{join: *join, static: *static, heartbeat: *hbIvl, suspect: *suspect, dead: *deadTO}
-		runNode(*id, *listen, addrs, *capacity, *policy, *files, *avg, ft, ad, ms, *metrics, *httpAddr, *traceCap)
+		runNode(*id, *listen, addrs, *capacity, *policy, *files, *avg, ft, ms, *metrics, *httpAddr, *traceCap)
 	case *drain >= 0:
 		client := dial(addrs, ft)
 		defer client.Close()
@@ -158,14 +154,6 @@ type faultTolerance struct {
 	breakerCooldown  time.Duration
 }
 
-// adaptive groups the hotness-driven replication and admission knobs (all
-// zero: the single-master §3 protocol, unchanged).
-type adaptive struct {
-	threshold float64
-	fanout    int
-	admission bool
-}
-
 // membership groups the elastic-membership knobs: joining an existing
 // cluster through a seed, pinning the legacy static placement, and the
 // heartbeat failure-detection cadence.
@@ -204,7 +192,7 @@ func drainNode(client *middleware.Client, id int) error {
 	return nil
 }
 
-func runNode(id int, listen string, addrs []string, capacity int, policy string, files int, avg int64, ft faultTolerance, ad adaptive, ms membership, metricsAddr, httpAddr string, traceCap int) {
+func runNode(id int, listen string, addrs []string, capacity int, policy string, files int, avg int64, ft faultTolerance, ms membership, metricsAddr, httpAddr string, traceCap int) {
 	if ms.join != "" {
 		if listen == "" {
 			log.Fatal("-join requires -listen (the joiner's own address)")
@@ -238,23 +226,20 @@ func runNode(id int, listen string, addrs []string, capacity int, policy string,
 		tracer = obs.NewTracer(traceCap)
 	}
 	n, err := middleware.Start(middleware.Config{
-		ID:                 id,
-		Listen:             listen,
-		CapacityBlocks:     capacity,
-		Policy:             pol,
-		Source:             middleware.NewMemSource(block.DefaultGeometry, sizes),
-		RPCTimeout:         ft.rpcTimeout,
-		Retries:            ft.retries,
-		BreakerThreshold:   ft.breakerThreshold,
-		BreakerCooldown:    ft.breakerCooldown,
-		ReplicateThreshold: ad.threshold,
-		ReplicaFanout:      ad.fanout,
-		AdmissionFilter:    ad.admission,
-		StaticHome:         ms.static,
-		HeartbeatInterval:  ms.heartbeat,
-		SuspectTimeout:     ms.suspect,
-		DeadTimeout:        ms.dead,
-		Tracer:             tracer,
+		ID:                id,
+		Listen:            listen,
+		CapacityBlocks:    capacity,
+		Policy:            pol,
+		Source:            middleware.NewMemSource(block.DefaultGeometry, sizes),
+		RPCTimeout:        ft.rpcTimeout,
+		Retries:           ft.retries,
+		BreakerThreshold:  ft.breakerThreshold,
+		BreakerCooldown:   ft.breakerCooldown,
+		StaticHome:        ms.static,
+		HeartbeatInterval: ms.heartbeat,
+		SuspectTimeout:    ms.suspect,
+		DeadTimeout:       ms.dead,
+		Tracer:            tracer,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -122,43 +122,6 @@ func BenchmarkNodeReadFile(b *testing.B) {
 	}
 }
 
-// BenchmarkNodeReadFileReplica is BenchmarkNodeReadFile with every block of
-// the file held as a pushed replica instead of a master: the warm read path a
-// flash crowd actually takes after adaptive replication spreads copies. It
-// keeps the replica-hit accounting (noteAccessLocked) honest — serving from a
-// replica copy must cost the same allocations as serving from a master.
-func BenchmarkNodeReadFileReplica(b *testing.B) {
-	geom := block.Geometry{Size: 8192, ExtentBlocks: 8}
-	sizes := map[block.FileID]int64{0: 8 * 8192}
-	n, err := Start(Config{
-		ID: 0, CapacityBlocks: 64, Policy: core.PolicyMaster,
-		Geometry: geom, Source: NewMemSource(geom, sizes),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer n.Close()
-	n.SetAddrs([]string{n.Addr()})
-	for idx := int32(0); idx < 8; idx++ {
-		n.store.InsertReplica(block.ID{File: 0, Idx: idx}, SyntheticBlock(0, idx, 8192))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		data, err := n.ReadFile(0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(data) != 8*8192 {
-			b.Fatalf("read %d bytes", len(data))
-		}
-	}
-	b.StopTimer()
-	if hits := n.store.ReplicaHits(); hits < uint64(b.N) {
-		b.Fatalf("replica path not exercised: %d replica hits for %d iterations", hits, b.N)
-	}
-}
-
 // BenchmarkStoreGetParallel measures concurrent warm hits on the sharded
 // store under GOMAXPROCS goroutines (b.RunParallel): the lock-contention
 // profile the shard split exists to flatten. Run with -cpu 1,4 to see the

@@ -32,7 +32,6 @@ func TestBenchAllocBudget(t *testing.T) {
 	benches := map[string]func(*testing.B){
 		"BenchmarkConnRoundTrip":        BenchmarkConnRoundTrip,
 		"BenchmarkNodeReadFile":         BenchmarkNodeReadFile,
-		"BenchmarkNodeReadFileReplica":  BenchmarkNodeReadFileReplica,
 		"BenchmarkNodeReadFileParallel": BenchmarkNodeReadFileParallel,
 		"BenchmarkStoreGetParallel":     BenchmarkStoreGetParallel,
 		"BenchmarkServeRun":             BenchmarkServeRun,

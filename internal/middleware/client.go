@@ -661,12 +661,8 @@ func (c *Client) ClusterStats() (Stats, error) {
 		sum.InvalBacklog += s.InvalBacklog
 		sum.RunsIssued += s.RunsIssued
 		sum.RunsDegraded += s.RunsDegraded
-		sum.ReplicasPushed += s.ReplicasPushed
-		sum.ReplicaHits += s.ReplicaHits
-		sum.AdmissionRejects += s.AdmissionRejects
 		sum.StoreLen += s.StoreLen
 		sum.StoreMasters += s.StoreMasters
-		sum.StoreReplicas += s.StoreReplicas
 		sum.RebalancedBlocks += s.RebalancedBlocks
 		sum.RebalancePending += s.RebalancePending
 		sum.HeartbeatFailures += s.HeartbeatFailures

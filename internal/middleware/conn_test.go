@@ -206,7 +206,7 @@ func TestConnOneWayMessagesIgnoredWithoutHandler(t *testing.T) {
 	client, server := pipePair(t, nil)
 	// The server has no handler: a request frame must be dropped without
 	// wedging the read loop.
-	if err := server.write(&Frame{Type: MsgInvalidate}); err != nil {
+	if err := server.write(&Frame{Type: MsgPing}); err != nil {
 		t.Fatal(err)
 	}
 	_ = client

@@ -97,50 +97,27 @@ func (d *dirServer) size() int {
 
 // serveDir applies one single-block directory message on the node that
 // manages id: the body of handleDir, and of dirOp when the manager is this
-// node. A lookup rotates its answer across the block's copy set (the master
-// when the set is empty: adaptive replication's load balancing). A drop may
-// target a replica holder (failed fetch after rotation): it is retired from
-// the copy set; the master entry itself is compare-and-delete, so a replica
-// failure never erases a live master claim.
-func (n *Node) serveDir(typ MsgType, id block.ID, node, requester int32) (int32, bool) {
+// node. A lookup answers the master; a drop is compare-and-delete.
+func (n *Node) serveDir(typ MsgType, id block.ID, node int32) (int32, bool) {
 	switch typ {
 	case MsgDirLookup:
-		master, ok := n.dirSrv.lookup(id)
-		if ok {
-			master = n.reps.pick(id, master, requester, n.repRR.Add(1))
-		}
-		return master, ok
+		return n.dirSrv.lookup(id)
 	case MsgDirUpdate:
 		n.dirSrv.update(id, node)
-		n.maybeRepush(id, node)
 	case MsgDirDrop:
-		n.reps.drop(id, node)
 		n.dirSrv.drop(id, node)
 	}
 	return 0, false
 }
 
 // serveDirBatch is serveDir for a window of blocks of f: MsgDirUpdateN
-// repoints the window to node, MsgDirLookupN appends its answers to out,
-// with one rotation draw per window, so blocks sharing a copy set land on
-// the same holder and the requester's runs stay coalesced.
-func (n *Node) serveDirBatch(typ MsgType, f block.FileID, idxs []int32, node, requester int32, out []int32) []int32 {
+// repoints the window to node, MsgDirLookupN appends its answers to out.
+func (n *Node) serveDirBatch(typ MsgType, f block.FileID, idxs []int32, node int32, out []int32) []int32 {
 	if typ == MsgDirUpdateN {
 		n.dirSrv.updateN(f, idxs, node)
 		return out
 	}
-	base := len(out)
-	out = n.dirSrv.lookupN(f, idxs, out)
-	if n.reps.len() == 0 {
-		return out
-	}
-	draw := n.repRR.Add(1)
-	for i, idx := range idxs {
-		if res := &out[base+i]; *res != dirNoEntry {
-			*res = n.reps.pick(block.ID{File: f, Idx: idx}, *res, requester, draw)
-		}
-	}
-	return out
+	return n.dirSrv.lookupN(f, idxs, out)
 }
 
 // dirOp runs one single-block directory operation where id's entry lives: a
@@ -156,7 +133,7 @@ func (n *Node) dirOp(typ MsgType, id block.ID, node int32) (int32, bool, error) 
 		return 0, false, err
 	}
 	if m == n.cfg.ID {
-		master, ok := n.serveDir(typ, id, node, int32(m))
+		master, ok := n.serveDir(typ, id, node)
 		return master, ok, nil
 	}
 	req := getFrame()
@@ -196,7 +173,7 @@ func (n *Node) dirBatch(typ MsgType, f block.FileID, idxs []int32, node int32, o
 		return out, err
 	}
 	if m == n.cfg.ID {
-		return n.serveDirBatch(typ, f, idxs, node, int32(m), out), nil
+		return n.serveDirBatch(typ, f, idxs, node, out), nil
 	}
 	req := getFrame()
 	req.Type, req.File, req.Aux = typ, f, int64(node)

@@ -10,7 +10,7 @@ import (
 
 // This file is the asynchronous invalidation bus of the §6 write protocol.
 //
-// A write that blocked on a point-to-point MsgInvalidate fan-out would put
+// A write that blocked on a point-to-point invalidate fan-out would put
 // one slow peer's RPC timeout directly on the writer's critical path (the
 // measured reason is the PR 7 table in DESIGN.md). With the bus, a write
 // appends one sequenced invalidation record locally and returns after
@@ -99,16 +99,15 @@ func (b *invalBus) shutdown() {
 	b.mu.Unlock()
 }
 
-// publish appends one invalidation record and wakes the senders, returning
-// the record's sequence number (0 after shutdown).
-func (b *invalBus) publish(id block.ID) uint64 {
+// publish appends one invalidation record and wakes the senders (a no-op
+// after shutdown).
+func (b *invalBus) publish(id block.ID) {
 	b.mu.Lock()
 	if b.stopped {
 		b.mu.Unlock()
-		return 0
+		return
 	}
 	b.head++
-	seq := b.head
 	idx := (b.start + b.count) % invalHistory
 	if b.count == invalHistory {
 		b.start = (b.start + 1) % invalHistory // overwrite the oldest
@@ -124,7 +123,6 @@ func (b *invalBus) publish(id block.ID) uint64 {
 		default: // already signalled; the loop drains to head anyway
 		}
 	}
-	return seq
 }
 
 // resize grows the sender set to cover a membership view of clusterSize
@@ -396,7 +394,7 @@ func (n *Node) handleInvalidateN(f *Frame) *Frame {
 		}
 	default:
 		for _, id := range ids {
-			n.applyBusInval(origin, last, id)
+			n.handleInvalidate(id)
 		}
 		o.applied = last
 	}
@@ -407,13 +405,6 @@ func (n *Node) handleInvalidateN(f *Frame) *Frame {
 	return r
 }
 
-// applyBusInval invalidates one block on behalf of an origin's bus record,
-// stamping the block so a racing stale replica push loses (see stampNewer).
-func (n *Node) applyBusInval(origin int, seq uint64, id block.ID) {
-	n.recordInvalStamp(id, origin, seq)
-	n.handleInvalidate(id)
-}
-
 // handleInvalSince serves a catch-up request from this node's bus history:
 // the retained records from sequence Aux on, batched like MsgInvalidateN.
 // A range that fell off the bounded history gets a truncated reply
@@ -421,7 +412,7 @@ func (n *Node) applyBusInval(origin int, seq uint64, id block.ID) {
 func (n *Node) handleInvalSince(f *Frame) *Frame {
 	b := n.busRef()
 	if b == nil {
-		return errFrame("node %d runs synchronous invalidation (no bus)", n.cfg.ID)
+		return errFrame("node %d is a single-node cluster and has no invalidation bus", n.cfg.ID)
 	}
 	from := uint64(f.Aux)
 	b.mu.Lock()
@@ -505,7 +496,7 @@ func (n *Node) invalCatchup(origin int, o *invalOrigin, from uint64) {
 		}
 		o.mu.Lock()
 		for _, id := range ids {
-			n.applyBusInval(origin, last, id)
+			n.handleInvalidate(id)
 		}
 		if last > o.applied {
 			o.applied = last
@@ -518,15 +509,12 @@ func (n *Node) invalCatchup(origin int, o *invalOrigin, from uint64) {
 
 // flushSuspect discards the whole local cache after a truncated catch-up:
 // any cached block could be stale, and serving stale forever is the one
-// outcome the bus forbids. Master drops are propagated to the directory;
-// this node's managed replica sets are cleared (their holders were told to
-// invalidate by their own bus streams; a cleared set just costs re-pushes).
+// outcome the bus forbids. Master drops are propagated to the directory.
 func (n *Node) flushSuspect(origin int) {
 	masters := n.store.RemoveAll()
 	for _, id := range masters {
 		n.dirDrop(id, int32(n.cfg.ID))
 	}
-	n.reps.clearAll()
 	n.trace(traceInvalCatchup, origin, block.ID{}, -1)
 }
 
@@ -550,73 +538,4 @@ func (n *Node) FlushInval(timeout time.Duration) bool {
 		time.Sleep(200 * time.Microsecond)
 	}
 	return true
-}
-
-// --- write/replication ordering stamps ---
-
-// Stamps order bus invalidations against racing replica pushes: a write's
-// invalidation record stamps the block with (origin, seq); a replica push
-// carries the pusher's stamp for the block, and the receiver (or the
-// manager registering the copy set) rejects a push strictly older than what
-// it has already applied. Without this, a push that read its data before a
-// teardown could install a stale replica the new copy set never learns
-// about.
-
-// stampSeqBits splits a stamp: origin+1 in the high 16 bits, sequence in
-// the low 48 (wraps after 2^48 writes per node — not a live concern).
-const stampSeqBits = 48
-
-// packStamp builds a stamp value; origin -1 (unknown) packs to 0.
-func packStamp(origin int, seq uint64) uint64 {
-	return uint64(origin+1)<<stampSeqBits | (seq & (1<<stampSeqBits - 1))
-}
-
-// stampNewer reports whether `local` proves the holder has applied an
-// invalidation the push stamped `remote` predates. Different origins are
-// incomparable: treated as newer (reject the push — conservative; the copy
-// is merely re-fetched on the next miss).
-func stampNewer(local, remote uint64) bool {
-	if local == 0 {
-		return false
-	}
-	if remote == 0 {
-		return true
-	}
-	if local>>stampSeqBits != remote>>stampSeqBits {
-		return true
-	}
-	return local&(1<<stampSeqBits-1) > remote&(1<<stampSeqBits-1)
-}
-
-// invalStampCap bounds the stamp map (insert-order ring eviction): deep
-// enough to cover every block with an in-flight push, bounded so a
-// write-heavy node does not grow an entry per block ever written.
-const invalStampCap = 8192
-
-// recordInvalStamp remembers the newest applied invalidation for id.
-func (n *Node) recordInvalStamp(id block.ID, origin int, seq uint64) {
-	stamp := packStamp(origin, seq)
-	n.stampMu.Lock()
-	if n.stamps == nil {
-		n.stamps = make(map[block.ID]uint64, invalStampCap)
-		n.stampRing = make([]block.ID, invalStampCap)
-	}
-	if _, ok := n.stamps[id]; !ok {
-		if len(n.stamps) == invalStampCap {
-			delete(n.stamps, n.stampRing[n.stampPos])
-		}
-		n.stampRing[n.stampPos] = id
-		n.stampPos = (n.stampPos + 1) % invalStampCap
-	}
-	n.stamps[id] = stamp
-	n.stampMu.Unlock()
-}
-
-// invalStamp reports the newest applied invalidation stamp for id (0:
-// none recorded).
-func (n *Node) invalStamp(id block.ID) uint64 {
-	n.stampMu.Lock()
-	s := n.stamps[id]
-	n.stampMu.Unlock()
-	return s
 }

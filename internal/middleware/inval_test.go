@@ -2,7 +2,6 @@ package middleware
 
 import (
 	"bytes"
-	"encoding/binary"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -10,88 +9,7 @@ import (
 	"time"
 
 	"repro/internal/block"
-	"repro/internal/core"
 )
-
-// TestStaleReplicaRejectedByStamp pins the write-vs-push race fix: a
-// replica push that captured its content before a write must not install
-// that content after the write's invalidation has been applied. The
-// ordering is carried by per-block stamps (origin, bus sequence); a
-// MsgReplicate or MsgReplicaOp whose stamp is older than the receiver's
-// recorded stamp is rejected whole.
-func TestStaleReplicaRejectedByStamp(t *testing.T) {
-	sizes := map[block.FileID]int64{0: 2048}
-	nodes, _ := startCluster(t, 3, 64, core.PolicyMaster, sizes)
-	n := nodes[1]
-	id := block.ID{File: 0, Idx: 0}
-
-	// Node 1 applied the bus invalidation for origin 0's write, sequence 5.
-	n.recordInvalStamp(id, 0, 5)
-
-	install := func(stamp uint64) (accepted bool) {
-		f := &Frame{Type: MsgReplicate, File: id.File, Idx: id.Idx,
-			Aux: int64(stamp), Payload: bytes.Repeat([]byte{0x01}, 1024)}
-		r := n.handleReplicate(f)
-		if r.Type != MsgAck {
-			t.Fatalf("handleReplicate replied %d", r.Type)
-		}
-		accepted = r.Flags != 0
-		releaseFrame(r)
-		return accepted
-	}
-
-	// A push stamped before the write (same origin, lower sequence) is
-	// stale: rejected, nothing installed.
-	if install(packStamp(0, 4)) {
-		t.Error("replica stamped before the applied invalidation was accepted")
-	}
-	if n.store.Contains(id) {
-		t.Fatal("stale replica content was installed")
-	}
-	// A push that captured no stamp at all (content read before any bus
-	// write was recorded) is likewise stale once a stamp exists.
-	if install(0) {
-		t.Error("unstamped replica accepted over a recorded invalidation")
-	}
-	// A push from a different origin cannot be ordered against the local
-	// stamp: reject conservatively (the pusher re-reads and retries).
-	if install(packStamp(2, 9)) {
-		t.Error("cross-origin replica accepted without an ordering proof")
-	}
-	// A push stamped at (or after) the applied invalidation carries the
-	// post-write content: accepted and installed.
-	if !install(packStamp(0, 5)) {
-		t.Error("current-stamp replica rejected")
-	}
-	if !n.store.Contains(id) {
-		t.Fatal("current replica content was not installed")
-	}
-
-	// The manager-side registration obeys the same ordering: a stale-stamped
-	// MsgReplicaOp add must not register holders.
-	mgr := nodes[2]
-	mgr.recordInvalStamp(id, 0, 5)
-	holders := make([]byte, 4)
-	binary.BigEndian.PutUint32(holders, 1)
-	op := func(stamp uint64) {
-		f := &Frame{Type: MsgReplicaOp, Flags: FlagMaster, File: id.File, Idx: id.Idx,
-			Aux: int64(stamp), Payload: holders}
-		releaseFrame(mgr.handleReplicaOp(f))
-	}
-	registered := func() int {
-		mgr.reps.mu.Lock()
-		defer mgr.reps.mu.Unlock()
-		return len(mgr.reps.m[id])
-	}
-	op(packStamp(0, 4))
-	if got := registered(); got != 0 {
-		t.Fatalf("stale replica-op registered %d holders", got)
-	}
-	op(packStamp(0, 5))
-	if got := registered(); got != 1 {
-		t.Fatalf("current replica-op registered %d holders, want 1", got)
-	}
-}
 
 // TestStalenessBoundUnderFaults is the bus's property test: concurrent
 // writers and readers over a seeded lossy fault plan. Three properties must

@@ -28,8 +28,7 @@ type Config struct {
 	// to the host: the smallest power of two covering NumCPU, so concurrent
 	// hits scale across cores instead of convoying on one mutex. 1 restores
 	// the exact single-lock global LRU (deterministic: what the replay-
-	// equivalence suite pins). Miss-coalescing and hotness tracking stripe
-	// with the same count.
+	// equivalence suite pins). Miss-coalescing stripes with the same count.
 	StoreShards int
 	// Policy is the replacement policy (PolicyMaster recommended; this is
 	// the paper's headline variant).
@@ -72,24 +71,6 @@ type Config struct {
 	// BreakerCooldown is how long an open breaker rejects requests before
 	// admitting a half-open probe. 0 applies the 500 ms default.
 	BreakerCooldown time.Duration
-	// ReplicateThreshold, when positive, enables adaptive replication:
-	// when the epoch-decayed rate of peer serves of a master copy crosses
-	// the threshold, its holder pushes copies to ReplicaFanout ring
-	// successors and the directory rotates lookups across the copy set.
-	// 0 (the default) disables replication entirely — the protocol is
-	// byte-identical to the single-master path.
-	ReplicateThreshold float64
-	// ReplicaFanout is the number of replicas pushed per hot block
-	// (default 2, capped at maxReplicaFanout and cluster size - 1).
-	ReplicaFanout int
-	// HotnessEpoch is the decay interval of the hotness tracker (default
-	// 250 ms). Shorter epochs adapt faster and forget faster.
-	HotnessEpoch time.Duration
-	// AdmissionFilter enables TinyLFU admission on the local store: a full
-	// cache only accepts a non-master insert whose estimated access
-	// frequency beats the would-be eviction victim's, so one-hit wonders
-	// never displace hot masters or replicas. Default off.
-	AdmissionFilter bool
 	// StaticHome pins the paper's original static home mapping — file ID
 	// modulo cluster size — byte for byte (pinned by the replay-equivalence
 	// suite). Membership is then fixed at SetAddrs: join and
@@ -134,7 +115,6 @@ const (
 	traceRetry          = "retry"           // RPC retried after a transient failure (Aux: attempt)
 	traceRPCTimeout     = "rpc_timeout"     // round trip missed the RPC deadline
 	traceRunFetch       = "run_fetch"       // run fetch completed (Peer: source, Aux: blocks served)
-	traceReplicate      = "replicate"       // hot-block replica pushed to Peer (adaptive replication)
 	traceInvalBatch     = "inval_batch"     // invalidation batch delivered to Peer (Aux: records)
 	traceInvalCatchup   = "inval_catchup"   // catch-up started against origin Peer (Aux: from seq, -1 flush)
 	traceRebalance      = "rebalance"       // file re-homed here (File: file, Aux: blocks pulled, -1 unreachable old home)
@@ -203,39 +183,11 @@ type Node struct {
 	raMu   sync.Mutex
 	raBusy map[block.FileID]struct{}
 
-	// hot tracks the epoch-decayed peer-serve rate of local master copies
-	// (nil: adaptive replication disabled). reps is the replica set this
-	// node tracks for blocks whose directory entries it manages; repRR
-	// rotates lookup answers across copy sets; repMu guards repCool (the
-	// per-block push cooldown), repHot (tombstones of blocks whose replica
-	// sets a write invalidation tore down, stamped with the arm epoch —
-	// the next mastership claim re-triggers replication), and repLast (the
-	// manager's per-block repush rate limit). epochStop ends the hotness
-	// ticker.
-	hot          *core.ShardedHotness
-	reps         *replicaSets
-	repRR        atomic.Uint32
-	repMu        sync.Mutex
-	repCool      map[block.ID]uint64
-	repHot       map[block.ID]uint64
-	repLast      map[block.ID]uint64
-	repThreshold float64
-	repFanout    int
-	epochStop    chan struct{}
-
 	// bus is the asynchronous invalidation bus (nil: a single-node cluster,
 	// which has no peer to tell). invalIn is the per-origin receive state
 	// (index = origin node ID). See inval.go.
 	bus     *invalBus
 	invalIn []*invalOrigin
-
-	// stampMu guards the write/replication ordering stamps (inval.go):
-	// stamps maps a block to the newest applied invalidation, stampRing
-	// bounds the map with insert-order eviction.
-	stampMu   sync.Mutex
-	stamps    map[block.ID]uint64
-	stampRing []block.ID
-	stampPos  int
 
 	// maxPayload/rpcTimeout/retries/retryBase/retryCap and the breaker
 	// parameters are the resolved settings (Config values with defaults
@@ -282,7 +234,7 @@ func (n *Node) pendingShard(id block.ID) *pendShard {
 	if len(n.pend) == 1 {
 		return &n.pend[0]
 	}
-	return &n.pend[shardMix(hotKey(id))&n.pendMask]
+	return &n.pend[shardHash(id)&n.pendMask]
 }
 
 // counters holds the node's statistics.
@@ -297,9 +249,6 @@ type counters struct {
 	invalidateSkips                      atomic.Uint64
 	// run fast-path counters
 	runsIssued, runsDegraded atomic.Uint64
-	// adaptive replication counters (replica hits and admission rejects
-	// live in the store, next to the state they count)
-	replicasPushed atomic.Uint64
 	// invalidation bus counters
 	invalBatched, invalCatchups atomic.Uint64
 	// membership / rebalance counters
@@ -337,11 +286,6 @@ type Stats struct {
 	InvalBatched  uint64 // invalidation records delivered via batched bus frames
 	InvalCatchups uint64 // MsgInvalSince catch-up reconciliations started
 	InvalBacklog  uint64 // deepest currently unacknowledged bus backlog across peers
-	// Adaptive replication counters: see the Adaptive replication &
-	// admission section of DESIGN.md.
-	ReplicasPushed   uint64 // hot-block replicas pushed to peers and accepted
-	ReplicaHits      uint64 // accesses served from replica copies
-	AdmissionRejects uint64 // inserts the TinyLFU admission filter turned away
 	// Elastic membership counters: see the Elastic membership section of
 	// DESIGN.md.
 	MembershipEpoch   uint64 // current membership view epoch (0: no view installed)
@@ -350,7 +294,6 @@ type Stats struct {
 	HeartbeatFailures uint64 // heartbeat probes that failed
 	StoreLen          int
 	StoreMasters      int
-	StoreReplicas     int // replica copies currently cached
 	// RPCLatency holds the node's per-RPC-type latency histograms, keyed by
 	// the request frame type's metric name (only types with observations).
 	// ClusterStats merges them bucket-wise across nodes.
@@ -470,79 +413,8 @@ func Start(cfg Config) (*Node, error) {
 		n.hbStop = make(chan struct{})
 		go n.heartbeatLoop()
 	}
-	n.reps = newReplicaSets()
-	if cfg.AdmissionFilter {
-		n.store.SetAdmission(core.NewAdmission(cfg.CapacityBlocks))
-	}
-	if cfg.ReplicateThreshold > 0 {
-		n.repThreshold = cfg.ReplicateThreshold
-		n.repFanout = cfg.ReplicaFanout
-		if n.repFanout <= 0 {
-			n.repFanout = defaultReplicaFanout
-		}
-		if n.repFanout > maxReplicaFanout {
-			n.repFanout = maxReplicaFanout
-		}
-		n.hot = core.NewShardedHotness(core.DefaultHotnessDecay, core.DefaultHotnessFloor,
-			n.store.ShardCount())
-		n.repCool = make(map[block.ID]uint64)
-		n.repHot = make(map[block.ID]uint64)
-		n.repLast = make(map[block.ID]uint64)
-		n.epochStop = make(chan struct{})
-		epoch := cfg.HotnessEpoch
-		if epoch <= 0 {
-			epoch = defaultHotnessEpoch
-		}
-		go n.epochLoop(epoch)
-	}
 	go n.acceptLoop()
 	return n, nil
-}
-
-// Adaptive replication defaults: two replicas per hot block, a 250 ms
-// hotness decay epoch.
-const (
-	defaultReplicaFanout = 2
-	defaultHotnessEpoch  = 250 * time.Millisecond
-)
-
-// epochLoop drives the hotness tracker's decay clock until Close, pruning
-// the replication side maps along the way so a long-running node does not
-// accumulate an entry per block ever pushed or tombstoned.
-func (n *Node) epochLoop(epoch time.Duration) {
-	t := time.NewTicker(epoch)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			n.hot.Advance()
-			n.pruneReplication(n.hot.Epoch())
-		case <-n.epochStop:
-			return
-		}
-	}
-}
-
-// pruneReplication drops expired repush tombstones and stale cooldown/rate
-// stamps. Entries young enough to still gate behavior are kept.
-func (n *Node) pruneReplication(epoch uint64) {
-	n.repMu.Lock()
-	defer n.repMu.Unlock()
-	for id, arm := range n.repHot {
-		if epoch > arm+repushTTL {
-			delete(n.repHot, id)
-		}
-	}
-	for id, last := range n.repCool {
-		if epoch > last+replicaCooldownEpochs {
-			delete(n.repCool, id)
-		}
-	}
-	for id, next := range n.repLast {
-		if epoch > next {
-			delete(n.repLast, id)
-		}
-	}
 }
 
 // Addr reports the node's listen address.
@@ -612,9 +484,6 @@ func (n *Node) Close() error {
 		return nil
 	}
 	n.closed = true
-	if n.epochStop != nil {
-		close(n.epochStop)
-	}
 	if n.hbStop != nil {
 		close(n.hbStop)
 	}
@@ -665,12 +534,8 @@ func (n *Node) Stats() Stats {
 		RunsDegraded:     n.c.runsDegraded.Load(),
 		InvalBatched:     n.c.invalBatched.Load(),
 		InvalCatchups:    n.c.invalCatchups.Load(),
-		ReplicasPushed:   n.c.replicasPushed.Load(),
-		ReplicaHits:      n.store.ReplicaHits(),
-		AdmissionRejects: n.store.AdmissionRejects(),
 		StoreLen:         n.store.Len(),
 		StoreMasters:     n.store.Masters(),
-		StoreReplicas:    n.store.Replicas(),
 
 		RebalancedBlocks:  n.c.rebalancedBlocks.Load(),
 		RebalancePending:  uint64(n.migrCount.Load()),
@@ -724,9 +589,6 @@ func (n *Node) RegisterMetrics(r *obs.Registry) {
 		{"cc_runs_degraded_total", "run fetches that served fewer blocks than asked", c.runsDegraded.Load},
 		{"cc_inval_batched_total", "invalidation records delivered via batched bus frames", c.invalBatched.Load},
 		{"cc_inval_catchups_total", "invalidation catch-up reconciliations started", c.invalCatchups.Load},
-		{"cc_replicas_total", "hot-block replicas pushed to peers and accepted", c.replicasPushed.Load},
-		{"cc_replica_hits_total", "accesses served from replica copies", n.store.ReplicaHits},
-		{"cc_admission_rejects_total", "inserts the TinyLFU admission filter turned away", n.store.AdmissionRejects},
 		{"cc_rebalance_blocks_total", "blocks pulled here by home re-assignment", c.rebalancedBlocks.Load},
 		{"cc_heartbeat_failures_total", "heartbeat probes that failed", c.heartbeatFailures.Load},
 	}
@@ -753,7 +615,6 @@ func (n *Node) RegisterMetrics(r *obs.Registry) {
 	})
 	r.Gauge("cc_store_blocks", "blocks currently cached", "", func() float64 { return float64(n.store.Len()) })
 	r.Gauge("cc_store_masters", "master copies currently cached", "", func() float64 { return float64(n.store.Masters()) })
-	r.Gauge("cc_store_replicas", "replica copies currently cached", "", func() float64 { return float64(n.store.Replicas()) })
 	if n.tracer != nil {
 		r.Gauge("cc_trace_events_total", "protocol trace events recorded (including overwritten)", "",
 			func() float64 { return float64(n.tracer.Total()) })
@@ -768,10 +629,9 @@ func (n *Node) RegisterMetrics(r *obs.Registry) {
 // series pre-registered for the per-RPC-type latency histograms.
 var requestMsgTypes = []MsgType{
 	MsgGetBlock, MsgReadFile, MsgReadRange, MsgDirLookup, MsgDirUpdate,
-	MsgDirDrop, MsgForward, MsgWriteBlock, MsgInvalidate, MsgPutBlock,
-	MsgStats, MsgTrace, MsgGetRun, MsgDirLookupN, MsgDirUpdateN,
-	MsgReplicate, MsgReplicaOp, MsgRepush, MsgInvalidateN, MsgInvalSince,
-	MsgPing, MsgView, MsgViewUpdate, MsgJoin, MsgDrain,
+	MsgDirDrop, MsgForward, MsgWriteBlock, MsgPutBlock, MsgStats,
+	MsgTrace, MsgGetRun, MsgDirLookupN, MsgDirUpdateN, MsgInvalidateN,
+	MsgInvalSince, MsgPing, MsgView, MsgViewUpdate, MsgJoin, MsgDrain,
 }
 
 // busRef reads the bus pointer under the membership lock (SetAddrs can
@@ -1058,9 +918,6 @@ func (n *Node) handle(f *Frame) *Frame {
 			return errFrameFrom(err, "write %v: %v", f.ID(), err)
 		}
 		return ackFrame()
-	case MsgInvalidate:
-		n.handleInvalidate(f.ID())
-		return ackFrame()
 	case MsgInvalidateN:
 		return n.handleInvalidateN(f)
 	case MsgInvalSince:
@@ -1075,12 +932,6 @@ func (n *Node) handle(f *Frame) *Frame {
 		return n.handleJoin(f)
 	case MsgDrain:
 		return n.handleDrain(f)
-	case MsgReplicate:
-		return n.handleReplicate(f)
-	case MsgReplicaOp:
-		return n.handleReplicaOp(f)
-	case MsgRepush:
-		return n.handleRepush(f)
 	case MsgPutBlock:
 		// Pull the file's prior-home state before accepting a write-through,
 		// so a migration arriving later cannot clobber this newer block.
@@ -1143,7 +994,6 @@ func (n *Node) handleGetBlock(f *Frame) *Frame {
 		r.pin(pb)
 		if master {
 			r.Flags = FlagMaster
-			n.observeServe(id)
 		}
 		return r
 	}
@@ -1184,13 +1034,6 @@ func (n *Node) handleGetRun(f *Frame) *Frame {
 	// socket write.
 	bufs, masters := n.store.GetRun(f.File, first, want, nil)
 	count := len(bufs)
-	if n.hot != nil && masters != 0 {
-		for i := 0; i < count; i++ {
-			if masters&(1<<uint(i)) != 0 {
-				n.observeServe(block.ID{File: f.File, Idx: first + int32(i)})
-			}
-		}
-	}
 	r := getFrame()
 	r.Type, r.File, r.Idx = MsgRunData, f.File, first
 	r.Aux = packRunAux(count, masters)
@@ -1212,10 +1055,10 @@ func (n *Node) handleDirBatch(f *Frame) *Frame {
 		return errFrame("dir batch: %v", err)
 	}
 	if f.Type == MsgDirUpdateN {
-		n.serveDirBatch(f.Type, f.File, idxs, int32(f.Aux), f.Sender, nil)
+		n.serveDirBatch(f.Type, f.File, idxs, int32(f.Aux), nil)
 		return ackFrame()
 	}
-	res := n.serveDirBatch(f.Type, f.File, idxs, 0, f.Sender, make([]int32, 0, len(idxs)))
+	res := n.serveDirBatch(f.Type, f.File, idxs, 0, make([]int32, 0, len(idxs)))
 	r := getFrame()
 	r.Type, r.File = MsgDirResultN, f.File
 	r.Payload = appendIdxPayload(make([]byte, 0, 4*len(res)), res)
@@ -1223,7 +1066,7 @@ func (n *Node) handleDirBatch(f *Frame) *Frame {
 }
 
 func (n *Node) handleDir(f *Frame) *Frame {
-	master, ok := n.serveDir(f.Type, f.ID(), int32(f.Aux), f.Sender)
+	master, ok := n.serveDir(f.Type, f.ID(), int32(f.Aux))
 	if f.Type != MsgDirLookup {
 		return ackFrame()
 	}
@@ -1245,8 +1088,6 @@ func (n *Node) handleForward(f *Frame) *Frame {
 		// forgets it (no cascaded forwarding, §3). Off the handler, like
 		// every RPC a peer's request causes: see handleInvalidate.
 		go n.dirDrop(displaced.ID, int32(n.cfg.ID))
-	} else if displaced != nil && displaced.Replica {
-		go n.retireReplica(displaced.ID)
 	}
 	r := getFrame()
 	r.Type, r.File, r.Idx = MsgForwardAck, f.File, f.Idx
@@ -1267,11 +1108,4 @@ func (n *Node) handleInvalidate(id block.ID) {
 	n.c.invalidations.Add(1)
 	n.trace(traceInvalidate, -1, id, 0)
 	n.store.Remove(id)
-	// The write fan-out reaches every node, so the manager clears the
-	// block's replica set with no extra RPC. Tearing down a non-empty set
-	// tombstones the block: it was hot a moment ago, so when the writer's
-	// mastership claim arrives, the manager asks it to push fresh replicas.
-	if n.reps.clear(id) && n.hot != nil {
-		n.markRepush(id)
-	}
 }

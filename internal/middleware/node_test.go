@@ -306,8 +306,8 @@ func TestPeerDialRace(t *testing.T) {
 }
 
 // TestCloseLeavesNoGoroutines: a cluster that has served reads and writes
-// through every entry, with the heartbeat and hotness loops running, gives
-// every goroutine back once its nodes and its client are closed — conn
+// through every entry, with the heartbeat loop running, gives every
+// goroutine back once its nodes and its client are closed — conn
 // readers and workers, bus senders, accept loops and tickers.
 func TestCloseLeavesNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
@@ -322,7 +322,6 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 	nodes, client := startClusterCfg(t, k, 64, sizes, func(i int, cfg *Config) {
 		cfg.StaticHome = false
 		cfg.HeartbeatInterval = 5 * time.Millisecond
-		cfg.ReplicateThreshold = 2
 		cfg.Readahead = 2
 	})
 	for entry := 0; entry < k; entry++ {
@@ -351,4 +350,33 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// TestPeerServeFlagsMasterOnly pins the wire contract the requester's
+// install relies on: a peer serve carries FlagMaster iff the block is held
+// as a master copy.
+func TestPeerServeFlagsMasterOnly(t *testing.T) {
+	sizes := map[block.FileID]int64{0: 2048}
+	nodes, _ := startCluster(t, 2, 16, core.PolicyMaster, sizes)
+	n := nodes[0]
+	id := block.ID{File: 0, Idx: 0}
+	data := SyntheticBlock(0, 0, 1024)
+
+	n.store.Insert(id, data, true)
+	req := getFrame()
+	req.Type, req.File, req.Idx, req.Sender = MsgGetBlock, 0, 0, 1
+	r := n.handleGetBlock(req)
+	if r.Type != MsgBlockData || r.Flags&FlagMaster == 0 {
+		t.Fatalf("master serve: type %d flags %#x, want MsgBlockData with FlagMaster", r.Type, r.Flags)
+	}
+	releaseFrame(r)
+
+	n.store.Remove(id)
+	n.store.Insert(id, data, false)
+	r = n.handleGetBlock(req)
+	if r.Type != MsgBlockData || r.Flags&FlagMaster != 0 {
+		t.Fatalf("non-master serve: type %d flags %#x, want MsgBlockData without FlagMaster", r.Type, r.Flags)
+	}
+	releaseFrame(r)
+	releaseFrame(req)
 }

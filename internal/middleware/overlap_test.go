@@ -19,13 +19,15 @@ const barrierWait = 10 * time.Second
 // barrierSource is a BlockSource that shows whether reads overlap without
 // timing anything. With need > 0 a ReadBlock parks until need readers are
 // inside together (then all of them leave, and the next need readers form
-// the next round); it records the peak number of readers inside and every
-// block index read. failIdx >= 0 makes that block's read fail.
+// the next round), or with oneRound only the first need readers park; it
+// records the peak number of readers inside and every block index read.
+// failIdx >= 0 makes that block's read fail.
 type barrierSource struct {
 	*MemSource
-	t       *testing.T
-	need    int
-	failIdx int32
+	t        *testing.T
+	need     int
+	oneRound bool
+	failIdx  int32
 
 	mu      sync.Mutex
 	inside  int
@@ -50,14 +52,15 @@ func (s *barrierSource) ReadBlock(f block.FileID, idx int32) ([]byte, error) {
 	}
 	s.reads = append(s.reads, idx)
 	gate := s.gate
-	if s.need > 0 {
+	park := s.need > 0 && !(s.oneRound && s.arrived >= s.need)
+	if park {
 		if s.arrived++; s.arrived%s.need == 0 {
 			close(s.gate)
 			s.gate = make(chan struct{})
 		}
 	}
 	s.mu.Unlock()
-	if s.need > 0 {
+	if park {
 		select {
 		case <-gate:
 		case <-time.After(barrierWait):
@@ -178,8 +181,10 @@ func TestRunPathSourceFailurePrefix(t *testing.T) {
 		{0, "middleware: remote error: read file 1: middleware: remote error: home read 1:3: injected failure at block 3"},
 		{1, "middleware: remote error: read file 1: injected failure at block 3"},
 	} {
-		src := newBarrierSource(t, sizes, 0)
-		src.failIdx = k
+		// The run's reads leave the source together: a failure on record
+		// stops the window starting the blocks after it.
+		src := newBarrierSource(t, sizes, readWindow)
+		src.oneRound, src.failIdx = true, k
 		nodes, client := startBarrierCluster(t, 2, src)
 		_, err := client.ReadVia(tc.entry, f)
 		if err == nil || err.Error() != tc.wantErr {

@@ -56,8 +56,6 @@ const (
 	MsgForwardAck
 	// MsgWriteBlock writes one block through the cluster (client entry).
 	MsgWriteBlock
-	// MsgInvalidate discards any cached copy of a block (write protocol).
-	MsgInvalidate
 	// MsgPutBlock stores block content on the home node's disk.
 	MsgPutBlock
 	// MsgAck is a generic success reply.
@@ -94,23 +92,6 @@ const (
 	// MsgDirUpdateN records mastership of a window of blocks in one RPC:
 	// payload as in MsgDirLookupN, Aux is the claiming node.
 	MsgDirUpdateN
-	// MsgReplicate proactively pushes a copy of a hot block to a peer
-	// (adaptive replication): the payload is the block content. The
-	// receiver installs it as a replica (bypassing admission — the pusher
-	// already knows it is hot) and acks with Flags=1 on acceptance.
-	MsgReplicate
-	// MsgReplicaOp maintains the replica set of a block at its directory
-	// manager: Aux names the replica-holding node — or, when a payload is
-	// present, it carries a whole push round's holders (4 bytes big-endian
-	// each), one registration RPC per round instead of per copy.
-	// Flags&FlagMaster set means "add", clear means "drop". Replies MsgAck.
-	MsgReplicaOp
-	// MsgRepush asks a block's (new) master holder to push replica copies
-	// now: sent by the directory manager when a mastership claim lands for
-	// a block whose replica set a write invalidation just tore down, so a
-	// written-to hot block re-replicates without waiting for its serve rate
-	// to re-cross the threshold. Replies MsgAck; best effort.
-	MsgRepush
 	// MsgInvalidateN carries a batch of sequenced invalidation records from
 	// the origin node's invalidation bus: the payload is the first record's
 	// sequence number (8 bytes big-endian) followed by one 8-byte block ID
@@ -184,8 +165,6 @@ func (t MsgType) metricName() string {
 		return "forward_ack"
 	case MsgWriteBlock:
 		return "write_block"
-	case MsgInvalidate:
-		return "invalidate"
 	case MsgPutBlock:
 		return "put_block"
 	case MsgAck:
@@ -212,12 +191,6 @@ func (t MsgType) metricName() string {
 		return "dir_result_n"
 	case MsgDirUpdateN:
 		return "dir_update_n"
-	case MsgReplicate:
-		return "replicate"
-	case MsgReplicaOp:
-		return "replica_op"
-	case MsgRepush:
-		return "repush"
 	case MsgInvalidateN:
 		return "invalidate_n"
 	case MsgInvalSince:
@@ -435,9 +408,8 @@ func typeCarriesPayload(t MsgType) bool {
 	switch t {
 	case MsgBlockData, MsgFileData, MsgForward, MsgWriteBlock, MsgPutBlock,
 		MsgErr, MsgStatsReply, MsgTraceReply, MsgRunData,
-		MsgDirLookupN, MsgDirResultN, MsgDirUpdateN, MsgReplicate,
-		MsgReplicaOp, MsgInvalidateN, MsgInvalSinceReply,
-		MsgViewUpdate, MsgJoin, MsgViewReply:
+		MsgDirLookupN, MsgDirResultN, MsgDirUpdateN, MsgInvalidateN,
+		MsgInvalSinceReply, MsgViewUpdate, MsgJoin, MsgViewReply:
 		return true
 	}
 	return false

@@ -120,7 +120,7 @@ func TestReadFrameRejectsPayloadOnBareType(t *testing.T) {
 }
 
 func TestWriteFrameRejectsPayloadOnBareType(t *testing.T) {
-	f := &Frame{Type: MsgInvalidate, Payload: []byte("x")}
+	f := &Frame{Type: MsgPing, Payload: []byte("x")}
 	if err := WriteFrame(&bytes.Buffer{}, f); err == nil {
 		t.Fatal("payload on a zero-payload type accepted on encode")
 	}
@@ -171,7 +171,7 @@ func TestIsResponse(t *testing.T) {
 			t.Errorf("type %d should be a response", typ)
 		}
 	}
-	for _, typ := range []MsgType{MsgGetBlock, MsgReadFile, MsgDirLookup, MsgForward, MsgWriteBlock, MsgInvalidate, MsgPutBlock, MsgStats} {
+	for _, typ := range []MsgType{MsgGetBlock, MsgReadFile, MsgDirLookup, MsgForward, MsgWriteBlock, MsgInvalidateN, MsgPutBlock, MsgStats} {
 		if isResponse(typ) {
 			t.Errorf("type %d should be a request", typ)
 		}

@@ -645,11 +645,19 @@ func (n *Node) insertBlock(id block.ID, data []byte, master bool) {
 }
 
 // insertBlockBuf is insertBlock for a payload the caller already holds a
-// reference on: the store takes ownership of that reference (released if
-// admission rejects the block).
+// reference on: the store takes ownership of that reference.
 func (n *Node) insertBlockBuf(id block.ID, pb *payloadBuf, master bool) {
 	if ev := n.store.InsertBuf(id, pb, master); ev != nil {
 		n.dispatchEvicted(ev)
+	}
+}
+
+// dispatchEvicted routes one store eviction: a displaced master gets its §3
+// second chance off the serving goroutine; a displaced non-master copy is
+// simply gone.
+func (n *Node) dispatchEvicted(ev *Evicted) {
+	if ev.Master {
+		go n.forwardEvicted(ev)
 	}
 }
 

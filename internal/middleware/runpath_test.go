@@ -3,6 +3,7 @@ package middleware
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"repro/internal/block"
 	"repro/internal/core"
@@ -225,49 +226,106 @@ func TestRunPathColdRPCCount(t *testing.T) {
 	}
 }
 
-// TestRunPathWarmReadsStayLocal: after the cold read, a warm re-read from
-// the same entry node must cost zero block RPCs — the synchronous local
-// sweep covers the whole file.
+// TestRunPathWarmRemoteRun follows one file through all four entries of a
+// default cluster: the demand copies of §3, which are the only replication
+// the live path has. The first read through each entry leaves a copy there:
+// the source is read once per block, the first reader holds the masters, the
+// other three pull peer runs and keep non-master copies. A second pass is all
+// local hits and not one RPC beyond the client's own. A write followed by a
+// flush leaves exactly the writer's copy, and the other entries re-fetch it
+// from the writer's memory.
 func TestRunPathWarmRemoteRun(t *testing.T) {
-	const nblocks = 12
+	const k, nblocks, written = 4, 12, 5
 	sizes := map[block.FileID]int64{1: nblocks * int64(testGeom.Size)}
-	nodes, client := startClusterCfg(t, 2, 256, sizes, nil)
-
-	// Warm node 1 (the home) by reading there; then node 0's read must pull
-	// peer runs from node 1's cache: remote hits, not disk.
-	if _, err := client.ReadVia(1, 1); err != nil {
-		t.Fatal(err)
-	}
-	data, err := client.ReadVia(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(data, expect(testGeom, 1, sizes[1])) {
-		t.Fatal("content mismatch")
-	}
-	s0 := nodes[0].Stats()
-	if s0.RemoteHits != nblocks {
-		t.Fatalf("remote hits = %d, want %d (whole file served from peer runs)", s0.RemoteHits, nblocks)
-	}
-	if s0.RunsIssued == 0 {
-		t.Fatal("peer fetch did not use the run path")
-	}
-	st, _ := client.ClusterStats()
-	if st.DiskReads != nblocks {
-		t.Fatalf("disk reads = %d, want %d (no refetch)", st.DiskReads, nblocks)
-	}
-	// The §3 master rule is preserved: exactly one master per block.
-	for i := int32(0); i < nblocks; i++ {
-		id := block.ID{File: 1, Idx: i}
-		masters := 0
-		for _, n := range nodes {
-			if n.store.IsMaster(id) {
-				masters++
+	nodes, client := startClusterCfg(t, k, 256, sizes, func(_ int, cfg *Config) { cfg.StaticHome = false })
+	want := expect(testGeom, 1, sizes[1])
+	readAll := func(pass string) {
+		t.Helper()
+		for e := 0; e < k; e++ {
+			data, err := client.ReadVia(e, 1)
+			if err != nil {
+				t.Fatalf("%s: read via %d: %v", pass, e, err)
+			}
+			if !bytes.Equal(data, want) {
+				t.Fatalf("%s: content mismatch via %d", pass, e)
 			}
 		}
-		if masters != 1 {
-			t.Fatalf("block %v has %d masters, want 1", id, masters)
+	}
+	// Summed from the nodes themselves: ClusterStats would add RPCs.
+	sum := func() (s Stats) {
+		for _, n := range nodes {
+			st := n.Stats()
+			s.Accesses += st.Accesses
+			s.LocalHits += st.LocalHits
+			s.RemoteHits += st.RemoteHits
+			s.DiskReads += st.DiskReads
+			s.RunsIssued += st.RunsIssued
 		}
+		return s
+	}
+	// holders reports which nodes cache id and which hold it as the master.
+	holders := func(id block.ID) (held, masters []int) {
+		for i, n := range nodes {
+			if n.store.Contains(id) {
+				held = append(held, i)
+			}
+			if n.store.IsMaster(id) {
+				masters = append(masters, i)
+			}
+		}
+		return held, masters
+	}
+
+	readAll("pass one")
+	one := sum()
+	if one.Accesses != k*nblocks || one.DiskReads != nblocks || one.RemoteHits != (k-1)*nblocks || one.LocalHits != 0 {
+		t.Fatalf("pass one: accesses=%d disk=%d remote=%d local=%d, want %d source reads, %d remote hits and no local hit",
+			one.Accesses, one.DiskReads, one.RemoteHits, one.LocalHits, nblocks, (k-1)*nblocks)
+	}
+	if one.RunsIssued == 0 {
+		t.Fatal("peer fetch did not use the run path")
+	}
+	for i := int32(0); i < nblocks; i++ {
+		id := block.ID{File: 1, Idx: i}
+		if held, masters := holders(id); len(held) != k || len(masters) != 1 || masters[0] != 0 {
+			t.Fatalf("block %v after pass one: held by %v, masters %v, want every entry and the first reader's master", id, held, masters)
+		}
+	}
+
+	rpcs := totalRPCs(nodes, client)
+	readAll("pass two")
+	two := sum()
+	if two.LocalHits-one.LocalHits != k*nblocks || two.RemoteHits != one.RemoteHits || two.DiskReads != one.DiskReads {
+		t.Fatalf("pass two: local +%d remote +%d disk +%d, want %d local hits and nothing else",
+			two.LocalHits-one.LocalHits, two.RemoteHits-one.RemoteHits, two.DiskReads-one.DiskReads, k*nblocks)
+	}
+	if d := totalRPCs(nodes, client) - rpcs; d != k {
+		t.Fatalf("pass two cost %d RPCs, want the client's %d reads and no peer or directory RPC", d, k)
+	}
+
+	patch := bytes.Repeat([]byte{0xAB}, testGeom.Size)
+	if err := client.Write(1, written, patch); err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range nodes {
+		if !n.FlushInval(5 * time.Second) {
+			t.Fatalf("node %d: invalidation bus did not drain", i)
+		}
+	}
+	id := block.ID{File: 1, Idx: written}
+	held, masters := holders(id)
+	if len(held) != 1 || len(masters) != 1 || held[0] != masters[0] {
+		t.Fatalf("after the write and the flush %v is held by %v, masters %v, want the writer's master alone", id, held, masters)
+	}
+	copy(want[written*testGeom.Size:], patch)
+	readAll("after the write")
+	three := sum()
+	if three.RemoteHits-two.RemoteHits != k-1 || three.DiskReads != two.DiskReads {
+		t.Fatalf("re-fetch after the write: remote +%d disk +%d, want %d remote hits from the writer's memory and no source read",
+			three.RemoteHits-two.RemoteHits, three.DiskReads-two.DiskReads, k-1)
+	}
+	if held, again := holders(id); len(held) != k || len(again) != 1 || again[0] != masters[0] {
+		t.Fatalf("after the re-fetch %v is held by %v, masters %v, want every entry and the writer's master", id, held, again)
 	}
 }
 

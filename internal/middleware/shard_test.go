@@ -79,7 +79,7 @@ func TestShardedStoreCapacitySums(t *testing.T) {
 }
 
 // TestShardedStoreCountersExact: the lock-free aggregate counters (Len,
-// Masters, Replicas, OldestAge) stay exact across inserts, replica installs,
+// Masters, OldestAge) stay exact across master inserts, non-master inserts,
 // and removals on a multi-shard store.
 func TestShardedStoreCountersExact(t *testing.T) {
 	s := NewStoreShards(64, core.PolicyMaster, 8)
@@ -87,10 +87,10 @@ func TestShardedStoreCountersExact(t *testing.T) {
 		s.Insert(sid(1, i), []byte("m"), true)
 	}
 	for i := 0; i < 8; i++ {
-		s.InsertReplica(sid(2, i), []byte("r"))
+		s.Insert(sid(2, i), []byte("r"), false)
 	}
-	if s.Len() != 24 || s.Masters() != 16 || s.Replicas() != 8 {
-		t.Fatalf("len/masters/replicas = %d/%d/%d, want 24/16/8", s.Len(), s.Masters(), s.Replicas())
+	if s.Len() != 24 || s.Masters() != 16 {
+		t.Fatalf("len/masters = %d/%d, want 24/16", s.Len(), s.Masters())
 	}
 	if _, ok := s.OldestAge(); !ok {
 		t.Fatal("OldestAge empty on a populated store")
@@ -102,45 +102,48 @@ func TestShardedStoreCountersExact(t *testing.T) {
 	}
 	for i := 0; i < 8; i++ {
 		if present, master := s.Remove(sid(2, i)); !present || master {
-			t.Fatalf("replica %d: present=%v master=%v", i, present, master)
+			t.Fatalf("non-master %d: present=%v master=%v", i, present, master)
 		}
 	}
-	if s.Len() != 0 || s.Masters() != 0 || s.Replicas() != 0 {
-		t.Fatalf("emptied store len/masters/replicas = %d/%d/%d", s.Len(), s.Masters(), s.Replicas())
+	if s.Len() != 0 || s.Masters() != 0 {
+		t.Fatalf("emptied store len/masters = %d/%d", s.Len(), s.Masters())
 	}
 	if _, ok := s.OldestAge(); ok {
 		t.Fatal("OldestAge reports a block on an empty store")
 	}
 }
 
-// TestShardedStoreReplicaEviction: a replica evicted from a multi-shard
-// store carries its Replica flag (so the node layer retires it from the
-// manager's set) no matter which shard it lived in.
+// TestShardedStoreReplicaEviction: a full multi-shard store of non-master
+// copies (the paper's replicas) evicts one non-master victim per insert, from
+// the shard the insert lands in, and stops holding it.
 func TestShardedStoreReplicaEviction(t *testing.T) {
 	s := NewStoreShards(8, core.PolicyMaster, 8) // one slot per shard
 	seen := 0
 	for i := 0; i < 64; i++ {
-		s.InsertReplica(sid(i, 0), []byte("r"))
+		s.Insert(sid(i, 0), []byte("r"), false)
 	}
-	// Every shard is full of replicas now; further inserts must evict
-	// replica-flagged victims from the right shard.
+	// Every shard is full of non-master copies now; further inserts must
+	// evict from the right shard.
 	for i := 64; i < 128; i++ {
-		if ev := s.InsertReplica(sid(i, 0), []byte("r")); ev != nil {
-			if !ev.Replica {
-				t.Fatalf("evicted %v not flagged as replica", ev.ID)
+		if ev := s.Insert(sid(i, 0), []byte("r"), false); ev != nil {
+			if ev.Master {
+				t.Fatalf("evicted %v flagged as master", ev.ID)
 			}
 			if s.shardOf(ev.ID) != s.shardOf(sid(i, 0)) {
 				t.Fatalf("victim %v evicted from a different shard than the insert", ev.ID)
 			}
-			if s.IsReplica(ev.ID) {
-				t.Fatalf("evicted replica %v still tracked", ev.ID)
+			if s.Contains(ev.ID) {
+				t.Fatalf("evicted copy %v still held", ev.ID)
 			}
 			seen++
 			ev.Release()
 		}
 	}
 	if seen == 0 {
-		t.Fatal("no replica evictions observed")
+		t.Fatal("no evictions observed")
+	}
+	if s.Len() != 8 || s.Masters() != 0 {
+		t.Fatalf("len/masters = %d/%d after the churn, want 8/0", s.Len(), s.Masters())
 	}
 }
 

@@ -16,13 +16,11 @@ import (
 // Evicted describes a block pushed out of the store. Master victims carry
 // their data — pinned on the caller's behalf — so the node layer can forward
 // them to a peer (§3); call Release when the forward (or the decision to
-// drop) is done. Replica victims carry their flag so the node layer can
-// retire them from the manager's replica set.
+// drop) is done.
 type Evicted struct {
-	ID      block.ID
-	Master  bool
-	Replica bool
-	Age     int64
+	ID     block.ID
+	Master bool
+	Age    int64
 	// Data is the evicted master's content. It stays valid until Release:
 	// the eviction transfers the store's payload reference to the Evicted,
 	// so the bytes cannot be recycled while a forward is in flight.
@@ -40,16 +38,12 @@ func (ev *Evicted) Release() {
 	ev.buf, ev.Data = nil, nil
 }
 
-// hotKey folds a block ID into the uint64 key space of the hotness tracker,
-// the admission sketch, and the store's shard hash.
-func hotKey(id block.ID) uint64 {
-	return uint64(id.File)<<32 | uint64(uint32(id.Idx))
-}
-
-// shardMix is the splitmix64 finalizer: it spreads hotKey's structured bits
-// (file in the high half, index in the low) uniformly over the shard space,
-// so the blocks of one file stripe across every shard.
-func shardMix(x uint64) uint64 {
+// shardHash is the shard hash of a block ID: the ID folded into 64 bits
+// (file in the high half, index in the low) through the splitmix64
+// finalizer, which spreads those structured bits uniformly over the shard
+// space, so the blocks of one file stripe across every shard.
+func shardHash(id block.ID) uint64 {
+	x := uint64(id.File)<<32 | uint64(uint32(id.Idx))
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
 	x ^= x >> 33
@@ -62,20 +56,18 @@ func shardMix(x uint64) uint64 {
 const emptyAge = math.MaxInt64
 
 // storeShard is one lock stripe of the store: its own mutex, replacement
-// structure, payload map, replica set, and monotone clock. Aggregate
-// counters are mirrored into atomics on every unlock, so Len/Masters/
-// Replicas/OldestAge never take a shard lock.
+// structure, payload map, and monotone clock. Aggregate counters are
+// mirrored into atomics on every unlock, so Len/Masters/OldestAge never take
+// a shard lock.
 type storeShard struct {
-	mu      sync.Mutex
-	c       *cache.BlockCache
-	data    map[block.ID]*payloadBuf
-	replica map[block.ID]struct{}
-	clock   int64
+	mu    sync.Mutex
+	c     *cache.BlockCache
+	data  map[block.ID]*payloadBuf
+	clock int64
 
 	oldest atomic.Int64 // age of the shard's oldest block; emptyAge when none
 	nlen   atomic.Int64
 	nmast  atomic.Int64
-	nrepl  atomic.Int64
 }
 
 // unlock publishes the shard's aggregate counters and releases its mutex.
@@ -89,7 +81,6 @@ func (sh *storeShard) unlock() {
 	}
 	sh.nlen.Store(int64(sh.c.Len()))
 	sh.nmast.Store(int64(sh.c.Masters()))
-	sh.nrepl.Store(int64(len(sh.replica)))
 	sh.mu.Unlock()
 }
 
@@ -123,15 +114,6 @@ type Store struct {
 	policy core.Policy
 	shards []*storeShard
 	mask   uint64
-	// adm, when non-nil, is the TinyLFU admission filter: a full shard
-	// only accepts a non-master insert whose estimated frequency beats the
-	// would-be victim's (one-hit wonders never displace warm blocks). The
-	// sketch itself is shared across shards (it has its own mutex; the
-	// filter is off by default).
-	adm atomic.Pointer[core.Admission]
-
-	replicaHits      atomic.Uint64
-	admissionRejects atomic.Uint64
 }
 
 // resolveStoreShards picks a shard count: requested (rounded up to a power
@@ -175,9 +157,8 @@ func NewStoreShards(capacity int, policy core.Policy, shards int) *Store {
 			c++
 		}
 		s.shards[i] = &storeShard{
-			c:       cache.NewBlockCache(c),
-			data:    make(map[block.ID]*payloadBuf, c),
-			replica: make(map[block.ID]struct{}),
+			c:    cache.NewBlockCache(c),
+			data: make(map[block.ID]*payloadBuf, c),
 		}
 		s.shards[i].oldest.Store(emptyAge)
 	}
@@ -192,52 +173,7 @@ func (s *Store) shardOf(id block.ID) *storeShard {
 	if len(s.shards) == 1 {
 		return s.shards[0]
 	}
-	return s.shards[shardMix(hotKey(id))&s.mask]
-}
-
-// SetAdmission installs (or, with nil, removes) the admission filter. Call
-// before the store serves traffic.
-func (s *Store) SetAdmission(a *core.Admission) {
-	s.adm.Store(a)
-}
-
-// ReplicaHits reports accesses served from replica copies.
-func (s *Store) ReplicaHits() uint64 { return s.replicaHits.Load() }
-
-// AdmissionRejects reports inserts the admission filter turned away.
-func (s *Store) AdmissionRejects() uint64 { return s.admissionRejects.Load() }
-
-// Replicas reports the number of cached replica copies (lock-free sum of
-// the per-shard mirrors).
-func (s *Store) Replicas() int {
-	var n int64
-	for _, sh := range s.shards {
-		n += sh.nrepl.Load()
-	}
-	return int(n)
-}
-
-// IsReplica reports whether id is held as a replica copy.
-func (s *Store) IsReplica(id block.ID) bool {
-	sh := s.shardOf(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	_, ok := sh.replica[id]
-	return ok
-}
-
-// noteAccessLocked feeds the admission sketch (every access builds the
-// frequency estimate) and the replica-hit counter for a served block.
-// Callers hold sh.mu; hit reports whether the access was served.
-func (s *Store) noteAccessLocked(sh *storeShard, id block.ID, hit bool) {
-	if a := s.adm.Load(); a != nil {
-		a.Observe(hotKey(id))
-	}
-	if hit {
-		if _, ok := sh.replica[id]; ok {
-			s.replicaHits.Add(1)
-		}
-	}
+	return s.shards[shardHash(id)&s.mask]
 }
 
 // GetRef returns a pinned reference to the cached content of id (touching
@@ -250,10 +186,8 @@ func (s *Store) GetRef(id block.ID) (*payloadBuf, bool) {
 	sh.mu.Lock()
 	defer sh.unlock()
 	if !sh.c.Touch(id, sh.tick()) {
-		s.noteAccessLocked(sh, id, false)
 		return nil, false
 	}
-	s.noteAccessLocked(sh, id, true)
 	return sh.data[id].retain(), true
 }
 
@@ -273,16 +207,14 @@ func (s *Store) Get(id block.ID) ([]byte, bool) {
 
 // GetServe is GetRef for the peer-serve path: it additionally reports
 // whether the block is held as a master copy, so the server can flag the
-// response and feed the hotness tracker without a second lock acquisition.
+// response without a second lock acquisition.
 func (s *Store) GetServe(id block.ID) (pb *payloadBuf, master, ok bool) {
 	sh := s.shardOf(id)
 	sh.mu.Lock()
 	defer sh.unlock()
 	if !sh.c.Touch(id, sh.tick()) {
-		s.noteAccessLocked(sh, id, false)
 		return nil, false, false
 	}
-	s.noteAccessLocked(sh, id, true)
 	return sh.data[id].retain(), sh.c.IsMaster(id), true
 }
 
@@ -358,11 +290,7 @@ func (s *Store) OldestAge() (int64, bool) {
 // Insert caches a copy of id backed by caller-owned bytes, evicting per the
 // policy if the shard is full. The returned eviction (nil if none, or the
 // block was already present) tells the node layer what left memory; the
-// caller decides forwarding and must Release it. When an admission filter
-// is installed, a full shard only accepts a non-master insert whose
-// estimated frequency beats the would-be victim's; a rejected insert
-// returns nil with nothing evicted (the caller already holds the data, it
-// just is not cached).
+// caller decides forwarding and must Release it.
 func (s *Store) Insert(id block.ID, data []byte, master bool) *Evicted {
 	return s.InsertBuf(id, newPayloadBuf(data), master)
 }
@@ -380,81 +308,18 @@ func (s *Store) insertLocked(sh *storeShard, id block.ID, pb *payloadBuf, master
 	if sh.c.Contains(id) {
 		if master {
 			sh.c.Promote(id)
-			delete(sh.replica, id)
 		}
 		old := sh.data[id]
 		sh.data[id] = pb
 		old.release()
-		return nil
-	}
-	var ev *Evicted
-	if sh.c.Full() {
-		if !master && !s.admitLocked(sh, id) {
-			pb.release()
-			return nil
-		}
-		ev = s.evictOneLocked(sh)
-	}
-	sh.c.Insert(id, master, sh.tick())
-	sh.data[id] = pb
-	return ev
-}
-
-// admitLocked consults the admission filter for a non-master insert into a
-// full shard: the candidate must beat the block the policy would evict.
-// Callers hold sh.mu.
-func (s *Store) admitLocked(sh *storeShard, id block.ID) bool {
-	a := s.adm.Load()
-	if a == nil {
-		return true
-	}
-	victim, oldestMaster, _, ok := sh.c.Oldest()
-	if ok && s.policy == core.PolicyMaster && oldestMaster && sh.c.NonMasters() > 0 {
-		// The policy would spare the master and evict the oldest
-		// non-master: that is the block the candidate must beat.
-		if vid, _, ok2 := sh.c.OldestNonMaster(); ok2 {
-			victim = vid
-		}
-	}
-	if !ok {
-		return true
-	}
-	if a.Admit(hotKey(id), hotKey(victim)) {
-		return true
-	}
-	s.admissionRejects.Add(1)
-	return false
-}
-
-// InsertReplica installs a proactively pushed replica copy, bypassing the
-// admission filter (the pusher already established the block is hot). A
-// block already cached keeps its role (a master is not demoted); otherwise
-// the block is installed as a replica-flagged non-master.
-func (s *Store) InsertReplica(id block.ID, data []byte) *Evicted {
-	return s.InsertReplicaBuf(id, newPayloadBuf(data))
-}
-
-// InsertReplicaBuf is InsertReplica taking ownership of one reference to pb.
-func (s *Store) InsertReplicaBuf(id block.ID, pb *payloadBuf) *Evicted {
-	sh := s.shardOf(id)
-	sh.mu.Lock()
-	defer sh.unlock()
-	if sh.c.Contains(id) {
-		old := sh.data[id]
-		sh.data[id] = pb
-		old.release()
-		if !sh.c.IsMaster(id) {
-			sh.replica[id] = struct{}{}
-		}
 		return nil
 	}
 	var ev *Evicted
 	if sh.c.Full() {
 		ev = s.evictOneLocked(sh)
 	}
-	sh.c.Insert(id, false, sh.tick())
+	sh.c.Insert(id, master, sh.tick())
 	sh.data[id] = pb
-	sh.replica[id] = struct{}{}
 	return ev
 }
 
@@ -467,7 +332,6 @@ func (s *Store) evictOneLocked(sh *storeShard) *Evicted {
 		s.policy == core.PolicyMaster && oldestMaster && sh.c.NonMasters() > 0 {
 		id, age, _ := sh.c.EvictOldestNonMaster()
 		ev := &Evicted{ID: id, Master: false, Age: int64(age)}
-		ev.Replica = dropReplicaLocked(sh, id)
 		sh.data[id].release()
 		delete(sh.data, id)
 		return ev
@@ -477,7 +341,6 @@ func (s *Store) evictOneLocked(sh *storeShard) *Evicted {
 		return nil
 	}
 	ev := &Evicted{ID: id, Master: master, Age: int64(age)}
-	ev.Replica = dropReplicaLocked(sh, id)
 	if master {
 		ev.buf = sh.data[id] // transfer the store's reference
 		ev.Data = ev.buf.data
@@ -486,16 +349,6 @@ func (s *Store) evictOneLocked(sh *storeShard) *Evicted {
 	}
 	delete(sh.data, id)
 	return ev
-}
-
-// dropReplicaLocked clears id's replica flag, reporting whether it was set.
-// Callers hold sh.mu.
-func dropReplicaLocked(sh *storeShard, id block.ID) bool {
-	if _, ok := sh.replica[id]; ok {
-		delete(sh.replica, id)
-		return true
-	}
-	return false
 }
 
 // GetRun appends pinned references for the contiguous run of cached blocks
@@ -514,11 +367,9 @@ func (s *Store) GetRun(f block.FileID, first int32, max int, out []*payloadBuf) 
 		sh := s.shardOf(id)
 		sh.mu.Lock()
 		if !sh.c.Touch(id, sh.tick()) {
-			s.noteAccessLocked(sh, id, false)
 			sh.unlock()
 			break
 		}
-		s.noteAccessLocked(sh, id, true)
 		if sh.c.IsMaster(id) {
 			masters |= 1 << uint(count)
 		}
@@ -565,7 +416,6 @@ func (s *Store) AcceptForwardBuf(id block.ID, pb *payloadBuf, age int64) (accept
 	defer sh.unlock()
 	if sh.c.Contains(id) {
 		sh.c.Promote(id)
-		delete(sh.replica, id)
 		old := sh.data[id]
 		sh.data[id] = pb
 		old.release()
@@ -578,7 +428,6 @@ func (s *Store) AcceptForwardBuf(id block.ID, pb *payloadBuf, age int64) (accept
 		}
 		vid, vMaster, vAge, _ := sh.c.EvictOldest()
 		displaced = &Evicted{ID: vid, Master: vMaster, Age: int64(vAge)}
-		displaced.Replica = dropReplicaLocked(sh, vid)
 		sh.data[vid].release()
 		delete(sh.data, vid)
 	}
@@ -597,7 +446,6 @@ func (s *Store) Remove(id block.ID) (present, master bool) {
 	if present {
 		sh.data[id].release()
 		delete(sh.data, id)
-		delete(sh.replica, id)
 	}
 	return present, master
 }
@@ -616,7 +464,6 @@ func (s *Store) RemoveAll() []block.ID {
 			pb.release()
 		}
 		sh.data = make(map[block.ID]*payloadBuf)
-		sh.replica = make(map[block.ID]struct{})
 		sh.unlock()
 	}
 	return masters

@@ -51,25 +51,9 @@ func (n *Node) WriteBlock(id block.ID, data []byte) error {
 	n.dirUpdate(id, int32(n.cfg.ID)) //nolint:errcheck // next miss self-corrects via home
 
 	// 4. Publish the invalidation record: per-peer sender loops deliver it
-	// in batched MsgInvalidateN frames in the background. The stamp orders
-	// this write against racing replica pushes of the old content.
+	// in batched MsgInvalidateN frames in the background.
 	if bus != nil {
-		if seq := bus.publish(id); seq != 0 {
-			n.recordInvalStamp(id, n.cfg.ID, seq)
-		}
-	}
-
-	// 5. A write to a hot block tore down its whole copy set: if the
-	// writer's own serve history says the block is still above the
-	// replication threshold, push fresh replicas immediately instead of
-	// waiting for the serve rate to re-cross it — under a flash crowd the
-	// gap between invalidation and re-replication is exactly where tail
-	// latency is made. The regular cooldown applies: the manager's repush
-	// tombstone (rate-limited per epoch) is the primary write re-spread
-	// path, this is the fast path for a master re-writing its own hot
-	// block.
-	if n.hot != nil && n.hot.Score(hotKey(id)) >= n.repThreshold && n.pushAllowed(id) {
-		go n.pushReplicas(id)
+		bus.publish(id)
 	}
 	return nil
 }
