@@ -147,6 +147,9 @@ func TestBenchAllocBudget(t *testing.T) {
 	}
 	const maxAllocs, maxBytes = 24, 40000
 	r := testing.Benchmark(BenchmarkGatewayGet)
+	if r.N == 0 {
+		t.Fatal("BenchmarkGatewayGet failed: no iteration ran, so it has no allocs/op to check")
+	}
 	t.Logf("BenchmarkGatewayGet: %d allocs/op, %d B/op, budget %d, %d (%d ns/op)",
 		r.AllocsPerOp(), r.AllocedBytesPerOp(), maxAllocs, maxBytes, r.NsPerOp())
 	if r.AllocsPerOp() > maxAllocs || r.AllocedBytesPerOp() > maxBytes {

@@ -16,6 +16,9 @@ import (
 	"repro/internal/trace"
 )
 
+// httpTimeout bounds one HTTP request end to end.
+const httpTimeout = 60 * time.Second
+
 // HTTPConfig parameterizes an HTTP replay against a gateway.
 type HTTPConfig struct {
 	// Connections is the number of closed-loop clients (default 64). Each
@@ -27,14 +30,6 @@ type HTTPConfig struct {
 	// WarmupFrac is the fraction of requests excluded from measurement
 	// (default 0.3).
 	WarmupFrac float64
-	// MaxSamples bounds the latency samples retained for percentiles
-	// (default 65536).
-	MaxSamples int
-	// Interval is the bucket width of the per-interval time series (0: 1 s
-	// default; negative: no time series).
-	Interval time.Duration
-	// Timeout bounds one request end to end (default 60 s).
-	Timeout time.Duration
 }
 
 // HTTPResult summarizes an HTTP replay.
@@ -58,8 +53,6 @@ type HTTPResult struct {
 	// at steady state it approximates the peak concurrent keep-alive
 	// connections (reuse keeps it from growing past the worker count).
 	ConnsOpened int64
-	// Intervals is the measured window time series (nil when disabled).
-	Intervals []Interval
 }
 
 // ReplayHTTP drives tr's request stream against an HTTP gateway at
@@ -76,15 +69,6 @@ func ReplayHTTP(baseURL string, tr *trace.Trace, pathOf func(block.FileID) strin
 	}
 	if cfg.WarmupFrac < 0 || cfg.WarmupFrac >= 1 {
 		return HTTPResult{}, fmt.Errorf("loadgen: warmup fraction %v out of [0,1)", cfg.WarmupFrac)
-	}
-	if cfg.MaxSamples <= 0 {
-		cfg.MaxSamples = 65536
-	}
-	if cfg.Interval == 0 {
-		cfg.Interval = time.Second
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 60 * time.Second
 	}
 	total := len(tr.Requests)
 	if cfg.MaxRequests > 0 && cfg.MaxRequests < total {
@@ -112,7 +96,7 @@ func ReplayHTTP(baseURL string, tr *trace.Trace, pathOf func(block.FileID) strin
 		IdleConnTimeout:     120 * time.Second,
 	}
 	defer transport.CloseIdleConnections()
-	httpc := &http.Client{Transport: transport, Timeout: cfg.Timeout}
+	httpc := &http.Client{Transport: transport, Timeout: httpTimeout}
 
 	var (
 		cursor    atomic.Int64
@@ -120,8 +104,7 @@ func ReplayHTTP(baseURL string, tr *trace.Trace, pathOf func(block.FileID) strin
 		bytesRead atomic.Int64
 		measStart atomic.Int64
 		mu        sync.Mutex
-		rt        = metrics.NewResponseTimes(cfg.MaxSamples)
-		samples   []isample
+		rt        = metrics.NewResponseTimes(maxSamples)
 		wg        sync.WaitGroup
 		firstErr  error
 		errOnce   sync.Once
@@ -149,9 +132,6 @@ func ReplayHTTP(baseURL string, tr *trace.Trace, pathOf func(block.FileID) strin
 			if idx >= warm {
 				mu.Lock()
 				rt.Add(sim.Duration(time.Since(start)))
-				if cfg.Interval > 0 {
-					samples = append(samples, isample{at: start.UnixNano(), lat: time.Since(start), bytes: int(nbytes)})
-				}
 				mu.Unlock()
 				bytesRead.Add(nbytes)
 			}
@@ -191,9 +171,6 @@ func ReplayHTTP(baseURL string, tr *trace.Trace, pathOf func(block.FileID) strin
 		res.P95 = time.Duration(rt.Percentile(0.95))
 		res.P99 = time.Duration(rt.Percentile(0.99))
 	}
-	if cfg.Interval > 0 {
-		res.Intervals = buildIntervals(samples, nil, nil, measStart.Load(), cfg.Interval)
-	}
 	return res, nil
 }
 
@@ -225,5 +202,5 @@ func (r HTTPResult) String() string {
 }
 
 // PathForFile is the canonical URL path of a synthetic-manifest file on a
-// gateway: "/f/<id>". ccnode -http-addr and ccload -http agree on it.
+// gateway: "/f/<id>". ccnode -http-addr and ccload -http-url agree on it.
 func PathForFile(f block.FileID) string { return fmt.Sprintf("/f/%d", f) }

@@ -24,14 +24,12 @@ func httpTestTrace() *trace.Trace {
 
 func TestReplayHTTP(t *testing.T) {
 	tr := httpTestTrace()
-	var served [4]int
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var f int
 		if _, err := fmt.Sscanf(r.URL.Path, "/f/%d", &f); err != nil || f < 0 || f > 3 {
 			http.NotFound(w, r)
 			return
 		}
-		served[f]++                                                 // racy count is fine for a smoke assertion via total below
 		w.Write([]byte(strings.Repeat("x", int(tr.Files[f].Size)))) //nolint:errcheck
 	}))
 	defer srv.Close()
@@ -39,7 +37,6 @@ func TestReplayHTTP(t *testing.T) {
 	res, err := ReplayHTTP(srv.URL, tr, PathForFile, HTTPConfig{
 		Connections: 4,
 		WarmupFrac:  0.25,
-		Interval:    -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +63,7 @@ func TestReplayHTTPErrorStatus(t *testing.T) {
 		http.Error(w, "boom", http.StatusBadGateway)
 	}))
 	defer srv.Close()
-	res, err := ReplayHTTP(srv.URL, tr, PathForFile, HTTPConfig{Connections: 2, Interval: -1})
+	res, err := ReplayHTTP(srv.URL, tr, PathForFile, HTTPConfig{Connections: 2})
 	if err == nil {
 		t.Fatal("expected error for 502 responses")
 	}

@@ -62,23 +62,11 @@ type Config struct {
 	// Geometry is needed to size write payloads when WriteFrac > 0 (zero
 	// value: the 8 KB default).
 	Geometry block.Geometry
-	// MaxSamples bounds the latency samples retained for percentiles
-	// (reservoir sampling; default 65536). Mean/min/max stay exact.
-	MaxSamples int
-	// OnBreakpoint, when non-nil, runs exactly once just before request
-	// index Breakpoint is issued (the worker that draws that index calls
-	// it synchronously). Chaos runs use it to crash a node mid-replay.
-	OnBreakpoint func()
-	// Breakpoint is the request index that triggers OnBreakpoint.
-	Breakpoint int
-	// Breakpoints are additional (index, hook) pairs with the same
-	// contract as Breakpoint/OnBreakpoint: each hook runs exactly once,
-	// synchronously, just before its request index is issued. Resize runs
-	// use several — join nodes mid-replay, drain them later.
+	// Breakpoints are (index, hook) pairs: each hook runs exactly once,
+	// synchronously, on the worker that draws its request index, just before
+	// that request is issued. Chaos runs crash a node with one; resize runs
+	// join nodes with one and drain them with another.
 	Breakpoints []Breakpoint
-	// Interval is the bucket width of the per-interval time series in
-	// Result.Intervals (0: 1 s default; negative: no time series).
-	Interval time.Duration
 }
 
 // Breakpoint pairs a request index with a hook to run just before that
@@ -90,70 +78,9 @@ type Breakpoint struct {
 	Fn func()
 }
 
-// Interval is one bucket of the replay's measured-window time series:
-// throughput, latency percentiles, and client-side fault activity over one
-// Config.Interval-wide slice of wall-clock time. A bench or chaos run keeps
-// the sequence in BENCH_live.json, so a mid-run disturbance (a crashed
-// node, a breaker opening) is visible at its moment instead of being
-// averaged away over the whole run.
-type Interval struct {
-	// I is the bucket index (0 starts at the measurement window's start).
-	I int `json:"i"`
-	// StartMs is the bucket's offset from the measurement start, in
-	// milliseconds.
-	StartMs int64 `json:"start_ms"`
-	// Requests/Writes/Bytes are the operations measured in this bucket
-	// (bucketed by issue time).
-	Requests int   `json:"requests"`
-	Writes   int   `json:"writes,omitempty"`
-	Bytes    int64 `json:"bytes"`
-	// ReqPerSec/MBPerSec are Requests and Bytes over the bucket width.
-	ReqPerSec float64 `json:"req_per_sec"`
-	MBPerSec  float64 `json:"mb_per_sec"`
-	// P50Micros/P99Micros are response-time percentiles over the bucket's
-	// requests, in microseconds (reservoir-sampled above 4096 requests).
-	P50Micros int64 `json:"p50_us"`
-	P99Micros int64 `json:"p99_us"`
-	// ClientTimeouts/ClientFailovers/ClientBreakerSkips are the deltas of
-	// the client fault counters attributed to this bucket.
-	ClientTimeouts     uint64 `json:"client_timeouts,omitempty"`
-	ClientFailovers    uint64 `json:"client_failovers,omitempty"`
-	ClientBreakerSkips uint64 `json:"client_breaker_skips,omitempty"`
-	// HitRate is the cluster cache hit rate over this bucket's accesses
-	// ((Δlocal+Δremote)/Δaccesses from periodic cluster-stat snapshots;
-	// -1 when no snapshot landed in the bucket or no accesses occurred).
-	// Resize runs read the recovery of this series after a join or drain.
-	HitRate float64 `json:"hit_rate"`
-	// RebalancePending/MembershipEpoch are the cluster's values at the
-	// bucket's end boundary (membership runs only; zero otherwise).
-	RebalancePending uint64 `json:"rebalance_pending,omitempty"`
-	MembershipEpoch  uint64 `json:"epoch,omitempty"`
-}
-
-// intervalSampleCap bounds the per-bucket latency reservoir.
-const intervalSampleCap = 4096
-
-// isample is one measured operation, kept per worker and bucketed into
-// Intervals after the replay.
-type isample struct {
-	at    int64 // issue time, unix nanos
-	lat   time.Duration
-	bytes int
-	write bool
-}
-
-// faultSample is a timestamped cumulative client fault-counter snapshot.
-type faultSample struct {
-	at int64
-	fs middleware.ClientFaultStats
-}
-
-// statSample is a timestamped cumulative cluster-stat snapshot (best
-// effort: mid-resize a node may be unreachable and the snapshot skipped).
-type statSample struct {
-	at int64
-	st middleware.Stats
-}
+// maxSamples bounds the latency samples a replay retains for percentiles
+// (reservoir sampling); mean, min and max stay exact.
+const maxSamples = 65536
 
 // Result summarizes a replay.
 type Result struct {
@@ -191,10 +118,6 @@ type Result struct {
 	// that timed out, failed over to another entry node, or steered
 	// around an open breaker.
 	Fault middleware.ClientFaultStats
-	// Intervals is the measured window sliced into Config.Interval-wide
-	// buckets (nil when Config.Interval is negative or nothing was
-	// measured).
-	Intervals []Interval
 }
 
 // Replay runs the trace against the cluster and reports measurements.
@@ -222,12 +145,6 @@ func Replay(client *middleware.Client, tr *trace.Trace, cfg Config) (Result, err
 		return Result{}, fmt.Errorf("loadgen: empty trace")
 	}
 	warm := int(cfg.WarmupFrac * float64(total))
-	if cfg.MaxSamples <= 0 {
-		cfg.MaxSamples = 65536
-	}
-	if cfg.Interval == 0 {
-		cfg.Interval = time.Second
-	}
 
 	var (
 		cursor    atomic.Int64
@@ -236,67 +153,28 @@ func Replay(client *middleware.Client, tr *trace.Trace, cfg Config) (Result, err
 		nWrites   atomic.Int64
 		measStart atomic.Int64 // unix nanos of first measured issue
 		mu        sync.Mutex
-		rt        = metrics.NewResponseTimes(cfg.MaxSamples)
-		wrt       = metrics.NewResponseTimes(cfg.MaxSamples) // writes only
+		rt        = metrics.NewResponseTimes(maxSamples)
+		wrt       = metrics.NewResponseTimes(maxSamples) // writes only
 		wg        sync.WaitGroup
 		firstErr  error
 		errOnce   sync.Once
-		samples   []isample // every measured op, for interval bucketing
 	)
-
-	// The fault sampler snapshots the cumulative client fault counters on a
-	// fast cadence, so the interval series can attribute counter deltas to
-	// the bucket they occurred in.
-	var (
-		faultSamples []faultSample
-		statSamples  []statSample
-		samplerStop  chan struct{}
-		samplerDone  chan struct{}
-	)
-	if cfg.Interval > 0 {
-		samplerStop, samplerDone = make(chan struct{}), make(chan struct{})
-		tick := cfg.Interval / 4
-		if tick < 10*time.Millisecond {
-			tick = 10 * time.Millisecond
-		}
-		go func() {
-			defer close(samplerDone)
-			t := time.NewTicker(tick)
-			defer t.Stop()
-			for {
-				select {
-				case <-samplerStop:
-					return
-				case now := <-t.C:
-					fs := client.FaultStats()
-					st, serr := client.ClusterStats()
-					mu.Lock()
-					faultSamples = append(faultSamples, faultSample{at: now.UnixNano(), fs: fs})
-					if serr == nil {
-						statSamples = append(statSamples, statSample{at: now.UnixNano(), st: st})
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
 
 	worker := func(seed int64) {
 		defer wg.Done()
 		rng := rand.New(rand.NewSource(seed))
-		local := make([]isample, 0, 1024)
+		// Latencies stay per worker until the end: no lock per request.
+		lats := make([]time.Duration, 0, 1024)
+		var writeLats []time.Duration
 		for {
 			idx := int(cursor.Add(1)) - 1
 			if idx >= total || nErrors.Load() > 0 {
 				break
 			}
 			f := tr.Requests[idx]
-			if cfg.OnBreakpoint != nil && idx == cfg.Breakpoint {
-				cfg.OnBreakpoint() // the cursor hands out each index once
-			}
 			for _, bp := range cfg.Breakpoints {
 				if bp.Fn != nil && idx == bp.Index {
-					bp.Fn()
+					bp.Fn() // the cursor hands out each index once
 				}
 			}
 			start := time.Now()
@@ -319,22 +197,21 @@ func Replay(client *middleware.Client, tr *trace.Trace, cfg Config) (Result, err
 				break
 			}
 			if idx >= warm {
-				local = append(local, isample{at: start.UnixNano(), lat: time.Since(start), bytes: nbytes, write: isWrite})
+				lat := time.Since(start)
+				lats = append(lats, lat)
 				bytesRead.Add(int64(nbytes))
 				if isWrite {
+					writeLats = append(writeLats, lat)
 					nWrites.Add(1)
 				}
 			}
 		}
 		mu.Lock()
-		for _, s := range local {
-			rt.Add(sim.Duration(s.lat))
-			if s.write {
-				wrt.Add(sim.Duration(s.lat))
-			}
+		for _, lat := range lats {
+			rt.Add(sim.Duration(lat))
 		}
-		if cfg.Interval > 0 {
-			samples = append(samples, local...)
+		for _, lat := range writeLats {
+			wrt.Add(sim.Duration(lat))
 		}
 		mu.Unlock()
 	}
@@ -349,15 +226,6 @@ func Replay(client *middleware.Client, tr *trace.Trace, cfg Config) (Result, err
 	}
 	wg.Wait()
 	end := time.Now()
-	if samplerStop != nil {
-		close(samplerStop)
-		<-samplerDone
-		// One final snapshot so the last bucket's delta has an end boundary.
-		faultSamples = append(faultSamples, faultSample{at: end.UnixNano(), fs: client.FaultStats()})
-		if st, serr := client.ClusterStats(); serr == nil {
-			statSamples = append(statSamples, statSample{at: end.UnixNano(), st: st})
-		}
-	}
 
 	res := Result{
 		Requests: rt.Count(),
@@ -370,10 +238,6 @@ func Replay(client *middleware.Client, tr *trace.Trace, cfg Config) (Result, err
 	}
 	if ms := measStart.Load(); ms > 0 {
 		res.Elapsed = end.Sub(time.Unix(0, ms))
-	} else {
-		// Everything was warmup-free (warm == 0 never stored): measure from
-		// the first request by approximation.
-		res.Elapsed = end.Sub(end) // zero; filled below if samples exist
 	}
 	if res.Elapsed > 0 {
 		res.Throughput = float64(res.Requests) / res.Elapsed.Seconds()
@@ -393,117 +257,7 @@ func Replay(client *middleware.Client, tr *trace.Trace, cfg Config) (Result, err
 		res.Cluster = stats
 	}
 	res.Fault = client.FaultStats()
-	if cfg.Interval > 0 {
-		res.Intervals = buildIntervals(samples, faultSamples, statSamples, measStart.Load(), cfg.Interval)
-	}
 	return res, nil
-}
-
-// buildIntervals buckets the measured samples into width-wide intervals
-// starting at measStart and attributes fault-counter deltas to each bucket
-// from the sampler's timestamped snapshots (appended in time order).
-func buildIntervals(samples []isample, faults []faultSample, stats []statSample, measStart int64, width time.Duration) []Interval {
-	if measStart <= 0 || len(samples) == 0 {
-		return nil
-	}
-	w := int64(width)
-	nb := 0
-	for _, s := range samples {
-		if s.at < measStart {
-			continue
-		}
-		if i := int((s.at - measStart) / w); i >= nb {
-			nb = i + 1
-		}
-	}
-	if nb == 0 {
-		return nil
-	}
-	out := make([]Interval, nb)
-	rts := make([]*metrics.ResponseTimes, nb)
-	for i := range out {
-		out[i].I = i
-		out[i].StartMs = int64(i) * w / int64(time.Millisecond)
-		rts[i] = metrics.NewResponseTimes(intervalSampleCap)
-	}
-	for _, s := range samples {
-		if s.at < measStart {
-			continue
-		}
-		i := int((s.at - measStart) / w)
-		out[i].Requests++
-		out[i].Bytes += int64(s.bytes)
-		if s.write {
-			out[i].Writes++
-		}
-		rts[i].Add(sim.Duration(s.lat))
-	}
-	secs := width.Seconds()
-	for i := range out {
-		out[i].ReqPerSec = float64(out[i].Requests) / secs
-		out[i].MBPerSec = float64(out[i].Bytes) / secs / (1 << 20)
-		if rts[i].Count() > 0 {
-			out[i].P50Micros = int64(rts[i].Percentile(0.50)) / int64(time.Microsecond)
-			out[i].P99Micros = int64(rts[i].Percentile(0.99)) / int64(time.Microsecond)
-		}
-	}
-	// Fault deltas: the cumulative snapshot at each bucket's end boundary
-	// (the last sample at or before it), differenced against the previous
-	// boundary. Buckets between snapshots get zero, the snapshot's bucket
-	// gets the whole delta — accurate to the sampler cadence (width/4).
-	var prev middleware.ClientFaultStats
-	j := 0
-	for j < len(faults) && faults[j].at <= measStart {
-		prev = faults[j].fs
-		j++
-	}
-	for i := range out {
-		boundary := measStart + int64(i+1)*w
-		cur := prev
-		for j < len(faults) && faults[j].at <= boundary {
-			cur = faults[j].fs
-			j++
-		}
-		out[i].ClientTimeouts = cur.Timeouts - prev.Timeouts
-		out[i].ClientFailovers = cur.Failovers - prev.Failovers
-		out[i].ClientBreakerSkips = cur.BreakerSkips - prev.BreakerSkips
-		prev = cur
-	}
-	// Per-bucket hit rate from the cluster-stat snapshots, same boundary
-	// scheme. Crashed nodes make the cumulative counters dip (their share
-	// dies with them), so deltas are clamped at zero; buckets with no
-	// snapshot or no accesses report -1.
-	var prevSt middleware.Stats
-	havePrev := false
-	j = 0
-	for j < len(stats) && stats[j].at <= measStart {
-		prevSt, havePrev = stats[j].st, true
-		j++
-	}
-	for i := range out {
-		out[i].HitRate = -1
-		boundary := measStart + int64(i+1)*w
-		cur, have := prevSt, false
-		for j < len(stats) && stats[j].at <= boundary {
-			cur, have = stats[j].st, true
-			j++
-		}
-		if !have {
-			continue
-		}
-		out[i].RebalancePending = cur.RebalancePending
-		out[i].MembershipEpoch = cur.MembershipEpoch
-		if havePrev && cur.Accesses > prevSt.Accesses {
-			da := cur.Accesses - prevSt.Accesses
-			var dh uint64
-			if hits, ph := cur.LocalHits+cur.RemoteHits, prevSt.LocalHits+prevSt.RemoteHits; hits > ph {
-				dh = hits - ph
-			}
-			out[i].HitRate = float64(dh) / float64(da)
-		}
-		prevSt, havePrev = cur, true
-	}
-	return out
 }
 
 // String formats the result as a report.

@@ -126,11 +126,14 @@ func BenchmarkNodeReadFile(b *testing.B) {
 // store under GOMAXPROCS goroutines (b.RunParallel): the lock-contention
 // profile the shard split exists to flatten. Run with -cpu 1,4 to see the
 // scaling; pair with -mutexprofile to see where the remaining contention
-// lives. On a 1-CPU host this degenerates to the serial path (see
-// BENCH_live caveats).
+// lives. On a 1-CPU host this degenerates to the serial path.
 func BenchmarkStoreGetParallel(b *testing.B) {
 	const blocks = 256
-	s := NewStoreShards(blocks, core.PolicyMaster, 0) // 0: NumCPU shards
+	// The IDs do not hash evenly over the shards: every shard gets room for
+	// the whole warm set, so no warm block is evicted before the loop reads
+	// it.
+	shards := resolveStoreShards(0, blocks) // NumCPU shards
+	s := NewStoreShards(blocks*shards, core.PolicyMaster, shards)
 	for i := int32(0); i < blocks; i++ {
 		s.Insert(block.ID{File: 1, Idx: i}, SyntheticBlock(1, i, 8192), true)
 	}

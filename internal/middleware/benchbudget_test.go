@@ -11,8 +11,9 @@ import (
 // allocs/op exceeds the checked-in budget (testdata/alloc_budget.json). The
 // budgets carry a little headroom over the measured values, so the gate trips
 // on a real regression (a lost pooled buffer, a new per-block allocation) and
-// not on runtime noise. Gated behind CC_BENCH_BUDGET=1 because it runs full
-// benchmarks — too slow for every local `go test`.
+// not on runtime noise. A benchmark that fails reports N == 0 and 0 allocs/op;
+// the gate fails it instead of passing it. Gated behind CC_BENCH_BUDGET=1
+// because it runs full benchmarks — too slow for every local `go test`.
 //
 // To update the budget after an intentional change, re-measure with
 // `go test -run '^$' -bench 'ConnRoundTrip|NodeReadFile|StoreGetParallel|ServeRun|ClientReadFile$|WriteBlock' ./internal/middleware/`
@@ -44,6 +45,10 @@ func TestBenchAllocBudget(t *testing.T) {
 			t.Fatalf("no budget entry for %s", name)
 		}
 		r := testing.Benchmark(fn)
+		if r.N == 0 {
+			t.Errorf("%s failed: no iteration ran, so it has no allocs/op to check", name)
+			continue
+		}
 		if got := r.AllocsPerOp(); got > want {
 			t.Errorf("%s: %d allocs/op exceeds budget %d (%v/op, %d B/op)",
 				name, got, want, r.NsPerOp(), r.AllocedBytesPerOp())

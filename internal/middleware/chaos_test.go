@@ -139,6 +139,67 @@ func TestFaultPlanDeterministic(t *testing.T) {
 	}
 }
 
+// TestWriteWithSlowPeerReturnsBeforeAck is what the invalidation bus is
+// for: one peer delays every frame it sends by a second, and a write must
+// not wait for it. A write through a healthy entry to a file homed on a
+// healthy node returns while the slow peer has not yet acknowledged the
+// invalidation; once the writer's bus has drained, the slow peer's old copy
+// is gone and a read through it returns the new bytes.
+func TestWriteWithSlowPeerReturnsBeforeAck(t *testing.T) {
+	const slow = 3
+	sizes := map[block.FileID]int64{0: 1024} // one block, homed at node 0
+	nodes, _ := startFaultCluster(t, 4, 64, sizes, func(i int, cfg *Config) {
+		if i == slow {
+			cfg.Fault = &FaultPlan{Seed: 1, DelayProb: 1, Delay: time.Second}
+		}
+	}, ClientConfig{})
+
+	id := block.ID{File: 0, Idx: 0}
+	if _, err := nodes[slow].GetBlock(id); err != nil {
+		t.Fatalf("prime read via the slow peer: %v", err)
+	}
+	if !nodes[slow].store.Contains(id) {
+		t.Fatal("the slow peer should hold a copy before the write")
+	}
+
+	newBlock := bytes.Repeat([]byte{0xCD}, 1024)
+	start := time.Now()
+	if err := nodes[1].WriteBlock(id, newBlock); err != nil {
+		t.Fatalf("write with a slow peer: %v", err)
+	}
+	elapsed := time.Since(start)
+	if backlog := busBacklog(nodes[1], slow); backlog == 0 {
+		t.Fatalf("the write returned after %v with its invalidation already acknowledged by the slow peer: it waited for that peer", elapsed)
+	}
+	t.Logf("write returned in %v, slow peer's acknowledgement still outstanding", elapsed)
+
+	if !nodes[1].FlushInval(10 * time.Second) {
+		t.Fatal("the writer's bus toward the slow peer never drained")
+	}
+	got, err := nodes[slow].GetBlock(id)
+	if err != nil {
+		t.Fatalf("read via the slow peer after the flush: %v", err)
+	}
+	if !bytes.Equal(got, newBlock) {
+		t.Fatal("the slow peer served its old copy after the writer's bus drained")
+	}
+}
+
+// busBacklog is the number of n's published invalidation records that peer
+// has not acknowledged.
+func busBacklog(n *Node, peer int) uint64 {
+	b := n.busRef()
+	b.mu.Lock()
+	head, senders := b.head, b.senders
+	b.mu.Unlock()
+	for _, s := range senders {
+		if s.peer == peer {
+			return head - min(s.acked.Load(), head)
+		}
+	}
+	return 0
+}
+
 // TestWriteWithCrashedPeerSucceeds crashes one holder of a cached copy and
 // verifies the §6 write still completes: the fan-out reaches every live
 // peer (their copies are invalidated), the dead peer is degraded to "holds
