@@ -52,19 +52,12 @@ func runScenarios(name string, requests, concurrency int, seed int64) error {
 	return nil
 }
 
-// scenarioCluster is the common 4-node in-process setup of the matrix. The
-// scenarios pin counter signatures written against the paper's static
-// int(f) % clusterSize placement (node_drain excludes the drained node's
-// homed files by modulo), so the matrix runs with StaticHome — the
-// elastic-membership counterpart is ccload -resize.
-func scenarioCluster(capacity, files int, mut func(i int, cfg *middleware.Config)) (map[block.FileID]int64, []*middleware.Node, *middleware.Client, func(), error) {
+// scenarioCluster is the common 4-node in-process setup of the matrix: the
+// default Config, homes on the consistent-hash ring (node_drain picks the
+// drained node's homed files by RingHome).
+func scenarioCluster(capacity, files int) (map[block.FileID]int64, []*middleware.Node, *middleware.Client, func(), error) {
 	sizes := fileSizes(files, 16384)
-	nodes, addrs, shutdown, err := startCluster(4, capacity, sizes, func(i int, cfg *middleware.Config) {
-		cfg.StaticHome = true
-		if mut != nil {
-			mut(i, cfg)
-		}
-	})
+	nodes, addrs, shutdown, err := startCluster(4, capacity, sizes, nil)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
@@ -83,7 +76,7 @@ func scenarioCluster(capacity, files int, mut func(i int, cfg *middleware.Config
 // cluster memory — its disk-read delta must be zero.
 func scenarioFullHit(requests, concurrency int, seed int64) error {
 	const files = 40
-	sizes, _, client, done, err := scenarioCluster(4096, files, nil)
+	sizes, _, client, done, err := scenarioCluster(4096, files)
 	if err != nil {
 		return err
 	}
@@ -118,7 +111,7 @@ func scenarioFullHit(requests, concurrency int, seed int64) error {
 // remote (peer) hits, and disk reads.
 func scenarioPartialHit(requests, concurrency int, seed int64) error {
 	const files = 200
-	sizes, _, client, done, err := scenarioCluster(64, files, nil)
+	sizes, _, client, done, err := scenarioCluster(64, files)
 	if err != nil {
 		return err
 	}
@@ -150,7 +143,7 @@ func scenarioColdMiss(requests, concurrency int, seed int64) error {
 	if files > 300 {
 		files = 300
 	}
-	sizes, _, client, done, err := scenarioCluster(4096, files, nil)
+	sizes, _, client, done, err := scenarioCluster(4096, files)
 	if err != nil {
 		return err
 	}
@@ -185,7 +178,7 @@ func scenarioColdMiss(requests, concurrency int, seed int64) error {
 // per node per write), and deliveries must actually batch.
 func scenarioWriteInvalidate(requests, concurrency int, seed int64) error {
 	const files = 100
-	sizes, _, client, done, err := scenarioCluster(512, files, nil)
+	sizes, _, client, done, err := scenarioCluster(512, files)
 	if err != nil {
 		return err
 	}
@@ -241,7 +234,7 @@ func scenarioWriteInvalidate(requests, concurrency int, seed int64) error {
 // reads a clock.
 func scenarioFlashCrowd(requests, concurrency int, seed int64) error {
 	const files = 300
-	sizes, nodes, client, done, err := scenarioCluster(256, files, nil)
+	sizes, nodes, client, done, err := scenarioCluster(256, files)
 	if err != nil {
 		return err
 	}
@@ -346,7 +339,7 @@ func buildFlashTrace(files int, sizes map[block.FileID]int64, requests int, zipf
 func scenarioNodeDrain(requests, concurrency int, seed int64) error {
 	const files = 100
 	const drainNode = 3
-	sizes, nodes, client, done, err := scenarioCluster(512, files, nil)
+	sizes, nodes, client, done, err := scenarioCluster(512, files)
 	if err != nil {
 		return err
 	}
@@ -357,9 +350,14 @@ func scenarioNodeDrain(requests, concurrency int, seed int64) error {
 		return err
 	}
 	// One tracked write whose freshness the survivors must preserve across
-	// the drain (file 0 homes at node 0, not the drained node).
-	patch := bytes.Repeat([]byte{0xD7}, int(block.DefaultGeometry.Size)) // file 0 is one full block
-	if err := client.Write(0, 0, patch); err != nil {
+	// the drain: the first file not homed at the drained node. Every file
+	// is at least one full block.
+	tracked := block.FileID(0)
+	for middleware.RingHome(tracked, len(nodes)) == drainNode {
+		tracked++
+	}
+	patch := bytes.Repeat([]byte{0xD7}, int(block.DefaultGeometry.Size))
+	if err := client.Write(tracked, 0, patch); err != nil {
 		return err
 	}
 	// Drain: every node flushes its outgoing invalidations, then the node
@@ -372,7 +370,7 @@ func scenarioNodeDrain(requests, concurrency int, seed int64) error {
 	// Phase 2: read-only replay avoiding the drained node's homed files.
 	kept := tr.Requests[:0]
 	for _, f := range tr.Requests {
-		if int(f)%4 != drainNode {
+		if middleware.RingHome(f, len(nodes)) != drainNode {
 			kept = append(kept, f)
 		}
 	}
@@ -387,12 +385,17 @@ func scenarioNodeDrain(requests, concurrency int, seed int64) error {
 	if res.Fault.Failovers+res.Fault.BreakerSkips == 0 {
 		return fmt.Errorf("signature broken: no failovers or breaker skips — the drained node was never routed around")
 	}
-	got, err := client.Read(0)
-	if err != nil {
-		return err
-	}
-	if len(got) < len(patch) || !bytes.Equal(got[:len(patch)], patch) {
-		return fmt.Errorf("stale bytes served after a flushed drain")
+	for e := range nodes {
+		if e == drainNode {
+			continue
+		}
+		got, err := client.ReadVia(e, tracked)
+		if err != nil {
+			return err
+		}
+		if len(got) < len(patch) || !bytes.Equal(got[:len(patch)], patch) {
+			return fmt.Errorf("stale bytes of file %d served via node %d after a flushed drain", tracked, e)
+		}
 	}
 	return nil
 }

@@ -62,7 +62,6 @@ func main() {
 		traceCap = flag.Int("trace", 0, "with -serve: retain the last N protocol trace events, dumpable via the trace RPC (0: tracing off)")
 		join     = flag.String("join", "", "with -serve: join a running cluster through this seed node address instead of -cluster (requires -listen; -id picks this node's slot)")
 		drain    = flag.Int("drain", -1, "drain this node ID out of the cluster: mark it draining, wait for the survivors to pull its ring slice, then remove it")
-		static   = flag.Bool("static-home", false, "with -serve: pin the paper's static int(f)%%clusterSize placement (no ring, no elastic membership)")
 		hbIvl    = flag.Duration("heartbeat-interval", 0, "with -serve: peer heartbeat probe interval (0: heartbeats off)")
 		suspect  = flag.Duration("suspect-timeout", 0, "with -serve: silence before a peer is locally suspected (0: 3x heartbeat interval)")
 		deadTO   = flag.Duration("dead-timeout", 0, "with -serve: silence before a suspected peer is proposed dead cluster-wide (0: 10x heartbeat interval)")
@@ -83,7 +82,7 @@ func main() {
 
 	switch {
 	case *serve:
-		ms := membership{join: *join, static: *static, heartbeat: *hbIvl, suspect: *suspect, dead: *deadTO}
+		ms := membership{join: *join, heartbeat: *hbIvl, suspect: *suspect, dead: *deadTO}
 		runNode(*id, *listen, addrs, *capacity, *policy, *files, *avg, ft, ms, *metrics, *httpAddr, *traceCap)
 	case *drain >= 0:
 		client := dial(addrs, ft)
@@ -155,11 +154,9 @@ type faultTolerance struct {
 }
 
 // membership groups the elastic-membership knobs: joining an existing
-// cluster through a seed, pinning the legacy static placement, and the
-// heartbeat failure-detection cadence.
+// cluster through a seed and the heartbeat failure-detection cadence.
 type membership struct {
 	join      string
-	static    bool
 	heartbeat time.Duration
 	suspect   time.Duration
 	dead      time.Duration
@@ -235,7 +232,6 @@ func runNode(id int, listen string, addrs []string, capacity int, policy string,
 		Retries:           ft.retries,
 		BreakerThreshold:  ft.breakerThreshold,
 		BreakerCooldown:   ft.breakerCooldown,
-		StaticHome:        ms.static,
 		HeartbeatInterval: ms.heartbeat,
 		SuspectTimeout:    ms.suspect,
 		DeadTimeout:       ms.dead,
@@ -265,8 +261,7 @@ func runNode(id int, listen string, addrs []string, capacity int, policy string,
 		}
 		go serveHTTP(httpAddr, clusterAddrs, files, ft)
 	}
-	log.Printf("node %d serving on %s (capacity %d blocks, %s, static_home=%v)",
-		id, n.Addr(), capacity, policy, ms.static)
+	log.Printf("node %d serving on %s (capacity %d blocks, %s)", id, n.Addr(), capacity, policy)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)

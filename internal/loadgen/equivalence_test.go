@@ -52,107 +52,95 @@ func protocolModel(tr *trace.Trace, sizes map[block.FileID]int64, k int) modelCo
 // deterministic replay: a serial client, ample capacity, and one directory
 // entry per block make every counter exactly predictable from the §3 protocol, so
 // any change that altered what the cluster *does* — rather than how fast —
-// fails here. Each row is one configuration that must be the same machine
-// as the model: the default path, the store with eight lock shards and with
-// the single lock, and the paper's static home mapping. File bytes are
-// checked against the synthetic content generator independently, and one
-// write must cost one invalidation per node and be visible through every
-// entry once the bus has drained. The last subtest replays the default path under a seeded fault
-// plan, where only the invariants hold.
+// fails here. The live path has one configuration, and it must be the same
+// machine as the model. File bytes are checked against the synthetic content
+// generator independently, and one write must cost one invalidation per node
+// and be visible through every entry once the bus has drained. The second
+// subtest replays the same path under a seeded fault plan, where only the
+// invariants hold.
 func TestReplayEquivalence(t *testing.T) {
 	const k = 3
-	rows := []struct {
-		name string
-		mut  func(i int, cfg *middleware.Config)
-	}{
-		{"default", nil},
-		{"shards_8", func(i int, cfg *middleware.Config) { cfg.StoreShards = 8 }},
-		{"shards_1", func(i int, cfg *middleware.Config) { cfg.StoreShards = 1 }},
-		{"static_home", func(i int, cfg *middleware.Config) { cfg.StaticHome = true }},
-	}
-	for _, row := range rows {
-		t.Run(row.name, func(t *testing.T) {
-			client, sizes := startClusterMut(t, k, 4096, row.mut, middleware.ClientConfig{})
-			tr := replayTrace(sizes, 120)
-			res, err := Replay(client, tr, Config{Concurrency: 1, WarmupFrac: 0.3})
+	t.Run("default", func(t *testing.T) {
+		client, sizes := startClusterMut(t, k, 4096, nil, middleware.ClientConfig{})
+		tr := replayTrace(sizes, 120)
+		res, err := Replay(client, tr, Config{Concurrency: 1, WarmupFrac: 0.3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := res.Cluster, protocolModel(tr, sizes, k)
+		if got.Accesses != want.accesses || got.LocalHits != want.local ||
+			got.RemoteHits != want.remote || got.DiskReads != want.disk {
+			t.Errorf("counters diverged from protocol model:\n got accesses=%d local=%d remote=%d disk=%d\nwant accesses=%d local=%d remote=%d disk=%d",
+				got.Accesses, got.LocalHits, got.RemoteHits, got.DiskReads,
+				want.accesses, want.local, want.remote, want.disk)
+		}
+		if got.RaceMisses != 0 || got.Forwards != 0 || got.Invalidations != 0 {
+			t.Errorf("unexpected races=%d forwards=%d invalidations=%d (ample capacity: want 0)",
+				got.RaceMisses, got.Forwards, got.Invalidations)
+		}
+		if got.RunsIssued == 0 || got.RunsDegraded != 0 {
+			t.Errorf("runs issued=%d degraded=%d, want some issued and none degraded on a healthy cluster",
+				got.RunsIssued, got.RunsDegraded)
+		}
+		// Placement is a pure function of the unchanging membership:
+		// nothing rebalances, no heartbeat runs.
+		if got.RebalancedBlocks != 0 || got.RebalancePending != 0 || got.HeartbeatFailures != 0 {
+			t.Errorf("elastic machinery ran: rebalanced=%d pending=%d hbfail=%d",
+				got.RebalancedBlocks, got.RebalancePending, got.HeartbeatFailures)
+		}
+
+		// Byte equivalence: every file read through the cluster must match
+		// the synthetic content, block by block.
+		for f := 0; f < len(sizes); f++ {
+			id := block.FileID(f)
+			data, err := client.Read(id)
 			if err != nil {
+				t.Fatalf("read file %d: %v", f, err)
+			}
+			if !bytes.Equal(data, syntheticFile(replayGeom, id, sizes[id])) {
+				t.Fatalf("file %d content diverged (%d bytes)", f, len(data))
+			}
+		}
+
+		// One write: the writer's own invalidation lands before the write
+		// returns, the bus brings the others; once its backlog is empty
+		// there has been exactly one per node, and every entry serves the
+		// new bytes.
+		patch := bytes.Repeat([]byte{0xAB}, int(sizes[0]))
+		if err := client.Write(0, 0, patch); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		var after middleware.Stats
+		for {
+			if after, err = client.ClusterStats(); err != nil {
 				t.Fatal(err)
 			}
-			got, want := res.Cluster, protocolModel(tr, sizes, k)
-			if got.Accesses != want.accesses || got.LocalHits != want.local ||
-				got.RemoteHits != want.remote || got.DiskReads != want.disk {
-				t.Errorf("counters diverged from protocol model:\n got accesses=%d local=%d remote=%d disk=%d\nwant accesses=%d local=%d remote=%d disk=%d",
-					got.Accesses, got.LocalHits, got.RemoteHits, got.DiskReads,
-					want.accesses, want.local, want.remote, want.disk)
+			if after.Invalidations-got.Invalidations == k && after.InvalBacklog == 0 {
+				break
 			}
-			if got.RaceMisses != 0 || got.Forwards != 0 || got.Invalidations != 0 {
-				t.Errorf("unexpected races=%d forwards=%d invalidations=%d (ample capacity: want 0)",
-					got.RaceMisses, got.Forwards, got.Invalidations)
+			if time.Now().After(deadline) {
+				t.Fatalf("bus never converged: %d invalidations (want %d), backlog %d",
+					after.Invalidations-got.Invalidations, k, after.InvalBacklog)
 			}
-			if got.RunsIssued == 0 || got.RunsDegraded != 0 {
-				t.Errorf("runs issued=%d degraded=%d, want some issued and none degraded on a healthy cluster",
-					got.RunsIssued, got.RunsDegraded)
+			time.Sleep(time.Millisecond)
+		}
+		if d := after.Writes - got.Writes; d != 1 {
+			t.Errorf("writes = %d, want 1", d)
+		}
+		if after.InvalBatched == 0 {
+			t.Error("no batched invalidations delivered: the bus never engaged")
+		}
+		for e := 0; e < k; e++ {
+			data, err := client.ReadVia(e, 0)
+			if err != nil {
+				t.Fatalf("read via %d after write: %v", e, err)
 			}
-			// Placement is a pure function of the unchanging membership:
-			// nothing rebalances, no heartbeat runs.
-			if got.RebalancedBlocks != 0 || got.RebalancePending != 0 || got.HeartbeatFailures != 0 {
-				t.Errorf("elastic machinery ran: rebalanced=%d pending=%d hbfail=%d",
-					got.RebalancedBlocks, got.RebalancePending, got.HeartbeatFailures)
+			if !bytes.Equal(data, patch) {
+				t.Fatalf("node %d served stale bytes after write", e)
 			}
-
-			// Byte equivalence: every file read through the cluster must match
-			// the synthetic content, block by block.
-			for f := 0; f < len(sizes); f++ {
-				id := block.FileID(f)
-				data, err := client.Read(id)
-				if err != nil {
-					t.Fatalf("read file %d: %v", f, err)
-				}
-				if !bytes.Equal(data, syntheticFile(replayGeom, id, sizes[id])) {
-					t.Fatalf("file %d content diverged (%d bytes)", f, len(data))
-				}
-			}
-
-			// One write: the writer's own invalidation lands before the write
-			// returns, the bus brings the others; once its backlog is empty
-			// there has been exactly one per node, and every entry serves the
-			// new bytes.
-			patch := bytes.Repeat([]byte{0xAB}, int(sizes[0]))
-			if err := client.Write(0, 0, patch); err != nil {
-				t.Fatal(err)
-			}
-			deadline := time.Now().Add(10 * time.Second)
-			var after middleware.Stats
-			for {
-				if after, err = client.ClusterStats(); err != nil {
-					t.Fatal(err)
-				}
-				if after.Invalidations-got.Invalidations == k && after.InvalBacklog == 0 {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatalf("bus never converged: %d invalidations (want %d), backlog %d",
-						after.Invalidations-got.Invalidations, k, after.InvalBacklog)
-				}
-				time.Sleep(time.Millisecond)
-			}
-			if d := after.Writes - got.Writes; d != 1 {
-				t.Errorf("writes = %d, want 1", d)
-			}
-			if after.InvalBatched == 0 {
-				t.Error("no batched invalidations delivered: the bus never engaged")
-			}
-			for e := 0; e < k; e++ {
-				data, err := client.ReadVia(e, 0)
-				if err != nil {
-					t.Fatalf("read via %d after write: %v", e, err)
-				}
-				if !bytes.Equal(data, patch) {
-					t.Fatalf("node %d served stale bytes after write", e)
-				}
-			}
-		})
-	}
+		}
+	})
 
 	// The default path under a seeded fault plan: the invariants (no errors,
 	// §3 counter identity, uncorrupted bytes) hold.
@@ -164,7 +152,6 @@ func TestReplayEquivalence(t *testing.T) {
 			cfg.Fault = plan
 			cfg.RPCTimeout = 250 * time.Millisecond
 			cfg.Retries = 3
-			cfg.RetryBackoff = time.Millisecond
 		}, middleware.ClientConfig{RPCTimeout: 1500 * time.Millisecond, Retries: 4})
 		res, err := Replay(client, replayTrace(sizes, 150), Config{Concurrency: 2, WarmupFrac: 0.25})
 		if err != nil {
@@ -207,7 +194,6 @@ func TestRunPathReplayUnderFaults(t *testing.T) {
 		cfg.Fault = plan
 		cfg.RPCTimeout = 250 * time.Millisecond
 		cfg.Retries = 3
-		cfg.RetryBackoff = time.Millisecond
 		cfg.BreakerThreshold = 12
 		cfg.BreakerCooldown = 100 * time.Millisecond
 	}, middleware.ClientConfig{RPCTimeout: 1500 * time.Millisecond, Retries: 4})

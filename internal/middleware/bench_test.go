@@ -132,8 +132,8 @@ func BenchmarkStoreGetParallel(b *testing.B) {
 	// The IDs do not hash evenly over the shards: every shard gets room for
 	// the whole warm set, so no warm block is evicted before the loop reads
 	// it.
-	shards := resolveStoreShards(0, blocks) // NumCPU shards
-	s := NewStoreShards(blocks*shards, core.PolicyMaster, shards)
+	shards := resolveShards(0, blocks) // NumCPU shards
+	s := newShardedStore(blocks*shards, core.PolicyMaster, shards)
 	for i := int32(0); i < blocks; i++ {
 		s.Insert(block.ID{File: 1, Idx: i}, SyntheticBlock(1, i, 8192), true)
 	}
@@ -244,7 +244,6 @@ func BenchmarkClientReadFileCold(b *testing.B) {
 		n, err := Start(Config{
 			ID: i, CapacityBlocks: 64, Policy: core.PolicyMaster,
 			Geometry: geom, Source: NewMemSource(geom, sizes),
-			StaticHome: true,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -291,7 +290,6 @@ func BenchmarkClientReadFile(b *testing.B) {
 		n, err := Start(Config{
 			ID: i, CapacityBlocks: 64, Policy: core.PolicyMaster,
 			Geometry: geom, Source: NewMemSource(geom, sizes),
-			StaticHome: true,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -340,7 +338,6 @@ func BenchmarkWriteBlock(b *testing.B) {
 		n, err := Start(Config{
 			ID: i, CapacityBlocks: 64, Policy: core.PolicyMaster,
 			Geometry: geom, Source: NewMemSource(geom, sizes),
-			StaticHome: true,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -352,7 +349,7 @@ func BenchmarkWriteBlock(b *testing.B) {
 	for _, n := range nodes {
 		n.SetAddrs(addrs)
 	}
-	writer := nodes[0] // file 0 homes at node 0: the write-through is local
+	writer := nodes[RingHome(0, len(nodes))] // file 0's home: the write-through is local
 	id := block.ID{File: 0, Idx: 0}
 	data := bytes.Repeat([]byte{0xAB}, 8192)
 	if err := writer.WriteBlock(id, data); err != nil {

@@ -9,50 +9,7 @@ import (
 	"time"
 
 	"repro/internal/block"
-	"repro/internal/core"
 )
-
-// startFaultCluster is startCluster with per-node config mutation (fault
-// plans, timeouts, breaker settings) and an explicit client config.
-func startFaultCluster(t *testing.T, k, capacityBlocks int, sizes map[block.FileID]int64,
-	mut func(i int, cfg *Config), ccfg ClientConfig) ([]*Node, *Client) {
-	t.Helper()
-	nodes := make([]*Node, k)
-	addrs := make([]string, k)
-	for i := 0; i < k; i++ {
-		cfg := Config{
-			ID:             i,
-			CapacityBlocks: capacityBlocks,
-			Policy:         core.PolicyMaster,
-			Geometry:       testGeom,
-			Source:         NewMemSource(testGeom, sizes),
-			StaticHome:     true, // legacy placement tests assume f % k homes
-		}
-		if mut != nil {
-			mut(i, &cfg)
-		}
-		n, err := Start(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = n
-		addrs[i] = n.Addr()
-	}
-	for _, n := range nodes {
-		n.SetAddrs(addrs)
-	}
-	client, err := DialClusterConfig(addrs, ccfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		client.Close()
-		for _, n := range nodes {
-			n.Close()
-		}
-	})
-	return nodes, client
-}
 
 // TestBreakerLifecycle pins the circuit breaker state machine: closed →
 // open after threshold consecutive failures, fail-fast while open, one
@@ -147,14 +104,15 @@ func TestFaultPlanDeterministic(t *testing.T) {
 // is gone and a read through it returns the new bytes.
 func TestWriteWithSlowPeerReturnsBeforeAck(t *testing.T) {
 	const slow = 3
-	sizes := map[block.FileID]int64{0: 1024} // one block, homed at node 0
-	nodes, _ := startFaultCluster(t, 4, 64, sizes, func(i int, cfg *Config) {
+	f := homedAt(4, 0) // one block, homed on a healthy node
+	sizes := map[block.FileID]int64{f: 1024}
+	nodes, _ := startCluster(t, 4, 64, sizes, func(i int, cfg *Config) {
 		if i == slow {
 			cfg.Fault = &FaultPlan{Seed: 1, DelayProb: 1, Delay: time.Second}
 		}
-	}, ClientConfig{})
+	})
 
-	id := block.ID{File: 0, Idx: 0}
+	id := block.ID{File: f, Idx: 0}
 	if _, err := nodes[slow].GetBlock(id); err != nil {
 		t.Fatalf("prime read via the slow peer: %v", err)
 	}
@@ -205,19 +163,20 @@ func busBacklog(n *Node, peer int) uint64 {
 // peer (their copies are invalidated), the dead peer is degraded to "holds
 // no cache", and readers observe the new content afterwards.
 func TestWriteWithCrashedPeerSucceeds(t *testing.T) {
-	sizes := map[block.FileID]int64{0: 2048} // file 0 homes at node 0
-	nodes, client := startFaultCluster(t, 4, 64, sizes, func(i int, cfg *Config) {
+	f := homedAt(4, 0) // the home survives the crash
+	sizes := map[block.FileID]int64{f: 2048}
+	nodes, client := startCluster(t, 4, 64, sizes, func(i int, cfg *Config) {
 		cfg.RPCTimeout = 300 * time.Millisecond
 		cfg.Retries = 1
-	}, ClientConfig{})
+	})
 
-	// Replicate file 0's blocks onto nodes 1..3.
+	// Replicate the file's blocks onto nodes 1..3.
 	for entry := 1; entry < 4; entry++ {
-		if _, err := client.ReadVia(entry, 0); err != nil {
+		if _, err := client.ReadVia(entry, f); err != nil {
 			t.Fatalf("prime read via %d: %v", entry, err)
 		}
 	}
-	id := block.ID{File: 0, Idx: 0}
+	id := block.ID{File: f, Idx: 0}
 	if !nodes[3].store.Contains(id) {
 		t.Fatal("node 3 should hold a copy before the crash")
 	}
@@ -244,10 +203,10 @@ func TestWriteWithCrashedPeerSucceeds(t *testing.T) {
 
 	// Every live entry node converges on the new content within the
 	// staleness bound (no stale copy survives on a live node).
-	want := append(append([]byte(nil), newBlock...), SyntheticBlock(0, 1, 1024)...)
+	want := append(append([]byte(nil), newBlock...), SyntheticBlock(f, 1, 1024)...)
 	for entry := 0; entry < 3; entry++ {
 		for {
-			got, err := client.ReadVia(entry, 0)
+			got, err := client.ReadVia(entry, f)
 			if err != nil {
 				t.Fatalf("read via %d after write: %v", entry, err)
 			}
@@ -270,29 +229,30 @@ func TestWriteWithCrashedPeerSucceeds(t *testing.T) {
 func TestReadUnderPartitionBounded(t *testing.T) {
 	const rpcTimeout = 200 * time.Millisecond
 	const retries = 1
-	sizes := map[block.FileID]int64{1: 2048} // file 1 homes at node 1
-	nodes, client := startFaultCluster(t, 3, 64, sizes, func(i int, cfg *Config) {
+	f := homedAt(3, 1) // homed on neither end of the partition
+	sizes := map[block.FileID]int64{f: 2048}
+	nodes, client := startCluster(t, 3, 64, sizes, func(i int, cfg *Config) {
 		cfg.RPCTimeout = rpcTimeout
 		cfg.Retries = retries
 		if i == 0 {
 			// Frames node 0 sends to node 2 vanish; everything else flows.
 			cfg.Fault = &FaultPlan{Seed: 1, Partitions: [][2]int{{0, 2}}}
 		}
-	}, ClientConfig{})
+	})
 
-	// Make node 2 the master holder of file 1's blocks.
-	if _, err := client.ReadVia(2, 1); err != nil {
+	// Make node 2 the master holder of the file's blocks.
+	if _, err := client.ReadVia(2, f); err != nil {
 		t.Fatalf("prime read: %v", err)
 	}
 
 	// Node 0 believes the master is at node 2, which it cannot reach.
 	start := time.Now()
-	got, err := client.ReadVia(0, 1)
+	got, err := client.ReadVia(0, f)
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatalf("read under partition: %v", err)
 	}
-	if !bytes.Equal(got, expect(testGeom, 1, 2048)) {
+	if !bytes.Equal(got, expect(testGeom, f, 2048)) {
 		t.Fatal("content mismatch under partition")
 	}
 	// Bound: one timed-out peer fetch plus a home read with retries, per
@@ -311,7 +271,7 @@ func TestReadUnderPartitionBounded(t *testing.T) {
 	}
 	// The stale entry naming node 2 was repaired: the directory now names
 	// node 0 (the fallback read's new master) for the fetched blocks.
-	if holder, ok := dirOf(t, nodes, 1).lookup(block.ID{File: 1, Idx: 0}); !ok || holder != 0 {
+	if holder, ok := dirOf(t, nodes, f).lookup(block.ID{File: f, Idx: 0}); !ok || holder != 0 {
 		t.Fatalf("directory entry not repaired: holder=%d ok=%v", holder, ok)
 	}
 }
@@ -343,14 +303,14 @@ func TestChaosSoak(t *testing.T) {
 		DropProb:  0.03,
 		CrashProb: 0.01,
 	}
-	_, client := startFaultCluster(t, 4, 24, sizes, func(i int, cfg *Config) {
+	nodes, _ := startCluster(t, 4, 24, sizes, func(i int, cfg *Config) {
 		cfg.Fault = plan
 		cfg.RPCTimeout = 250 * time.Millisecond
 		cfg.Retries = 3
-		cfg.RetryBackoff = time.Millisecond
 		cfg.BreakerThreshold = 12
 		cfg.BreakerCooldown = 100 * time.Millisecond
-	}, ClientConfig{
+	})
+	client := dialNodes(t, nodes, ClientConfig{
 		RPCTimeout: 1500 * time.Millisecond,
 		Retries:    4,
 		Fault:      &FaultPlan{Seed: 43, DropProb: 0.01},

@@ -38,8 +38,6 @@ type connConfig struct {
 	// applies TCP backpressure instead of spawning unboundedly. It must be
 	// positive when handle is set.
 	workers int
-	// maxPayload caps accepted frame payloads (<= 0: the 64 MB default).
-	maxPayload int
 	// timeout bounds each round trip (and each socket write): a reply that
 	// does not arrive in time fails the RPC with errRPCTimeout instead of
 	// wedging the caller. <= 0 disables deadlines.
@@ -83,9 +81,6 @@ type conn struct {
 }
 
 func newConn(nc net.Conn, cfg connConfig) *conn {
-	if cfg.maxPayload <= 0 {
-		cfg.maxPayload = maxPayload
-	}
 	c := &conn{
 		nc:      nc,
 		br:      bufio.NewReaderSize(nc, 64*1024),
@@ -281,7 +276,7 @@ func (c *conn) abandon(id uint32, ch chan *Frame) {
 func (c *conn) readLoop() {
 	defer c.close()
 	for {
-		f, err := readFrame(c.br, c.cfg.maxPayload)
+		f, err := ReadFrame(c.br)
 		if err != nil {
 			return
 		}

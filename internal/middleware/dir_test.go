@@ -14,7 +14,7 @@ func TestDirectoryReads(t *testing.T) {
 	for f := 0; f < 12; f++ {
 		sizes[block.FileID(f)] = int64(1024 + 700*f)
 	}
-	_, client := startCluster(t, 3, 128, core.PolicyMaster, sizes)
+	_, client := startCluster(t, 3, 128, sizes, nil)
 	for round := 0; round < 2; round++ {
 		for f := 0; f < 12; f++ {
 			got, err := client.Read(block.FileID(f))
@@ -37,7 +37,7 @@ func TestDirectoryReads(t *testing.T) {
 
 func TestDirectorySingleMaster(t *testing.T) {
 	sizes := map[block.FileID]int64{0: 4096, 1: 4096}
-	nodes, client := startCluster(t, 3, 64, core.PolicyMaster, sizes)
+	nodes, client := startCluster(t, 3, 64, sizes, nil)
 	for f := 0; f < 2; f++ {
 		for entry := 0; entry < 3; entry++ {
 			if _, err := client.ReadVia(entry, block.FileID(f)); err != nil {
@@ -66,7 +66,7 @@ func TestDirectoryManagersSpread(t *testing.T) {
 	for f := 0; f < 40; f++ {
 		sizes[block.FileID(f)] = 1024
 	}
-	nodes, client := startCluster(t, 4, 256, core.PolicyMaster, sizes)
+	nodes, client := startCluster(t, 4, 256, sizes, nil)
 	for f := 0; f < 40; f++ {
 		if _, err := client.Read(block.FileID(f)); err != nil {
 			t.Fatal(err)
@@ -87,7 +87,7 @@ func TestDirectoryManagersSpread(t *testing.T) {
 
 func TestDirectoryWrites(t *testing.T) {
 	sizes := map[block.FileID]int64{0: 2048}
-	_, client := startCluster(t, 3, 64, core.PolicyMaster, sizes)
+	_, client := startCluster(t, 3, 64, sizes, nil)
 	if _, err := client.Read(0); err != nil {
 		t.Fatal(err)
 	}
@@ -115,19 +115,12 @@ func (d *dirServer) entries() []block.ID {
 	return ids
 }
 
-// placements are the two kinds of view a cluster runs under, by the helper
-// that starts a cluster with it.
-var placements = map[string]func(*testing.T, int, int, map[block.FileID]int64, func(int, *Config)) ([]*Node, *Client){
-	"static": startClusterCfg, "ring": startRingCluster,
-}
-
 // TestDirectoryFollowsRing pins the one placement function: the node that
-// answers a block's directory RPCs is view.home(file), for static and ring
-// views alike, and a 4 -> 5 join therefore moves the manager of about a
+// answers a block's directory RPCs is view.home(file), and a 4 -> 5 join therefore moves the manager of about a
 // fifth of the files (the mod-N map it replaced moved about four fifths).
 func TestDirectoryFollowsRing(t *testing.T) {
-	old := newMemberView(1, false, allAlive(4))
-	grown := newMemberView(2, false, allAlive(5))
+	old := newMemberView(1, allAlive(4))
+	grown := newMemberView(2, allAlive(5))
 	const files = 10000
 	moved := 0
 	for f := block.FileID(0); f < files; f++ {
@@ -145,24 +138,22 @@ func TestDirectoryFollowsRing(t *testing.T) {
 	for f := block.FileID(0); f < 16; f++ {
 		sizes[f] = 2048
 	}
-	for name, start := range placements {
-		nodes, client := start(t, 4, 64, sizes, nil)
-		for f := range sizes {
-			if _, err := client.ReadVia(int(f)%4, f); err != nil {
-				t.Fatal(err)
+	nodes, client := startCluster(t, 4, 64, sizes, nil)
+	for f := range sizes {
+		if _, err := client.ReadVia(RingHome(f, 4), f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, n := range nodes {
+		for _, id := range n.dirSrv.entries() {
+			if h, _ := n.home(id.File); h != i {
+				t.Errorf("node %d holds an entry of file %d, homed on %d", i, id.File, h)
 			}
 		}
-		for i, n := range nodes {
-			for _, id := range n.dirSrv.entries() {
-				if h, _ := n.home(id.File); h != i {
-					t.Errorf("%s: node %d holds an entry of file %d, homed on %d", name, i, id.File, h)
-				}
-			}
-		}
-		for f := range sizes {
-			if _, ok := dirOf(t, nodes, f).lookup(block.ID{File: f, Idx: 1}); !ok {
-				t.Errorf("%s: file %d has no entry on its home", name, f)
-			}
+	}
+	for f := range sizes {
+		if _, ok := dirOf(t, nodes, f).lookup(block.ID{File: f, Idx: 1}); !ok {
+			t.Errorf("file %d has no entry on its home", f)
 		}
 	}
 }
@@ -171,38 +162,36 @@ func TestDirectoryFollowsRing(t *testing.T) {
 // files homed on the survivors still resolve their masters, so a second
 // entry reads them out of the first entry's memory.
 func TestDirectoryHasNoFixedNode(t *testing.T) {
-	for name, start := range placements {
-		sizes := map[block.FileID]int64{}
-		for f := block.FileID(0); f < 16; f++ {
-			sizes[f] = 4096
+	sizes := map[block.FileID]int64{}
+	for f := block.FileID(0); f < 16; f++ {
+		sizes[f] = 4096
+	}
+	nodes, client := startCluster(t, 4, 256, sizes, nil)
+	var blocks uint64
+	for f := range sizes {
+		if h, _ := nodes[1].home(f); h == 0 {
+			delete(sizes, f)
+			continue
 		}
-		nodes, client := start(t, 4, 256, sizes, nil)
-		var blocks uint64
-		for f := range sizes {
-			if h, _ := nodes[1].home(f); h == 0 {
-				delete(sizes, f)
-				continue
-			}
-			blocks += 4
-			if _, err := client.ReadVia(1, f); err != nil {
-				t.Fatal(err)
-			}
+		blocks += 4
+		if _, err := client.ReadVia(1, f); err != nil {
+			t.Fatal(err)
 		}
-		nodes[0].Close()
-		for f := range sizes {
-			got, err := client.ReadVia(2, f)
-			if err != nil {
-				t.Fatalf("%s: file %d with node 0 down: %v", name, f, err)
-			}
-			if !bytes.Equal(got, expect(testGeom, f, sizes[f])) {
-				t.Fatalf("%s: file %d: content mismatch", name, f)
-			}
+	}
+	nodes[0].Close()
+	for f := range sizes {
+		got, err := client.ReadVia(2, f)
+		if err != nil {
+			t.Fatalf("file %d with node 0 down: %v", f, err)
 		}
-		st := nodes[2].Stats()
-		if blocks == 0 || st.RemoteHits != blocks || st.DiskReads != 0 || st.RPCFailures != 0 || st.BreakerSkips != 0 {
-			t.Fatalf("%s: remote hits %d, disk reads %d, RPC failures %d, breaker skips %d; want %d, 0, 0, 0",
-				name, st.RemoteHits, st.DiskReads, st.RPCFailures, st.BreakerSkips, blocks)
+		if !bytes.Equal(got, expect(testGeom, f, sizes[f])) {
+			t.Fatalf("file %d: content mismatch", f)
 		}
+	}
+	st := nodes[2].Stats()
+	if blocks == 0 || st.RemoteHits != blocks || st.DiskReads != 0 || st.RPCFailures != 0 || st.BreakerSkips != 0 {
+		t.Fatalf("remote hits %d, disk reads %d, RPC failures %d, breaker skips %d; want %d, 0, 0, 0",
+			st.RemoteHits, st.DiskReads, st.RPCFailures, st.BreakerSkips, blocks)
 	}
 }
 
@@ -212,7 +201,7 @@ func TestDirectoryHasNoFixedNode(t *testing.T) {
 func TestLargeFileStaysCooperative(t *testing.T) {
 	const nblocks = maxDirBatch + 44
 	sizes := map[block.FileID]int64{1: nblocks * int64(testGeom.Size)}
-	nodes, client := startClusterCfg(t, 4, 2*nblocks, sizes, nil)
+	nodes, client := startCluster(t, 4, 2*nblocks, sizes, nil)
 	if _, err := client.ReadVia(2, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +229,7 @@ func TestResizeSweepsDirectory(t *testing.T) {
 	for f := block.FileID(0); f < files; f++ {
 		sizes[f] = 2048
 	}
-	nodes, client := startRingCluster(t, 4, 256, sizes, nil)
+	nodes, client := startCluster(t, 4, 256, sizes, nil)
 	for f := block.FileID(0); f < files; f++ {
 		if _, err := client.ReadVia(int(f)%4, f); err != nil {
 			t.Fatal(err)
@@ -323,9 +312,9 @@ func TestResizeSweepsDirectory(t *testing.T) {
 // waited on a directory RPC could wait on a node whose own workers wait on
 // this one. The writer has already repointed the entry, so nothing is lost.
 func TestInvalidationSendsNoRPC(t *testing.T) {
-	const f = block.FileID(1) // homed on node 1
+	f := homedAt(3, 1) // neither the writer nor the old master
 	sizes := map[block.FileID]int64{f: 2 * int64(testGeom.Size)}
-	nodes, client := startClusterCfg(t, 3, 64, sizes, nil)
+	nodes, client := startCluster(t, 3, 64, sizes, nil)
 	if _, err := client.ReadVia(2, f); err != nil { // node 2 holds the masters
 		t.Fatal(err)
 	}

@@ -12,15 +12,16 @@ import (
 // read locating that master must degrade to a home disk read instead of
 // failing.
 func TestPeerFailureFallsBackToHome(t *testing.T) {
-	// File 0 homes at node 0 (0 % 3). Reading it via node 2 makes node 2
-	// the master holder.
-	sizes := map[block.FileID]int64{0: 2048}
-	nodes, client := startCluster(t, 3, 64, core.PolicyMaster, sizes)
-	want := expect(testGeom, 0, 2048)
-	if got, err := client.ReadVia(2, 0); err != nil || !bytes.Equal(got, want) {
+	// The file homes at node 0, so the node that dies is neither its home
+	// nor the reader. Reading it via node 2 makes node 2 the master holder.
+	f := homedAt(3, 0)
+	sizes := map[block.FileID]int64{f: 2048}
+	nodes, client := startCluster(t, 3, 64, sizes, nil)
+	want := expect(testGeom, f, 2048)
+	if got, err := client.ReadVia(2, f); err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("prime read: %v", err)
 	}
-	if !nodes[2].store.IsMaster(block.ID{File: 0, Idx: 0}) {
+	if !nodes[2].store.IsMaster(block.ID{File: f, Idx: 0}) {
 		t.Fatal("node 2 did not become master holder")
 	}
 
@@ -29,7 +30,7 @@ func TestPeerFailureFallsBackToHome(t *testing.T) {
 
 	// Node 1 locates the master at (dead) node 2; the fetch must fall back
 	// to the home node's disk and still return correct content.
-	got, err := client.ReadVia(1, 0)
+	got, err := client.ReadVia(1, f)
 	if err != nil {
 		t.Fatalf("read after peer failure: %v", err)
 	}
@@ -45,7 +46,7 @@ func TestPeerFailureFallsBackToHome(t *testing.T) {
 // lazy redial lets the cluster resume serving through it.
 func TestNodeRestartRejoins(t *testing.T) {
 	sizes := map[block.FileID]int64{0: 2048, 1: 2048, 2: 2048}
-	nodes, client := startCluster(t, 3, 64, core.PolicyMaster, sizes)
+	nodes, client := startCluster(t, 3, 64, sizes, nil)
 	addrs := make([]string, 3)
 	for i, n := range nodes {
 		addrs[i] = n.Addr()
@@ -60,7 +61,7 @@ func TestNodeRestartRejoins(t *testing.T) {
 	nodes[2].Close()
 	restarted, err := Start(Config{
 		ID: 2, Listen: addrs[2], CapacityBlocks: 64, Policy: core.PolicyMaster,
-		Geometry: testGeom, Source: NewMemSource(testGeom, sizes), StaticHome: true,
+		Geometry: testGeom, Source: NewMemSource(testGeom, sizes),
 	})
 	if err != nil {
 		t.Fatalf("restart on %s: %v", addrs[2], err)
@@ -69,7 +70,7 @@ func TestNodeRestartRejoins(t *testing.T) {
 	restarted.SetAddrs(addrs)
 
 	// Every file is still readable through every entry node, including the
-	// restarted one (file 2 homes on node 2: its disk content survives).
+	// restarted one (the files homed on node 2 keep their disk content).
 	for f := block.FileID(0); f < 3; f++ {
 		for entry := 0; entry < 3; entry++ {
 			got, err := client.ReadVia(entry, f)
@@ -88,7 +89,7 @@ func TestNodeRestartRejoins(t *testing.T) {
 func TestParallelReadLargeFile(t *testing.T) {
 	const size = 40 * 1024 // 40 blocks of 1 KB
 	sizes := map[block.FileID]int64{0: size}
-	_, client := startCluster(t, 3, 128, core.PolicyMaster, sizes)
+	_, client := startCluster(t, 3, 128, sizes, nil)
 	for entry := 0; entry < 3; entry++ {
 		got, err := client.ReadVia(entry, 0)
 		if err != nil {

@@ -121,7 +121,7 @@ func FuzzReadFrame(f *testing.F) {
 		{Addr: "127.0.0.1:7002", State: stateDraining},
 		{Addr: "", State: stateDead},
 	}
-	viewPayload := appendView(nil, newMemberView(9, false, members))
+	viewPayload := appendView(nil, newMemberView(9, members))
 	for _, fr := range []*Frame{
 		{Type: MsgPing, Aux: 9},
 		{Type: MsgView},
@@ -143,7 +143,7 @@ func FuzzReadFrame(f *testing.F) {
 	venc := viewBuf.Bytes()
 	f.Add(venc[:len(venc)-1]) // view cut inside the last member's address
 	badState := append([]byte(nil), venc...)
-	badState[headerLen+13] = 99 // first member's state byte out of range
+	badState[headerLen+12] = 99 // first member's state byte out of range
 	f.Add(badState)
 	viewTrailing := append([]byte(nil), venc...)
 	viewTrailing = append(viewTrailing, 0xEE) // trailing garbage after the member list
@@ -176,25 +176,25 @@ func FuzzReadFrame(f *testing.F) {
 // on payloads pushed by peers: it must reject or decode, never panic, and a
 // decoded view re-encodes to bytes that decode to the same view.
 func FuzzDecodeView(f *testing.F) {
-	valid := appendView(nil, newMemberView(9, false, []memberInfo{
+	valid := appendView(nil, newMemberView(9, []memberInfo{
 		{Addr: "127.0.0.1:7001", State: stateAlive},
 		{Addr: "127.0.0.1:7002", State: stateDraining},
 		{Addr: "", State: stateDead},
 	}))
 	f.Add(valid)
-	f.Add(appendView(nil, newMemberView(1, true, []memberInfo{{Addr: "a:1"}, {Addr: "b:2"}})))
+	f.Add(appendView(nil, newMemberView(1, nil))) // the bare prefix: no members, no ring
 	f.Add([]byte{})
-	f.Add(valid[:12])           // shorter than the fixed prefix
+	f.Add(valid[:11])           // shorter than the fixed prefix
 	f.Add(valid[:len(valid)-1]) // cut inside the last member
-	f.Add(valid[:20])           // cut inside the first member's address
+	f.Add(valid[:19])           // cut inside the first member's address
 	badState := append([]byte(nil), valid...)
-	badState[13] = 99 // first member's state byte out of range
+	badState[12] = 99 // first member's state byte out of range
 	f.Add(badState)
-	oversized := append([]byte(nil), valid[:13]...)
-	binary.BigEndian.PutUint32(oversized[9:], maxViewMembers+1) // count past the limit
+	oversized := append([]byte(nil), valid[:12]...)
+	binary.BigEndian.PutUint32(oversized[8:], maxViewMembers+1) // count past the limit
 	f.Add(oversized)
 	lyingCount := append([]byte(nil), valid...)
-	binary.BigEndian.PutUint32(lyingCount[9:], 1000) // count far past the members carried
+	binary.BigEndian.PutUint32(lyingCount[8:], 1000) // count far past the members carried
 	f.Add(lyingCount)
 	f.Add(append(append([]byte(nil), valid...), 0xEE)) // trailing byte
 
@@ -208,7 +208,7 @@ func FuzzDecodeView(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded view failed to decode: %v", err)
 		}
-		if v2.epoch != v.epoch || v2.static != v.static || len(v2.members) != len(v.members) || len(v2.ring) != len(v.ring) {
+		if v2.epoch != v.epoch || len(v2.members) != len(v.members) || len(v2.ring) != len(v.ring) {
 			t.Fatal("view round trip not lossless")
 		}
 		for i := range v.members {

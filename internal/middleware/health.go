@@ -14,6 +14,7 @@ const (
 	defaultRPCTimeout       = 5 * time.Second
 	defaultRetries          = 2
 	defaultRetryBackoff     = 2 * time.Millisecond
+	retryBackoffCap         = 16 * defaultRetryBackoff
 	defaultBreakerThreshold = 5
 	defaultBreakerCooldown  = 500 * time.Millisecond
 )

@@ -255,8 +255,8 @@ func (b *invalBus) senderLoop(s *invalSender) {
 	n := b.n
 	recs := make([]block.ID, 0, maxInvalBatch)
 	seen := make(map[block.ID]struct{}, maxInvalBatch)
-	backoff := n.retryBase
-	backoffCap := max(n.retryCap, n.brCooldown)
+	backoff := defaultRetryBackoff
+	backoffCap := max(retryBackoffCap, n.brCooldown)
 	for {
 		select {
 		case <-b.stop:
@@ -322,7 +322,7 @@ func (b *invalBus) senderLoop(s *invalSender) {
 				}
 				continue
 			}
-			backoff = n.retryBase
+			backoff = defaultRetryBackoff
 		}
 	}
 }

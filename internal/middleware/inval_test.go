@@ -36,12 +36,12 @@ func TestStalenessBoundUnderFaults(t *testing.T) {
 		sizes[block.FileID(f)] = 1024
 	}
 	plan := &FaultPlan{Seed: 99, DelayProb: 0.05, Delay: time.Millisecond, DropProb: 0.05}
-	nodes, client := startFaultCluster(t, k, 256, sizes, func(i int, cfg *Config) {
+	nodes, _ := startCluster(t, k, 256, sizes, func(i int, cfg *Config) {
 		cfg.Fault = plan
 		cfg.RPCTimeout = 250 * time.Millisecond
 		cfg.Retries = 3
-		cfg.RetryBackoff = time.Millisecond
-	}, ClientConfig{RPCTimeout: 1500 * time.Millisecond, Retries: 4})
+	})
+	client := dialNodes(t, nodes, ClientConfig{RPCTimeout: 1500 * time.Millisecond, Retries: 4})
 
 	// Prime every file onto several nodes so there are live copies to
 	// invalidate.

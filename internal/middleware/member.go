@@ -103,7 +103,7 @@ func (n *Node) probe(i int, epoch uint64) {
 		dead := miss >= n.hbDeadAfter && n.hbFails[i] >= deadMinFails
 		n.hbMu.Unlock()
 		n.trace(traceHeartbeatFail, i, block.ID{}, int64(miss/time.Millisecond))
-		if dead && !n.cfg.StaticHome {
+		if dead {
 			n.proposeDead(i)
 		}
 		return
@@ -393,9 +393,6 @@ func (n *Node) admitMember(id int, addr string) (*memberView, error) {
 	if cur == nil {
 		return nil, fmt.Errorf("middleware: no membership view to join")
 	}
-	if cur.static {
-		return nil, fmt.Errorf("middleware: static cluster does not admit members")
-	}
 	if id < 0 {
 		id = cur.size()
 		for s, m := range cur.members {
@@ -412,7 +409,7 @@ func (n *Node) admitMember(id int, addr string) (*memberView, error) {
 			return nil, fmt.Errorf("middleware: slot %d is alive at %s", id, m.Addr)
 		}
 	}
-	v := newMemberView(cur.epoch+1, false, cur.withMember(id, memberInfo{Addr: addr, State: stateAlive}))
+	v := newMemberView(cur.epoch+1, cur.withMember(id, memberInfo{Addr: addr, State: stateAlive}))
 	n.installView(v)
 	n.broadcastView(v)
 	return v, nil
@@ -427,9 +424,6 @@ func (n *Node) changeMemberState(id int, to memberState) (*memberView, error) {
 	if cur == nil {
 		return nil, fmt.Errorf("middleware: no membership view")
 	}
-	if cur.static {
-		return nil, fmt.Errorf("middleware: static cluster membership is fixed")
-	}
 	if id < 0 || id >= cur.size() || cur.members[id].Addr == "" {
 		return nil, fmt.Errorf("middleware: no member %d", id)
 	}
@@ -440,7 +434,7 @@ func (n *Node) changeMemberState(id int, to memberState) (*memberView, error) {
 	if to != stateAlive && cur.aliveCount() <= 1 && m.State == stateAlive {
 		return nil, fmt.Errorf("middleware: refusing to remove the last alive member %d", id)
 	}
-	v := newMemberView(cur.epoch+1, false, cur.withMember(id, memberInfo{Addr: m.Addr, State: to}))
+	v := newMemberView(cur.epoch+1, cur.withMember(id, memberInfo{Addr: m.Addr, State: to}))
 	n.installView(v)
 	n.broadcastView(v)
 	return v, nil

@@ -11,48 +11,6 @@ import (
 	"repro/internal/core"
 )
 
-// startRingCluster is startCluster in elastic (consistent-hash) mode: the
-// membership machinery under test, not the legacy modulo mapping.
-func startRingCluster(t *testing.T, k, capacityBlocks int, sizes map[block.FileID]int64, mut func(i int, cfg *Config)) ([]*Node, *Client) {
-	t.Helper()
-	nodes := make([]*Node, k)
-	addrs := make([]string, k)
-	for i := 0; i < k; i++ {
-		cfg := Config{
-			ID:             i,
-			CapacityBlocks: capacityBlocks,
-			Policy:         core.PolicyMaster,
-			Geometry:       testGeom,
-			Source:         NewMemSource(testGeom, sizes),
-		}
-		if mut != nil {
-			mut(i, &cfg)
-		}
-		n, err := Start(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = n
-		addrs[i] = n.Addr()
-	}
-	for _, n := range nodes {
-		n.SetAddrs(addrs)
-	}
-	client, err := DialCluster(addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		client.Close()
-		for _, n := range nodes {
-			if n != nil {
-				n.Close()
-			}
-		}
-	})
-	return nodes, client
-}
-
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Helper()
@@ -97,7 +55,7 @@ func TestJoinRebalancesAndServes(t *testing.T) {
 	for f := 0; f < files; f++ {
 		sizes[block.FileID(f)] = 2048
 	}
-	nodes, client := startRingCluster(t, 2, 256, sizes, nil)
+	nodes, client := startCluster(t, 2, 256, sizes, nil)
 
 	// Divergent write-through state the joiner must not lose.
 	written := bytes.Repeat([]byte{0xAB}, 1024)
@@ -204,7 +162,7 @@ func TestDrainHandsOffAndServes(t *testing.T) {
 	for f := 0; f < files; f++ {
 		sizes[block.FileID(f)] = 2048
 	}
-	nodes, client := startRingCluster(t, 3, 256, sizes, nil)
+	nodes, client := startCluster(t, 3, 256, sizes, nil)
 
 	// Write one block of every file: the drained node's write-through
 	// state must survive the hand-off wherever each file homes.
@@ -274,7 +232,7 @@ func TestHeartbeatPromotesDeadAndRehomes(t *testing.T) {
 	for f := 0; f < files; f++ {
 		sizes[block.FileID(f)] = 2048
 	}
-	nodes, client := startRingCluster(t, 3, 256, sizes, func(i int, cfg *Config) {
+	nodes, client := startCluster(t, 3, 256, sizes, func(i int, cfg *Config) {
 		cfg.HeartbeatInterval = 10 * time.Millisecond
 		cfg.SuspectTimeout = 30 * time.Millisecond
 		cfg.DeadTimeout = 60 * time.Millisecond
@@ -333,7 +291,7 @@ func TestHeartbeatPromotesDeadAndRehomes(t *testing.T) {
 // learned about from the view.
 func TestClientSurvivesOriginalEntryDeath(t *testing.T) {
 	sizes := map[block.FileID]int64{0: 2048, 1: 2048, 2: 2048, 3: 2048}
-	nodes, seeded := startRingCluster(t, 3, 256, sizes, nil)
+	nodes, seeded := startCluster(t, 3, 256, sizes, nil)
 	defer seeded.Close()
 
 	client, err := DialCluster([]string{nodes[0].Addr()})
@@ -377,26 +335,5 @@ func TestClientSurvivesOriginalEntryDeath(t *testing.T) {
 		if !bytes.Equal(got, expect(testGeom, f, 2048)) {
 			t.Fatalf("file %d: content mismatch", f)
 		}
-	}
-}
-
-// TestStaticClusterRejectsMembershipChanges pins the compatibility mode:
-// a StaticHome cluster's membership is fixed.
-func TestStaticClusterRejectsMembershipChanges(t *testing.T) {
-	sizes := map[block.FileID]int64{0: 2048}
-	nodes, client := startCluster(t, 2, 64, core.PolicyMaster, sizes)
-	if err := client.DrainNode(1); err == nil {
-		t.Fatal("static cluster accepted a drain")
-	}
-	joiner, err := Start(Config{
-		ID: 2, CapacityBlocks: 64, Policy: core.PolicyMaster,
-		Geometry: testGeom, Source: NewMemSource(testGeom, sizes),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer joiner.Close()
-	if err := joiner.Join(nodes[0].Addr()); err == nil {
-		t.Fatal("static cluster admitted a joiner")
 	}
 }

@@ -23,13 +23,6 @@ type Config struct {
 	Listen string
 	// CapacityBlocks is the local cache size in blocks.
 	CapacityBlocks int
-	// StoreShards is the number of lock stripes in the local store (rounded
-	// up to a power of two, capped at the capacity). 0 (the default) sizes
-	// to the host: the smallest power of two covering NumCPU, so concurrent
-	// hits scale across cores instead of convoying on one mutex. 1 restores
-	// the exact single-lock global LRU (deterministic: what the replay-
-	// equivalence suite pins). Miss-coalescing stripes with the same count.
-	StoreShards int
 	// Policy is the replacement policy (PolicyMaster recommended; this is
 	// the paper's headline variant).
 	Policy core.Policy
@@ -44,10 +37,6 @@ type Config struct {
 	// the request-scheduling/prefetching remedy §5 suggests for the
 	// interleaving pathology.
 	Readahead int
-	// MaxPayload caps the payload size this node accepts per frame (0:
-	// the 64 MB default). Smaller deployments can lower it so a bad peer
-	// cannot force large allocations.
-	MaxPayload int
 	// RPCTimeout bounds every peer round trip: a reply that does not
 	// arrive in time fails that RPC (and feeds the peer's circuit
 	// breaker) instead of wedging the request forever. 0 applies the
@@ -59,10 +48,6 @@ type Config struct {
 	// the home node is their retry. 0 applies the default (2); negative
 	// disables retries.
 	Retries int
-	// RetryBackoff is the base of the capped exponential backoff between
-	// retries (±50% jitter; doubles per attempt, capped at 16×base).
-	// 0 applies the 2 ms default.
-	RetryBackoff time.Duration
 	// BreakerThreshold is the number of consecutive transport failures
 	// after which a peer's circuit breaker opens and requests to it fail
 	// fast (suspected down). 0 applies the default (5); negative disables
@@ -71,13 +56,6 @@ type Config struct {
 	// BreakerCooldown is how long an open breaker rejects requests before
 	// admitting a half-open probe. 0 applies the 500 ms default.
 	BreakerCooldown time.Duration
-	// StaticHome pins the paper's original static home mapping — file ID
-	// modulo cluster size — byte for byte (pinned by the replay-equivalence
-	// suite). Membership is then fixed at SetAddrs: join and
-	// drain requests are rejected and heartbeat suspicion never promotes a
-	// peer to dead. Default off: homes come from the consistent-hash ring
-	// and the cluster is elastic.
-	StaticHome bool
 	// HeartbeatInterval enables heartbeat failure detection: every interval
 	// the node probes its peers with MsgPing (feeding the existing circuit
 	// breakers), marks a peer suspect after SuspectTimeout without a
@@ -189,14 +167,10 @@ type Node struct {
 	bus     *invalBus
 	invalIn []*invalOrigin
 
-	// maxPayload/rpcTimeout/retries/retryBase/retryCap and the breaker
-	// parameters are the resolved settings (Config values with defaults
-	// applied).
-	maxPayload int
+	// rpcTimeout/retries and the breaker parameters are the resolved
+	// settings (Config values with defaults applied).
 	rpcTimeout time.Duration
 	retries    int
-	retryBase  time.Duration
-	retryCap   time.Duration
 	brThresh   int
 	brCooldown time.Duration
 
@@ -344,7 +318,7 @@ func Start(cfg Config) (*Node, error) {
 		cfg:      cfg,
 		geom:     cfg.Geometry,
 		ln:       ln,
-		store:    NewStoreShards(cfg.CapacityBlocks, cfg.Policy, cfg.StoreShards),
+		store:    newShardedStore(cfg.CapacityBlocks, cfg.Policy, 0),
 		dirSrv:   newDirServer(),
 		accepted: make(map[*conn]struct{}),
 		raBusy:   make(map[block.FileID]struct{}),
@@ -353,10 +327,6 @@ func Start(cfg Config) (*Node, error) {
 	n.pendMask = uint64(len(n.pend) - 1)
 	for i := range n.pend {
 		n.pend[i].waiting = make(map[block.ID]chan struct{})
-	}
-	n.maxPayload = cfg.MaxPayload
-	if n.maxPayload <= 0 {
-		n.maxPayload = maxPayload
 	}
 	n.rpcTimeout = cfg.RPCTimeout
 	if n.rpcTimeout == 0 {
@@ -372,11 +342,6 @@ func Start(cfg Config) (*Node, error) {
 	if n.retries < 0 {
 		n.retries = 0
 	}
-	n.retryBase = cfg.RetryBackoff
-	if n.retryBase <= 0 {
-		n.retryBase = defaultRetryBackoff
-	}
-	n.retryCap = 16 * n.retryBase
 	n.brThresh = cfg.BreakerThreshold
 	if n.brThresh == 0 {
 		n.brThresh = defaultBreakerThreshold
@@ -458,7 +423,7 @@ func (n *Node) SetAddrs(addrs []string) {
 	for i, a := range addrs {
 		members[i] = memberInfo{Addr: a, State: stateAlive}
 	}
-	n.view.Store(newMemberView(epoch, n.cfg.StaticHome, members))
+	n.view.Store(newMemberView(epoch, members))
 	n.mu.Unlock()
 	if old != nil {
 		old.shutdown()
@@ -668,13 +633,12 @@ func (n *Node) acceptLoop() {
 // connConfig builds the per-conn settings for this node's connections.
 func (n *Node) connConfig() connConfig {
 	return connConfig{
-		handle:     n.handle,
-		observe:    n.observe,
-		stamp:      n.stamp,
-		workers:    runtime.GOMAXPROCS(0),
-		maxPayload: n.maxPayload,
-		timeout:    n.rpcTimeout,
-		latency:    n.observeRPCLatency,
+		handle:  n.handle,
+		observe: n.observe,
+		stamp:   n.stamp,
+		workers: runtime.GOMAXPROCS(0),
+		timeout: n.rpcTimeout,
+		latency: n.observeRPCLatency,
 	}
 }
 
@@ -811,7 +775,7 @@ func (n *Node) reliableRPC(peer int, f *Frame, retries int) (*Frame, error) {
 		n.c.breakerSkips.Add(1)
 		return nil, errPeerSuspect
 	}
-	backoff := n.retryBase
+	backoff := defaultRetryBackoff
 	for attempt := 0; ; attempt++ {
 		resp, err := n.roundTripTo(peer, f)
 		if err == nil {
@@ -845,13 +809,12 @@ func (n *Node) reliableRPC(peer int, f *Frame, retries int) (*Frame, error) {
 		}
 		n.c.rpcRetries.Add(1)
 		n.trace(traceRetry, peer, f.ID(), int64(attempt+1))
-		backoffSleep(&backoff, n.retryCap, n.retryRand)
+		backoffSleep(&backoff, retryBackoffCap, n.retryRand)
 	}
 }
 
 // home reports the home node of file f — the global file-to-node mapping
-// of §3. Under the default consistent-hash view this is a lock-free ring
-// lookup; with Config.StaticHome it is the paper's original modulo mapping.
+// of §3, a lock-free lookup on the current view's consistent-hash ring.
 func (n *Node) home(f block.FileID) (int, error) {
 	v := n.view.Load()
 	if v == nil {

@@ -12,11 +12,67 @@ import (
 )
 
 // startCluster spins up k live nodes on loopback sharing a synthetic file
-// set, returning the nodes and a connected client. Cleanup is registered on
-// t.
-func startCluster(t *testing.T, k int, capacityBlocks int, policy core.Policy, sizes map[block.FileID]int64) ([]*Node, *Client) {
+// set, homes on the consistent-hash ring as in every deployment, and returns
+// the nodes and a connected client. mut, when non-nil, adjusts each node's
+// Config before start. Cleanup is registered on t.
+func startCluster(t *testing.T, k, capacityBlocks int, sizes map[block.FileID]int64, mut func(i int, cfg *Config)) ([]*Node, *Client) {
 	t.Helper()
-	return startClusterCfg(t, k, capacityBlocks, sizes, func(_ int, cfg *Config) { cfg.Policy = policy })
+	nodes := make([]*Node, k)
+	addrs := make([]string, k)
+	for i := 0; i < k; i++ {
+		cfg := Config{
+			ID:             i,
+			CapacityBlocks: capacityBlocks,
+			Policy:         core.PolicyMaster,
+			Geometry:       testGeom,
+			Source:         NewMemSource(testGeom, sizes),
+		}
+		if mut != nil {
+			mut(i, &cfg)
+		}
+		n, err := Start(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i] = n
+		addrs[i] = n.Addr()
+	}
+	for _, n := range nodes {
+		n.SetAddrs(addrs)
+	}
+	t.Cleanup(func() {
+		for _, n := range nodes {
+			if n != nil { // a test may nil out a node it retired
+				n.Close()
+			}
+		}
+	})
+	return nodes, dialNodes(t, nodes, ClientConfig{})
+}
+
+// dialNodes connects a client with the given settings to nodes; it is closed
+// with t, before the nodes.
+func dialNodes(t *testing.T, nodes []*Node, ccfg ClientConfig) *Client {
+	t.Helper()
+	addrs := make([]string, len(nodes))
+	for i, n := range nodes {
+		addrs[i] = n.Addr()
+	}
+	client, err := DialClusterConfig(addrs, ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { client.Close() })
+	return client
+}
+
+// homedAt is the first file whose ring home in a k-node cluster is node.
+func homedAt(k, node int) block.FileID {
+	f := block.FileID(0)
+	for RingHome(f, k) != node {
+		f++
+	}
+	return f
 }
 
 // dirOf is the directory server that manages file f's entries: its home's.
@@ -42,7 +98,7 @@ var testGeom = block.Geometry{Size: 1024, ExtentBlocks: 8}
 
 func TestLiveReadSingleFile(t *testing.T) {
 	sizes := map[block.FileID]int64{0: 3500}
-	_, client := startCluster(t, 3, 64, core.PolicyMaster, sizes)
+	_, client := startCluster(t, 3, 64, sizes, nil)
 	got, err := client.Read(0)
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +113,7 @@ func TestLiveReadsAllNodesAllFiles(t *testing.T) {
 	for f := 0; f < 12; f++ {
 		sizes[block.FileID(f)] = int64(500 + f*700)
 	}
-	_, client := startCluster(t, 4, 128, core.PolicyMaster, sizes)
+	_, client := startCluster(t, 4, 128, sizes, nil)
 	for f := 0; f < 12; f++ {
 		for node := 0; node < 4; node++ {
 			got, err := client.ReadVia(node, block.FileID(f))
@@ -89,7 +145,7 @@ func TestLiveReadsAllNodesAllFiles(t *testing.T) {
 
 func TestLiveSingleMasterPerBlock(t *testing.T) {
 	sizes := map[block.FileID]int64{0: 4096, 1: 4096, 2: 4096}
-	nodes, client := startCluster(t, 3, 64, core.PolicyMaster, sizes)
+	nodes, client := startCluster(t, 3, 64, sizes, nil)
 	for f := 0; f < 3; f++ {
 		for i := 0; i < 3; i++ {
 			if _, err := client.ReadVia(i, block.FileID(f)); err != nil {
@@ -115,7 +171,7 @@ func TestLiveSingleMasterPerBlock(t *testing.T) {
 
 func TestLiveRemoteHitServesFromPeerMemory(t *testing.T) {
 	sizes := map[block.FileID]int64{5: 2048}
-	nodes, client := startCluster(t, 2, 64, core.PolicyMaster, sizes)
+	nodes, client := startCluster(t, 2, 64, sizes, nil)
 	if _, err := client.ReadVia(0, 5); err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +194,7 @@ func TestLiveEvictionForwarding(t *testing.T) {
 	for f := 0; f < 30; f++ {
 		sizes[block.FileID(f)] = 1024
 	}
-	nodes, client := startCluster(t, 3, 8, core.PolicyBasic, sizes)
+	nodes, client := startCluster(t, 3, 8, sizes, func(_ int, cfg *Config) { cfg.Policy = core.PolicyBasic })
 	// Phase 1: node 1 fills with blocks that then sit idle (old ages).
 	for f := 0; f < 8; f++ {
 		if _, err := client.ReadVia(1, block.FileID(f)); err != nil {
@@ -175,7 +231,7 @@ func TestLiveConcurrentReaders(t *testing.T) {
 	for f := 0; f < 20; f++ {
 		sizes[block.FileID(f)] = int64(1024 + f*512)
 	}
-	_, client := startCluster(t, 4, 32, core.PolicyMaster, sizes)
+	_, client := startCluster(t, 4, 32, sizes, nil)
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	for w := 0; w < 8; w++ {
@@ -211,7 +267,7 @@ func (*contentErr) Error() string { return "content mismatch under concurrency" 
 
 func TestLiveStatsRPC(t *testing.T) {
 	sizes := map[block.FileID]int64{0: 1024}
-	nodes, client := startCluster(t, 2, 16, core.PolicyMaster, sizes)
+	nodes, client := startCluster(t, 2, 16, sizes, nil)
 	if _, err := client.Read(0); err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +313,7 @@ func TestPeerBeforeMembershipFails(t *testing.T) {
 // nil connection (a panic in conn.roundTrip) is the bug.
 func TestPeerDialRace(t *testing.T) {
 	sizes := map[block.FileID]int64{0: 1024}
-	nodes, _ := startCluster(t, 2, 16, core.PolicyMaster, sizes)
+	nodes, _ := startCluster(t, 2, 16, sizes, nil)
 	n := nodes[0]
 
 	stop := make(chan struct{})
@@ -317,10 +373,9 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 	for f := 0; f < 8; f++ {
 		sizes[block.FileID(f)] = 4 * int64(testGeom.Size)
 	}
-	// The cleanup startClusterCfg registers closes everything a second
+	// The cleanup startCluster registers closes everything a second
 	// time, which is harmless: Close is idempotent on nodes and client.
-	nodes, client := startClusterCfg(t, k, 64, sizes, func(i int, cfg *Config) {
-		cfg.StaticHome = false
+	nodes, client := startCluster(t, k, 64, sizes, func(i int, cfg *Config) {
 		cfg.HeartbeatInterval = 5 * time.Millisecond
 		cfg.Readahead = 2
 	})
@@ -357,7 +412,7 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 // as a master copy.
 func TestPeerServeFlagsMasterOnly(t *testing.T) {
 	sizes := map[block.FileID]int64{0: 2048}
-	nodes, _ := startCluster(t, 2, 16, core.PolicyMaster, sizes)
+	nodes, _ := startCluster(t, 2, 16, sizes, nil)
 	n := nodes[0]
 	id := block.ID{File: 0, Idx: 0}
 	data := SyntheticBlock(0, 0, 1024)

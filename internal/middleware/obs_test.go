@@ -18,11 +18,11 @@ import (
 // counters died with it) instead of failing the aggregate.
 func TestClusterStatsAggregation(t *testing.T) {
 	sizes := map[block.FileID]int64{0: 4096, 1: 4096, 2: 4096, 3: 4096}
-	nodes, client := startFaultCluster(t, 4, 64, sizes, func(i int, cfg *Config) {
+	nodes, client := startCluster(t, 4, 64, sizes, func(i int, cfg *Config) {
 		if i == 0 {
 			cfg.Readahead = 2 // the one node with a nonzero Prefetches
 		}
-	}, ClientConfig{})
+	})
 
 	// A cold block read on node 0 starts a readahead of the next two blocks.
 	if _, err := nodes[0].GetBlock(block.ID{File: 1, Idx: 0}); err != nil {
@@ -153,11 +153,11 @@ func TestClusterStatsAggregation(t *testing.T) {
 func TestTraceRPC(t *testing.T) {
 	sizes := map[block.FileID]int64{0: 4096}
 	tracer := obs.NewTracer(8)
-	_, client := startFaultCluster(t, 2, 64, sizes, func(i int, cfg *Config) {
+	_, client := startCluster(t, 2, 64, sizes, func(i int, cfg *Config) {
 		if i == 0 {
 			cfg.Tracer = tracer
 		}
-	}, ClientConfig{})
+	})
 
 	for i := 0; i < 12; i++ {
 		tracer.Record(obs.Event{Kind: traceRetry, Node: 0, Peer: 1, File: 0, Idx: int32(i)})
@@ -198,7 +198,7 @@ func TestTraceRPC(t *testing.T) {
 // traffic and checks the key series appear with sane values.
 func TestNodeRegisterMetrics(t *testing.T) {
 	sizes := map[block.FileID]int64{0: 4096, 1: 4096}
-	nodes, client := startFaultCluster(t, 2, 64, sizes, nil, ClientConfig{})
+	nodes, client := startCluster(t, 2, 64, sizes, nil)
 
 	for f := 0; f < 2; f++ {
 		for entry := 0; entry < 2; entry++ {

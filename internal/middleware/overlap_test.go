@@ -85,7 +85,7 @@ func (s *barrierSource) seen() (peak int, reads []int32) {
 
 // startBarrierCluster starts k nodes that all read through src.
 func startBarrierCluster(t *testing.T, k int, src *barrierSource) ([]*Node, *Client) {
-	return startClusterCfg(t, k, 256, nil, func(i int, cfg *Config) { cfg.Source = src })
+	return startCluster(t, k, 256, nil, func(i int, cfg *Config) { cfg.Source = src })
 }
 
 func rpcCount(n *Node, typ string) uint64 { return n.Stats().RPCLatency[typ].Count }
@@ -96,15 +96,16 @@ func rpcCount(n *Node, typ string) uint64 { return n.Stats().RPCLatency[typ].Cou
 // The barrier releases only when all eight readers are inside, so a home
 // that reads block after block never gets past the first.
 func TestRunPathOverlapHomeRun(t *testing.T) {
-	sizes := map[block.FileID]int64{1: readWindow * int64(testGeom.Size)}
-	for _, entry := range []int{0, 1} { // file 1 homes at node 1 of 2
+	f := homedAt(2, 1)
+	sizes := map[block.FileID]int64{f: readWindow * int64(testGeom.Size)}
+	for _, entry := range []int{0, 1} { // a peer home, then the entry's own
 		src := newBarrierSource(t, sizes, readWindow)
 		_, client := startBarrierCluster(t, 2, src)
-		data, err := client.ReadVia(entry, 1)
+		data, err := client.ReadVia(entry, f)
 		if err != nil {
 			t.Fatalf("entry %d: %v", entry, err)
 		}
-		if !bytes.Equal(data, expect(testGeom, 1, sizes[1])) {
+		if !bytes.Equal(data, expect(testGeom, f, sizes[f])) {
 			t.Fatalf("entry %d: content mismatch", entry)
 		}
 		if peak, reads := src.seen(); peak != readWindow || len(reads) != readWindow {
@@ -234,7 +235,7 @@ func TestRunPathNoRunAfterFailure(t *testing.T) {
 func TestRunPathSingleBlockReusesLookup(t *testing.T) {
 	const f = block.FileID(1)
 	sizes := map[block.FileID]int64{f: int64(testGeom.Size)}
-	nodes, client := startClusterCfg(t, 3, 64, sizes, nil) // home and directory at 1
+	nodes, client := startCluster(t, 3, 64, sizes, nil) // home and directory at 1
 	// Node 1 reads first, so it holds the master.
 	if _, err := client.ReadVia(1, f); err != nil {
 		t.Fatal(err)
@@ -262,7 +263,7 @@ func TestRunPathStalePlannedHolder(t *testing.T) {
 	const f = block.FileID(1)
 	id := block.ID{File: f, Idx: 0}
 	sizes := map[block.FileID]int64{f: int64(testGeom.Size)}
-	nodes, client := startClusterCfg(t, 3, 64, sizes, nil)
+	nodes, client := startCluster(t, 3, 64, sizes, nil)
 	if _, err := client.ReadVia(1, f); err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +294,7 @@ func TestReadaheadOverlapsRuns(t *testing.T) {
 	const f = block.FileID(0)
 	sizes := map[block.FileID]int64{f: 8 * int64(testGeom.Size)}
 	src := newBarrierSource(t, sizes, 4)
-	nodes, _ := startClusterCfg(t, 1, 64, nil, func(i int, cfg *Config) {
+	nodes, _ := startCluster(t, 1, 64, nil, func(i int, cfg *Config) {
 		cfg.Source = src
 		cfg.Readahead = 6
 	})

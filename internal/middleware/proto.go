@@ -396,9 +396,8 @@ func (f *Frame) payloadLen() int {
 // aux(8) plen(4) = 38 bytes; the payload follows.
 const headerLen = 38
 
-// maxPayload bounds a frame payload (64 MB covers any file in the traces).
-// It is the write-side cap and the read-side default; conns can lower the
-// read-side limit (Config.MaxPayload).
+// maxPayload bounds a frame payload (64 MB covers any file in the traces),
+// on both the write and the read side.
 const maxPayload = 64 << 20
 
 // typeCarriesPayload reports whether t is allowed a non-empty payload. The
@@ -578,7 +577,7 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 	return readFrame(r, maxPayload)
 }
 
-// readFrame is ReadFrame with a configurable payload cap (per-conn limit).
+// readFrame is ReadFrame with an explicit payload cap.
 func readFrame(r io.Reader, limit int) (*Frame, error) {
 	var hdr [headerLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {

@@ -8,7 +8,6 @@ import (
 	"testing/iotest"
 
 	"repro/internal/block"
-	"repro/internal/core"
 )
 
 // readRangeRPCs is how many ranged-read round trips the client has made.
@@ -28,7 +27,7 @@ func TestFileReaderHeadContract(t *testing.T) {
 		4: openHeadLen + 1,
 		5: openHeadLen + 32<<10 + 1, // one full copy chunk and a byte past the head
 	}
-	_, client := startCluster(t, 2, 256, core.PolicyMaster, sizes)
+	_, client := startCluster(t, 2, 256, sizes, nil)
 	for f := block.FileID(0); int(f) < len(sizes); f++ {
 		size := sizes[f]
 		want := expect(testGeom, f, size)
@@ -97,7 +96,7 @@ func headBytes(fr *FileReader) []byte {
 func TestFileReaderHeadBoundary(t *testing.T) {
 	const size = openHeadLen + 5000
 	sizes := map[block.FileID]int64{0: size}
-	_, client := startCluster(t, 2, 256, core.PolicyMaster, sizes)
+	_, client := startCluster(t, 2, 256, sizes, nil)
 	want := expect(testGeom, 0, size)
 	fr, err := client.OpenHeadVia(-1, 0)
 	if err != nil {
@@ -153,7 +152,7 @@ func TestFileReaderHeadBoundary(t *testing.T) {
 func TestFileReaderHeadParallelReadAt(t *testing.T) {
 	const size = openHeadLen + 8000
 	sizes := map[block.FileID]int64{0: size}
-	_, client := startCluster(t, 2, 256, core.PolicyMaster, sizes)
+	_, client := startCluster(t, 2, 256, sizes, nil)
 	want := expect(testGeom, 0, size)
 	fr, err := client.OpenHeadVia(-1, 0)
 	if err != nil {
@@ -192,7 +191,7 @@ func TestFileReaderHeadParallelReadAt(t *testing.T) {
 // missing file the same way the probe does: from the open, as not-found.
 func TestOpenHeadUnknownFile(t *testing.T) {
 	sizes := map[block.FileID]int64{0: 1024}
-	_, client := startCluster(t, 2, 64, core.PolicyMaster, sizes)
+	_, client := startCluster(t, 2, 64, sizes, nil)
 	fr, err := client.OpenHeadVia(0, 99)
 	if err == nil || fr != nil {
 		t.Fatal("unknown file opened")
@@ -207,13 +206,14 @@ func TestOpenHeadUnknownFile(t *testing.T) {
 // must the reads past the head that follow.
 func TestOpenHeadFailsOver(t *testing.T) {
 	const size = openHeadLen + 2000
-	// File 0 homes at node 0 (0 % 3); node 1 is only an entry point.
-	sizes := map[block.FileID]int64{0: size}
-	nodes, client := startCluster(t, 3, 256, core.PolicyMaster, sizes)
-	want := expect(testGeom, 0, size)
+	// The file homes at node 0; node 1 is only an entry point.
+	f := homedAt(3, 0)
+	sizes := map[block.FileID]int64{f: size}
+	nodes, client := startCluster(t, 3, 256, sizes, nil)
+	want := expect(testGeom, f, size)
 	nodes[1].Close()
 
-	fr, err := client.OpenHeadVia(1, 0)
+	fr, err := client.OpenHeadVia(1, f)
 	if err != nil {
 		t.Fatalf("open through a dead entry: %v", err)
 	}

@@ -12,7 +12,7 @@ import (
 
 func TestReadRangeNode(t *testing.T) {
 	sizes := map[block.FileID]int64{0: 2500}
-	nodes, _ := startCluster(t, 2, 64, core.PolicyMaster, sizes)
+	nodes, _ := startCluster(t, 2, 64, sizes, nil)
 	full := expect(testGeom, 0, 2500)
 
 	cases := []struct {
@@ -53,7 +53,7 @@ func TestReadRangeNode(t *testing.T) {
 
 func TestReadRangeTouchesOnlyCoveredBlocks(t *testing.T) {
 	sizes := map[block.FileID]int64{0: 10 * 1024} // 10 blocks
-	nodes, _ := startCluster(t, 1, 64, core.PolicyMaster, sizes)
+	nodes, _ := startCluster(t, 1, 64, sizes, nil)
 	if _, err := nodes[0].ReadRange(0, 3*1024, 1024); err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestReadRangeTouchesOnlyCoveredBlocks(t *testing.T) {
 
 func TestFileReaderInterfaces(t *testing.T) {
 	sizes := map[block.FileID]int64{7: 5000}
-	_, client := startCluster(t, 3, 64, core.PolicyMaster, sizes)
+	_, client := startCluster(t, 3, 64, sizes, nil)
 	fr, err := client.Open(7)
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func TestFileReaderInterfaces(t *testing.T) {
 
 func TestOpenUnknownFile(t *testing.T) {
 	sizes := map[block.FileID]int64{0: 1024}
-	_, client := startCluster(t, 2, 64, core.PolicyMaster, sizes)
+	_, client := startCluster(t, 2, 64, sizes, nil)
 	err := func() error { _, err := client.Open(99); return err }()
 	if err == nil {
 		t.Fatal("unknown file opened")
@@ -136,7 +136,7 @@ func TestFileReaderContract(t *testing.T) {
 		3: 4096, // multi-block, aligned
 		4: 5000, // multi-block, unaligned tail
 	}
-	_, client := startCluster(t, 2, 64, core.PolicyMaster, sizes)
+	_, client := startCluster(t, 2, 64, sizes, nil)
 	for f, size := range sizes {
 		fr, err := client.Open(f)
 		if err != nil {

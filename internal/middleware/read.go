@@ -593,11 +593,10 @@ func (n *Node) fetchFromHome(id block.ID) (*payloadBuf, error) {
 }
 
 // ringSuccessor names the node that takes over f if `down` leaves the ring:
-// the next alive member on the hash ring. Static clusters have no
-// successor (the legacy error surfaces unchanged).
+// the next alive member on the hash ring.
 func (n *Node) ringSuccessor(f block.FileID, down int) (int, bool) {
 	v := n.view.Load()
-	if v == nil || v.static {
+	if v == nil {
 		return 0, false
 	}
 	succ, ok := v.homeExcluding(f, down)

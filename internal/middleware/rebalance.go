@@ -152,7 +152,7 @@ func (n *Node) pullFile(f block.FileID, oldHome int) {
 // locally-known file whose home moved onto this node. Called from
 // afterViewInstall (outside n.mu).
 func (n *Node) computeRebalance(old, v *memberView) {
-	if v == nil || v.static || n.migrPending == nil {
+	if v == nil || n.migrPending == nil {
 		return
 	}
 	// A member leaving the ring pulls nothing; its successors pull from it.
@@ -185,17 +185,15 @@ func (n *Node) computeRebalance(old, v *memberView) {
 			continue
 		}
 		oldHome := -1
-		if old != nil && !old.static {
+		if old != nil {
 			if h, okOld := old.home(f); okOld {
 				oldHome = h
 			}
-		} else if old == nil {
+		} else if h, okEx := v.homeExcluding(f, n.cfg.ID); okEx {
 			// Freshly joined: our pre-join home is the ring without us
 			// (removing our vnodes re-routes exactly our keys to their
 			// previous successors).
-			if h, okEx := v.homeExcluding(f, n.cfg.ID); okEx {
-				oldHome = h
-			}
+			oldHome = h
 		}
 		if oldHome < 0 || oldHome == n.cfg.ID {
 			continue

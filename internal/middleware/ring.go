@@ -63,12 +63,9 @@ type ringPoint struct {
 const vnodesPerMember = 64
 
 // memberView is an immutable membership snapshot: the epoch, the member
-// slots, and the consistent-hash ring derived from the alive slots. When
-// static is set the ring is empty and home() is the paper's original
-// modulo mapping, byte-for-byte (pinned by replay equivalence).
+// slots, and the consistent-hash ring derived from the alive slots.
 type memberView struct {
 	epoch   uint64
-	static  bool
 	members []memberInfo
 	ring    []ringPoint
 }
@@ -87,11 +84,8 @@ func mix64(x uint64) uint64 {
 // newMemberView builds the view (and its ring) for the given member slots.
 // The members slice is owned by the view afterwards; callers must pass a
 // fresh copy.
-func newMemberView(epoch uint64, static bool, members []memberInfo) *memberView {
-	v := &memberView{epoch: epoch, static: static, members: members}
-	if static {
-		return v
-	}
+func newMemberView(epoch uint64, members []memberInfo) *memberView {
+	v := &memberView{epoch: epoch, members: members}
 	for i, m := range members {
 		if m.State != stateAlive || m.Addr == "" {
 			continue
@@ -111,16 +105,9 @@ func newMemberView(epoch uint64, static bool, members []memberInfo) *memberView 
 }
 
 // home maps a file to its home node under this view — the node that stores
-// the file and manages its blocks' directory entries: the modulo mapping in
-// static mode, the ring successor of the key's hash otherwise. ok is false
-// when the view has no placeable member.
+// the file and manages its blocks' directory entries: the ring successor of
+// the key's hash. ok is false when the view has no placeable member.
 func (v *memberView) home(f block.FileID) (int, bool) {
-	if v.static {
-		if len(v.members) == 0 {
-			return 0, false
-		}
-		return int(f) % len(v.members), true
-	}
 	if len(v.ring) == 0 {
 		return 0, false
 	}
@@ -128,10 +115,10 @@ func (v *memberView) home(f block.FileID) (int, bool) {
 }
 
 // homeExcluding maps a file to the first ring node that is not skip — the
-// successor a reader falls back to when the home looks down. In static mode
-// (no ring) and in single-member rings it returns the plain home.
+// successor a reader falls back to when the home looks down. In a
+// single-member ring it returns the plain home.
 func (v *memberView) homeExcluding(f block.FileID, skip int) (int, bool) {
-	if v.static || len(v.ring) == 0 {
+	if len(v.ring) == 0 {
 		return v.home(f)
 	}
 	i := v.search(mix64(uint64(f)))
@@ -189,7 +176,7 @@ func (v *memberView) withMember(id int, info memberInfo) []memberInfo {
 }
 
 // RingHome is the exported consistent-hash mapping for an n-node cluster of
-// all-alive members — what a ring-mode cluster built by SetAddrs computes.
+// all-alive members — what a cluster built by SetAddrs computes.
 // Harnesses use it to reason about placement (e.g. excluding a crashed
 // node's homed files from a trace) without a live view in hand.
 func RingHome(f block.FileID, n int) int {
@@ -202,7 +189,7 @@ func RingHome(f block.FileID, n int) int {
 		for i := range members {
 			members[i] = memberInfo{Addr: "x", State: stateAlive}
 		}
-		vi, _ = ringHomeCache.LoadOrStore(n, newMemberView(1, false, members))
+		vi, _ = ringHomeCache.LoadOrStore(n, newMemberView(1, members))
 	}
 	h, _ := vi.(*memberView).home(f)
 	return h
@@ -217,7 +204,6 @@ var ringHomeCache sync.Map
 // Views travel in MsgViewReply/MsgViewUpdate payloads:
 //
 //	epoch  u64
-//	static u8
 //	count  u32
 //	count × { state u8, addrLen u16, addr bytes }
 const maxViewMembers = 1 << 16
@@ -225,11 +211,6 @@ const maxViewMembers = 1 << 16
 // appendView serializes the view onto buf.
 func appendView(buf []byte, v *memberView) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, v.epoch)
-	s := byte(0)
-	if v.static {
-		s = 1
-	}
-	buf = append(buf, s)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(v.members)))
 	for _, m := range v.members {
 		buf = append(buf, byte(m.State))
@@ -241,16 +222,15 @@ func appendView(buf []byte, v *memberView) []byte {
 
 // decodeView parses a serialized view, rebuilding the ring.
 func decodeView(p []byte) (*memberView, error) {
-	if len(p) < 13 {
+	if len(p) < 12 {
 		return nil, fmt.Errorf("middleware: view payload too short (%d bytes)", len(p))
 	}
 	epoch := binary.BigEndian.Uint64(p)
-	static := p[8] == 1
-	count := binary.BigEndian.Uint32(p[9:])
+	count := binary.BigEndian.Uint32(p[8:])
 	if count > maxViewMembers {
 		return nil, fmt.Errorf("middleware: view member count %d exceeds limit", count)
 	}
-	p = p[13:]
+	p = p[12:]
 	members := make([]memberInfo, 0, count)
 	for i := uint32(0); i < count; i++ {
 		if len(p) < 3 {
@@ -271,5 +251,5 @@ func decodeView(p []byte) (*memberView, error) {
 	if len(p) != 0 {
 		return nil, fmt.Errorf("middleware: %d trailing bytes after view payload", len(p))
 	}
-	return newMemberView(epoch, static, members), nil
+	return newMemberView(epoch, members), nil
 }

@@ -20,8 +20,8 @@ func allAlive(n int) []memberInfo {
 // (file, membership): two independently built views agree on every key,
 // and RingHome matches the view computation.
 func TestRingDeterministicMapping(t *testing.T) {
-	a := newMemberView(1, false, allAlive(5))
-	b := newMemberView(7, false, allAlive(5))
+	a := newMemberView(1, allAlive(5))
+	b := newMemberView(7, allAlive(5))
 	for f := block.FileID(0); f < 10000; f++ {
 		ha, ok := a.home(f)
 		if !ok {
@@ -37,28 +37,11 @@ func TestRingDeterministicMapping(t *testing.T) {
 	}
 }
 
-// TestStaticHomeIsModulo pins the StaticHome mapping byte-for-byte to the
-// paper's original int(f) % clusterSize.
-func TestStaticHomeIsModulo(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 4, 7, 16} {
-		v := newMemberView(1, true, allAlive(n))
-		for f := block.FileID(0); f < 1000; f++ {
-			h, ok := v.home(f)
-			if !ok {
-				t.Fatalf("n=%d: no home for %d", n, f)
-			}
-			if h != int(f)%n {
-				t.Fatalf("n=%d file %d: static home %d, want %d", n, f, h, int(f)%n)
-			}
-		}
-	}
-}
-
 // TestRingBalance bounds the placement skew: with 64 vnodes per member no
 // member's share of 100k keys strays past 2x the fair share.
 func TestRingBalance(t *testing.T) {
 	for _, n := range []int{2, 4, 8} {
-		v := newMemberView(1, false, allAlive(n))
+		v := newMemberView(1, allAlive(n))
 		counts := make([]int, n)
 		const keys = 100000
 		for f := block.FileID(0); f < keys; f++ {
@@ -79,8 +62,8 @@ func TestRingBalance(t *testing.T) {
 // moves TO the joiner (no key moves between surviving members).
 func TestRingMovedFractionOnGrow(t *testing.T) {
 	for _, n := range []int{3, 7} {
-		old := newMemberView(1, false, allAlive(n))
-		grown := newMemberView(2, false, allAlive(n+1))
+		old := newMemberView(1, allAlive(n))
+		grown := newMemberView(2, allAlive(n+1))
 		const keys = 50000
 		moved := 0
 		for f := block.FileID(0); f < keys; f++ {
@@ -108,8 +91,8 @@ func TestRingMovedFractionOnGrow(t *testing.T) {
 // every key.
 func TestHomeExcludingIsPreJoinHome(t *testing.T) {
 	const n = 6
-	old := newMemberView(1, false, allAlive(n))
-	grown := newMemberView(2, false, allAlive(n+1))
+	old := newMemberView(1, allAlive(n))
+	grown := newMemberView(2, allAlive(n+1))
 	for f := block.FileID(0); f < 20000; f++ {
 		ho, _ := old.home(f)
 		hx, _ := grown.homeExcluding(f, n)
@@ -125,10 +108,10 @@ func TestHomeExcludingIsPreJoinHome(t *testing.T) {
 // promoted).
 func TestHomeExcludingSkipsDownNode(t *testing.T) {
 	const n = 5
-	full := newMemberView(1, false, allAlive(n))
+	full := newMemberView(1, allAlive(n))
 	members := allAlive(n)
 	members[2].State = stateDead
-	without := newMemberView(2, false, members)
+	without := newMemberView(2, members)
 	for f := block.FileID(0); f < 20000; f++ {
 		h, _ := full.home(f)
 		if h != 2 {
@@ -154,13 +137,13 @@ func TestViewCodecRoundTrip(t *testing.T) {
 		{Addr: "", State: stateDead}, // hole
 		{Addr: "127.0.0.1:7005", State: stateAlive},
 	}
-	v := newMemberView(42, false, members)
+	v := newMemberView(42, members)
 	got, err := decodeView(appendView(nil, v))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.epoch != 42 || got.static || got.size() != len(members) {
-		t.Fatalf("round trip: epoch=%d static=%v size=%d", got.epoch, got.static, got.size())
+	if got.epoch != 42 || got.size() != len(members) {
+		t.Fatalf("round trip: epoch=%d size=%d", got.epoch, got.size())
 	}
 	for i, m := range members {
 		if got.members[i] != m {
@@ -178,14 +161,14 @@ func TestViewCodecRoundTrip(t *testing.T) {
 
 // TestViewCodecRejectsGarbage pins the decoder's bounds checks.
 func TestViewCodecRejectsGarbage(t *testing.T) {
-	v := newMemberView(1, false, allAlive(3))
+	v := newMemberView(1, allAlive(3))
 	good := appendView(nil, v)
 	cases := map[string][]byte{
 		"short":    good[:5],
 		"trailing": append(append([]byte(nil), good...), 0xff),
 		"badState": func() []byte {
 			b := append([]byte(nil), good...)
-			b[13] = 99 // first member's state byte
+			b[12] = 99 // first member's state byte
 			return b
 		}(),
 		"truncatedAddr": good[:len(good)-1],
@@ -202,7 +185,7 @@ func TestViewCodecRejectsGarbage(t *testing.T) {
 // swaps in views of growing and shrinking size.
 func TestConcurrentLookupsDuringEpochSwap(t *testing.T) {
 	var p atomic.Pointer[memberView]
-	p.Store(newMemberView(1, false, allAlive(2)))
+	p.Store(newMemberView(1, allAlive(2)))
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {
@@ -233,7 +216,7 @@ func TestConcurrentLookupsDuringEpochSwap(t *testing.T) {
 		if e%3 == 0 {
 			members[int(e)%n].State = stateDraining
 		}
-		p.Store(newMemberView(e, false, members))
+		p.Store(newMemberView(e, members))
 	}
 	stop.Store(true)
 	wg.Wait()

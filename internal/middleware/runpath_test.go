@@ -10,47 +10,6 @@ import (
 	"repro/internal/obs"
 )
 
-// startClusterCfg is startCluster with a per-node Config hook, so run-path
-// tests can set readahead or fault plans per cluster.
-func startClusterCfg(t *testing.T, k, capacityBlocks int, sizes map[block.FileID]int64, mut func(i int, cfg *Config)) ([]*Node, *Client) {
-	t.Helper()
-	nodes := make([]*Node, k)
-	addrs := make([]string, k)
-	for i := 0; i < k; i++ {
-		cfg := Config{
-			ID:             i,
-			CapacityBlocks: capacityBlocks,
-			Policy:         core.PolicyMaster,
-			Geometry:       testGeom,
-			Source:         NewMemSource(testGeom, sizes),
-			StaticHome:     true, // legacy placement tests assume f % k homes
-		}
-		if mut != nil {
-			mut(i, &cfg)
-		}
-		n, err := Start(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = n
-		addrs[i] = n.Addr()
-	}
-	for _, n := range nodes {
-		n.SetAddrs(addrs)
-	}
-	client, err := DialCluster(addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		client.Close()
-		for _, n := range nodes {
-			n.Close()
-		}
-	})
-	return nodes, client
-}
-
 // totalRPCs sums every round trip the cluster and client issued, read from
 // the per-RPC-type latency histograms (each RPC is recorded exactly once,
 // by its issuer).
@@ -198,16 +157,17 @@ func TestStoreInsertRun(t *testing.T) {
 // (last present in commit 0c12ba4) paid about ten times as many.
 func TestRunPathColdRPCCount(t *testing.T) {
 	const nblocks = 64
-	sizes := map[block.FileID]int64{1: nblocks * int64(testGeom.Size)}
-	nodes, client := startClusterCfg(t, 4, 256, sizes, nil)
-	// Entry node 3, home node 1 (file 1 % 4), which also manages the file's
-	// directory entries: every protocol message crosses the wire, and the
-	// lookup, the eight runs and the eight updates all go to node 1.
-	data, err := client.ReadVia(3, 1)
+	f := homedAt(4, 1)
+	sizes := map[block.FileID]int64{f: nblocks * int64(testGeom.Size)}
+	nodes, client := startCluster(t, 4, 256, sizes, nil)
+	// Entry node 3, home node 1, which also manages the file's directory
+	// entries: every protocol message crosses the wire, and the lookup, the
+	// eight runs and the eight updates all go to node 1.
+	data, err := client.ReadVia(3, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(data, expect(testGeom, 1, sizes[1])) {
+	if !bytes.Equal(data, expect(testGeom, f, sizes[f])) {
 		t.Fatal("content mismatch")
 	}
 	st, err := client.ClusterStats()
@@ -237,7 +197,7 @@ func TestRunPathColdRPCCount(t *testing.T) {
 func TestRunPathWarmRemoteRun(t *testing.T) {
 	const k, nblocks, written = 4, 12, 5
 	sizes := map[block.FileID]int64{1: nblocks * int64(testGeom.Size)}
-	nodes, client := startClusterCfg(t, k, 256, sizes, func(_ int, cfg *Config) { cfg.StaticHome = false })
+	nodes, client := startCluster(t, k, 256, sizes, nil)
 	want := expect(testGeom, 1, sizes[1])
 	readAll := func(pass string) {
 		t.Helper()
@@ -333,21 +293,22 @@ func TestRunPathWarmRemoteRun(t *testing.T) {
 // (gap in the peer's cache) is completed per-block, not failed.
 func TestRunPathPartialRunFallsBack(t *testing.T) {
 	const nblocks = 8
-	sizes := map[block.FileID]int64{1: nblocks * int64(testGeom.Size)}
-	nodes, client := startClusterCfg(t, 2, 256, sizes, nil)
+	f := homedAt(2, 1)
+	sizes := map[block.FileID]int64{f: nblocks * int64(testGeom.Size)}
+	nodes, client := startCluster(t, 2, 256, sizes, nil)
 
 	// Warm the home (node 1), then punch a hole in its cache so node 0's
 	// run request hits a gap mid-run.
-	if _, err := client.ReadVia(1, 1); err != nil {
+	if _, err := client.ReadVia(1, f); err != nil {
 		t.Fatal(err)
 	}
-	nodes[1].store.Remove(block.ID{File: 1, Idx: 3})
+	nodes[1].store.Remove(block.ID{File: f, Idx: 3})
 
-	data, err := client.ReadVia(0, 1)
+	data, err := client.ReadVia(0, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(data, expect(testGeom, 1, sizes[1])) {
+	if !bytes.Equal(data, expect(testGeom, f, sizes[f])) {
 		t.Fatal("content mismatch after degraded run")
 	}
 	s0 := nodes[0].Stats()
@@ -389,10 +350,10 @@ func TestReadRangeRunEquivalence(t *testing.T) {
 	for f := range cases {
 		sizes[block.FileID(f)] = size
 	}
-	nodes, _ := startClusterCfg(t, 2, 256, sizes, nil)
+	nodes, _ := startCluster(t, 2, 256, sizes, nil)
 
 	for f, c := range cases {
-		file := block.FileID(f) // even files are homed at the entry, odd ones at the peer
+		file := block.FileID(f) // the ring homes some files at the entry, the rest at the peer
 		end := min64(c.off+int64(c.length), size)
 		want := expect(testGeom, file, size)[c.off:end]
 		before := nodes[0].Stats()
@@ -428,7 +389,7 @@ func min64(a, b int64) int64 {
 // readahead sweeps — the per-file slot admits one at a time.
 func TestReadaheadCoalesces(t *testing.T) {
 	sizes := map[block.FileID]int64{0: 64 * int64(testGeom.Size)}
-	nodes, _ := startClusterCfg(t, 1, 256, sizes, func(i int, cfg *Config) {
+	nodes, _ := startCluster(t, 1, 256, sizes, func(i int, cfg *Config) {
 		cfg.Readahead = 4
 	})
 	n := nodes[0]
@@ -451,7 +412,7 @@ func TestReadaheadCoalesces(t *testing.T) {
 // instead of serving unbounded work.
 func TestGetRunRequestValidation(t *testing.T) {
 	sizes := map[block.FileID]int64{0: 4 * int64(testGeom.Size)}
-	nodes, _ := startClusterCfg(t, 1, 16, sizes, nil)
+	nodes, _ := startCluster(t, 1, 16, sizes, nil)
 	for _, count := range []int{0, maxRunBlocks + 1} {
 		req := &Frame{Type: MsgGetRun, File: 0, Idx: 0, Aux: packRunAux(count, 0), Sender: -1}
 		resp := nodes[0].handleGetRun(req)

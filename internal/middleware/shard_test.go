@@ -10,9 +10,9 @@ import (
 	"repro/internal/core"
 )
 
-// TestResolveStoreShards pins the shard-count resolution rules: power-of-two
-// rounding, the NumCPU default, the 64 cap, and the capacity clamp (every
-// shard needs at least one slot).
+// The shard-count rules of resolveShards: power-of-two rounding, the NumCPU
+// default, the 64 cap, and the capacity clamp (every shard needs at least
+// one slot).
 func TestResolveStoreShards(t *testing.T) {
 	cases := []struct {
 		requested, capacity, want int
@@ -28,12 +28,12 @@ func TestResolveStoreShards(t *testing.T) {
 		{16, 9, 8}, // clamp rounds down in powers of two
 	}
 	for _, c := range cases {
-		if got := resolveStoreShards(c.requested, c.capacity); got != c.want {
-			t.Errorf("resolveStoreShards(%d, %d) = %d, want %d", c.requested, c.capacity, got, c.want)
+		if got := resolveShards(c.requested, c.capacity); got != c.want {
+			t.Errorf("resolveShards(%d, %d) = %d, want %d", c.requested, c.capacity, got, c.want)
 		}
 	}
 	// The default (<= 0) covers NumCPU with a power of two.
-	def := resolveStoreShards(0, 1<<20)
+	def := resolveShards(0, 1<<20)
 	if def < 1 || def&(def-1) != 0 || def > 64 {
 		t.Fatalf("default shard count %d not a power of two in [1, 64]", def)
 	}
@@ -47,7 +47,7 @@ func TestResolveStoreShards(t *testing.T) {
 // the aggregate Len never exceeds it under full-store churn.
 func TestShardedStoreCapacitySums(t *testing.T) {
 	const capacity, shards = 21, 4 // 21 = 5+5+5+6: remainder spread
-	s := NewStoreShards(capacity, core.PolicyMaster, shards)
+	s := newShardedStore(capacity, core.PolicyMaster, shards)
 	if s.ShardCount() != shards {
 		t.Fatalf("shard count %d, want %d", s.ShardCount(), shards)
 	}
@@ -82,7 +82,7 @@ func TestShardedStoreCapacitySums(t *testing.T) {
 // Masters, OldestAge) stay exact across master inserts, non-master inserts,
 // and removals on a multi-shard store.
 func TestShardedStoreCountersExact(t *testing.T) {
-	s := NewStoreShards(64, core.PolicyMaster, 8)
+	s := newShardedStore(64, core.PolicyMaster, 8)
 	for i := 0; i < 16; i++ {
 		s.Insert(sid(1, i), []byte("m"), true)
 	}
@@ -117,7 +117,7 @@ func TestShardedStoreCountersExact(t *testing.T) {
 // copies (the paper's replicas) evicts one non-master victim per insert, from
 // the shard the insert lands in, and stops holding it.
 func TestShardedStoreReplicaEviction(t *testing.T) {
-	s := NewStoreShards(8, core.PolicyMaster, 8) // one slot per shard
+	s := newShardedStore(8, core.PolicyMaster, 8) // one slot per shard
 	seen := 0
 	for i := 0; i < 64; i++ {
 		s.Insert(sid(i, 0), []byte("r"), false)
@@ -173,7 +173,7 @@ func TestShardOneMatchesLegacyOrder(t *testing.T) {
 // pinned reference keeps its bytes bit-identical through Remove and the
 // buffer's slot being refilled by new content.
 func TestGetRefPinsAcrossRemove(t *testing.T) {
-	s := NewStoreShards(8, core.PolicyMaster, 4)
+	s := newShardedStore(8, core.PolicyMaster, 4)
 	want := SyntheticBlock(7, 3, 4096)
 	s.Insert(sid(7, 3), append([]byte(nil), want...), true)
 	pb, ok := s.GetRef(sid(7, 3))
@@ -196,7 +196,7 @@ func TestGetRefPinsAcrossRemove(t *testing.T) {
 func TestGetBlockMutationCanary(t *testing.T) {
 	geom := block.Geometry{Size: 512, ExtentBlocks: 8}
 	sizes := map[block.FileID]int64{0: 4 * 512}
-	nodes, _ := startClusterCfg(t, 1, 16, sizes, func(i int, cfg *Config) {
+	nodes, _ := startCluster(t, 1, 16, sizes, func(i int, cfg *Config) {
 		cfg.Geometry = geom
 	})
 	n := nodes[0]
@@ -227,7 +227,7 @@ func TestGetBlockMutationCanary(t *testing.T) {
 // stays bit-stable while held. (Run under -race; without the pin this is the
 // use-after-recycle the zero-copy refactor exists to prevent.)
 func TestPinnedReadRaceCanary(t *testing.T) {
-	s := NewStoreShards(4, core.PolicyBasic, 4) // one slot per shard: constant churn
+	s := newShardedStore(4, core.PolicyBasic, 4) // one slot per shard: constant churn
 	const blocks = 32
 	mk := func(i int) []byte { return SyntheticBlock(block.FileID(i), 0, 2048) }
 	var writer, readers sync.WaitGroup

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/block"
-	"repro/internal/core"
 )
 
 // TestSoakConcurrentReadWrite hammers a small cluster with concurrent
@@ -31,7 +30,7 @@ func TestSoakConcurrentReadWrite(t *testing.T) {
 		sizes[block.FileID(f)] = fileSize
 	}
 	// Small caches force constant eviction/forwarding during the soak.
-	_, client := startCluster(t, 3, 16, core.PolicyMaster, sizes)
+	_, client := startCluster(t, 3, 16, sizes, nil)
 
 	// validBlock reports whether data is a legal value for the block:
 	// the synthetic original or a writer-tagged pattern.

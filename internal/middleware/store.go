@@ -108,19 +108,19 @@ func (sh *storeShard) tick() sim.Time {
 // Replacement quality: each shard runs the paper's policy over its own
 // partition. Consistent-hash-partitioned LRU asymptotically matches
 // monolithic LRU miss ratio (Asymptotic Miss Ratio of LRU Caching with
-// Consistent Hashing), and shard count 1 is bit-identical to the historical
-// single-lock store — the replay-equivalence suite pins that.
+// Consistent Hashing), and shard count 1 (NewStore) is the exact single-lock
+// global LRU.
 type Store struct {
 	policy core.Policy
 	shards []*storeShard
 	mask   uint64
 }
 
-// resolveStoreShards picks a shard count: requested (rounded up to a power
+// resolveShards picks a shard count: requested (rounded up to a power
 // of two) or, for requested <= 0, the smallest power of two covering
 // runtime.NumCPU, capped at 64. The count never exceeds capacity — every
 // shard's BlockCache needs at least one slot.
-func resolveStoreShards(requested, capacity int) int {
+func resolveShards(requested, capacity int) int {
 	n := requested
 	if n <= 0 {
 		n = runtime.NumCPU()
@@ -136,19 +136,19 @@ func resolveStoreShards(requested, capacity int) int {
 }
 
 // NewStore builds a single-shard store holding at most capacity blocks
-// under the given replacement policy — the deterministic configuration
-// (exact global LRU order) used by tests and single-core deployments.
+// under the given replacement policy — exact global LRU order, for tests
+// and the benchmark's store rung. A node's store is sized to the host.
 func NewStore(capacity int, policy core.Policy) *Store {
-	return NewStoreShards(capacity, policy, 1)
+	return newShardedStore(capacity, policy, 1)
 }
 
-// NewStoreShards builds a store striped over the given shard count
+// newShardedStore builds a store striped over the given shard count
 // (rounded up to a power of two, capped at capacity; <= 0 selects the
 // NumCPU default). Capacity is divided across shards with the remainder
 // spread over the first shards, so per-shard capacities sum exactly to the
 // configured total.
-func NewStoreShards(capacity int, policy core.Policy, shards int) *Store {
-	n := resolveStoreShards(shards, capacity)
+func newShardedStore(capacity int, policy core.Policy, shards int) *Store {
+	n := resolveShards(shards, capacity)
 	s := &Store{policy: policy, shards: make([]*storeShard, n), mask: uint64(n - 1)}
 	base, extra := capacity/n, capacity%n
 	for i := range s.shards {

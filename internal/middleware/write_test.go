@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/block"
-	"repro/internal/core"
 )
 
 // TestWriteInvalidateReadBack checks the three things a reader may rely on
@@ -17,7 +16,7 @@ import (
 func TestWriteInvalidateReadBack(t *testing.T) {
 	const bs = 1024
 	sizes := map[block.FileID]int64{0: 3 * bs}
-	nodes, client := startCluster(t, 3, 64, core.PolicyMaster, sizes)
+	nodes, client := startCluster(t, 3, 64, sizes, nil)
 
 	// Warm every node's cache with the file.
 	for i := range nodes {
@@ -80,13 +79,13 @@ func TestWriteInvalidateReadBack(t *testing.T) {
 
 func TestWritePersistsAtHome(t *testing.T) {
 	sizes := map[block.FileID]int64{1: 2048}
-	nodes, client := startCluster(t, 2, 64, core.PolicyMaster, sizes)
+	nodes, client := startCluster(t, 2, 64, sizes, nil)
 	newData := bytes.Repeat([]byte{0x5C}, 1024)
 	if err := client.Write(1, 0, newData); err != nil {
 		t.Fatal(err)
 	}
 	// The home node's backing store must hold the new bytes (write-through).
-	home := nodes[1%2] // file 1 homes at node 1 of 2
+	home := nodes[RingHome(1, len(nodes))]
 	got, err := home.cfg.Source.ReadBlock(1, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +97,7 @@ func TestWritePersistsAtHome(t *testing.T) {
 
 func TestWriteRejectsWrongLength(t *testing.T) {
 	sizes := map[block.FileID]int64{0: 2048}
-	_, client := startCluster(t, 2, 64, core.PolicyMaster, sizes)
+	_, client := startCluster(t, 2, 64, sizes, nil)
 	if err := client.Write(0, 0, []byte("short")); err == nil {
 		t.Fatal("short write accepted")
 	}
@@ -109,7 +108,7 @@ func TestWriteRejectsWrongLength(t *testing.T) {
 
 func TestWriteThenWriteAgain(t *testing.T) {
 	sizes := map[block.FileID]int64{0: 1024}
-	_, client := startCluster(t, 3, 64, core.PolicyMaster, sizes)
+	_, client := startCluster(t, 3, 64, sizes, nil)
 	v1 := bytes.Repeat([]byte{1}, 1024)
 	v2 := bytes.Repeat([]byte{2}, 1024)
 	if err := client.Write(0, 0, v1); err != nil {
@@ -132,7 +131,7 @@ func TestWriteThenWriteAgain(t *testing.T) {
 // to the source and installs the new master, and there is nothing to flush.
 func TestSingleNodeWrite(t *testing.T) {
 	sizes := map[block.FileID]int64{0: 2048}
-	nodes, client := startCluster(t, 1, 64, core.PolicyMaster, sizes)
+	nodes, client := startCluster(t, 1, 64, sizes, nil)
 	n := nodes[0]
 	if n.busRef() != nil {
 		t.Fatal("one-node cluster started an invalidation bus")
