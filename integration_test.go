@@ -90,7 +90,6 @@ func TestEndToEndPipeline(t *testing.T) {
 		n, err := middleware.Start(middleware.Config{
 			ID: i, CapacityBlocks: 512, Policy: core.PolicyMaster,
 			Geometry: geom, Source: middleware.NewMemSource(geom, sizes),
-			Readahead: 2,
 		})
 		if err != nil {
 			t.Fatal(err)

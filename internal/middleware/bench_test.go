@@ -14,7 +14,7 @@ import (
 // payload.
 func benchFrame(payload []byte) *Frame {
 	return &Frame{
-		Type:      MsgBlockData,
+		Type:      MsgRunData,
 		Req:       7,
 		Sender:    2,
 		OldestAge: 123456789,
@@ -24,7 +24,7 @@ func benchFrame(payload []byte) *Frame {
 	}
 }
 
-// BenchmarkFrameRoundTrip measures one encode+decode of a block-data frame
+// BenchmarkFrameRoundTrip measures one encode+decode of a one-block run frame
 // through the wire codec: the per-frame software overhead every remote hit
 // pays twice (request and response). allocs/op is the headline number — the
 // codec should recycle frames and payload buffers rather than allocate.
@@ -61,7 +61,7 @@ func BenchmarkConnRoundTrip(b *testing.B) {
 	server := newConn(sn, connConfig{
 		handle: func(f *Frame) *Frame {
 			r := getFrame()
-			r.Type = MsgBlockData
+			r.Type = MsgRunData
 			r.File = f.File
 			r.Idx = f.Idx
 			r.Payload = payload
@@ -77,7 +77,7 @@ func BenchmarkConnRoundTrip(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		req := getFrame()
-		req.Type = MsgGetBlock
+		req.Type = MsgGetRun
 		req.File = 1
 		resp, err := client.roundTrip(req)
 		releaseFrame(req)

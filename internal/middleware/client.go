@@ -648,7 +648,6 @@ func (c *Client) ClusterStats() (Stats, error) {
 		sum.ForwardsRejected += s.ForwardsRejected
 		sum.Invalidations += s.Invalidations
 		sum.Writes += s.Writes
-		sum.Prefetches += s.Prefetches
 		sum.RPCTimeouts += s.RPCTimeouts
 		sum.RPCRetries += s.RPCRetries
 		sum.RPCFailures += s.RPCFailures

@@ -15,9 +15,8 @@ var errConnClosed = errors.New("middleware: connection closed")
 // isResponse classifies frame types that answer a prior request.
 func isResponse(t MsgType) bool {
 	switch t {
-	case MsgBlockData, MsgBlockMiss, MsgFileData, MsgDirResult, MsgForwardAck,
-		MsgAck, MsgErr, MsgStatsReply, MsgTraceReply, MsgRunData, MsgDirResultN,
-		MsgInvalSinceReply, MsgViewReply:
+	case MsgFileData, MsgForwardAck, MsgAck, MsgErr, MsgStatsReply,
+		MsgTraceReply, MsgRunData, MsgDirResultN, MsgInvalSinceReply, MsgViewReply:
 		return true
 	}
 	return false

@@ -24,16 +24,16 @@ func pipePair(t *testing.T, handle func(*Frame) *Frame) (client, server *conn) {
 
 func TestConnRoundTrip(t *testing.T) {
 	client, _ := pipePair(t, func(f *Frame) *Frame {
-		if f.Type != MsgGetBlock {
+		if f.Type != MsgGetRun {
 			return errFrame("unexpected type %d", f.Type)
 		}
-		return &Frame{Type: MsgBlockData, File: f.File, Idx: f.Idx, Payload: []byte("data")}
+		return &Frame{Type: MsgRunData, File: f.File, Idx: f.Idx, Payload: []byte("data")}
 	})
-	resp, err := client.roundTrip(&Frame{Type: MsgGetBlock, File: 1, Idx: 2})
+	resp, err := client.roundTrip(&Frame{Type: MsgGetRun, File: 1, Idx: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Type != MsgBlockData || string(resp.Payload) != "data" {
+	if resp.Type != MsgRunData || string(resp.Payload) != "data" {
 		t.Fatalf("resp = %+v", resp)
 	}
 }
@@ -49,7 +49,7 @@ func TestConnConcurrentRoundTrips(t *testing.T) {
 		wg.Add(1)
 		go func(i int32) {
 			defer wg.Done()
-			resp, err := client.roundTrip(&Frame{Type: MsgGetBlock, Idx: i})
+			resp, err := client.roundTrip(&Frame{Type: MsgGetRun, Idx: i})
 			if err != nil {
 				errs <- err
 				return
@@ -85,7 +85,7 @@ func TestConnConcurrentRoundTripsMidFlightClose(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, err := client.roundTrip(&Frame{Type: MsgGetBlock, Idx: int32(i)})
+			resp, err := client.roundTrip(&Frame{Type: MsgGetRun, Idx: int32(i)})
 			if err != nil {
 				results[i] = err
 				return
@@ -114,7 +114,7 @@ func TestConnConcurrentRoundTripsMidFlightClose(t *testing.T) {
 	if n != 0 {
 		t.Fatalf("%d round trips still pending after close", n)
 	}
-	if _, err := client.roundTrip(&Frame{Type: MsgGetBlock}); err != errConnClosed {
+	if _, err := client.roundTrip(&Frame{Type: MsgGetRun}); err != errConnClosed {
 		t.Fatalf("round trip after close: %v, want errConnClosed", err)
 	}
 }
@@ -140,7 +140,7 @@ func TestConnRoundTripTimesOut(t *testing.T) {
 	})
 
 	start := time.Now()
-	_, err := client.roundTrip(&Frame{Type: MsgGetBlock, Idx: 1, Aux: 1})
+	_, err := client.roundTrip(&Frame{Type: MsgGetRun, Idx: 1, Aux: 1})
 	if err != errRPCTimeout {
 		t.Fatalf("withheld reply: err = %v, want errRPCTimeout", err)
 	}
@@ -152,7 +152,7 @@ func TestConnRoundTripTimesOut(t *testing.T) {
 	// connection: the late frame for the abandoned ID must be dropped and
 	// the new round trip must still complete.
 	close(slow)
-	resp, err := client.roundTrip(&Frame{Type: MsgGetBlock, Idx: 2})
+	resp, err := client.roundTrip(&Frame{Type: MsgGetRun, Idx: 2})
 	if err != nil {
 		t.Fatalf("round trip after timeout: %v", err)
 	}
@@ -174,7 +174,7 @@ func TestConnErrorResponse(t *testing.T) {
 	client, _ := pipePair(t, func(f *Frame) *Frame {
 		return errFrame("nope")
 	})
-	if _, err := client.roundTrip(&Frame{Type: MsgGetBlock}); err == nil {
+	if _, err := client.roundTrip(&Frame{Type: MsgGetRun}); err == nil {
 		t.Fatal("error response not surfaced")
 	}
 }
@@ -187,7 +187,7 @@ func TestConnCloseFailsPending(t *testing.T) {
 	})
 	done := make(chan error, 1)
 	go func() {
-		_, err := client.roundTrip(&Frame{Type: MsgGetBlock})
+		_, err := client.roundTrip(&Frame{Type: MsgGetRun})
 		done <- err
 	}()
 	// Let the request reach the server, then kill the connection.
@@ -197,7 +197,7 @@ func TestConnCloseFailsPending(t *testing.T) {
 	}
 	close(stall)
 	// Further round trips fail fast.
-	if _, err := client.roundTrip(&Frame{Type: MsgGetBlock}); err == nil {
+	if _, err := client.roundTrip(&Frame{Type: MsgGetRun}); err == nil {
 		t.Fatal("round trip after close succeeded")
 	}
 }
@@ -230,7 +230,7 @@ func TestConnStampApplied(t *testing.T) {
 	}})
 	defer server.close()
 	defer client.close()
-	if _, err := client.roundTrip(&Frame{Type: MsgGetBlock}); err != nil {
+	if _, err := client.roundTrip(&Frame{Type: MsgGetRun}); err != nil {
 		t.Fatal(err)
 	}
 	<-ready
@@ -288,7 +288,7 @@ func TestConnBoundsConcurrentHandlers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := client.roundTrip(&Frame{Type: MsgGetBlock, Idx: i})
+			resp, err := client.roundTrip(&Frame{Type: MsgGetRun, Idx: i})
 			if err != nil {
 				t.Errorf("request %d: %v", i, err)
 				return

@@ -25,19 +25,6 @@ func newDirServer() *dirServer {
 	return &dirServer{masters: make(map[block.ID]int32)}
 }
 
-func (d *dirServer) lookup(id block.ID) (int32, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	n, ok := d.masters[id]
-	return n, ok
-}
-
-func (d *dirServer) update(id block.ID, node int32) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.masters[id] = node
-}
-
 // drop removes the entry, but only if it still names ifNode (compare-and-
 // delete, so a stale drop cannot erase a newer claim). ifNode < 0 drops
 // unconditionally.
@@ -95,23 +82,10 @@ func (d *dirServer) size() int {
 	return len(d.masters)
 }
 
-// serveDir applies one single-block directory message on the node that
-// manages id: the body of handleDir, and of dirOp when the manager is this
-// node. A lookup answers the master; a drop is compare-and-delete.
-func (n *Node) serveDir(typ MsgType, id block.ID, node int32) (int32, bool) {
-	switch typ {
-	case MsgDirLookup:
-		return n.dirSrv.lookup(id)
-	case MsgDirUpdate:
-		n.dirSrv.update(id, node)
-	case MsgDirDrop:
-		n.dirSrv.drop(id, node)
-	}
-	return 0, false
-}
-
-// serveDirBatch is serveDir for a window of blocks of f: MsgDirUpdateN
-// repoints the window to node, MsgDirLookupN appends its answers to out.
+// serveDirBatch applies a directory window of blocks of f on the node that
+// manages them: the body of handleDirBatch, and of dirBatch when the manager
+// is this node. MsgDirUpdateN repoints the window to node, MsgDirLookupN
+// appends its answers to out.
 func (n *Node) serveDirBatch(typ MsgType, f block.FileID, idxs []int32, node int32, out []int32) []int32 {
 	if typ == MsgDirUpdateN {
 		n.dirSrv.updateN(f, idxs, node)
@@ -120,53 +94,36 @@ func (n *Node) serveDirBatch(typ MsgType, f block.FileID, idxs []int32, node int
 	return n.dirSrv.lookupN(f, idxs, out)
 }
 
-// dirOp runs one single-block directory operation where id's entry lives: a
-// local call when this node homes the file, else one RPC to the home.
-// Directory operations are idempotent (lookup reads, update and drop are
-// absolute or compare-and-delete), so transient failures retry under the
-// node's budget; when the home stays down its breaker opens and lookups
-// fail fast, degrading reads to the home path and its ring successor
-// instead of paying a timeout each.
-func (n *Node) dirOp(typ MsgType, id block.ID, node int32) (int32, bool, error) {
-	m, err := n.home(id.File)
-	if err != nil {
-		return 0, false, err
-	}
-	if m == n.cfg.ID {
-		master, ok := n.serveDir(typ, id, node)
-		return master, ok, nil
-	}
-	req := getFrame()
-	req.Type, req.File, req.Idx, req.Aux = typ, id.File, id.Idx, int64(node)
-	resp, err := n.reliableRPC(m, req, n.retries)
-	releaseFrame(req)
-	if err != nil {
-		return 0, false, err
-	}
-	defer releaseFrame(resp)
-	return int32(resp.Aux), resp.Flags != 0, nil
-}
-
-// dirLookup reports the believed holder of id's master copy.
-func (n *Node) dirLookup(id block.ID) (int32, bool, error) {
-	return n.dirOp(MsgDirLookup, id, 0)
-}
-
-// dirUpdate records node's claim of mastership of id.
-func (n *Node) dirUpdate(id block.ID, node int32) error {
-	_, _, err := n.dirOp(MsgDirUpdate, id, node)
-	return err
-}
-
 // dirDrop forgets id's master, conditioned on the entry still naming ifNode
-// (ifNode < 0: unconditional). Best effort: a lost drop leaves a stale
+// (ifNode < 0: unconditional): a local call when this node homes the file,
+// else one MsgDirDrop to the home. Best effort: a lost drop leaves a stale
 // entry, which costs the next reader one race miss.
 func (n *Node) dirDrop(id block.ID, ifNode int32) {
-	n.dirOp(MsgDirDrop, id, ifNode) //nolint:errcheck // best effort
+	m, err := n.home(id.File)
+	if err != nil {
+		return
+	}
+	if m == n.cfg.ID {
+		n.dirSrv.drop(id, ifNode)
+		return
+	}
+	req := getFrame()
+	req.Type, req.File, req.Idx, req.Aux = MsgDirDrop, id.File, id.Idx, int64(ifNode)
+	resp, err := n.reliableRPC(m, req, n.retries)
+	releaseFrame(req)
+	if err == nil {
+		releaseFrame(resp)
+	}
 }
 
-// dirBatch is dirOp for a window of at most maxDirBatch blocks of f, typ
-// MsgDirLookupN or MsgDirUpdateN; a lookup appends its answers to out.
+// dirBatch runs a directory operation on a window of at most maxDirBatch
+// blocks of f where their entries live: a local call when this node homes
+// the file, else one RPC to the home. typ is MsgDirLookupN or
+// MsgDirUpdateN; a lookup appends its answers to out. Directory operations
+// are idempotent (lookups read, updates are absolute), so transient
+// failures retry under the node's budget; when the home stays down its
+// breaker opens and lookups fail fast, degrading reads to the home path and
+// its ring successor instead of paying a timeout each.
 func (n *Node) dirBatch(typ MsgType, f block.FileID, idxs []int32, node int32, out []int32) ([]int32, error) {
 	m, err := n.home(f)
 	if err != nil {

@@ -104,6 +104,12 @@ func TestDirectoryWrites(t *testing.T) {
 	}
 }
 
+// lookup reads id's entry: the master it names, and whether there is one.
+func (d *dirServer) lookup(id block.ID) (int32, bool) {
+	m := d.lookupN(id.File, []int32{id.Idx}, nil)[0]
+	return m, m != dirNoEntry
+}
+
 // entries lists the blocks d holds an entry for.
 func (d *dirServer) entries() []block.ID {
 	d.mu.Lock()

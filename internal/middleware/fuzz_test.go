@@ -18,8 +18,8 @@ func FuzzReadFrame(f *testing.F) {
 	// Seed corpus: valid frames of each shape.
 	seed := []*Frame{
 		{Type: MsgAck},
-		{Type: MsgGetBlock, Flags: FlagMaster, File: 1, Idx: 2, Aux: 3},
-		{Type: MsgBlockData, Payload: []byte("payload")},
+		{Type: MsgGetRun, Flags: FlagMaster, File: 1, Idx: 2, Aux: packRunAux(1, 0)},
+		{Type: MsgRunData, Aux: packRunAux(1, 1), Payload: []byte("payload")},
 		{Type: MsgForward, Aux: 99, Payload: []byte("x")},
 	}
 	for _, fr := range seed {
@@ -35,7 +35,7 @@ func FuzzReadFrame(f *testing.F) {
 	// Adversarial seeds: the truncated and lying streams a crashed or
 	// fault-injected peer produces (see FaultPlan's mid-frame crash).
 	var full bytes.Buffer
-	if err := WriteFrame(&full, &Frame{Type: MsgBlockData, File: 7, Idx: 3, Payload: bytes.Repeat([]byte{0xA5}, 64)}); err != nil {
+	if err := WriteFrame(&full, &Frame{Type: MsgRunData, File: 7, Idx: 3, Aux: packRunAux(1, 0), Payload: bytes.Repeat([]byte{0xA5}, 64)}); err != nil {
 		f.Fatal(err)
 	}
 	enc := full.Bytes()
@@ -218,6 +218,34 @@ func FuzzDecodeView(f *testing.F) {
 		}
 		if !bytes.Equal(appendView(nil, v2), enc) {
 			t.Fatal("view encoding not stable")
+		}
+	})
+}
+
+// FuzzDecodeInvalPayload hardens the invalidation-batch decoder, which
+// every node runs on each MsgInvalidateN and MsgInvalSinceReply a peer
+// sends: it never panics, never hands the bus more than maxInvalBatch
+// records, and a batch it accepts re-encodes to the same bytes.
+func FuzzDecodeInvalPayload(f *testing.F) {
+	valid := appendInvalPayload(nil, 42, []block.ID{{File: 1, Idx: 0}, {File: 2, Idx: 3}})
+	f.Add(valid)
+	f.Add(valid[:len(valid)-3])                // ragged: not 8 + k*8 bytes
+	f.Add(valid[:5])                           // cut inside firstSeq
+	f.Add(make([]byte, 8+8*(maxInvalBatch+1))) // one record over the limit
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		firstSeq, recs, err := decodeInvalPayload(data, nil)
+		if err != nil {
+			if recs != nil {
+				t.Fatal("error with a non-nil result")
+			}
+			return
+		}
+		if len(recs) > maxInvalBatch {
+			t.Fatalf("decoded %d records, limit %d", len(recs), maxInvalBatch)
+		}
+		if !bytes.Equal(appendInvalPayload(nil, firstSeq, recs), data) {
+			t.Fatal("invalidation payload round trip not lossless")
 		}
 	})
 }

@@ -2,6 +2,7 @@ package middleware
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/block"
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -148,6 +150,91 @@ func TestJoinRebalancesAndServes(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Fatalf("file %d via node %d: content mismatch after join", f, entry)
 			}
+		}
+	}
+}
+
+// badBlockSource is a MemSource whose reads of one block fail once armed.
+type badBlockSource struct {
+	*MemSource
+	bad   int32
+	armed atomic.Bool
+}
+
+func (s *badBlockSource) ReadBlock(f block.FileID, idx int32) ([]byte, error) {
+	if idx == s.bad && s.armed.Load() {
+		return nil, fmt.Errorf("injected failure at block %d", idx)
+	}
+	return s.MemSource.ReadBlock(f, idx)
+}
+
+// TestPullFileSkipsOnlyTheBadBlock: a block that fails to read at the old
+// home costs the rebalance pull that block and no other. The file's first
+// block fails, which fails the first run outright, and every block written
+// behind it still reaches the joiner that takes the file over.
+func TestPullFileSkipsOnlyTheBadBlock(t *testing.T) {
+	const nblocks = 6
+	f := block.FileID(0)
+	for RingHome(f, 3) != 2 { // a file the 2 -> 3 join moves to the joiner
+		f++
+	}
+	oldHome := RingHome(f, 2)
+	sizes := map[block.FileID]int64{f: nblocks * int64(testGeom.Size)}
+	src := &badBlockSource{MemSource: NewMemSource(testGeom, sizes), bad: 0}
+	nodes, client := startCluster(t, 2, 64, sizes, func(i int, cfg *Config) {
+		if i == oldHome {
+			cfg.Source = src
+		}
+	})
+
+	want := expect(testGeom, f, sizes[f])
+	for idx := int32(1); idx < nblocks; idx++ {
+		v := bytes.Repeat([]byte{byte(0xA0 + idx)}, testGeom.Size)
+		if err := client.Write(f, idx, v); err != nil {
+			t.Fatal(err)
+		}
+		copy(want[int(idx)*testGeom.Size:], v)
+	}
+	src.armed.Store(true)
+
+	tracer := obs.NewTracer(64)
+	joiner, err := Start(Config{
+		ID: 2, CapacityBlocks: 64, Policy: core.PolicyMaster,
+		Geometry: testGeom, Source: NewMemSource(testGeom, sizes), Tracer: tracer,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { joiner.Close() })
+	if err := joiner.Join(nodes[0].Addr()); err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	// The pull ends with one rebalance event carrying the blocks pulled (-1:
+	// the old home counted as gone).
+	var pulled int64
+	waitFor(t, 10*time.Second, "the joiner's pull of the file", func() bool {
+		for _, e := range tracer.Events() {
+			if e.Kind == traceRebalance && e.File == int64(f) {
+				pulled = e.Aux
+				return true
+			}
+		}
+		return false
+	})
+	if pulled != nblocks-1 {
+		t.Fatalf("the joiner pulled %d blocks, want %d (all but the bad one)", pulled, nblocks-1)
+	}
+	if err := client.RefreshMembership(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := client.ReadVia(2, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for idx := 0; idx < nblocks; idx++ {
+		b := want[idx*testGeom.Size : (idx+1)*testGeom.Size]
+		if !bytes.Equal(got[idx*testGeom.Size:(idx+1)*testGeom.Size], b) {
+			t.Errorf("block %d through the new home: not the version written before the join", idx)
 		}
 	}
 }

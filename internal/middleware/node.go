@@ -32,11 +32,6 @@ type Config struct {
 	// file in the cluster (the global file-to-node mapping of §3 includes
 	// sizes); ReadBlock/WriteBlock are only invoked for files homed here.
 	Source BlockSource
-	// Readahead, if positive, asynchronously prefetches that many
-	// subsequent blocks of a file after a miss — the live counterpart of
-	// the request-scheduling/prefetching remedy §5 suggests for the
-	// interleaving pathology.
-	Readahead int
 	// RPCTimeout bounds every peer round trip: a reply that does not
 	// arrive in time fails that RPC (and feeds the peer's circuit
 	// breaker) instead of wedging the request forever. 0 applies the
@@ -156,11 +151,6 @@ type Node struct {
 	pend     []pendShard
 	pendMask uint64
 
-	// raMu guards raBusy, the set of files with a readahead in flight
-	// (misses on a file already being prefetched do not spawn another).
-	raMu   sync.Mutex
-	raBusy map[block.FileID]struct{}
-
 	// bus is the asynchronous invalidation bus (nil: a single-node cluster,
 	// which has no peer to tell). invalIn is the per-origin receive state
 	// (index = origin node ID). See inval.go.
@@ -215,7 +205,6 @@ func (n *Node) pendingShard(id block.ID) *pendShard {
 type counters struct {
 	accesses, localHits, remoteHits, diskReads, raceMisses atomic.Uint64
 	forwards, forwardsRejected, invalidations, writes      atomic.Uint64
-	prefetches                                             atomic.Uint64
 	// fault-tolerance counters
 	rpcTimeouts, rpcRetries, rpcFailures atomic.Uint64
 	breakerOpens, breakerSkips           atomic.Uint64
@@ -242,7 +231,6 @@ type Stats struct {
 	ForwardsRejected uint64
 	Invalidations    uint64
 	Writes           uint64
-	Prefetches       uint64
 	// Fault-tolerance counters: see the Failure model section of DESIGN.md.
 	RPCTimeouts     uint64 // round trips that missed RPCTimeout
 	RPCRetries      uint64 // retry attempts issued after transient failures
@@ -321,7 +309,6 @@ func Start(cfg Config) (*Node, error) {
 		store:    newShardedStore(cfg.CapacityBlocks, cfg.Policy, 0),
 		dirSrv:   newDirServer(),
 		accepted: make(map[*conn]struct{}),
-		raBusy:   make(map[block.FileID]struct{}),
 	}
 	n.pend = make([]pendShard, n.store.ShardCount())
 	n.pendMask = uint64(len(n.pend) - 1)
@@ -486,7 +473,6 @@ func (n *Node) Stats() Stats {
 		ForwardsRejected: n.c.forwardsRejected.Load(),
 		Invalidations:    n.c.invalidations.Load(),
 		Writes:           n.c.writes.Load(),
-		Prefetches:       n.c.prefetches.Load(),
 		RPCTimeouts:      n.c.rpcTimeouts.Load(),
 		RPCRetries:       n.c.rpcRetries.Load(),
 		RPCFailures:      n.c.rpcFailures.Load(),
@@ -541,7 +527,6 @@ func (n *Node) RegisterMetrics(r *obs.Registry) {
 		{"cc_forwards_rejected_total", "eviction forwards rejected or failed", c.forwardsRejected.Load},
 		{"cc_invalidations_total", "blocks invalidated by the write protocol", c.invalidations.Load},
 		{"cc_writes_total", "write operations handled", c.writes.Load},
-		{"cc_prefetches_total", "blocks fetched by readahead", c.prefetches.Load},
 		{"cc_rpc_timeouts_total", "round trips that missed the RPC deadline", c.rpcTimeouts.Load},
 		{"cc_rpc_retries_total", "retry attempts after transient failures", c.rpcRetries.Load},
 		{"cc_rpc_failures_total", "RPCs failed after exhausting retries", c.rpcFailures.Load},
@@ -593,10 +578,10 @@ func (n *Node) RegisterMetrics(r *obs.Registry) {
 // requestMsgTypes are the frame types that initiate round trips — the
 // series pre-registered for the per-RPC-type latency histograms.
 var requestMsgTypes = []MsgType{
-	MsgGetBlock, MsgReadFile, MsgReadRange, MsgDirLookup, MsgDirUpdate,
-	MsgDirDrop, MsgForward, MsgWriteBlock, MsgPutBlock, MsgStats,
-	MsgTrace, MsgGetRun, MsgDirLookupN, MsgDirUpdateN, MsgInvalidateN,
-	MsgInvalSince, MsgPing, MsgView, MsgViewUpdate, MsgJoin, MsgDrain,
+	MsgReadFile, MsgReadRange, MsgDirDrop, MsgForward, MsgWriteBlock,
+	MsgPutBlock, MsgStats, MsgTrace, MsgGetRun, MsgDirLookupN,
+	MsgDirUpdateN, MsgInvalidateN, MsgInvalSince, MsgPing, MsgView,
+	MsgViewUpdate, MsgJoin, MsgDrain,
 }
 
 // busRef reads the bus pointer under the membership lock (SetAddrs can
@@ -843,8 +828,6 @@ func (n *Node) viewRef() *memberView { return n.view.Load() }
 
 func (n *Node) handle(f *Frame) *Frame {
 	switch f.Type {
-	case MsgGetBlock:
-		return n.handleGetBlock(f)
 	case MsgGetRun:
 		return n.handleGetRun(f)
 	case MsgDirLookupN, MsgDirUpdateN:
@@ -870,8 +853,9 @@ func (n *Node) handle(f *Frame) *Frame {
 		r := getFrame()
 		r.Type, r.File, r.Aux, r.Payload = MsgFileData, f.File, size, data
 		return r
-	case MsgDirLookup, MsgDirUpdate, MsgDirDrop:
-		return n.handleDir(f)
+	case MsgDirDrop:
+		n.dirSrv.drop(f.ID(), int32(f.Aux))
+		return ackFrame()
 	case MsgForward:
 		return n.handleForward(f)
 	case MsgWriteBlock:
@@ -935,36 +919,6 @@ func (n *Node) handle(f *Frame) *Frame {
 	}
 }
 
-func (n *Node) handleGetBlock(f *Frame) *Frame {
-	id := f.ID()
-	if f.Flags&FlagMaster != 0 {
-		// Home read.
-		n.ensureMigrated(f.File)
-		data, err := n.cfg.Source.ReadBlock(f.File, f.Idx)
-		if err != nil {
-			return errFrame("home read %v: %v", id, err)
-		}
-		r := getFrame()
-		r.Type, r.Flags, r.File, r.Idx, r.Payload = MsgBlockData, FlagMaster, f.File, f.Idx, data
-		return r
-	}
-	if pb, master, ok := n.store.GetServe(id); ok {
-		// Zero-copy serve: the reply aliases the pinned store buffer; the
-		// pin rides the frame and is released after the socket write, so
-		// eviction cannot recycle the bytes under the reply.
-		r := getFrame()
-		r.Type, r.File, r.Idx, r.Payload = MsgBlockData, f.File, f.Idx, pb.data
-		r.pin(pb)
-		if master {
-			r.Flags = FlagMaster
-		}
-		return r
-	}
-	r := getFrame()
-	r.Type, r.File, r.Idx = MsgBlockMiss, f.File, f.Idx
-	return r
-}
-
 // handleGetRun serves a contiguous run of blocks in one response: the run's
 // blocks concatenated in the payload, the served count and per-block master
 // flags packed into Aux. A home run (FlagMaster) reads the backing store,
@@ -982,7 +936,8 @@ func (n *Node) handleGetRun(f *Frame) *Frame {
 		n.ensureMigrated(f.File)
 		segs, err := n.readSourceRun(f.File, first, want)
 		if len(segs) == 0 {
-			return errFrame("home run read %v: %v", f.ID(), err)
+			// The run's first block failed: the error names that block.
+			return errFrame("home read %v: %v", f.ID(), err)
 		}
 		masters := uint32(1)<<uint(len(segs)) - 1
 		r := getFrame()
@@ -991,20 +946,22 @@ func (n *Node) handleGetRun(f *Frame) *Frame {
 		r.Segs = segs // scatter-gathered by the writer; never concatenated
 		return r
 	}
-	// Peer run: pinned references straight out of the sharded store. The
-	// reply's segments alias the pinned buffers — N cached blocks ship with
-	// zero payload copies and zero concatenation; the pins drop after the
-	// socket write.
-	bufs, masters := n.store.GetRun(f.File, first, want, nil)
-	count := len(bufs)
+	// Peer run: pinned references straight out of the sharded store, kept
+	// as the reply's pins (in its inline array for up to two blocks). The
+	// reply aliases the pinned buffers — N cached blocks ship with zero
+	// payload copies and zero concatenation, a single block as the plain
+	// payload; the pins drop after the socket write.
 	r := getFrame()
-	r.Type, r.File, r.Idx = MsgRunData, f.File, first
-	r.Aux = packRunAux(count, masters)
-	if count > 0 {
-		r.Segs = make([][]byte, count)
+	bufs, masters := n.store.GetRun(f.File, first, want, r.bufArr[:0])
+	r.Type, r.File, r.Idx, r.bufs = MsgRunData, f.File, first, bufs
+	r.Aux = packRunAux(len(bufs), masters)
+	switch {
+	case len(bufs) == 1:
+		r.Payload = bufs[0].data
+	case len(bufs) > 1:
+		r.Segs = make([][]byte, len(bufs))
 		for i, pb := range bufs {
 			r.Segs[i] = pb.data
-			r.pin(pb)
 		}
 	}
 	return r
@@ -1025,19 +982,6 @@ func (n *Node) handleDirBatch(f *Frame) *Frame {
 	r := getFrame()
 	r.Type, r.File = MsgDirResultN, f.File
 	r.Payload = appendIdxPayload(make([]byte, 0, 4*len(res)), res)
-	return r
-}
-
-func (n *Node) handleDir(f *Frame) *Frame {
-	master, ok := n.serveDir(f.Type, f.ID(), int32(f.Aux))
-	if f.Type != MsgDirLookup {
-		return ackFrame()
-	}
-	r := getFrame()
-	r.Type, r.File, r.Idx, r.Aux = MsgDirResult, f.File, f.Idx, int64(master)
-	if ok {
-		r.Flags = 1
-	}
 	return r
 }
 

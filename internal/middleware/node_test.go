@@ -348,7 +348,7 @@ func TestPeerDialRace(t *testing.T) {
 					return
 				}
 				req := getFrame()
-				req.Type, req.File = MsgGetBlock, 0
+				req.Type, req.File, req.Aux = MsgGetRun, 0, packRunAux(1, 0)
 				if resp, err := n.roundTripTo(1, req); err == nil {
 					releaseFrame(resp)
 				}
@@ -362,9 +362,10 @@ func TestPeerDialRace(t *testing.T) {
 }
 
 // TestCloseLeavesNoGoroutines: a cluster that has served reads and writes
-// through every entry, with the heartbeat loop running, gives every
-// goroutine back once its nodes and its client are closed — conn
-// readers and workers, bus senders, accept loops and tickers.
+// through every entry, grown by a joiner whose rebalance pulls ran, and
+// lost a member to a crash its heartbeats promoted to dead, gives every
+// goroutine back once its nodes and its client are closed — conn readers
+// and workers, bus senders, accept loops, tickers and rebalance drainers.
 func TestCloseLeavesNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 
@@ -373,12 +374,10 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 	for f := 0; f < 8; f++ {
 		sizes[block.FileID(f)] = 4 * int64(testGeom.Size)
 	}
+	heartbeat := func(i int, cfg *Config) { cfg.HeartbeatInterval = 5 * time.Millisecond }
 	// The cleanup startCluster registers closes everything a second
 	// time, which is harmless: Close is idempotent on nodes and client.
-	nodes, client := startCluster(t, k, 64, sizes, func(i int, cfg *Config) {
-		cfg.HeartbeatInterval = 5 * time.Millisecond
-		cfg.Readahead = 2
-	})
+	nodes, client := startCluster(t, k, 64, sizes, heartbeat)
 	for entry := 0; entry < k; entry++ {
 		for f := range sizes {
 			if _, err := client.ReadVia(entry, f); err != nil {
@@ -389,6 +388,61 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 		patch := bytes.Repeat([]byte{byte(entry + 1)}, testGeom.Size)
 		if err := client.Write(block.FileID(entry), 0, patch); err != nil {
 			t.Fatalf("write %d: %v", entry, err)
+		}
+	}
+
+	// A fifth node joins and pulls the files it takes over from their old
+	// homes.
+	cfg := Config{
+		ID: k, CapacityBlocks: 64, Policy: core.PolicyMaster,
+		Geometry: testGeom, Source: NewMemSource(testGeom, sizes),
+	}
+	heartbeat(k, &cfg)
+	joiner, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { joiner.Close() })
+	if err := joiner.Join(nodes[0].Addr()); err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	nodes = append(nodes, joiner)
+	waitFor(t, 10*time.Second, "the join everywhere", func() bool {
+		for _, n := range nodes {
+			if n.MembershipEpoch() < 2 {
+				return false
+			}
+		}
+		return true
+	})
+	// RebalancePending can read 0 before a view's pulls are queued: wait for
+	// pulled blocks too.
+	waitFor(t, 10*time.Second, "the joiner's rebalance pulls", func() bool {
+		return joiner.Stats().RebalancedBlocks > 0 && rebalanceSettled(nodes)
+	})
+
+	// An original node crashes without draining: the survivors' heartbeats
+	// promote it to dead, and reads go on through every survivor.
+	const crashed = 1
+	nodes[crashed].Close()
+	survivors := []*Node{nodes[0], nodes[2], nodes[3], joiner}
+	waitFor(t, 15*time.Second, "dead promotion", func() bool {
+		for _, n := range survivors {
+			if v := n.viewRef(); v == nil || v.members[crashed].State != stateDead {
+				return false
+			}
+		}
+		return true
+	})
+	waitFor(t, 10*time.Second, "re-homing to settle", func() bool { return rebalanceSettled(survivors) })
+	if err := client.RefreshMembership(); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range survivors {
+		for f := range sizes {
+			if _, err := client.ReadVia(n.ID(), f); err != nil {
+				t.Fatalf("read file %d via survivor %d: %v", f, n.ID(), err)
+			}
 		}
 	}
 
@@ -408,30 +462,37 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 }
 
 // TestPeerServeFlagsMasterOnly pins the wire contract the requester's
-// install relies on: a peer serve carries FlagMaster iff the block is held
-// as a master copy.
+// install relies on: a one-block peer serve flags the block as a master
+// copy iff it is held as one. It also pins the serve's cost: the reply
+// aliases the pinned store buffer and keeps the pin in the frame's inline
+// array, so a one-block serve allocates nothing.
 func TestPeerServeFlagsMasterOnly(t *testing.T) {
 	sizes := map[block.FileID]int64{0: 2048}
 	nodes, _ := startCluster(t, 2, 16, sizes, nil)
 	n := nodes[0]
 	id := block.ID{File: 0, Idx: 0}
 	data := SyntheticBlock(0, 0, 1024)
+	req := &Frame{Type: MsgGetRun, File: 0, Idx: 0, Aux: packRunAux(1, 0), Sender: 1}
+	serve := func() (int, uint32) {
+		r := n.handleGetRun(req)
+		defer releaseFrame(r)
+		if r.Type != MsgRunData || !bytes.Equal(r.Payload, data) || len(r.Segs) != 0 {
+			t.Fatalf("serve: type %d, %d payload bytes, %d segments; want MsgRunData with the block as its payload",
+				r.Type, len(r.Payload), len(r.Segs))
+		}
+		return unpackRunAux(r.Aux)
+	}
 
 	n.store.Insert(id, data, true)
-	req := getFrame()
-	req.Type, req.File, req.Idx, req.Sender = MsgGetBlock, 0, 0, 1
-	r := n.handleGetBlock(req)
-	if r.Type != MsgBlockData || r.Flags&FlagMaster == 0 {
-		t.Fatalf("master serve: type %d flags %#x, want MsgBlockData with FlagMaster", r.Type, r.Flags)
+	if count, masters := serve(); count != 1 || masters != 1 {
+		t.Fatalf("master serve: count %d masters %#b, want 1 and 0b1", count, masters)
 	}
-	releaseFrame(r)
-
 	n.store.Remove(id)
 	n.store.Insert(id, data, false)
-	r = n.handleGetBlock(req)
-	if r.Type != MsgBlockData || r.Flags&FlagMaster != 0 {
-		t.Fatalf("non-master serve: type %d flags %#x, want MsgBlockData without FlagMaster", r.Type, r.Flags)
+	if count, masters := serve(); count != 1 || masters != 0 {
+		t.Fatalf("non-master serve: count %d masters %#b, want 1 and 0", count, masters)
 	}
-	releaseFrame(r)
-	releaseFrame(req)
+	if a := testing.AllocsPerRun(1000, func() { releaseFrame(n.handleGetRun(req)) }); a != 0 {
+		t.Fatalf("a one-block peer serve allocates %v times, want 0", a)
+	}
 }

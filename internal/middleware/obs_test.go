@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/block"
 	"repro/internal/obs"
@@ -18,16 +17,8 @@ import (
 // counters died with it) instead of failing the aggregate.
 func TestClusterStatsAggregation(t *testing.T) {
 	sizes := map[block.FileID]int64{0: 4096, 1: 4096, 2: 4096, 3: 4096}
-	nodes, client := startCluster(t, 4, 64, sizes, func(i int, cfg *Config) {
-		if i == 0 {
-			cfg.Readahead = 2 // the one node with a nonzero Prefetches
-		}
-	})
+	nodes, client := startCluster(t, 4, 64, sizes, nil)
 
-	// A cold block read on node 0 starts a readahead of the next two blocks.
-	if _, err := nodes[0].GetBlock(block.ID{File: 1, Idx: 0}); err != nil {
-		t.Fatal(err)
-	}
 	// Touch every file through every entry node so each node records
 	// accesses and at least one RPC (peer fetch or home read).
 	for entry := 0; entry < 4; entry++ {
@@ -36,20 +27,6 @@ func TestClusterStatsAggregation(t *testing.T) {
 				t.Fatalf("read file %d via %d: %v", f, entry, err)
 			}
 		}
-	}
-	// Readahead runs in the background: snapshot only once none is in flight.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		nodes[0].raMu.Lock()
-		busy := len(nodes[0].raBusy)
-		nodes[0].raMu.Unlock()
-		if busy == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("readahead still in flight after 5s")
-		}
-		time.Sleep(time.Millisecond)
 	}
 
 	per := make([]Stats, 4)
@@ -63,9 +40,6 @@ func TestClusterStatsAggregation(t *testing.T) {
 	sum, err := client.ClusterStats()
 	if err != nil {
 		t.Fatalf("cluster stats: %v", err)
-	}
-	if per[0].Prefetches == 0 {
-		t.Fatal("node 0 prefetched nothing: the readahead did not run")
 	}
 
 	num := func(v reflect.Value) (uint64, bool) {
@@ -222,8 +196,8 @@ func TestNodeRegisterMetrics(t *testing.T) {
 		"cc_disk_reads_total ",
 		"cc_store_blocks ",
 		"# TYPE cc_rpc_latency_seconds histogram",
-		`cc_rpc_latency_seconds_bucket{type="get_block",le="+Inf"}`,
-		`cc_rpc_latency_seconds_count{type="get_block"}`,
+		`cc_rpc_latency_seconds_bucket{type="get_run",le="+Inf"}`,
+		`cc_rpc_latency_seconds_count{type="get_run"}`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("metrics output missing %q:\n%s", want, out)

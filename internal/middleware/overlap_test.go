@@ -148,10 +148,9 @@ func TestRunPathOverlapAlternatingHolders(t *testing.T) {
 	src := newBarrierSource(t, sizes, 4)
 	nodes, client := startBarrierCluster(t, 3, src) // home and directory at 1
 	for _, i := range []int32{0, 1, 4, 5} {
-		id := block.ID{File: f, Idx: i}
-		nodes[peer].store.Insert(id, SyntheticBlock(f, i, testGeom.Size), true)
-		dirOf(t, nodes, f).update(id, peer)
+		nodes[peer].store.Insert(block.ID{File: f, Idx: i}, SyntheticBlock(f, i, testGeom.Size), true)
 	}
+	dirOf(t, nodes, f).updateN(f, []int32{0, 1, 4, 5}, peer)
 	data, err := client.ReadVia(0, f)
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +230,9 @@ func TestRunPathNoRunAfterFailure(t *testing.T) {
 // TestRunPathSingleBlockReusesLookup pins the RPC cost of a one-block
 // remote hit through an entry that hosts neither the directory nor the
 // block: the planner's batched lookup and the fetch, with no second
-// directory question in between.
+// directory question in between. Both are the batch and run messages with
+// one element, and the fetch is no planner run; no node sends anything
+// else for a single block.
 func TestRunPathSingleBlockReusesLookup(t *testing.T) {
 	const f = block.FileID(1)
 	sizes := map[block.FileID]int64{f: int64(testGeom.Size)}
@@ -248,11 +249,18 @@ func TestRunPathSingleBlockReusesLookup(t *testing.T) {
 		t.Fatal("content mismatch")
 	}
 	n := nodes[2]
-	if ln, l, gb := rpcCount(n, "dir_lookup_n"), rpcCount(n, "dir_lookup"), rpcCount(n, "get_block"); ln != 1 || l != 0 || gb != 1 {
-		t.Fatalf("dir_lookup_n/dir_lookup/get_block = %d/%d/%d, want 1/0/1", ln, l, gb)
+	if ln, gr := rpcCount(n, "dir_lookup_n"), rpcCount(n, "get_run"); ln != 1 || gr != 1 {
+		t.Fatalf("dir_lookup_n/get_run = %d/%d, want 1/1", ln, gr)
 	}
-	if s := n.Stats(); s.RemoteHits != 1 || s.RaceMisses != 0 {
-		t.Fatalf("remote hits %d, race misses %d; want 1, 0", s.RemoteHits, s.RaceMisses)
+	if s := n.Stats(); s.RemoteHits != 1 || s.RaceMisses != 0 || s.RunsIssued != 0 {
+		t.Fatalf("remote hits %d, race misses %d, runs issued %d; want 1, 0, 0", s.RemoteHits, s.RaceMisses, s.RunsIssued)
+	}
+	for _, node := range nodes {
+		for typ := range node.Stats().RPCLatency {
+			if typ != "dir_lookup_n" && typ != "get_run" {
+				t.Fatalf("node %d sent %s, want nothing but the lookup batch and the run", node.ID(), typ)
+			}
+		}
 	}
 }
 
@@ -279,41 +287,10 @@ func TestRunPathStalePlannedHolder(t *testing.T) {
 	if s := n.Stats(); s.RaceMisses != 1 || s.DiskReads != 1 || s.RemoteHits != 0 {
 		t.Fatalf("race misses %d, disk reads %d, remote hits %d; want 1, 1, 0", s.RaceMisses, s.DiskReads, s.RemoteHits)
 	}
-	if l, d := rpcCount(n, "dir_lookup"), rpcCount(n, "dir_drop"); l != 0 || d != 1 {
-		t.Fatalf("dir_lookup/dir_drop = %d/%d, want 0/1", l, d)
+	if l, d := rpcCount(n, "dir_lookup_n"), rpcCount(n, "dir_drop"); l != 1 || d != 1 {
+		t.Fatalf("dir_lookup_n/dir_drop = %d/%d, want 1/1 (the planner's lookup only)", l, d)
 	}
 	if holder, ok := dirOf(t, nodes, f).lookup(id); !ok || holder != 2 {
 		t.Fatalf("directory names %d (present %v) after the home read, want node 2", holder, ok)
-	}
-}
-
-// TestReadaheadOverlapsRuns: readahead goes through the same run executor,
-// so the runs of a prefetch window are in flight together and each block is
-// counted as a prefetch once.
-func TestReadaheadOverlapsRuns(t *testing.T) {
-	const f = block.FileID(0)
-	sizes := map[block.FileID]int64{f: 8 * int64(testGeom.Size)}
-	src := newBarrierSource(t, sizes, 4)
-	nodes, _ := startCluster(t, 1, 64, nil, func(i int, cfg *Config) {
-		cfg.Source = src
-		cfg.Readahead = 6
-	})
-	n := nodes[0]
-	// Blocks 3 and 4 cached: the window after block 0 is the runs [1,2] and
-	// [5,6], whose four source reads must be inside together.
-	for _, i := range []int32{3, 4} {
-		n.store.Insert(block.ID{File: f, Idx: i}, SyntheticBlock(f, i, testGeom.Size), false)
-	}
-	n.readahead(block.ID{File: f, Idx: 0})
-	if got := n.Stats().Prefetches; got != 4 {
-		t.Fatalf("prefetches = %d, want 4", got)
-	}
-	for i := int32(1); i <= 6; i++ {
-		if !n.store.Contains(block.ID{File: f, Idx: i}) {
-			t.Fatalf("block %d not prefetched", i)
-		}
-	}
-	if peak, reads := src.seen(); peak != 4 || len(reads) != 4 {
-		t.Fatalf("peak %d concurrent source reads over %d reads, want 4 and 4", peak, len(reads))
 	}
 }

@@ -33,22 +33,12 @@ type MsgType uint8
 
 // Frame types.
 const (
-	// MsgGetBlock asks a node for one block. Flags carry wantMaster for
-	// home reads.
-	MsgGetBlock MsgType = iota + 1
-	// MsgBlockData returns block content; Flags carry isMaster.
-	MsgBlockData
-	// MsgBlockMiss reports the block is not available at the target.
-	MsgBlockMiss
 	// MsgReadFile asks a node to return a whole file (client entry point).
-	MsgReadFile
+	MsgReadFile MsgType = iota + 1
 	// MsgFileData returns whole-file content.
 	MsgFileData
-	// MsgDirLookup/MsgDirResult/MsgDirUpdate/MsgDirDrop are the single-block
-	// directory RPCs, sent to the block's file's home node.
-	MsgDirLookup
-	MsgDirResult
-	MsgDirUpdate
+	// MsgDirDrop forgets one block's master at its file's home node,
+	// compare-and-delete on the node in Aux (negative: unconditional).
 	MsgDirDrop
 	// MsgForward ships an evicted master to a peer (§3 second chance).
 	MsgForward
@@ -77,20 +67,23 @@ const (
 	// Aux is the requested block count, Flags carry FlagMaster for home
 	// (disk) run reads. The target serves the longest contiguous prefix it
 	// holds and stops at the first gap — a partial answer is valid, never an
-	// error (the requester falls back to per-block fetches for the rest).
+	// error (the requester falls back to per-block fetches for the rest). A
+	// single-block fetch is a run of one: an empty answer is a miss.
 	MsgGetRun
 	// MsgRunData answers MsgGetRun: the payload is the served blocks'
 	// content concatenated in index order, Aux packs the served count and
 	// the per-block master flags (packRunAux).
 	MsgRunData
-	// MsgDirLookupN resolves a window of directory entries in one RPC: the
-	// payload is the block indices (4 bytes each, big-endian) of File.
+	// MsgDirLookupN resolves a window of directory entries in one RPC, sent
+	// to File's home node: the payload is the block indices (4 bytes each,
+	// big-endian) of File. A single lookup is a window of one.
 	MsgDirLookupN
 	// MsgDirResultN answers MsgDirLookupN: the payload is one 4-byte node ID
 	// per requested index (same order), dirNoEntry for absent entries.
 	MsgDirResultN
 	// MsgDirUpdateN records mastership of a window of blocks in one RPC:
-	// payload as in MsgDirLookupN, Aux is the claiming node.
+	// payload as in MsgDirLookupN, Aux is the claiming node. A single update
+	// is a window of one.
 	MsgDirUpdateN
 	// MsgInvalidateN carries a batch of sequenced invalidation records from
 	// the origin node's invalidation bus: the payload is the first record's
@@ -141,22 +134,10 @@ const msgTypeCount = int(MsgViewReply) + 1
 // per-RPC-type latency histograms and the trace dump.
 func (t MsgType) metricName() string {
 	switch t {
-	case MsgGetBlock:
-		return "get_block"
-	case MsgBlockData:
-		return "block_data"
-	case MsgBlockMiss:
-		return "block_miss"
 	case MsgReadFile:
 		return "read_file"
 	case MsgFileData:
 		return "file_data"
-	case MsgDirLookup:
-		return "dir_lookup"
-	case MsgDirResult:
-		return "dir_result"
-	case MsgDirUpdate:
-		return "dir_update"
 	case MsgDirDrop:
 		return "dir_drop"
 	case MsgForward:
@@ -357,7 +338,7 @@ type Frame struct {
 	// contiguous payload of length len(Payload)+Σlen(Segs[i]) — but the
 	// sender never concatenates them: the writer hands header + Payload +
 	// every segment to one writev. Serving paths point Segs at pinned
-	// store buffers (see pin), so a run reply ships N cached blocks with
+	// store buffers (see bufs), so a run reply ships N cached blocks with
 	// zero copies. Outgoing frames only; the decoder always produces a
 	// contiguous Payload.
 	Segs [][]byte
@@ -366,20 +347,12 @@ type Frame struct {
 	// to its size-class pool on releaseFrame.
 	pbuf *[]byte
 	// bufs are payload references pinned to this frame (Payload or Segs
-	// alias their bytes); releaseFrame drops them after the socket write.
+	// alias their bytes); releaseFrame drops them after the socket write,
+	// which is what keeps store eviction from recycling bytes under an
+	// in-flight reply.
 	bufs []*payloadBuf
-	// bufArr backs bufs allocation-free for the single-block serve path.
+	// bufArr backs bufs allocation-free for serves of one or two blocks.
 	bufArr [2]*payloadBuf
-}
-
-// pin ties a pinned payload reference to the frame: the reference is
-// released when the frame is (after the reply hits the socket), which is
-// what keeps store eviction from recycling bytes under an in-flight reply.
-func (f *Frame) pin(pb *payloadBuf) {
-	if f.bufs == nil {
-		f.bufs = f.bufArr[:0]
-	}
-	f.bufs = append(f.bufs, pb)
 }
 
 // payloadLen is the total payload length on the wire: Payload plus every
@@ -402,10 +375,10 @@ const maxPayload = 64 << 20
 
 // typeCarriesPayload reports whether t is allowed a non-empty payload. The
 // decoder rejects payloads on the other types, so a malformed or hostile
-// peer cannot force large allocations through, say, a MsgGetBlock.
+// peer cannot force large allocations through, say, a MsgGetRun.
 func typeCarriesPayload(t MsgType) bool {
 	switch t {
-	case MsgBlockData, MsgFileData, MsgForward, MsgWriteBlock, MsgPutBlock,
+	case MsgFileData, MsgForward, MsgWriteBlock, MsgPutBlock,
 		MsgErr, MsgStatsReply, MsgTraceReply, MsgRunData,
 		MsgDirLookupN, MsgDirResultN, MsgDirUpdateN, MsgInvalidateN,
 		MsgInvalSinceReply, MsgViewUpdate, MsgJoin, MsgViewReply:

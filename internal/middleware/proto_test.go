@@ -12,7 +12,7 @@ import (
 
 func TestFrameRoundTrip(t *testing.T) {
 	f := &Frame{
-		Type:      MsgBlockData,
+		Type:      MsgRunData,
 		Flags:     FlagMaster,
 		Req:       42,
 		Sender:    3,
@@ -85,7 +85,7 @@ func TestReadFrameRejectsHugePayload(t *testing.T) {
 }
 
 func TestWriteFrameRejectsHugePayload(t *testing.T) {
-	f := &Frame{Type: MsgBlockData, Payload: make([]byte, maxPayload+1)}
+	f := &Frame{Type: MsgRunData, Payload: make([]byte, maxPayload+1)}
 	if err := WriteFrame(&bytes.Buffer{}, f); err == nil {
 		t.Fatal("oversized payload accepted")
 	}
@@ -108,7 +108,7 @@ func TestReadFrameRejectsPayloadOnBareType(t *testing.T) {
 	// that never carries data: the decoder must refuse the 4 KB payload
 	// instead of allocating and delivering it.
 	var buf bytes.Buffer
-	f := &Frame{Type: MsgBlockData, Payload: make([]byte, 4096)}
+	f := &Frame{Type: MsgRunData, Payload: make([]byte, 4096)}
 	if err := WriteFrame(&buf, f); err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestWriteFrameRejectsPayloadOnBareType(t *testing.T) {
 
 func TestReadFramePerConnPayloadLimit(t *testing.T) {
 	var buf bytes.Buffer
-	f := &Frame{Type: MsgBlockData, Payload: make([]byte, 2048)}
+	f := &Frame{Type: MsgRunData, Payload: make([]byte, 2048)}
 	if err := WriteFrame(&buf, f); err != nil {
 		t.Fatal(err)
 	}
@@ -166,12 +166,12 @@ func TestErrFrame(t *testing.T) {
 }
 
 func TestIsResponse(t *testing.T) {
-	for _, typ := range []MsgType{MsgBlockData, MsgBlockMiss, MsgFileData, MsgDirResult, MsgForwardAck, MsgAck, MsgErr, MsgStatsReply} {
+	for _, typ := range []MsgType{MsgRunData, MsgFileData, MsgDirResultN, MsgForwardAck, MsgAck, MsgErr, MsgStatsReply} {
 		if !isResponse(typ) {
 			t.Errorf("type %d should be a response", typ)
 		}
 	}
-	for _, typ := range []MsgType{MsgGetBlock, MsgReadFile, MsgDirLookup, MsgForward, MsgWriteBlock, MsgInvalidateN, MsgPutBlock, MsgStats} {
+	for _, typ := range []MsgType{MsgGetRun, MsgReadFile, MsgDirLookupN, MsgDirDrop, MsgForward, MsgWriteBlock, MsgInvalidateN, MsgPutBlock, MsgStats} {
 		if isResponse(typ) {
 			t.Errorf("type %d should be a request", typ)
 		}

@@ -141,11 +141,8 @@ func (n *Node) planRuns(f block.FileID, missing []int32) ([]runPlan, error) {
 }
 
 // blockDst is block i's part of out, whose first byte is the head of block
-// base. A nil out (prefetch mode: install, copy nowhere) gives nil.
+// base.
 func (n *Node) blockDst(out []byte, size int64, base, i int32) []byte {
-	if out == nil {
-		return nil
-	}
 	off := int64(i-base) * int64(n.geom.Size)
 	end := off + int64(blockLen(n.geom, size, i))
 	if end > int64(len(out)) {
@@ -182,12 +179,11 @@ func (n *Node) readPlanned(f block.FileID, size int64, first, last int32, out []
 	return n.fetchRuns(f, size, runs, out, first)
 }
 
-// fetchRuns executes a plan, for a read (out's first byte is the head of
-// block outBase) or for readahead (out == nil). A plan of one run — the
-// common case — runs on the caller's goroutine and allocates nothing. The
-// runs of a longer plan go out together, each holding one window slot per
-// block, so a read that misses at several holders waits for the slowest of
-// them and not for their sum. Runs start in plan order; after the first
+// fetchRuns executes a plan for a read whose out starts at the head of
+// block outBase. A plan of one run — the common case — runs on the caller's
+// goroutine and allocates nothing. The runs of a longer plan go out
+// together, each holding one window slot per block, so a read that misses
+// at several holders waits for the slowest of them and not for their sum. Runs start in plan order; after the first
 // failure none starts and that failure is returned.
 func (n *Node) fetchRuns(f block.FileID, size int64, runs []runPlan, out []byte, outBase int32) error {
 	if len(runs) == 1 {
@@ -209,32 +205,23 @@ func (n *Node) fetchRuns(f block.FileID, size int64, runs []runPlan, out []byte,
 // correctness-equivalent, never an error. A run of one block skips
 // straight to getBlock, the batch framing would buy nothing, and hands it
 // the holder the plan resolved, so the fetch does not ask the directory a
-// second time; the fallback after a degraded run looks up afresh. With
-// out == nil the blocks are installed, counted as prefetches and copied
-// nowhere, and a fetch triggers no further readahead.
+// second time; the fallback after a degraded run looks up afresh.
 func (n *Node) execRun(f block.FileID, size int64, r runPlan, out []byte, outBase int32) error {
 	served, holder := 0, lookupHolder
 	if r.count > 1 {
 		served = n.fetchRun(f, size, r, out, outBase)
-		if out == nil {
-			n.c.prefetches.Add(uint64(served))
-		}
 	} else if r.home {
 		holder = dirNoEntry
 	} else {
 		holder = int32(r.src)
 	}
 	for i := r.first + int32(served); i < r.first+int32(r.count); i++ {
-		id := block.ID{File: f, Idx: i}
 		dst := n.blockDst(out, size, outBase, i)
-		pb, got, err := n.getBlock(id, dst, out != nil, holder)
+		_, got, err := n.getBlock(block.ID{File: f, Idx: i}, dst, holder)
 		if err != nil {
 			return err
 		}
-		if out == nil {
-			pb.release() // prefetch installs only; no reader to hand to
-			n.c.prefetches.Add(1)
-		} else if got != len(dst) {
+		if got != len(dst) {
 			return fmt.Errorf("middleware: block %d:%d is %d bytes, want %d", f, i, got, len(dst))
 		}
 	}
@@ -279,8 +266,7 @@ func (n *Node) readSourceRun(f block.FileID, first int32, count int) ([][]byte, 
 // claiming mastership. It returns how many leading blocks of the run were
 // fully handled; the caller falls back per-block for the rest. A run whose
 // source is this node's own backing store (home == self) reads disk
-// directly with no RPC. out == nil is prefetch mode (readahead): blocks are
-// installed but copied nowhere.
+// directly with no RPC.
 func (n *Node) fetchRun(f block.FileID, size int64, r runPlan, out []byte, outBase int32) int {
 	if r.home && r.src == n.cfg.ID {
 		// Local home: disk reads, no wire. Still one InsertRun/UpdateN.
@@ -387,7 +373,7 @@ func (n *Node) installRun(f block.FileID, first int32, blocks []*payloadBuf, mas
 // the caller's own copy: the cache can evict and recycle its buffer without
 // the returned bytes ever changing underneath the caller.
 func (n *Node) GetBlock(id block.ID) ([]byte, error) {
-	pb, _, err := n.getBlock(id, nil, true, lookupHolder)
+	pb, _, err := n.getBlock(id, nil, lookupHolder)
 	if err != nil {
 		return nil, err
 	}
@@ -403,15 +389,13 @@ func (n *Node) GetBlock(id block.ID) ([]byte, error) {
 // through the home".
 const lookupHolder = int32(-2)
 
-// getBlock is the shared fetch path with control over readahead triggering
-// (prefetch fetches must not recursively spawn further readahead windows).
-// With dst == nil it returns a pinned reference to the block payload — the
-// caller must release it, and until then eviction cannot recycle the bytes;
-// with dst != nil it copies into dst and returns the count. holder is what
-// the caller already knows of the master's location (lookupHolder:
-// nothing); it serves the first fetch only, a fetch after a coalesced wait
-// asks the directory again.
-func (n *Node) getBlock(id block.ID, dst []byte, triggerRA bool, holder int32) (*payloadBuf, int, error) {
+// getBlock is the shared per-block fetch path. With dst == nil it returns a
+// pinned reference to the block payload — the caller must release it, and
+// until then eviction cannot recycle the bytes; with dst != nil it copies
+// into dst and returns the count. holder is what the caller already knows
+// of the master's location (lookupHolder: nothing); it serves the first
+// fetch only, a fetch after a coalesced wait asks the directory again.
+func (n *Node) getBlock(id block.ID, dst []byte, holder int32) (*payloadBuf, int, error) {
 	for {
 		n.c.accesses.Add(1)
 		if dst != nil {
@@ -447,66 +431,12 @@ func (n *Node) getBlock(id block.ID, dst []byte, triggerRA bool, holder int32) (
 		if err != nil {
 			return nil, 0, err
 		}
-		if triggerRA && n.cfg.Readahead > 0 && n.raBegin(id.File) {
-			go func() {
-				defer n.raEnd(id.File)
-				n.readahead(id)
-			}()
-		}
 		if dst != nil {
 			nn := copy(dst, pb.data)
 			pb.release()
 			return nil, nn, nil
 		}
 		return pb, 0, nil
-	}
-}
-
-// raBegin claims the per-file readahead slot; false means one is already in
-// flight for f (the new miss does not spawn another — the in-flight sweep
-// covers the same window).
-func (n *Node) raBegin(f block.FileID) bool {
-	n.raMu.Lock()
-	defer n.raMu.Unlock()
-	if _, busy := n.raBusy[f]; busy {
-		return false
-	}
-	n.raBusy[f] = struct{}{}
-	return true
-}
-
-func (n *Node) raEnd(f block.FileID) {
-	n.raMu.Lock()
-	delete(n.raBusy, f)
-	n.raMu.Unlock()
-}
-
-// readahead prefetches the next blocks of the file after a miss; prefetched
-// blocks count in the prefetch statistic (and, like any access, in the
-// access counters). The missing window is fetched through the run fast path
-// (one MsgGetRun per source run), with the per-block path finishing whatever
-// the runs do not deliver.
-func (n *Node) readahead(after block.ID) {
-	size, err := n.cfg.Source.FileSize(after.File)
-	if err != nil {
-		return
-	}
-	nb := n.geom.Count(size)
-	end := after.Idx + int32(n.cfg.Readahead)
-	if end > nb-1 {
-		end = nb - 1
-	}
-	var missing []int32
-	for i := after.Idx + 1; i <= end; i++ {
-		if !n.store.Contains(block.ID{File: after.File, Idx: i}) {
-			missing = append(missing, i)
-		}
-	}
-	if len(missing) == 0 {
-		return
-	}
-	if runs, err := n.planRuns(after.File, missing); err == nil {
-		n.fetchRuns(after.File, size, runs, nil, 0) //nolint:errcheck // prefetch is best effort
 	}
 }
 
@@ -520,27 +450,16 @@ func (n *Node) readahead(after block.ID) {
 // one costs what a stale directory answer costs, a race miss and the home
 // read.
 func (n *Node) fetchBlock(id block.ID, holder int32) (*payloadBuf, error) {
-	self := int32(n.cfg.ID)
-	m, ok := holder, holder != dirNoEntry
+	m := holder
 	if holder == lookupHolder {
-		var err error
-		m, ok, err = n.dirLookup(id)
-		ok = ok && err == nil
+		m = n.dirLookupN(id.File, []int32{id.Idx})[0]
 	}
-	if ok && m != self {
-		req := getFrame()
-		req.Type, req.File, req.Idx = MsgGetBlock, id.File, id.Idx
-		resp, err := n.reliableRPC(int(m), req, 0)
-		releaseFrame(req)
-		if err == nil && resp.Type == MsgBlockData {
-			pb := resp.TakePayloadBuf() // pool backing travels with the bytes
-			releaseFrame(resp)
+	if m != dirNoEntry && m != int32(n.cfg.ID) {
+		pb, err := n.getOne(int(m), id, 0, 0)
+		if pb != nil {
 			n.c.remoteHits.Add(1)
 			n.insertBlockBuf(id, pb.retain(), false)
 			return pb, nil
-		}
-		if err == nil {
-			releaseFrame(resp)
 		}
 		// The master vanished while the request traveled (§3's explicitly
 		// tolerated race) or the peer is down: fall through to the home
@@ -588,7 +507,7 @@ func (n *Node) fetchFromHome(id block.ID) (*payloadBuf, error) {
 	}
 	n.c.diskReads.Add(1)
 	n.insertBlockBuf(id, pb.retain(), true)
-	n.dirUpdate(id, int32(n.cfg.ID)) //nolint:errcheck // next miss self-corrects via home
+	n.dirUpdateN(id.File, []int32{id.Idx}, int32(n.cfg.ID)) //nolint:errcheck // next miss self-corrects via home
 	return pb, nil
 }
 
@@ -607,9 +526,9 @@ func (n *Node) ringSuccessor(f block.FileID, down int) (int, bool) {
 }
 
 // readMaster reads one authoritative block via the given home node: the
-// local backing store when that is us, a retried MsgGetBlock otherwise (the
-// home is the only source of this block's truth, and a restarting home
-// comes back).
+// local backing store when that is us, a retried one-block FlagMaster run
+// otherwise (the home is the only source of this block's truth, and a
+// restarting home comes back).
 func (n *Node) readMaster(id block.ID, home int) (*payloadBuf, error) {
 	if home == n.cfg.ID {
 		n.ensureMigrated(id.File)
@@ -619,16 +538,27 @@ func (n *Node) readMaster(id block.ID, home int) (*payloadBuf, error) {
 		}
 		return newPayloadBuf(data), nil // fresh source slice, GC-owned
 	}
+	pb, err := n.getOne(home, id, FlagMaster, n.retries)
+	if err == nil && pb == nil {
+		err = fmt.Errorf("middleware: home %d served no block for %v", home, id)
+	}
+	return pb, err
+}
+
+// getOne fetches block id from node `to` as a run of one block (flags
+// FlagMaster: a home read). A nil payload with a nil error is a miss: the
+// node answered but holds no copy.
+func (n *Node) getOne(to int, id block.ID, flags uint8, retries int) (*payloadBuf, error) {
 	req := getFrame()
-	req.Type, req.Flags, req.File, req.Idx = MsgGetBlock, FlagMaster, id.File, id.Idx
-	resp, err := n.reliableRPC(home, req, n.retries)
+	req.Type, req.Flags, req.File, req.Idx, req.Aux = MsgGetRun, flags, id.File, id.Idx, packRunAux(1, 0)
+	resp, err := n.reliableRPC(to, req, retries)
 	releaseFrame(req)
 	if err != nil {
 		return nil, err
 	}
 	defer releaseFrame(resp)
-	if resp.Type != MsgBlockData {
-		return nil, fmt.Errorf("middleware: home %d returned %d for %v", home, resp.Type, id)
+	if count, _ := unpackRunAux(resp.Aux); resp.Type != MsgRunData || count != 1 {
+		return nil, nil
 	}
 	return resp.TakePayloadBuf(), nil // pool backing travels with the bytes
 }
@@ -684,7 +614,7 @@ func (n *Node) forwardEvicted(ev *Evicted) {
 		return
 	}
 	// Optimistically repoint the directory, then ship the block.
-	n.dirUpdate(ev.ID, int32(target)) //nolint:errcheck // corrected below
+	n.dirUpdateN(ev.ID.File, []int32{ev.ID.Idx}, int32(target)) //nolint:errcheck // corrected below
 	req := getFrame()
 	req.Type, req.File, req.Idx, req.Aux = MsgForward, ev.ID.File, ev.ID.Idx, ev.Age
 	req.Payload = ev.Data // pinned by ev until the Release above

@@ -66,12 +66,14 @@ func (n *Node) migrateFile(f block.FileID) {
 }
 
 // pullFile copies file f's authoritative blocks from its previous home
-// into the local source: run-granular MsgGetRun/FlagMaster sweeps, with a
-// per-block fallback when a block that fails to read truncates a run.
-// The loop is bounded by the locally-known file size (the file-set metadata
-// every node shares). An unreachable old home fails fast — its write-
-// through state is lost with it and the local baseline stands, same as any
-// cold file.
+// into the local source: run-granular MsgGetRun/FlagMaster sweeps. A block
+// that fails to read at the old home ends its run (or, as the run's first
+// block, fails it with an application error); the sweep skips that one
+// block and starts the next run right after it, so a bad block costs
+// itself and not the blocks behind it. The loop is bounded by the
+// locally-known file size (the file-set metadata every node shares). Only
+// a transport failure means the old home is gone: its write-through state
+// is lost with it and the local baseline stands, same as any cold file.
 func (n *Node) pullFile(f block.FileID, oldHome int) {
 	if oldHome < 0 || oldHome == n.cfg.ID {
 		return
@@ -97,50 +99,32 @@ func (n *Node) pullFile(f block.FileID, oldHome int) {
 		req.Aux = packRunAux(want, 0)
 		resp, err := n.reliableRPC(oldHome, req, 1)
 		releaseFrame(req)
-		if err != nil {
+		if isTransient(err) {
 			// Old home gone (crash path): its write-through state is lost;
 			// the new baseline is backing storage, like a cold miss.
 			n.trace(traceRebalance, oldHome, block.ID{File: f}, -1)
 			return
 		}
-		count, _ := unpackRunAux(resp.Aux)
-		data := resp.Payload
-		for k := 0; k < count && len(data) > 0; k++ {
-			end := bl
-			if end > len(data) {
-				end = len(data)
-			}
-			// WriteBlock may retain the slice; the frame payload is pooled.
-			cp := append([]byte(nil), data[:end]...)
-			if werr := n.cfg.Source.WriteBlock(f, int32(idx+k), cp); werr == nil {
-				pulled++
-			}
-			data = data[end:]
-		}
-		releaseFrame(resp)
-		// A short run means one of its blocks failed to read at the old
-		// home: finish the window block by block, so a bad block costs
-		// itself and not the blocks behind it.
-		for k := idx + count; k < idx+want; k++ {
-			bq := getFrame()
-			bq.Type = MsgGetBlock
-			bq.File = f
-			bq.Idx = int32(k)
-			bq.Flags = FlagMaster
-			bresp, berr := n.reliableRPC(oldHome, bq, 1)
-			releaseFrame(bq)
-			if berr != nil {
-				continue
-			}
-			if bresp.Type == MsgBlockData && len(bresp.Payload) > 0 {
-				cp := append([]byte(nil), bresp.Payload...)
-				if werr := n.cfg.Source.WriteBlock(f, int32(k), cp); werr == nil {
+		count := 0
+		if err == nil {
+			count, _ = unpackRunAux(resp.Aux)
+			count = min(count, want)
+			data := resp.Payload
+			for k := 0; k < count && len(data) > 0; k++ {
+				end := min(bl, len(data))
+				// WriteBlock may retain the slice; the frame payload is pooled.
+				cp := append([]byte(nil), data[:end]...)
+				if werr := n.cfg.Source.WriteBlock(f, int32(idx+k), cp); werr == nil {
 					pulled++
 				}
+				data = data[end:]
 			}
-			releaseFrame(bresp)
+			releaseFrame(resp)
 		}
-		idx += want
+		idx += count
+		if count < want {
+			idx++ // block idx failed to read at the old home: skip it alone
+		}
 	}
 	if pulled > 0 {
 		n.c.rebalancedBlocks.Add(uint64(pulled))

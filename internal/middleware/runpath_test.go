@@ -385,29 +385,6 @@ func min64(a, b int64) int64 {
 	return b
 }
 
-// TestReadaheadCoalesces: concurrent misses on one file must not stack
-// readahead sweeps — the per-file slot admits one at a time.
-func TestReadaheadCoalesces(t *testing.T) {
-	sizes := map[block.FileID]int64{0: 64 * int64(testGeom.Size)}
-	nodes, _ := startCluster(t, 1, 256, sizes, func(i int, cfg *Config) {
-		cfg.Readahead = 4
-	})
-	n := nodes[0]
-	if !n.raBegin(0) {
-		t.Fatal("first readahead claim refused")
-	}
-	if n.raBegin(0) {
-		t.Fatal("second in-flight readahead admitted for the same file")
-	}
-	if !n.raBegin(1) {
-		t.Fatal("a different file's readahead blocked")
-	}
-	n.raEnd(0)
-	if !n.raBegin(0) {
-		t.Fatal("readahead slot not released")
-	}
-}
-
 // TestGetRunRequestValidation: the server rejects nonsense run counts
 // instead of serving unbounded work.
 func TestGetRunRequestValidation(t *testing.T) {

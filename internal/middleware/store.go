@@ -205,19 +205,6 @@ func (s *Store) Get(id block.ID) ([]byte, bool) {
 	return out, true
 }
 
-// GetServe is GetRef for the peer-serve path: it additionally reports
-// whether the block is held as a master copy, so the server can flag the
-// response without a second lock acquisition.
-func (s *Store) GetServe(id block.ID) (pb *payloadBuf, master, ok bool) {
-	sh := s.shardOf(id)
-	sh.mu.Lock()
-	defer sh.unlock()
-	if !sh.c.Touch(id, sh.tick()) {
-		return nil, false, false
-	}
-	return sh.data[id].retain(), sh.c.IsMaster(id), true
-}
-
 // CopyInto copies the cached content of id into dst (touching LRU state),
 // returning the byte count and whether it was present. The reference is
 // pinned under the shard lock; the copy itself happens after the lock

@@ -48,7 +48,7 @@ func (n *Node) WriteBlock(id block.ID, data []byte) error {
 	// already went to its ring successor, and a claim that cannot be
 	// recorded costs the next reader a home read, not the write.
 	n.insertBlock(id, data, true)
-	n.dirUpdate(id, int32(n.cfg.ID)) //nolint:errcheck // next miss self-corrects via home
+	n.dirUpdateN(id.File, []int32{id.Idx}, int32(n.cfg.ID)) //nolint:errcheck // next miss self-corrects via home
 
 	// 4. Publish the invalidation record: per-peer sender loops deliver it
 	// in batched MsgInvalidateN frames in the background.
