@@ -16,7 +16,7 @@ var errConnClosed = errors.New("middleware: connection closed")
 func isResponse(t MsgType) bool {
 	switch t {
 	case MsgFileData, MsgForwardAck, MsgAck, MsgErr, MsgStatsReply,
-		MsgTraceReply, MsgRunData, MsgDirResultN, MsgInvalSinceReply, MsgViewReply:
+		MsgTraceReply, MsgRunData, MsgInvalSinceReply, MsgViewReply:
 		return true
 	}
 	return false

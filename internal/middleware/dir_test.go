@@ -106,7 +106,7 @@ func TestDirectoryWrites(t *testing.T) {
 
 // lookup reads id's entry: the master it names, and whether there is one.
 func (d *dirServer) lookup(id block.ID) (int32, bool) {
-	m := d.lookupN(id.File, []int32{id.Idx}, nil)[0]
+	m := d.lookupN(id.File, id.Idx, 1, nil)[0]
 	return m, m != dirNoEntry
 }
 
@@ -201,11 +201,12 @@ func TestDirectoryHasNoFixedNode(t *testing.T) {
 	}
 }
 
-// TestLargeFileStaysCooperative: a read that misses more blocks than one
-// directory message carries (maxDirBatch) still resolves every one of them,
-// so a file warm on one node is read from that node's memory.
+// TestLargeFileStaysCooperative: a read that misses far more blocks than one
+// home request carries still has every one of them named, so a file warm on
+// one node is read from that node's memory, and no directory message is
+// sent for it.
 func TestLargeFileStaysCooperative(t *testing.T) {
-	const nblocks = maxDirBatch + 44
+	const nblocks = 300
 	sizes := map[block.FileID]int64{1: nblocks * int64(testGeom.Size)}
 	nodes, client := startCluster(t, 4, 2*nblocks, sizes, nil)
 	if _, err := client.ReadVia(2, 1); err != nil {
@@ -221,8 +222,10 @@ func TestLargeFileStaysCooperative(t *testing.T) {
 	if st := nodes[3].Stats(); st.RemoteHits != nblocks || st.DiskReads != 0 {
 		t.Fatalf("second entry: remote hits %d, disk reads %d; want %d and 0", st.RemoteHits, st.DiskReads, nblocks)
 	}
-	if n := rpcCount(nodes[3], "dir_lookup_n"); n != 2 {
-		t.Fatalf("%d-block window cost %d lookup messages, want 2", nblocks, n)
+	for typ := range nodes[3].Stats().RPCLatency {
+		if typ != "get_run" {
+			t.Fatalf("the second entry sent %s, want nothing but runs", typ)
+		}
 	}
 }
 
@@ -309,6 +312,74 @@ func TestResizeSweepsDirectory(t *testing.T) {
 	}
 	if got := joiner.dirSrv.size(); got != 2*moved {
 		t.Fatalf("the joiner manages %d entries, want %d (two blocks of each moved file)", got, 2*moved)
+	}
+}
+
+// TestWriteClaimsAtHomeInOneRPC: a write through a node that is not the
+// file's home costs the writer one round trip to the home — the
+// write-through, whose handler records the writer as the new master — and
+// the home's directory names the writer by the time WriteBlock returns.
+// Until commit e3e0d10 it cost two: the write-through, then a directory
+// update. The invalidation bus's frames are the writer's other traffic.
+func TestWriteClaimsAtHomeInOneRPC(t *testing.T) {
+	f := homedAt(3, 1)
+	sizes := map[block.FileID]int64{f: int64(testGeom.Size)}
+	nodes, _ := startCluster(t, 3, 64, sizes, nil)
+	id := block.ID{File: f, Idx: 0}
+	if err := nodes[0].WriteBlock(id, bytes.Repeat([]byte{0x6B}, testGeom.Size)); err != nil {
+		t.Fatal(err)
+	}
+	if holder, ok := dirOf(t, nodes, f).lookup(id); !ok || holder != 0 {
+		t.Fatalf("directory names %d (present %v) after the write, want the writer, node 0", holder, ok)
+	}
+	for typ, h := range nodes[0].Stats().RPCLatency {
+		if typ != "invalidate_n" && (typ != "put_block" || h.Count != 1) {
+			t.Fatalf("the writer sent %d %s, want one put_block and bus frames", h.Count, typ)
+		}
+	}
+}
+
+// TestForwardKeepsNewerClaim: an evicted master's forward repoints the
+// directory with a compare-and-set from the evicting node. When a writer
+// has claimed the block in the meantime its claim stands; when the entry
+// still names the evicting node it moves to the target; and a forward
+// nobody can take drops only the evicting node's entry.
+func TestForwardKeepsNewerClaim(t *testing.T) {
+	f := homedAt(3, 1)
+	sizes := map[block.FileID]int64{f: 2 * int64(testGeom.Size)}
+	nodes, _ := startCluster(t, 3, 64, sizes, nil)
+	dir := dirOf(t, nodes, f)
+	evictor, target := nodes[2], int32(1)
+	// Ages only grow, so the target always holds something older than the
+	// next forward, or, at age 0, no peer holds anything older.
+	evict := func(idx int32, age int64) *Evicted {
+		return &Evicted{ID: block.ID{File: f, Idx: idx}, Master: true, Age: age, Data: SyntheticBlock(f, idx, testGeom.Size)}
+	}
+
+	evictor.peerAges[target].Store(1)
+	dir.updateN(f, []int32{0}, 0) // a writer, node 0, claimed block 0
+	dir.updateN(f, []int32{1}, 2) // block 1 still names the evictor
+	evictor.forwardEvicted(evict(0, 1<<40))
+	evictor.forwardEvicted(evict(1, 1<<40+1))
+	if holder, _ := dir.lookup(block.ID{File: f, Idx: 0}); holder != 0 {
+		t.Fatalf("block 0: directory names %d after the forward, want the writer, node 0", holder)
+	}
+	if holder, _ := dir.lookup(block.ID{File: f, Idx: 1}); holder != target {
+		t.Fatalf("block 1: directory names %d after the forward, want the target, node %d", holder, target)
+	}
+	if st := evictor.Stats(); st.Forwards != 2 || st.ForwardsRejected != 0 {
+		t.Fatalf("forwards %d, rejected %d; want 2 and 0", st.Forwards, st.ForwardsRejected)
+	}
+
+	dir.updateN(f, []int32{0}, 0)
+	dir.updateN(f, []int32{1}, 2)
+	evictor.forwardEvicted(evict(0, 0))
+	evictor.forwardEvicted(evict(1, 0))
+	if holder, ok := dir.lookup(block.ID{File: f, Idx: 0}); !ok || holder != 0 {
+		t.Fatalf("block 0: directory names %d (present %v) after the drop, want the writer, node 0", holder, ok)
+	}
+	if holder, ok := dir.lookup(block.ID{File: f, Idx: 1}); ok {
+		t.Fatalf("block 1: directory still names %d after the drop", holder)
 	}
 }
 

@@ -513,7 +513,7 @@ func (n *Node) invalCatchup(origin int, o *invalOrigin, from uint64) {
 func (n *Node) flushSuspect(origin int) {
 	masters := n.store.RemoveAll()
 	for _, id := range masters {
-		n.dirDrop(id, int32(n.cfg.ID))
+		n.dirCAS(id, int32(n.cfg.ID), dirNoEntry)
 	}
 	n.trace(traceInvalCatchup, origin, block.ID{}, -1)
 }

@@ -198,20 +198,32 @@ func (n *Node) fetchView(i int) {
 // installView makes v the current view if it is strictly newer, growing the
 // per-peer arrays first (so a concurrent reader that sees the new view
 // never indexes past an old array) and running the post-install work
-// (bus resize, dead cleanup, rebalance computation) on success.
+// (bus resize, dead cleanup, rebalance computation) on success. Until that
+// work has queued the pulls a view owes, ensureMigrated waits (installMu).
 func (n *Node) installView(v *memberView) bool {
 	n.growMembership(v)
+	n.installing.Add(1)
+	n.installMu.Lock()
+	defer n.installMu.Unlock()
+	defer n.installing.Add(-1)
 	for {
 		cur := n.view.Load()
 		if cur != nil && cur.epoch >= v.epoch {
 			return false
 		}
 		if n.view.CompareAndSwap(cur, v) {
+			if hook := testAfterViewCAS.Load(); hook != nil {
+				(*hook)(n)
+			}
 			n.afterViewInstall(cur, v)
 			return true
 		}
 	}
 }
+
+// testAfterViewCAS, when set by a test, runs between installView's CAS and
+// the post-install work.
+var testAfterViewCAS atomic.Pointer[func(*Node)]
 
 // growMembership extends the per-peer arrays (connections, ages, breakers,
 // invalidation origins) to cover v's member slots and records addresses for

@@ -239,6 +239,138 @@ func TestPullFileSkipsOnlyTheBadBlock(t *testing.T) {
 	}
 }
 
+// movedFile is the first file a 2 -> 3 join moves onto the joiner, with its
+// home before the join.
+func movedFile() (f block.FileID, oldHome int) {
+	for RingHome(f, 3) != 2 {
+		f++
+	}
+	return f, RingHome(f, 2)
+}
+
+// TestPullIgnoresOldHomeDirectory: the rebalance pull copies the old home's
+// source bytes for every block, whatever the old home's directory says. Each
+// block was written through another node, so the old home's directory names
+// that writer for all of them, and a home miss would name it instead of
+// serving a byte.
+func TestPullIgnoresOldHomeDirectory(t *testing.T) {
+	const nblocks = 4
+	f, oldHome := movedFile()
+	sizes := map[block.FileID]int64{f: nblocks * int64(testGeom.Size)}
+	nodes, _ := startCluster(t, 2, 64, sizes, nil)
+	writer := nodes[1-oldHome]
+	for idx := int32(0); idx < nblocks; idx++ {
+		if err := writer.WriteBlock(block.ID{File: f, Idx: idx}, bytes.Repeat([]byte{byte(0xB0 + idx)}, testGeom.Size)); err != nil {
+			t.Fatal(err)
+		}
+		if holder, ok := nodes[oldHome].dirSrv.lookup(block.ID{File: f, Idx: idx}); !ok || holder != int32(writer.ID()) {
+			t.Fatalf("block %d: the old home's directory names %d (present %v), want the writer", idx, holder, ok)
+		}
+	}
+
+	tracer := obs.NewTracer(64)
+	src := NewMemSource(testGeom, sizes)
+	joiner, err := Start(Config{
+		ID: 2, CapacityBlocks: 64, Policy: core.PolicyMaster,
+		Geometry: testGeom, Source: src, Tracer: tracer,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { joiner.Close() })
+	if err := joiner.Join(nodes[0].Addr()); err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	waitFor(t, 10*time.Second, "the joiner's pull of the file", func() bool {
+		for _, e := range tracer.Events() {
+			if e.Kind == traceRebalance && e.File == int64(f) {
+				if e.Aux != nblocks {
+					t.Fatalf("the joiner pulled %d blocks, want %d", e.Aux, nblocks)
+				}
+				return true
+			}
+		}
+		return false
+	})
+	for idx := int32(0); idx < nblocks; idx++ {
+		got, err := src.ReadBlock(f, idx)
+		if err != nil || !bytes.Equal(got, bytes.Repeat([]byte{byte(0xB0 + idx)}, testGeom.Size)) {
+			t.Fatalf("block %d on the joiner's source is not the written version (err %v)", idx, err)
+		}
+	}
+}
+
+// TestHomeReadWaitsForViewInstall: a node that has just installed a view
+// making it a file's home, but has not yet queued the pull from the old
+// home, must not serve that file's source baseline. A test hook holds the
+// joiner between the view's CAS and the rebalance computation; a read of
+// the moved file at the joiner must wait, then return the bytes written
+// through the old home.
+func TestHomeReadWaitsForViewInstall(t *testing.T) {
+	f, _ := movedFile()
+	sizes := map[block.FileID]int64{f: int64(testGeom.Size)}
+	nodes, client := startCluster(t, 2, 64, sizes, nil)
+	want := bytes.Repeat([]byte{0xC7}, testGeom.Size)
+	if err := client.Write(f, 0, want); err != nil {
+		t.Fatal(err)
+	}
+	joiner, err := Start(Config{
+		ID: 2, CapacityBlocks: 64, Policy: core.PolicyMaster,
+		Geometry: testGeom, Source: NewMemSource(testGeom, sizes),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { joiner.Close() })
+
+	held, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	hook := func(n *Node) {
+		if n == joiner {
+			once.Do(func() {
+				close(held)
+				<-release
+			})
+		}
+	}
+	testAfterViewCAS.Store(&hook)
+	t.Cleanup(func() { testAfterViewCAS.Store(nil) })
+	joined := make(chan error, 1)
+	go func() { joined <- joiner.Join(nodes[0].Addr()) }()
+	select {
+	case <-held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the joiner never installed a view")
+	}
+
+	read := make(chan []byte, 1)
+	go func() {
+		data, err := joiner.ReadFile(f)
+		if err != nil {
+			t.Error(err)
+		}
+		read <- data
+	}()
+	select {
+	case data := <-read:
+		close(release)
+		t.Fatalf("the read returned while the install was held (source baseline: %v)", !bytes.Equal(data, want))
+	case <-time.After(300 * time.Millisecond):
+	}
+	close(release)
+	select {
+	case data := <-read:
+		if !bytes.Equal(data, want) {
+			t.Fatal("the new home served its source baseline, not the bytes written through the old home")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the read never returned")
+	}
+	if err := <-joined; err != nil {
+		t.Fatalf("join: %v", err)
+	}
+}
+
 // TestDrainHandsOffAndServes shrinks a 3-node ring to 2 gracefully: drain,
 // wait for the survivors to pull the drained node's slice (write-through
 // state included), remove it, shut it down — and every file still reads

@@ -121,6 +121,10 @@ type Node struct {
 	// serialization point); installView does the CAS install.
 	view     atomic.Pointer[memberView]
 	memberMu sync.Mutex
+	// installMu is held by installView through its post-install work, and
+	// installing counts the installs under way (see ensureMigrated).
+	installMu  sync.RWMutex
+	installing atomic.Int32
 
 	// Heartbeat failure detection (member.go). hbStop ends the probe loop;
 	// hbMu guards hbBusy (peers with a probe in flight), hbLast (last
@@ -579,9 +583,8 @@ func (n *Node) RegisterMetrics(r *obs.Registry) {
 // series pre-registered for the per-RPC-type latency histograms.
 var requestMsgTypes = []MsgType{
 	MsgReadFile, MsgReadRange, MsgDirDrop, MsgForward, MsgWriteBlock,
-	MsgPutBlock, MsgStats, MsgTrace, MsgGetRun, MsgDirLookupN,
-	MsgDirUpdateN, MsgInvalidateN, MsgInvalSince, MsgPing, MsgView,
-	MsgViewUpdate, MsgJoin, MsgDrain,
+	MsgPutBlock, MsgStats, MsgTrace, MsgGetRun, MsgInvalidateN,
+	MsgInvalSince, MsgPing, MsgView, MsgViewUpdate, MsgJoin, MsgDrain,
 }
 
 // busRef reads the bus pointer under the membership lock (SetAddrs can
@@ -830,8 +833,6 @@ func (n *Node) handle(f *Frame) *Frame {
 	switch f.Type {
 	case MsgGetRun:
 		return n.handleGetRun(f)
-	case MsgDirLookupN, MsgDirUpdateN:
-		return n.handleDirBatch(f)
 	case MsgReadFile:
 		data, err := n.ReadFile(f.File)
 		if err != nil {
@@ -854,7 +855,7 @@ func (n *Node) handle(f *Frame) *Frame {
 		r.Type, r.File, r.Aux, r.Payload = MsgFileData, f.File, size, data
 		return r
 	case MsgDirDrop:
-		n.dirSrv.drop(f.ID(), int32(f.Aux))
+		n.dirSrv.cas(f.ID(), int32(f.Aux>>32), int32(f.Aux))
 		return ackFrame()
 	case MsgForward:
 		return n.handleForward(f)
@@ -880,18 +881,9 @@ func (n *Node) handle(f *Frame) *Frame {
 	case MsgDrain:
 		return n.handleDrain(f)
 	case MsgPutBlock:
-		// Pull the file's prior-home state before accepting a write-through,
-		// so a migration arriving later cannot clobber this newer block.
-		n.ensureMigrated(f.File)
 		// The BlockSource contract does not promise a copy: take ownership.
-		if err := n.cfg.Source.WriteBlock(f.File, f.Idx, f.TakePayload()); err != nil {
+		if err := n.putLocal(f.ID(), f.TakePayload(), f.Sender); err != nil {
 			return errFrame("put %v: %v", f.ID(), err)
-		}
-		// The writer's invalidation record may still be in flight on the
-		// bus: drop any cached copy of the just-overwritten block so the
-		// home never serves bytes it knows its own disk supersedes.
-		if present, master := n.store.Remove(f.ID()); present && master {
-			n.dirDrop(f.ID(), int32(n.cfg.ID))
 		}
 		return ackFrame()
 	case MsgStats:
@@ -919,31 +911,36 @@ func (n *Node) handle(f *Frame) *Frame {
 	}
 }
 
-// handleGetRun serves a contiguous run of blocks in one response: the run's
-// blocks concatenated in the payload, the served count and per-block master
-// flags packed into Aux. A home run (FlagMaster) reads the backing store,
-// the run's blocks together (readSourceRun), and serves the leading blocks
-// that read. A peer run gathers local cache hits and stops at the first
-// gap. A short (even empty) run is a valid response, never an error: the
-// requester completes the remainder per-block.
+// handleGetRun serves blocks of a span in one response, the served count
+// and per-block master flags packed into Aux. A home miss or a source read
+// is serveHome's, and its reply's payload is one code per block, then the
+// served blocks. A peer run gathers local cache hits and stops at the first
+// gap. A short (even empty) answer is a valid response, never an error:
+// the requester completes the remainder per-block.
 func (n *Node) handleGetRun(f *Frame) *Frame {
-	want, _ := unpackRunAux(f.Aux)
-	if want <= 0 || want > maxRunBlocks {
-		return errFrame("bad run count %d for %v", want, f.ID())
+	want, wanted := unpackRunAux(f.Aux)
+	if want <= 0 || want > maxRunBlocks || wanted>>uint(want) != 0 {
+		return errFrame("bad run %d (wanted %#x) for %v", want, wanted, f.ID())
 	}
 	first := f.Idx
-	if f.Flags&FlagMaster != 0 {
-		n.ensureMigrated(f.File)
-		segs, err := n.readSourceRun(f.File, first, want)
-		if len(segs) == 0 {
-			// The run's first block failed: the error names that block.
+	if wanted != 0 || f.Flags&FlagMaster != 0 {
+		requester := f.Sender
+		if wanted == 0 {
+			// The rebalance pull: every block from the source, no directory.
+			wanted, requester = uint32(1)<<uint(want)-1, -1
+		}
+		h, err := n.serveHome(f.File, span{first: first, count: want, wanted: wanted}, requester, f.Flags&FlagMaster != 0)
+		if err != nil {
 			return errFrame("home read %v: %v", f.ID(), err)
 		}
-		masters := uint32(1)<<uint(len(segs)) - 1
 		r := getFrame()
-		r.Type, r.Flags, r.File, r.Idx = MsgRunData, FlagMaster, f.File, first
-		r.Aux = packRunAux(len(segs), masters)
-		r.Segs = segs // scatter-gathered by the writer; never concatenated
+		r.Type, r.File, r.Idx, r.bufs = MsgRunData, f.File, first, h.blocks
+		r.Aux = packRunAux(len(h.blocks), h.masters)
+		r.Payload = appendHomeCodes(make([]byte, 0, 4*want), h.codes)
+		r.Segs = make([][]byte, len(h.blocks)) // scatter-gathered by the writer; never concatenated
+		for i, pb := range h.blocks {
+			r.Segs[i] = pb.data
+		}
 		return r
 	}
 	// Peer run: pinned references straight out of the sharded store, kept
@@ -967,24 +964,6 @@ func (n *Node) handleGetRun(f *Frame) *Frame {
 	return r
 }
 
-// handleDirBatch answers the batched directory messages: one lock
-// acquisition resolves or repoints a whole window of entries.
-func (n *Node) handleDirBatch(f *Frame) *Frame {
-	idxs, err := decodeIdxPayload(f.Payload, nil)
-	if err != nil {
-		return errFrame("dir batch: %v", err)
-	}
-	if f.Type == MsgDirUpdateN {
-		n.serveDirBatch(f.Type, f.File, idxs, int32(f.Aux), nil)
-		return ackFrame()
-	}
-	res := n.serveDirBatch(f.Type, f.File, idxs, 0, make([]int32, 0, len(idxs)))
-	r := getFrame()
-	r.Type, r.File = MsgDirResultN, f.File
-	r.Payload = appendIdxPayload(make([]byte, 0, 4*len(res)), res)
-	return r
-}
-
 func (n *Node) handleForward(f *Frame) *Frame {
 	id := f.ID()
 	// The store keeps the forwarded payload: take the refcounted buffer from
@@ -994,7 +973,7 @@ func (n *Node) handleForward(f *Frame) *Frame {
 		// The block we discarded to make room was a master: the cluster
 		// forgets it (no cascaded forwarding, §3). Off the handler, like
 		// every RPC a peer's request causes: see handleInvalidate.
-		go n.dirDrop(displaced.ID, int32(n.cfg.ID))
+		go n.dirCAS(displaced.ID, int32(n.cfg.ID), dirNoEntry)
 	}
 	r := getFrame()
 	r.Type, r.File, r.Idx = MsgForwardAck, f.File, f.Idx

@@ -90,9 +90,9 @@ func startBarrierCluster(t *testing.T, k int, src *barrierSource) ([]*Node, *Cli
 
 func rpcCount(n *Node, typ string) uint64 { return n.Stats().RPCLatency[typ].Count }
 
-// TestRunPathOverlapHomeRun: the blocks of one cold home run are read from
-// the source together, whether the home is a peer (the FlagMaster branch of
-// handleGetRun) or the entry node itself (fetchRun's local-home branch).
+// TestRunPathOverlapHomeRun: the blocks of one cold home span are read from
+// the source together, whether the home is a peer (serveHome behind
+// handleGetRun) or the entry node itself (serveHome called locally).
 // The barrier releases only when all eight readers are inside, so a home
 // that reads block after block never gets past the first.
 func TestRunPathOverlapHomeRun(t *testing.T) {
@@ -139,9 +139,10 @@ func TestRunPathOverlapBoundedByWindow(t *testing.T) {
 }
 
 // TestRunPathOverlapAlternatingHolders: a file whose blocks alternate
-// between a peer's memory and the home's disk plans four runs; they are in
-// flight together. The barrier needs the four disk blocks — two runs of two
-// — inside the source at once, which serial runs never produce.
+// between a peer's memory and the home's disk is one span. The home reads
+// the four disk blocks together — the barrier needs all four inside the
+// source at once, which a block-by-block home never produces — and names
+// the peer for the other four, which come back in two peer runs.
 func TestRunPathOverlapAlternatingHolders(t *testing.T) {
 	const f, nblocks, peer = block.FileID(1), 8, 2
 	sizes := map[block.FileID]int64{f: nblocks * int64(testGeom.Size)}
@@ -161,8 +162,8 @@ func TestRunPathOverlapAlternatingHolders(t *testing.T) {
 	if peak, reads := src.seen(); peak != 4 || len(reads) != 4 {
 		t.Fatalf("peak %d concurrent source reads over %d reads, want 4 and 4", peak, len(reads))
 	}
-	if s := nodes[0].Stats(); s.RunsIssued != 4 || s.RunsDegraded != 0 || s.RemoteHits != 4 || s.DiskReads != 4 {
-		t.Fatalf("runs issued/degraded %d/%d, remote hits %d, disk reads %d; want 4/0, 4, 4",
+	if s := nodes[0].Stats(); s.RunsIssued != 3 || s.RunsDegraded != 0 || s.RemoteHits != 4 || s.DiskReads != 4 {
+		t.Fatalf("runs issued/degraded %d/%d, remote hits %d, disk reads %d; want 3/0, 4, 4",
 			s.RunsIssued, s.RunsDegraded, s.RemoteHits, s.DiskReads)
 	}
 }
@@ -227,13 +228,12 @@ func TestRunPathNoRunAfterFailure(t *testing.T) {
 	}
 }
 
-// TestRunPathSingleBlockReusesLookup pins the RPC cost of a one-block
-// remote hit through an entry that hosts neither the directory nor the
-// block: the planner's batched lookup and the fetch, with no second
-// directory question in between. Both are the batch and run messages with
-// one element, and the fetch is no planner run; no node sends anything
-// else for a single block.
-func TestRunPathSingleBlockReusesLookup(t *testing.T) {
+// TestRunPathSingleBlockHomeServes pins the RPC cost of a one-block remote
+// hit through an entry that is not the file's home, on a block the home
+// holds the master of: one MsgGetRun, which the home answers from its own
+// cache. It was two (a directory lookup, then the fetch) until commit
+// e3e0d10. The fetch is no planner run, and no node sends anything else.
+func TestRunPathSingleBlockHomeServes(t *testing.T) {
 	const f = block.FileID(1)
 	sizes := map[block.FileID]int64{f: int64(testGeom.Size)}
 	nodes, client := startCluster(t, 3, 64, sizes, nil) // home and directory at 1
@@ -249,24 +249,26 @@ func TestRunPathSingleBlockReusesLookup(t *testing.T) {
 		t.Fatal("content mismatch")
 	}
 	n := nodes[2]
-	if ln, gr := rpcCount(n, "dir_lookup_n"), rpcCount(n, "get_run"); ln != 1 || gr != 1 {
-		t.Fatalf("dir_lookup_n/get_run = %d/%d, want 1/1", ln, gr)
+	if gr := rpcCount(n, "get_run"); gr != 1 {
+		t.Fatalf("get_run = %d, want 1", gr)
 	}
 	if s := n.Stats(); s.RemoteHits != 1 || s.RaceMisses != 0 || s.RunsIssued != 0 {
 		t.Fatalf("remote hits %d, race misses %d, runs issued %d; want 1, 0, 0", s.RemoteHits, s.RaceMisses, s.RunsIssued)
 	}
 	for _, node := range nodes {
-		for typ := range node.Stats().RPCLatency {
-			if typ != "dir_lookup_n" && typ != "get_run" {
-				t.Fatalf("node %d sent %s, want nothing but the lookup batch and the run", node.ID(), typ)
+		for typ, h := range node.Stats().RPCLatency {
+			if node != n || typ != "get_run" || h.Count != 1 {
+				t.Fatalf("node %d sent %d %s, want the entry's one run and nothing else", node.ID(), h.Count, typ)
 			}
 		}
 	}
 }
 
-// TestRunPathStalePlannedHolder: a holder the plan resolved but that no
-// longer has the block costs what a stale per-block lookup costs — one race
-// miss, the entry dropped — and the read is completed through the home.
+// TestRunPathStalePlannedHolder: a directory entry that names the home
+// itself, for a block the home's cache no longer holds, is stale, and the
+// home finds that out on its own: it reads the source and records the
+// reader, in the one message. Until commit e3e0d10 it cost five: a lookup,
+// a race miss on the home's cache, a drop, a source read and an update.
 func TestRunPathStalePlannedHolder(t *testing.T) {
 	const f = block.FileID(1)
 	id := block.ID{File: f, Idx: 0}
@@ -284,11 +286,13 @@ func TestRunPathStalePlannedHolder(t *testing.T) {
 		t.Fatal("content mismatch")
 	}
 	n := nodes[2]
-	if s := n.Stats(); s.RaceMisses != 1 || s.DiskReads != 1 || s.RemoteHits != 0 {
-		t.Fatalf("race misses %d, disk reads %d, remote hits %d; want 1, 1, 0", s.RaceMisses, s.DiskReads, s.RemoteHits)
+	if s := n.Stats(); s.RaceMisses != 0 || s.DiskReads != 1 || s.RemoteHits != 0 {
+		t.Fatalf("race misses %d, disk reads %d, remote hits %d; want 0, 1, 0", s.RaceMisses, s.DiskReads, s.RemoteHits)
 	}
-	if l, d := rpcCount(n, "dir_lookup_n"), rpcCount(n, "dir_drop"); l != 1 || d != 1 {
-		t.Fatalf("dir_lookup_n/dir_drop = %d/%d, want 1/1 (the planner's lookup only)", l, d)
+	for typ, h := range n.Stats().RPCLatency {
+		if typ != "get_run" || h.Count != 1 {
+			t.Fatalf("the entry sent %d %s, want one run and nothing else", h.Count, typ)
+		}
 	}
 	if holder, ok := dirOf(t, nodes, f).lookup(id); !ok || holder != 2 {
 		t.Fatalf("directory names %d (present %v) after the home read, want node 2", holder, ok)

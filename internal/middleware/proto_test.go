@@ -166,12 +166,12 @@ func TestErrFrame(t *testing.T) {
 }
 
 func TestIsResponse(t *testing.T) {
-	for _, typ := range []MsgType{MsgRunData, MsgFileData, MsgDirResultN, MsgForwardAck, MsgAck, MsgErr, MsgStatsReply} {
+	for _, typ := range []MsgType{MsgRunData, MsgFileData, MsgForwardAck, MsgAck, MsgErr, MsgStatsReply} {
 		if !isResponse(typ) {
 			t.Errorf("type %d should be a response", typ)
 		}
 	}
-	for _, typ := range []MsgType{MsgGetRun, MsgReadFile, MsgDirLookupN, MsgDirDrop, MsgForward, MsgWriteBlock, MsgInvalidateN, MsgPutBlock, MsgStats} {
+	for _, typ := range []MsgType{MsgGetRun, MsgReadFile, MsgDirDrop, MsgForward, MsgWriteBlock, MsgInvalidateN, MsgPutBlock, MsgStats} {
 		if isResponse(typ) {
 			t.Errorf("type %d should be a request", typ)
 		}

@@ -45,7 +45,7 @@ func (n *Node) readRange(f block.FileID, size, off int64, length int) ([]byte, e
 		// Unaligned head: the needed bytes are a mid-block suffix, which the
 		// planner's prefix copy cannot produce — pin the block once and copy
 		// just the suffix out of the pinned buffer.
-		pb, _, err := n.getBlock(block.ID{File: f, Idx: first}, nil, lookupHolder)
+		pb, _, err := n.getBlock(block.ID{File: f, Idx: first}, size, nil, dirNoEntry)
 		if err != nil {
 			return nil, err
 		}

@@ -26,9 +26,13 @@ type FileLister interface {
 }
 
 // ensureMigrated blocks until file f's hand-off to this node (if any) has
-// completed. The fast path is one atomic load — zero cost when no
-// rebalance is pending, which is all steady-state traffic.
+// completed, after any view install that may be about to queue it. The fast
+// path is two atomic loads: steady-state traffic pays nothing more.
 func (n *Node) ensureMigrated(f block.FileID) {
+	if n.installing.Load() != 0 {
+		n.installMu.RLock()
+		n.installMu.RUnlock() //nolint:staticcheck // an empty section: waiting for the install is the point
+	}
 	if n.migrCount.Load() == 0 {
 		return
 	}
@@ -109,7 +113,7 @@ func (n *Node) pullFile(f block.FileID, oldHome int) {
 		if err == nil {
 			count, _ = unpackRunAux(resp.Aux)
 			count = min(count, want)
-			data := resp.Payload
+			data := resp.Payload[min(4*want, len(resp.Payload)):] // the served prefix, after the codes
 			for k := 0; k < count && len(data) > 0; k++ {
 				end := min(bl, len(data))
 				// WriteBlock may retain the slice; the frame payload is pooled.
