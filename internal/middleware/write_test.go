@@ -2,6 +2,7 @@ package middleware
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
 
@@ -92,6 +93,50 @@ func TestWritePersistsAtHome(t *testing.T) {
 	}
 	if !bytes.Equal(got, newData) {
 		t.Fatal("write did not reach the home backing store")
+	}
+}
+
+// heldWrites is a backing store whose block writes wait for release and then
+// fail: a home that has not taken, and will not take, a write-through.
+type heldWrites struct {
+	BlockSource
+	entered, release chan struct{}
+}
+
+func (s *heldWrites) WriteBlock(block.FileID, int32, []byte) error {
+	close(s.entered)
+	<-s.release
+	return errors.New("write refused")
+}
+
+// TestWriteInstallsAfterWriteThrough: the writer caches the new master only
+// once the home has taken the write-through, so no local read on the writer
+// returns bytes that are not durable. While the home holds the write the
+// writer's cache has no copy, and a write the home refuses fails and leaves
+// none.
+func TestWriteInstallsAfterWriteThrough(t *testing.T) {
+	f := homedAt(2, 1)
+	sizes := map[block.FileID]int64{f: int64(testGeom.Size)}
+	src := &heldWrites{BlockSource: NewMemSource(testGeom, sizes), entered: make(chan struct{}), release: make(chan struct{})}
+	nodes, _ := startCluster(t, 2, 64, sizes, func(i int, cfg *Config) {
+		if i == 1 {
+			cfg.Source = src
+		}
+	})
+	id := block.ID{File: f, Idx: 0}
+	done := make(chan error, 1)
+	go func() { done <- nodes[0].WriteBlock(id, bytes.Repeat([]byte{0x7E}, testGeom.Size)) }()
+	<-src.entered
+	early := nodes[0].store.Contains(id)
+	close(src.release)
+	if early {
+		t.Fatal("the writer cached the new bytes while the home held the write-through")
+	}
+	if err := <-done; err == nil {
+		t.Fatal("a write the home refused succeeded")
+	}
+	if nodes[0].store.Contains(id) {
+		t.Fatal("a refused write left the new bytes in the writer's cache")
 	}
 }
 
