@@ -13,7 +13,9 @@
 package httpfront
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"mime"
 	"net/http"
 	"path"
@@ -98,7 +100,8 @@ type GatewayStats struct {
 	NotFound uint64 `json:"not_found"`
 	// RangeRequests counts requests carrying a Range header.
 	RangeRequests uint64 `json:"range_requests"`
-	// Errors counts 5xx responses from cluster failures.
+	// Errors counts requests a cluster failure spoiled: 5xx responses, and
+	// bodies cut short after a 200 or 206 went out.
 	Errors uint64 `json:"errors"`
 	// BytesServed is the total response body bytes written.
 	BytesServed uint64 `json:"bytes_served"`
@@ -144,7 +147,7 @@ func (g *Gateway) RegisterMetrics(r *obs.Registry) {
 	r.Counter("cc_http_not_modified_total", "304 responses", "", g.nNotModified.Load)
 	r.Counter("cc_http_not_found_total", "404 responses", "", g.nNotFound.Load)
 	r.Counter("cc_http_range_requests_total", "requests with a Range header", "", g.nRangeReqs.Load)
-	r.Counter("cc_http_errors_total", "5xx responses from cluster failures", "", g.nErrors.Load)
+	r.Counter("cc_http_errors_total", "5xx responses and bodies cut short by cluster failures", "", g.nErrors.Load)
 	r.Counter("cc_http_bytes_served_total", "response body bytes written", "", g.nBytes.Load)
 }
 
@@ -190,11 +193,15 @@ func StatusForError(err error) int {
 }
 
 // countingWriter tracks response bytes and the final status so the gateway
-// counters see what http.ServeContent decided.
+// counters see what http.ServeContent decided, and sends ServeContent's body
+// (ReadFrom).
 type countingWriter struct {
 	http.ResponseWriter
 	status int
 	bytes  uint64
+	// werr is the last error writing to the client; bodyErr is the error
+	// that cut the body short at its source, the cluster.
+	werr, bodyErr error
 }
 
 // Unwrap lets http.ResponseController reach the real writer (flush,
@@ -212,7 +219,41 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 	}
 	n, err := cw.ResponseWriter.Write(p)
 	cw.bytes += uint64(n)
+	if err != nil {
+		cw.werr = err
+	}
 	return n, err
+}
+
+// copyBufs recycles the 32 KB buffers of ReadFrom's fallback.
+var copyBufs = sync.Pool{New: func() any { b := make([]byte, 32<<10); return &b }}
+
+// writerOnly hides countingWriter's ReadFrom from io.CopyBuffer.
+type writerOnly struct{ io.Writer }
+
+// ReadFrom sends a body; ServeContent's io.CopyN lands here. A FileReader
+// body, which ServeContent wraps in an io.LimitedReader, streams with no
+// copy buffer: the head's bytes and each ranged reply's payload are written
+// as they are (FileReader.StreamTo). Any other source, such as a
+// multi-range body's pipe, goes through a pooled 32 KB buffer. An error
+// from the source, not from the client, is kept in bodyErr: the status is
+// out by now, so the body stops short.
+func (cw *countingWriter) ReadFrom(src io.Reader) (n int64, err error) {
+	defer func() {
+		if err != nil && !errors.Is(err, cw.werr) {
+			cw.bodyErr = err
+		}
+	}()
+	if lr, ok := src.(*io.LimitedReader); ok {
+		if fr, ok := lr.R.(*middleware.FileReader); ok {
+			n, err = fr.StreamTo(cw, lr.N)
+			lr.N -= n
+			return n, err
+		}
+	}
+	buf := copyBufs.Get().(*[]byte)
+	defer copyBufs.Put(buf)
+	return io.CopyBuffer(writerOnly{cw}, src, *buf)
 }
 
 // wantsBody reports whether r is certain to be answered with the file from
@@ -235,8 +276,9 @@ func wantsBody(r *http.Request) bool {
 // reader through the cluster — entering at the file's home node when the
 // membership view knows it — and delegates Range/HEAD/conditional handling
 // to http.ServeContent over the reader. Peak gateway memory per request is
-// the reader's head (at most 64 KB, plain GETs only) plus one copy buffer,
-// never the file.
+// the reader's head (at most 64 KB, plain GETs only) plus one ranged reply
+// of at most 32 KB, never the file: the body goes from those to w with no
+// copy buffer (countingWriter.ReadFrom).
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
 		w.Header().Set("Allow", "GET, HEAD")
@@ -303,6 +345,9 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	http.ServeContent(cw, r, path.Base(r.URL.Path), time.Time{}, fr)
 	fr.Close() //nolint:errcheck // only recycles the head buffer
 	g.nBytes.Add(cw.bytes)
+	if cw.bodyErr != nil {
+		g.nErrors.Add(1)
+	}
 	if cw.status == http.StatusNotModified {
 		g.nNotModified.Add(1)
 	}

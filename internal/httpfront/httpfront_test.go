@@ -1,12 +1,16 @@
 package httpfront
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"mime"
+	"mime/multipart"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -268,6 +272,88 @@ func TestGatewayStreamsMultiBlockFile(t *testing.T) {
 	}
 }
 
+// TestGatewayStreamingContract checks every body shape the gateway sends
+// against FileReader.ReadAt, for files just below, at and just above the
+// block, the 32 KB copy chunk, the 64 KB head and the first chunk past the
+// head: a plain GET (the head and ranged replies written as they are), an
+// unaligned Range (ranged replies only), a multi-range request (ServeContent's
+// pipe, through the pooled copy buffer) and a HEAD (no body at all).
+func TestGatewayStreamingContract(t *testing.T) {
+	var sizes []int64
+	for _, edge := range []int64{1024, 32 << 10, headLen, headLen + 32<<10} {
+		sizes = append(sizes, edge-1, edge, edge+1)
+	}
+	files := map[block.FileID]int64{}
+	table := map[string]block.FileID{}
+	for i, size := range sizes {
+		files[block.FileID(i)] = size
+		table["/f"+strconv.Itoa(i)+".bin"] = block.FileID(i)
+	}
+	env := startGateway(t, 2, files, table)
+	do := func(method, path, rng string) (*http.Response, []byte) {
+		t.Helper()
+		req, _ := http.NewRequest(method, env.srv.URL+path, nil)
+		if rng != "" {
+			req.Header.Set("Range", rng)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, body
+	}
+	for i, size := range sizes {
+		f, path := block.FileID(i), "/f"+strconv.Itoa(i)+".bin"
+		fr, err := env.client.Open(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]byte, size)
+		if n, err := fr.ReadAt(want, 0); int64(n) != size {
+			t.Fatalf("size %d: ReadAt read %d bytes: %v", size, n, err)
+		}
+
+		if resp, body := do(http.MethodGet, path, ""); resp.StatusCode != http.StatusOK || !bytes.Equal(body, want) {
+			t.Errorf("size %d: GET status %d, %d bytes, differs from ReadAt", size, resp.StatusCode, len(body))
+		}
+
+		lo, hi := size/3+1, size-2 // unaligned at both ends
+		if resp, body := do(http.MethodGet, path, fmt.Sprintf("bytes=%d-%d", lo, hi)); resp.StatusCode != http.StatusPartialContent || !bytes.Equal(body, want[lo:hi+1]) {
+			t.Errorf("size %d: Range %d-%d: status %d, %d bytes, differs from ReadAt", size, lo, hi, resp.StatusCode, len(body))
+		}
+
+		parts := [][2]int64{{1, 10}, {size / 2, size - 1}}
+		resp, body := do(http.MethodGet, path, fmt.Sprintf("bytes=%d-%d,%d-%d", parts[0][0], parts[0][1], parts[1][0], parts[1][1]))
+		_, params, _ := mime.ParseMediaType(resp.Header.Get("Content-Type"))
+		if resp.StatusCode != http.StatusPartialContent || params["boundary"] == "" {
+			t.Fatalf("size %d: multi-range: status %d, Content-Type %q", size, resp.StatusCode, resp.Header.Get("Content-Type"))
+		}
+		mr := multipart.NewReader(bytes.NewReader(body), params["boundary"])
+		for _, pr := range parts {
+			part, err := mr.NextPart()
+			if err != nil {
+				t.Fatalf("size %d: multi-range part %v: %v", size, pr, err)
+			}
+			if got, _ := io.ReadAll(part); !bytes.Equal(got, want[pr[0]:pr[1]+1]) {
+				t.Errorf("size %d: multi-range part %v: %d bytes, differs from ReadAt", size, pr, len(got))
+			}
+		}
+
+		if resp, body := do(http.MethodHead, path, ""); resp.StatusCode != http.StatusOK || len(body) != 0 ||
+			resp.Header.Get("Content-Length") != strconv.FormatInt(size, 10) {
+			t.Errorf("size %d: HEAD status %d, Content-Length %q, %d body bytes", size, resp.StatusCode, resp.Header.Get("Content-Length"), len(body))
+		}
+	}
+	if got := env.gw.Stats().Errors; got != 0 {
+		t.Errorf("Errors = %d, want 0", got)
+	}
+}
+
 // TestGatewayHandoff pins the §4.1 hand-off surface over a live 4-node
 // cluster: every resolvable GET is forwarded to its home node, the counter
 // and trace events record it, and disabling hand-off stops it.
@@ -352,6 +438,47 @@ func TestGatewayErrorMapping(t *testing.T) {
 	}
 	if got := env.gw.Stats().Errors; got != 1 {
 		t.Fatalf("Errors counter = %d, want 1", got)
+	}
+}
+
+// closingRecorder is a recorder that runs beforeHeader when the status goes
+// out, after the gateway's open and before the body.
+type closingRecorder struct {
+	*httptest.ResponseRecorder
+	beforeHeader func()
+}
+
+func (w *closingRecorder) WriteHeader(code int) {
+	w.beforeHeader()
+	w.ResponseRecorder.WriteHeader(code)
+}
+
+// TestGatewayBodyFailureCounted: when every node is gone after the open,
+// the ranged reads past the head fail on every node, failover cannot help,
+// and the 200 is already out. The body stops short after the head, and
+// the failure is counted in Errors, not passed off as a served file.
+func TestGatewayBodyFailureCounted(t *testing.T) {
+	const size = headLen + 40<<10
+	env := startGateway(t, 2, map[block.FileID]int64{0: size}, map[string]block.FileID{"/big.bin": 0})
+	w := &closingRecorder{ResponseRecorder: httptest.NewRecorder(), beforeHeader: func() {
+		for _, nd := range env.nodes {
+			nd.Close()
+		}
+	}}
+	env.gw.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/big.bin", nil))
+	body := w.Body.Bytes()
+	if w.Code != http.StatusOK || len(body) >= size {
+		t.Fatalf("status %d, %d of %d bytes: want a 200 with a short body", w.Code, len(body), size)
+	}
+	if !bytes.Equal(body, synthFile(0, size)[:len(body)]) {
+		t.Fatal("the short body is not a prefix of the file")
+	}
+	st := env.gw.Stats()
+	if st.Errors != 1 {
+		t.Fatalf("Errors = %d, want 1", st.Errors)
+	}
+	if st.BytesServed != uint64(len(body)) {
+		t.Fatalf("BytesServed = %d, want the %d bytes written", st.BytesServed, len(body))
 	}
 }
 

@@ -225,6 +225,65 @@ func BenchmarkServeRun(b *testing.B) {
 	}
 }
 
+// BenchmarkServeRead measures the entry node's side of a warm client read:
+// one MsgReadFile of an 8-block file and one MsgReadRange that starts and
+// ends mid-block, each answered by handleRead with the reply's segments
+// aliasing the pinned store blocks (checked once up front, the first and last
+// segment of the range sliced out of their blocks) and the pins dropped by
+// releaseFrame. allocs/op is the headline: the pin and segment slices, with
+// no payload buffer and no copy, whatever the byte count.
+func BenchmarkServeRead(b *testing.B) {
+	geom := block.Geometry{Size: 8192, ExtentBlocks: 8}
+	sizes := map[block.FileID]int64{0: 8 * 8192}
+	n, err := Start(Config{
+		ID: 0, CapacityBlocks: 64, Policy: core.PolicyMaster,
+		Geometry: geom, Source: NewMemSource(geom, sizes),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer n.Close()
+	n.SetAddrs([]string{n.Addr()})
+	if _, err := n.ReadFile(0); err != nil { // warm all 8 blocks
+		b.Fatal(err)
+	}
+	const off, length = 8192 + 100, 8192 // blocks 1 and 2, unaligned at both ends
+	file := &Frame{Type: MsgReadFile, File: 0, Sender: -1}
+	rng := &Frame{Type: MsgReadRange, File: 0, Aux: packRange(off, length), Sender: -1}
+	serve := func(req *Frame, segs int) *Frame {
+		resp := n.handleRead(req)
+		if resp.Type != MsgFileData || len(resp.Payload) != 0 || len(resp.Segs) != segs {
+			b.Fatalf("reply type %d: %d payload bytes, %d segments, want %d segments", resp.Type, len(resp.Payload), len(resp.Segs), segs)
+		}
+		return resp
+	}
+	aliases := func(seg []byte, idx int32, lo int) {
+		pb, ok := n.store.GetRef(block.ID{File: 0, Idx: idx})
+		if !ok || &seg[0] != &pb.data[lo] {
+			b.Fatalf("segment of block %d does not alias the stored buffer", idx)
+		}
+		pb.release()
+	}
+	resp := serve(file, 8)
+	for i, seg := range resp.Segs {
+		aliases(seg, int32(i), 0)
+	}
+	releaseFrame(resp)
+	resp = serve(rng, 2)
+	aliases(resp.Segs[0], 1, 100)
+	aliases(resp.Segs[1], 2, 0)
+	if len(resp.Segs[0])+len(resp.Segs[1]) != length {
+		b.Fatalf("range reply carries %d bytes, want %d", len(resp.Segs[0])+len(resp.Segs[1]), length)
+	}
+	releaseFrame(resp)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		releaseFrame(serve(file, 8))
+		releaseFrame(serve(rng, 2))
+	}
+}
+
 // BenchmarkClientReadFileCold measures client whole-file reads against a
 // cluster under permanent cache pressure: 128 files × 8 blocks cycle through
 // 4 nodes whose combined capacity holds a quarter of the working set, so

@@ -16,7 +16,7 @@ import (
 // because it runs full benchmarks — too slow for every local `go test`.
 //
 // To update the budget after an intentional change, re-measure with
-// `go test -run '^$' -bench 'ConnRoundTrip|NodeReadFile|StoreGetParallel|ServeRun|ClientReadFile$|WriteBlock' ./internal/middleware/`
+// `go test -run '^$' -bench 'ConnRoundTrip|NodeReadFile|StoreGetParallel|ServeRun|ServeRead|ClientReadFile$|WriteBlock' ./internal/middleware/`
 // and edit testdata/alloc_budget.json.
 func TestBenchAllocBudget(t *testing.T) {
 	if os.Getenv("CC_BENCH_BUDGET") != "1" {
@@ -36,6 +36,7 @@ func TestBenchAllocBudget(t *testing.T) {
 		"BenchmarkNodeReadFileParallel": BenchmarkNodeReadFileParallel,
 		"BenchmarkStoreGetParallel":     BenchmarkStoreGetParallel,
 		"BenchmarkServeRun":             BenchmarkServeRun,
+		"BenchmarkServeRead":            BenchmarkServeRead,
 		"BenchmarkClientReadFile":       BenchmarkClientReadFile,
 		"BenchmarkWriteBlock":           BenchmarkWriteBlock,
 	}

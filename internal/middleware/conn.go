@@ -64,9 +64,10 @@ type conn struct {
 	br  *bufio.Reader
 	cfg connConfig
 
-	wmu  sync.Mutex // serializes frame writes
-	wbuf []byte     // reusable encode buffer (guarded by wmu)
-	iov  [][]byte   // writev scratch: header + payload + segments (guarded by wmu)
+	wmu  sync.Mutex  // serializes frame writes
+	wbuf []byte      // reusable encode buffer (guarded by wmu)
+	iov  [][]byte    // writev scratch: header + payload + segments (guarded by wmu)
+	wv   net.Buffers // iov as writev consumes it; a field, so it does not escape (guarded by wmu)
 
 	pmu     sync.Mutex
 	pending map[uint32]chan *Frame
@@ -97,18 +98,13 @@ func newConn(nc net.Conn, cfg connConfig) *conn {
 	return c
 }
 
-// inlinePayloadMax is the largest payload copied into the contiguous write
-// buffer; larger payloads go out via writev (net.Buffers) so a multi-
-// megabyte file response is neither copied nor split into extra writes.
-const inlinePayloadMax = 64 << 10
-
 // singleFrameWriter marks connections (fault-injected transports) that
 // must receive exactly one Write call per frame, so per-Write fault
 // decisions operate on whole frames and never tear the stream framing.
 type singleFrameWriter interface{ singleFrameWrites() }
 
 // write sends one frame: header and payload in a single socket
-// write (one writev for large payloads) instead of one write per section.
+// write (one writev for a segmented frame) instead of one write per section.
 // A socket-level write failure poisons the stream (a frame may be half
 // out), so it tears the connection down; encode errors leave it intact.
 func (c *conn) write(f *Frame) error {
@@ -126,17 +122,11 @@ func (c *conn) write(f *Frame) error {
 		// every writer on this conn behind wmu forever.
 		c.nc.SetWriteDeadline(time.Now().Add(c.cfg.timeout)) //nolint:errcheck // best effort
 	}
-	// Scatter-gather: segmented frames (run replies pointing at pinned
-	// store buffers) and large single payloads go out as one writev —
-	// header + each segment, zero concatenation. Fault-injected transports
-	// demand one Write per frame, so they take the contiguous path.
-	useWritev := len(f.Segs) > 0 || len(f.Payload) > inlinePayloadMax
-	if useWritev {
-		if _, single := c.nc.(singleFrameWriter); single {
-			useWritev = false
-		}
-	}
-	if useWritev {
+	// Scatter-gather: segmented frames (run and read replies pointing at
+	// pinned store buffers) go out as one writev — header + each segment,
+	// zero concatenation. Fault-injected transports demand one Write per
+	// frame, so they take the contiguous path.
+	if _, single := c.nc.(singleFrameWriter); len(f.Segs) > 0 && !single {
 		c.wbuf = buf
 		c.iov = append(c.iov[:0], buf)
 		if len(f.Payload) > 0 {
@@ -147,8 +137,8 @@ func (c *conn) write(f *Frame) error {
 				c.iov = append(c.iov, s)
 			}
 		}
-		bufs := net.Buffers(c.iov)
-		_, err = bufs.WriteTo(c.nc)
+		c.wv = c.iov
+		_, err = c.wv.WriteTo(c.nc)
 		for i := range c.iov {
 			c.iov[i] = nil // drop payload references; scratch is retained
 		}

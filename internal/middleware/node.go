@@ -833,27 +833,8 @@ func (n *Node) handle(f *Frame) *Frame {
 	switch f.Type {
 	case MsgGetRun:
 		return n.handleGetRun(f)
-	case MsgReadFile:
-		data, err := n.ReadFile(f.File)
-		if err != nil {
-			return errFrameFrom(err, "read file %d: %v", f.File, err)
-		}
-		r := getFrame()
-		r.Type, r.File, r.Payload = MsgFileData, f.File, data
-		return r
-	case MsgReadRange:
-		off, length := unpackRange(f.Aux)
-		size, err := n.cfg.Source.FileSize(f.File)
-		if err != nil {
-			return errFrameFrom(err, "read range %d: %v", f.File, err)
-		}
-		data, err := n.readRange(f.File, size, off, length)
-		if err != nil {
-			return errFrameFrom(err, "read range %d: %v", f.File, err)
-		}
-		r := getFrame()
-		r.Type, r.File, r.Aux, r.Payload = MsgFileData, f.File, size, data
-		return r
+	case MsgReadFile, MsgReadRange:
+		return n.handleRead(f)
 	case MsgDirDrop:
 		n.dirSrv.cas(f.ID(), int32(f.Aux>>32), int32(f.Aux))
 		return ackFrame()
@@ -961,6 +942,33 @@ func (n *Node) handleGetRun(f *Frame) *Frame {
 			r.Segs[i] = pb.data
 		}
 	}
+	return r
+}
+
+// handleRead answers MsgReadFile (the whole file) and MsgReadRange (a byte
+// range clamped to the file, whose size is the reply's Aux) the way
+// handleGetRun answers a peer run: the reply's segments alias the blocks
+// pinRange pinned, the first and last sliced to the range, and the frame
+// holds the pins (inline for up to two blocks) until the socket write is
+// done. No byte is copied before the writev.
+func (n *Node) handleRead(f *Frame) *Frame {
+	r := getFrame()
+	size, err := n.cfg.Source.FileSize(f.File)
+	off, length, what := int64(0), int(size), "read file"
+	if f.Type == MsgReadRange {
+		off, length = unpackRange(f.Aux)
+		r.Aux, what = size, "read range"
+	}
+	var end int64
+	if err == nil {
+		r.bufs, end, err = n.pinRange(f.File, size, off, length, r.bufArr[:0])
+	}
+	if err != nil {
+		releaseFrame(r)
+		return errFrameFrom(err, "%s %d: %v", what, f.File, err)
+	}
+	r.Type, r.File = MsgFileData, f.File
+	r.Segs = n.segments(make([][]byte, 0, len(r.bufs)), r.bufs, off, end) // scatter-gathered by the writer
 	return r
 }
 

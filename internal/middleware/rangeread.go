@@ -17,57 +17,15 @@ func (n *Node) ReadRange(f block.FileID, off int64, length int) ([]byte, error) 
 	if err != nil {
 		return nil, err
 	}
-	return n.readRange(f, size, off, length)
-}
-
-// readRange is ReadRange against a file size the caller already looked up:
-// the MsgReadRange handler reports that same size in its reply, so the
-// range is clamped to exactly the size the client is told, and the source
-// is asked once per request.
-func (n *Node) readRange(f block.FileID, size, off int64, length int) ([]byte, error) {
-	if off < 0 || length < 0 || off > size {
-		return nil, fmt.Errorf("middleware: range %d+%d outside file %d (%d bytes)", off, length, f, size)
-	}
-	if rem := size - off; int64(length) > rem {
-		length = int(rem)
-	}
-	if length == 0 {
-		return nil, nil
-	}
-	bs := int64(n.geom.Size)
-	first := int32(off / bs)
-	last := int32((off + int64(length) - 1) / bs)
-	// Presized output filled in place by the run planner: one copy per block.
-	out := make([]byte, length)
-	pos := 0
-	i := first
-	if start := off - int64(first)*bs; start > 0 {
-		// Unaligned head: the needed bytes are a mid-block suffix, which the
-		// planner's prefix copy cannot produce — pin the block once and copy
-		// just the suffix out of the pinned buffer.
-		pb, _, err := n.getBlock(block.ID{File: f, Idx: first}, size, nil, dirNoEntry)
-		if err != nil {
-			return nil, err
-		}
-		data := pb.data
-		if start > int64(len(data)) {
-			pb.release()
-			return nil, fmt.Errorf("middleware: block %d:%d shorter than range start", f, first)
-		}
-		end := int64(len(data))
-		if end > start+int64(length) {
-			end = start + int64(length)
-		}
-		pos = copy(out, data[start:end])
-		pb.release()
-		i++
-	}
-	if i > last || pos == length {
-		return out, nil
-	}
-	if err := n.readPlanned(f, size, i, last, out[pos:]); err != nil {
+	pins, end, err := n.pinRange(f, size, off, length, nil)
+	if err != nil {
 		return nil, err
 	}
+	out := make([]byte, 0, end-off) // one copy per byte, out of the pinned blocks
+	for _, s := range n.segments(make([][]byte, 0, readWindow), pins, off, end) {
+		out = append(out, s...)
+	}
+	releasePins(pins)
 	return out, nil
 }
 
@@ -178,43 +136,69 @@ func (fr *FileReader) ReadAt(p []byte, off int64) (int, error) {
 		if off >= fr.size {
 			return total, io.EOF
 		}
-		if head := fr.head; head != nil && off < int64(len(head.data)) {
-			n := copy(p[total:], head.data[off:])
-			total += n
-			off += int64(n)
-			continue
-		}
-		want := len(p) - total
-		if rem := fr.size - off; int64(want) > rem {
-			want = int(rem)
-		}
-		if want > maxRangeLen {
-			want = maxRangeLen
-		}
-		req := getFrame()
-		req.Type, req.File, req.Aux = MsgReadRange, fr.file, packRange(off, want)
-		resp, _, err := fr.c.failoverTrip(fr.entryNode(), req)
-		releaseFrame(req)
+		b, resp, err := fr.piece(off, len(p)-total, maxRangeLen)
 		if err != nil {
 			return total, err
 		}
-		// Copy into the caller's buffer, then recycle the pooled payload:
-		// the ranged-read reply is the one response path whose payload
-		// never needs to outlive the call.
-		n := copy(p[total:], resp.Payload)
+		n := copy(p[total:], b)
 		releaseFrame(resp)
 		total += n
 		off += int64(n)
-		if n < want {
-			// The server clamps ranges to EOF; any other short reply is a
-			// protocol violation, not an EOF.
-			if off >= fr.size {
-				return total, io.EOF
-			}
-			return total, fmt.Errorf("middleware: short range reply for file %d: %d of %d bytes", fr.file, n, want)
-		}
 	}
 	return total, nil
+}
+
+// streamChunk bounds each ranged RPC of StreamTo: the 32 KB of io.Copy's
+// buffer, so a body streamed without one costs the cluster the same round
+// trips as one copied through it.
+const streamChunk = 32 << 10
+
+// StreamTo writes the next n bytes of the file from the reader's position
+// (fewer at end of file) to w, advancing the position, with no copy buffer:
+// the head's bytes and each ranged reply's payload go to w as they are. It
+// returns the bytes written and the first error, from the cluster or from
+// w; reaching end of file is not an error.
+func (fr *FileReader) StreamTo(w io.Writer, n int64) (int64, error) {
+	var written int64
+	for written < n && fr.pos < fr.size {
+		b, resp, err := fr.piece(fr.pos, int(min(n-written, maxRangeLen)), streamChunk)
+		if err != nil {
+			return written, err
+		}
+		m, err := w.Write(b)
+		releaseFrame(resp)
+		written += int64(m)
+		fr.pos += int64(m)
+		if err != nil {
+			return written, err
+		}
+	}
+	return written, nil
+}
+
+// piece returns the bytes the reader serves next from off, at most n and
+// past the head at most chunk: a slice of the head, or the payload of one
+// ranged RPC, whose reply the caller releases once done with the bytes (nil
+// for the head). The server clamps ranges to EOF, which callers never ask
+// past, so a short reply is a protocol violation, not an EOF.
+func (fr *FileReader) piece(off int64, n, chunk int) ([]byte, *Frame, error) {
+	n = int(min(int64(n), fr.size-off))
+	if head := fr.head; head != nil && off < int64(len(head.data)) {
+		return head.data[off:min(off+int64(n), int64(len(head.data)))], nil, nil
+	}
+	n = min(n, chunk)
+	req := getFrame()
+	req.Type, req.File, req.Aux = MsgReadRange, fr.file, packRange(off, n)
+	resp, _, err := fr.c.failoverTrip(fr.entryNode(), req)
+	releaseFrame(req)
+	if err != nil {
+		return nil, nil, err
+	}
+	if got := len(resp.Payload); got < n {
+		releaseFrame(resp)
+		return nil, nil, fmt.Errorf("middleware: short range reply for file %d: %d of %d bytes", fr.file, got, n)
+	}
+	return resp.Payload[:n], resp, nil
 }
 
 // Read implements io.Reader.

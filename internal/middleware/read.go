@@ -2,6 +2,7 @@ package middleware
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 
@@ -76,23 +77,84 @@ func (w *window) wait() error {
 	return w.err
 }
 
-// ReadFile materializes a whole file through the cooperative cache and
-// returns its content through the span planner (readPlanned): a synchronous
-// local sweep that spawns zero goroutines for a fully cached file, then the
-// missing blocks sent to the file's home in spans, one MsgGetRun each.
+// ReadFile materializes a whole file through the cooperative cache: the
+// range read of all of it.
 func (n *Node) ReadFile(f block.FileID) ([]byte, error) {
-	size, err := n.cfg.Source.FileSize(f)
-	if err != nil {
-		return nil, err
+	return n.ReadRange(f, 0, math.MaxInt)
+}
+
+// pinRange clamps [off, off+length) to the end of a size-byte file f and
+// returns pinned references to the blocks the range covers, in order, in
+// pins (whose capacity is used when it suffices), with the clamped end. The
+// caller releases them (releasePins). Phase one is a synchronous local
+// sweep (GetRef: a fully cached range costs zero goroutines and zero RPCs).
+// Phase two sends the misses to the file's home in spans (fetchSpans). On
+// an error no pin is left held.
+func (n *Node) pinRange(f block.FileID, size, off int64, length int, pins []*payloadBuf) ([]*payloadBuf, int64, error) {
+	if off < 0 || length < 0 || off > size {
+		return nil, 0, fmt.Errorf("middleware: range %d+%d outside file %d (%d bytes)", off, length, f, size)
 	}
-	nblocks := n.geom.Count(size)
-	out := make([]byte, size)
-	if nblocks > 0 {
-		if err := n.readPlanned(f, size, 0, nblocks-1, out); err != nil {
-			return nil, err
+	end := off + min(int64(length), size-off)
+	if end == off {
+		return pins[:0], end, nil
+	}
+	bs := int64(n.geom.Size)
+	first := int32(off / bs)
+	count := int((end-1)/bs) - int(first) + 1
+	if cap(pins) < count {
+		pins = make([]*payloadBuf, count)
+	}
+	pins = pins[:count]
+	var missing []int32
+	for k := range pins {
+		i := first + int32(k)
+		pb, ok := n.store.GetRef(block.ID{File: f, Idx: i})
+		pins[k] = pb
+		if ok {
+			n.c.accesses.Add(1)
+			n.c.localHits.Add(1)
+			continue
+		}
+		// A miss's access is counted where the block is served, so every
+		// block of the read is counted once.
+		missing = append(missing, i)
+	}
+	var err error
+	if len(missing) > 0 {
+		err = n.fetchSpans(f, size, planSpans(missing), pins, first)
+	}
+	for k := 0; err == nil && k < len(pins); k++ {
+		if got, want := len(pins[k].data), blockLen(n.geom, size, first+int32(k)); got != want {
+			err = fmt.Errorf("middleware: block %d:%d is %d bytes, want %d", f, first+int32(k), got, want)
 		}
 	}
-	return out, nil
+	if err != nil {
+		releasePins(pins)
+		return nil, 0, err
+	}
+	return pins, end, nil
+}
+
+// segments appends the bytes [off, end) of a file to segs, given pins, the
+// pinned blocks that cover them from off's block on: each block's data,
+// the first and the last sliced to the range. The segments alias the pins.
+func (n *Node) segments(segs [][]byte, pins []*payloadBuf, off, end int64) [][]byte {
+	bs := int64(n.geom.Size)
+	base := off / bs * bs
+	for _, pb := range pins {
+		lo, hi := max(off-base, 0), min(end-base, int64(len(pb.data)))
+		segs = append(segs, pb.data[lo:hi])
+		base += bs
+	}
+	return segs
+}
+
+// releasePins drops the references pinRange took and clears their slots.
+func releasePins(pins []*payloadBuf) {
+	for k, pb := range pins {
+		pb.release()
+		pins[k] = nil
+	}
 }
 
 // span is one home request of a read: count blocks from first, of which
@@ -124,53 +186,19 @@ func planSpans(missing []int32) []span {
 	return spans
 }
 
-// blockDst is block i's part of out, whose first byte is the head of block
-// base.
-func (n *Node) blockDst(out []byte, size int64, base, i int32) []byte {
-	off := int64(i-base) * int64(n.geom.Size)
-	end := off + int64(blockLen(n.geom, size, i))
-	if end > int64(len(out)) {
-		end = int64(len(out))
-	}
-	return out[off:end]
-}
-
-// readPlanned fills out — whose first byte is the head of block first —
-// with blocks [first, last] of f. Phase one is a synchronous local sweep
-// (CopyInto: the reference is pinned under the shard lock, the copy runs
-// outside it; a fully cached file costs zero goroutines and zero RPCs).
-// Phase two sends the misses to the file's home in spans (fetchSpans).
-func (n *Node) readPlanned(f block.FileID, size int64, first, last int32, out []byte) error {
-	var missing []int32
-	for i := first; i <= last; i++ {
-		if _, ok := n.store.CopyInto(block.ID{File: f, Idx: i}, n.blockDst(out, size, first, i)); ok {
-			n.c.accesses.Add(1)
-			n.c.localHits.Add(1)
-			continue
-		}
-		// A miss's access is counted where the block is served, so every
-		// block of the read is counted once.
-		missing = append(missing, i)
-	}
-	if len(missing) == 0 {
-		return nil
-	}
-	return n.fetchSpans(f, size, planSpans(missing), out, first)
-}
-
-// fetchSpans executes a plan for a read whose out starts at the head of
-// block outBase. A plan of one span — the common case — runs on the caller's
+// fetchSpans executes a plan for a read whose pins start at block base,
+// filling the slot of every wanted block. A plan of one span — the common case — runs on the caller's
 // goroutine. The spans of a longer plan go out together, each holding one
 // window slot per wanted block, so a read waits for the slowest span and not
 // for their sum. Spans start in plan order; after the first failure none
 // starts and that failure is returned.
-func (n *Node) fetchSpans(f block.FileID, size int64, spans []span, out []byte, outBase int32) error {
+func (n *Node) fetchSpans(f block.FileID, size int64, spans []span, pins []*payloadBuf, base int32) error {
 	if len(spans) == 1 {
-		return n.execSpan(f, size, spans[0], out, outBase)
+		return n.execSpan(f, size, spans[0], pins, base)
 	}
 	w := newWindow()
 	for _, s := range spans {
-		if !w.start(s.blocks(), func() error { return n.execSpan(f, size, s, out, outBase) }) {
+		if !w.start(s.blocks(), func() error { return n.execSpan(f, size, s, pins, base) }) {
 			break
 		}
 	}
@@ -183,10 +211,10 @@ func (n *Node) fetchSpans(f block.FileID, size int64, spans []span, out []byte, 
 // per-block getBlock path, which carries the full §3 race and fault
 // semantics and coalesces concurrent misses. A degraded span costs latency,
 // never an error.
-func (n *Node) execSpan(f block.FileID, size int64, s span, out []byte, outBase int32) error {
+func (n *Node) execSpan(f block.FileID, size int64, s span, pins []*payloadBuf, base int32) error {
 	codes := []int32{dirNoEntry}
 	if s.blocks() > 1 {
-		codes = n.fetchHomeSpan(f, size, s, out, outBase)
+		codes = n.fetchHomeSpan(f, size, s, pins[s.first-base:])
 	}
 	for k := 0; k < s.count; {
 		if s.wanted&(1<<uint(k)) == 0 || codes[k] == homeServed {
@@ -199,17 +227,14 @@ func (n *Node) execSpan(f block.FileID, size int64, s span, out []byte, outBase 
 		}
 		i, end := s.first+int32(k), s.first+int32(j)
 		if h >= 0 && j-k > 1 {
-			i += int32(n.fetchPeerRun(f, size, int(h), i, j-k, out, outBase))
+			i += int32(n.fetchPeerRun(f, size, int(h), i, j-k, pins[i-base:]))
 		}
 		for ; i < end; i++ {
-			dst := n.blockDst(out, size, outBase, i)
-			_, got, err := n.getBlock(block.ID{File: f, Idx: i}, size, dst, h)
+			pb, err := n.getBlock(block.ID{File: f, Idx: i}, size, h)
 			if err != nil {
 				return err
 			}
-			if got != len(dst) {
-				return fmt.Errorf("middleware: block %d:%d is %d bytes, want %d", f, i, got, len(dst))
-			}
+			pins[i-base] = pb
 		}
 		k = j
 	}
@@ -218,9 +243,10 @@ func (n *Node) execSpan(f block.FileID, size int64, s span, out []byte, outBase 
 
 // fetchHomeSpan asks f's home for span s and installs what it served, one
 // access each: a disk read where this node became the master, a remote hit
-// for the home's cached master. It returns the per-block codes, every one
-// dirNoEntry after a failed or malformed reply.
-func (n *Node) fetchHomeSpan(f block.FileID, size int64, s span, out []byte, outBase int32) []int32 {
+// for the home's cached master. Each installed block is also pinned in
+// pins, whose slot 0 is block s.first. It returns the per-block codes,
+// every one dirNoEntry after a failed or malformed reply.
+func (n *Node) fetchHomeSpan(f block.FileID, size int64, s span, pins []*payloadBuf) []int32 {
 	n.c.runsIssued.Add(1)
 	r, home, err := n.askHome(f, size, s, false)
 	if err != nil {
@@ -237,17 +263,16 @@ func (n *Node) fetchHomeSpan(f block.FileID, size int64, s span, out []byte, out
 			}
 			continue
 		}
-		i := s.first + int32(k)
 		pb := r.blocks[j]
 		j++
-		copy(n.blockDst(out, size, outBase, i), pb.data)
+		pins[k] = pb.retain()
 		n.c.accesses.Add(1)
 		if r.masters&(1<<uint(k)) != 0 {
 			n.c.diskReads.Add(1)
 		} else {
 			n.c.remoteHits.Add(1)
 		}
-		n.insertBlockBuf(block.ID{File: f, Idx: i}, pb, r.masters&(1<<uint(k)) != 0) // takes the reply's reference
+		n.insertBlockBuf(block.ID{File: f, Idx: s.first + int32(k)}, pb, r.masters&(1<<uint(k)) != 0) // takes the reply's reference
 		resolved++
 	}
 	if resolved < s.blocks() {
@@ -420,8 +445,9 @@ func (n *Node) homeAt(node int, f block.FileID, size int64, s span, force bool) 
 
 // fetchPeerRun fetches count blocks from first as one peer run from src,
 // their named holder, and installs the prefix src served as copies, one
-// remote hit each. It returns the prefix length.
-func (n *Node) fetchPeerRun(f block.FileID, size int64, src int, first int32, count int, out []byte, outBase int32) int {
+// remote hit each, pinning each in pins (slot 0: block first). It returns
+// the prefix length.
+func (n *Node) fetchPeerRun(f block.FileID, size int64, src int, first int32, count int, pins []*payloadBuf) int {
 	req := getFrame()
 	req.Type, req.File, req.Idx, req.Aux = MsgGetRun, f, first, packRunAux(count, 0)
 	n.c.runsIssued.Add(1)
@@ -445,7 +471,7 @@ func (n *Node) fetchPeerRun(f block.FileID, size int64, src int, first int32, co
 					pb := newPooledPayloadBuf(l)
 					copy(pb.data, resp.Payload[off:off+l])
 					off += l
-					copy(n.blockDst(out, size, outBase, i), pb.data)
+					pins[i-first] = pb.retain()
 					n.c.accesses.Add(1)
 					n.c.remoteHits.Add(1)
 					blocks = append(blocks, pb)
@@ -475,7 +501,7 @@ func (n *Node) GetBlock(id block.ID) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	pb, _, err := n.getBlock(id, size, nil, dirNoEntry)
+	pb, err := n.getBlock(id, size, dirNoEntry)
 	if err != nil {
 		return nil, err
 	}
@@ -486,22 +512,16 @@ func (n *Node) GetBlock(id block.ID) ([]byte, error) {
 }
 
 // getBlock is the shared per-block fetch path of a block of a size-byte
-// file. With dst == nil it returns a pinned reference to the block payload —
-// the caller must release it, and until then eviction cannot recycle the
-// bytes; with dst != nil it copies into dst and returns the count. holder is
+// file. It returns a pinned reference to the block payload — the caller
+// must release it, and until then eviction cannot recycle the bytes. holder is
 // the master's holder a home reply named (dirNoEntry: ask the home); it
 // serves the first fetch only, a fetch after a coalesced wait asks again.
-func (n *Node) getBlock(id block.ID, size int64, dst []byte, holder int32) (*payloadBuf, int, error) {
+func (n *Node) getBlock(id block.ID, size int64, holder int32) (*payloadBuf, error) {
 	for {
 		n.c.accesses.Add(1)
-		if dst != nil {
-			if nn, ok := n.store.CopyInto(id, dst); ok {
-				n.c.localHits.Add(1)
-				return nil, nn, nil
-			}
-		} else if pb, ok := n.store.GetRef(id); ok {
+		if pb, ok := n.store.GetRef(id); ok {
 			n.c.localHits.Add(1)
-			return pb, 0, nil
+			return pb, nil
 		}
 		// Coalesce concurrent fetches of the same block.
 		sh := n.pendingShard(id)
@@ -525,14 +545,9 @@ func (n *Node) getBlock(id block.ID, size int64, dst []byte, holder int32) (*pay
 		sh.mu.Unlock()
 		close(ch)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		if dst != nil {
-			nn := copy(dst, pb.data)
-			pb.release()
-			return nil, nn, nil
-		}
-		return pb, 0, nil
+		return pb, nil
 	}
 }
 
