@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/httpfront"
 	"repro/internal/loadgen"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -54,9 +55,8 @@ func runHTTP(o httpOpts) error {
 	if err != nil {
 		return fmt.Errorf("gateway stats: %w", err)
 	}
-	gw := gatewayDelta(before, after)
-	fmt.Printf("gateway: requests=%d handoffs=%d not_modified=%d range=%d errors=%d\n",
-		gw.Requests, gw.Handoffs, gw.NotModified, gw.RangeRequests, gw.Errors)
+	gw := obs.Delta(after, before)
+	fmt.Printf("gateway: %s\n", obs.Pairs(gw))
 	if gw.Errors != 0 {
 		return fmt.Errorf("gateway counted %d errors during the replay", gw.Errors)
 	}
@@ -98,17 +98,4 @@ func scrapeGatewayStats(baseURL string) (httpfront.GatewayStats, error) {
 	}
 	err = json.NewDecoder(resp.Body).Decode(&s)
 	return s, err
-}
-
-// gatewayDelta subtracts two counter snapshots taken around a replay.
-func gatewayDelta(before, after httpfront.GatewayStats) httpfront.GatewayStats {
-	return httpfront.GatewayStats{
-		Requests:      after.Requests - before.Requests,
-		Handoffs:      after.Handoffs - before.Handoffs,
-		NotModified:   after.NotModified - before.NotModified,
-		NotFound:      after.NotFound - before.NotFound,
-		RangeRequests: after.RangeRequests - before.RangeRequests,
-		Errors:        after.Errors - before.Errors,
-		BytesServed:   after.BytesServed - before.BytesServed,
-	}
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/loadgen"
 	"repro/internal/middleware"
+	"repro/internal/obs"
 )
 
 // runResize replays a read-heavy trace against a four-node ring cluster
@@ -209,9 +210,5 @@ func spanHitRate(from, to middleware.Stats) (float64, error) {
 	if to.Accesses <= from.Accesses {
 		return 0, fmt.Errorf("no block accesses between the snapshots")
 	}
-	return middleware.Stats{
-		Accesses:   to.Accesses - from.Accesses,
-		LocalHits:  to.LocalHits - from.LocalHits,
-		RemoteHits: to.RemoteHits - from.RemoteHits,
-	}.HitRate(), nil
+	return obs.Delta(to, from).HitRate(), nil
 }

@@ -109,10 +109,7 @@ func main() {
 				fmt.Printf("node %d: unreachable (%v)\n", i, err)
 				continue
 			}
-			fmt.Printf("node %d: accesses=%d local=%d remote=%d disk=%d forwards=%d hit=%.1f%% timeouts=%d retries=%d fallbacks=%d breaker_opens=%d epoch=%d rebalanced=%d pending=%d\n",
-				i, s.Accesses, s.LocalHits, s.RemoteHits, s.DiskReads, s.Forwards, s.HitRate()*100,
-				s.RPCTimeouts, s.RPCRetries, s.HomeFallbacks, s.BreakerOpens,
-				s.MembershipEpoch, s.RebalancedBlocks, s.RebalancePending)
+			fmt.Printf("node %d: %s hit=%.1f%%\n", i, obs.Pairs(s), s.HitRate()*100)
 		}
 	default:
 		flag.Usage()
@@ -249,8 +246,13 @@ func runNode(id int, listen string, addrs []string, capacity int, policy string,
 	} else {
 		n.SetAddrs(addrs)
 	}
+	// reg is the node's /metrics registry; the front door's gateway and
+	// client register on it too.
+	var reg *obs.Registry
 	if metricsAddr != "" {
-		go serveMetrics(metricsAddr, n)
+		reg = obs.NewRegistry()
+		n.RegisterMetrics(reg)
+		go serveMetrics(metricsAddr, reg)
 	}
 	if httpAddr != "" {
 		clusterAddrs := addrs
@@ -259,7 +261,7 @@ func runNode(id int, listen string, addrs []string, capacity int, policy string,
 			// membership refresh learns the rest of the cluster from it.
 			clusterAddrs = []string{n.Addr()}
 		}
-		go serveHTTP(httpAddr, clusterAddrs, files, ft)
+		go serveHTTP(httpAddr, clusterAddrs, files, ft, reg)
 	}
 	log.Printf("node %d serving on %s (capacity %d blocks, %s)", id, n.Addr(), capacity, policy)
 
@@ -274,8 +276,9 @@ func runNode(id int, listen string, addrs []string, capacity int, policy string,
 // own middleware client, serving the synthetic manifest as /f/<id> with
 // HTTP/1.1 keep-alive and h2c, handing each request off to the file's home
 // node. Any node of the cluster can run one — they are equivalent entry
-// points, like the round-robin DNS fronting the paper's web server.
-func serveHTTP(addr string, clusterAddrs []string, files int, ft faultTolerance) {
+// points, like the round-robin DNS fronting the paper's web server. A
+// non-nil reg gets the gateway's and its client's metrics.
+func serveHTTP(addr string, clusterAddrs []string, files int, ft faultTolerance, reg *obs.Registry) {
 	client, err := middleware.DialClusterConfig(clusterAddrs, middleware.ClientConfig{
 		RPCTimeout:       ft.rpcTimeout,
 		Retries:          ft.retries,
@@ -291,6 +294,10 @@ func serveHTTP(addr string, clusterAddrs []string, files int, ft faultTolerance)
 		table.Add(loadgen.PathForFile(block.FileID(f)), block.FileID(f))
 	}
 	gw := httpfront.New(client, table)
+	if reg != nil {
+		client.RegisterMetrics(reg)
+		gw.RegisterMetrics(reg)
+	}
 	mux := http.NewServeMux()
 	mux.Handle("/", gw)
 	mux.Handle("/httpstats", gw.StatsJSONHandler())
@@ -304,12 +311,10 @@ func serveHTTP(addr string, clusterAddrs []string, files int, ft faultTolerance)
 }
 
 // serveMetrics exposes the node's observability surface on its own HTTP
-// listener, kept off the cluster's RPC port: Prometheus text on /metrics,
-// Go runtime expvars on /debug/vars, and the standard pprof profiles under
-// /debug/pprof.
-func serveMetrics(addr string, n *middleware.Node) {
-	reg := obs.NewRegistry()
-	n.RegisterMetrics(reg)
+// listener, kept off the cluster's RPC port: reg as Prometheus text on
+// /metrics, Go runtime expvars on /debug/vars, and the standard pprof
+// profiles under /debug/pprof.
+func serveMetrics(addr string, reg *obs.Registry) {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", reg.Handler())
 	mux.Handle("/debug/vars", expvar.Handler())

@@ -13,6 +13,7 @@
 package httpfront
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -68,6 +69,9 @@ func (t *PathTable) Add(p string, f block.FileID) {
 
 // Gateway serves HTTP from a middleware cluster.
 type Gateway struct {
+	// c is first so its 64-bit atomics are 8-byte aligned on every platform.
+	c GatewayStats
+
 	client  *middleware.Client
 	resolve Resolver
 	tracer  *obs.Tracer
@@ -77,34 +81,19 @@ type Gateway struct {
 	// Invalidate bumps them so conditional GETs revalidate after a write.
 	genMu sync.RWMutex
 	gens  map[block.FileID]uint64
-
-	nRequests    atomic.Uint64
-	nHandoffs    atomic.Uint64
-	nNotModified atomic.Uint64
-	nNotFound    atomic.Uint64
-	nRangeReqs   atomic.Uint64
-	nErrors      atomic.Uint64
-	nBytes       atomic.Uint64
 }
 
-// GatewayStats is a snapshot of a gateway's serving counters.
+// GatewayStats declares the gateway's serving counters (see obs); its JSON
+// form is /httpstats. Errors counts requests a cluster failure spoiled: 5xx
+// responses, and bodies cut short after a 200 or 206 went out.
 type GatewayStats struct {
-	// Requests counts every request the gateway accepted for serving.
-	Requests uint64 `json:"requests"`
-	// Handoffs counts requests whose cluster entry point was forwarded to
-	// the file's home node (§4.1 hand-off) instead of round-robin.
-	Handoffs uint64 `json:"handoffs"`
-	// NotModified counts 304 responses (zero block reads each).
-	NotModified uint64 `json:"not_modified"`
-	// NotFound counts 404s — unresolved paths and unknown cluster files.
-	NotFound uint64 `json:"not_found"`
-	// RangeRequests counts requests carrying a Range header.
-	RangeRequests uint64 `json:"range_requests"`
-	// Errors counts requests a cluster failure spoiled: 5xx responses, and
-	// bodies cut short after a 200 or 206 went out.
-	Errors uint64 `json:"errors"`
-	// BytesServed is the total response body bytes written.
-	BytesServed uint64 `json:"bytes_served"`
+	Requests      uint64 `json:"requests" metric:"cc_http_requests_total" help:"HTTP requests accepted by the gateway"`
+	Handoffs      uint64 `json:"handoffs" metric:"cc_http_handoffs_total" help:"requests entered at the file's home node"`
+	NotModified   uint64 `json:"not_modified" metric:"cc_http_not_modified_total" help:"304 responses"`
+	NotFound      uint64 `json:"not_found" metric:"cc_http_not_found_total" help:"404 responses"`
+	RangeRequests uint64 `json:"range_requests" metric:"cc_http_range_requests_total" help:"requests with a Range header"`
+	Errors        uint64 `json:"errors" metric:"cc_http_errors_total" help:"5xx responses and bodies cut short by cluster failures"`
+	BytesServed   uint64 `json:"bytes_served" metric:"cc_http_bytes_served_total" help:"response body bytes written"`
 }
 
 // New builds a gateway over client using resolver, with locality hand-off
@@ -128,28 +117,10 @@ func (g *Gateway) SetTracer(t *obs.Tracer) { g.tracer = t }
 func (g *Gateway) SetHandoff(on bool) { g.handoff = on }
 
 // Stats snapshots the gateway's serving counters.
-func (g *Gateway) Stats() GatewayStats {
-	return GatewayStats{
-		Requests:      g.nRequests.Load(),
-		Handoffs:      g.nHandoffs.Load(),
-		NotModified:   g.nNotModified.Load(),
-		NotFound:      g.nNotFound.Load(),
-		RangeRequests: g.nRangeReqs.Load(),
-		Errors:        g.nErrors.Load(),
-		BytesServed:   g.nBytes.Load(),
-	}
-}
+func (g *Gateway) Stats() GatewayStats { return obs.Snapshot(&g.c) }
 
 // RegisterMetrics exposes the gateway counters on a Prometheus registry.
-func (g *Gateway) RegisterMetrics(r *obs.Registry) {
-	r.Counter("cc_http_requests_total", "HTTP requests accepted by the gateway", "", g.nRequests.Load)
-	r.Counter("cc_http_handoffs_total", "requests entered at the file's home node", "", g.nHandoffs.Load)
-	r.Counter("cc_http_not_modified_total", "304 responses", "", g.nNotModified.Load)
-	r.Counter("cc_http_not_found_total", "404 responses", "", g.nNotFound.Load)
-	r.Counter("cc_http_range_requests_total", "requests with a Range header", "", g.nRangeReqs.Load)
-	r.Counter("cc_http_errors_total", "5xx responses and bodies cut short by cluster failures", "", g.nErrors.Load)
-	r.Counter("cc_http_bytes_served_total", "response body bytes written", "", g.nBytes.Load)
-}
+func (g *Gateway) RegisterMetrics(r *obs.Registry) { obs.Register(r, &g.c) }
 
 // Invalidate bumps file f's validator generation. Call it after writing f
 // through the cluster so cached ETags stop matching and clients refetch.
@@ -285,13 +256,13 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	g.nRequests.Add(1)
+	atomic.AddUint64(&g.c.Requests, 1)
 	if r.Header.Get("Range") != "" {
-		g.nRangeReqs.Add(1)
+		atomic.AddUint64(&g.c.RangeRequests, 1)
 	}
 	f, ok := g.resolve.Resolve(r.URL.Path)
 	if !ok {
-		g.nNotFound.Add(1)
+		atomic.AddUint64(&g.c.NotFound, 1)
 		http.NotFound(w, r)
 		return
 	}
@@ -299,7 +270,7 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if g.handoff {
 		if home, ok := g.client.HomeOf(f); ok {
 			entry = home
-			g.nHandoffs.Add(1)
+			atomic.AddUint64(&g.c.Handoffs, 1)
 			if g.tracer != nil {
 				g.tracer.Record(obs.Event{
 					UnixNanos: time.Now().UnixNano(),
@@ -324,11 +295,11 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		status := StatusForError(err)
 		if status == http.StatusNotFound {
-			g.nNotFound.Add(1)
+			atomic.AddUint64(&g.c.NotFound, 1)
 			http.NotFound(w, r)
 			return
 		}
-		g.nErrors.Add(1)
+		atomic.AddUint64(&g.c.Errors, 1)
 		http.Error(w, fmt.Sprintf("middleware read: %v", err), status)
 		return
 	}
@@ -344,12 +315,12 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// 304's only cluster traffic is the open's zero-length size probe.
 	http.ServeContent(cw, r, path.Base(r.URL.Path), time.Time{}, fr)
 	fr.Close() //nolint:errcheck // only recycles the head buffer
-	g.nBytes.Add(cw.bytes)
+	atomic.AddUint64(&g.c.BytesServed, cw.bytes)
 	if cw.bodyErr != nil {
-		g.nErrors.Add(1)
+		atomic.AddUint64(&g.c.Errors, 1)
 	}
 	if cw.status == http.StatusNotModified {
-		g.nNotModified.Add(1)
+		atomic.AddUint64(&g.c.NotModified, 1)
 	}
 }
 
@@ -373,10 +344,8 @@ func NewServer(handler http.Handler) *http.Server {
 // another process.
 func (g *Gateway) StatsJSONHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s := g.Stats()
 		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, `{"requests":%d,"handoffs":%d,"not_modified":%d,"not_found":%d,"range_requests":%d,"errors":%d,"bytes_served":%d}`+"\n",
-			s.Requests, s.Handoffs, s.NotModified, s.NotFound, s.RangeRequests, s.Errors, s.BytesServed)
+		json.NewEncoder(w).Encode(g.Stats()) //nolint:errcheck // client went away
 	})
 }
 
@@ -388,8 +357,6 @@ func StatsHandler(client *middleware.Client) http.Handler {
 			http.Error(w, err.Error(), http.StatusBadGateway)
 			return
 		}
-		fmt.Fprintf(w, "accesses=%d local=%d remote=%d disk=%d races=%d forwards=%d hit=%.1f%% blocks=%d masters=%d writes=%d\n",
-			s.Accesses, s.LocalHits, s.RemoteHits, s.DiskReads, s.RaceMisses,
-			s.Forwards, s.HitRate()*100, s.StoreLen, s.StoreMasters, s.Writes)
+		fmt.Fprintf(w, "%s hit=%.1f%%\n", obs.Pairs(s), s.HitRate()*100)
 	})
 }

@@ -2,6 +2,7 @@ package httpfront
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -622,10 +623,24 @@ func TestStatsJSONHandler(t *testing.T) {
 	if _, err := http.Get(env.srv.URL + "/index.html"); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := http.Get(env.srv.URL + "/missing"); err != nil {
+		t.Fatal(err)
+	}
 	rec := httptest.NewRecorder()
 	env.gw.StatsJSONHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/httpstats", nil))
-	if !strings.Contains(rec.Body.String(), `"handoffs"`) {
-		t.Fatalf("stats JSON: %s", rec.Body.String())
+	want := env.gw.Stats()
+	var got GatewayStats
+	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+		t.Fatalf("stats JSON %q: %v", rec.Body.String(), err)
+	}
+	if got != want || got.Requests != 2 || got.NotFound != 1 {
+		t.Fatalf("/httpstats decodes to %+v, want Stats() %+v with 2 requests, 1 not found", got, want)
+	}
+	// The bytes ccload and scrapers parse: keys, order and the newline.
+	wantBody := fmt.Sprintf(`{"requests":%d,"handoffs":%d,"not_modified":%d,"not_found":%d,"range_requests":%d,"errors":%d,"bytes_served":%d}`+"\n",
+		want.Requests, want.Handoffs, want.NotModified, want.NotFound, want.RangeRequests, want.Errors, want.BytesServed)
+	if rec.Body.String() != wantBody {
+		t.Fatalf("/httpstats body %q, want %q", rec.Body.String(), wantBody)
 	}
 }
 

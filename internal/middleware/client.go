@@ -35,14 +35,9 @@ type ClientConfig struct {
 
 // ClientFaultStats counts the client-visible fault handling.
 type ClientFaultStats struct {
-	// Timeouts is the number of round trips that missed RPCTimeout.
-	Timeouts uint64
-	// Failovers is the number of requests retried on another node after a
-	// transient failure.
-	Failovers uint64
-	// BreakerSkips is the number of times entry-node selection steered
-	// around a node whose circuit breaker was open.
-	BreakerSkips uint64
+	Timeouts     uint64 `metric:"cc_client_timeouts_total" help:"client round trips that missed the RPC deadline"`
+	Failovers    uint64 `metric:"cc_client_failovers_total" help:"client requests retried on another entry node"`
+	BreakerSkips uint64 `metric:"cc_client_breaker_skips_total" help:"entry-node selections steered around an open breaker"`
 }
 
 // Client talks to a middleware cluster. Reads are spread over the nodes
@@ -52,6 +47,10 @@ type ClientFaultStats struct {
 // per-node circuit breakers steer new requests away from suspected-down
 // nodes.
 type Client struct {
+	// fault is first so its 64-bit atomics are 8-byte aligned on every
+	// platform.
+	fault ClientFaultStats
+
 	// members is the client's picture of the cluster: node-ID-indexed
 	// addresses and liveness, refreshed from any live node after failover
 	// trips (so the client survives the death of every original entry
@@ -74,10 +73,6 @@ type Client struct {
 	rr         atomic.Uint32
 	// lastRefresh rate-limits membership refreshes (unix nanos).
 	lastRefresh atomic.Int64
-
-	timeouts     atomic.Uint64
-	failovers    atomic.Uint64
-	breakerSkips atomic.Uint64
 
 	// Read-your-writes stickiness: the node that served a file's last write
 	// holds the fresh master while the asynchronous invalidation bus drains,
@@ -218,22 +213,12 @@ func (c *Client) observeRPCLatency(t MsgType, d time.Duration) {
 
 // RPCLatency snapshots the client's per-RPC-type latency histograms, keyed
 // by metric name (only types with observations).
-func (c *Client) RPCLatency() map[string]obs.HistogramData {
-	out := make(map[string]obs.HistogramData)
-	for t := range c.rpcLat {
-		if d := c.rpcLat[t].Snapshot(); d.Count > 0 {
-			out[MsgType(t).metricName()] = d
-		}
-	}
-	return out
-}
+func (c *Client) RPCLatency() map[string]obs.HistogramData { return latencies(&c.rpcLat) }
 
 // RegisterMetrics registers the client's fault counters and latency
 // histograms with r under cc_client_-prefixed Prometheus names.
 func (c *Client) RegisterMetrics(r *obs.Registry) {
-	r.Counter("cc_client_timeouts_total", "client round trips that missed the RPC deadline", "", c.timeouts.Load)
-	r.Counter("cc_client_failovers_total", "client requests retried on another entry node", "", c.failovers.Load)
-	r.Counter("cc_client_breaker_skips_total", "entry-node selections steered around an open breaker", "", c.breakerSkips.Load)
+	obs.Register(r, &c.fault)
 	for _, t := range requestMsgTypes {
 		r.Histogram("cc_client_rpc_latency_seconds", "client round-trip latency by request frame type",
 			`type="`+t.metricName()+`"`, &c.rpcLat[t])
@@ -259,7 +244,7 @@ func (c *Client) next() int {
 		if brs[i].allow() {
 			return i
 		}
-		c.breakerSkips.Add(1)
+		atomic.AddUint64(&c.fault.BreakerSkips, 1)
 	}
 	for try := 0; try < n; try++ {
 		i := int(c.rr.Add(1)-1) % n
@@ -293,7 +278,7 @@ func (c *Client) roundTrip(node int, f *Frame) (*Frame, error) {
 	}
 	if isTransient(err) {
 		if err == errRPCTimeout {
-			c.timeouts.Add(1)
+			atomic.AddUint64(&c.fault.Timeouts, 1)
 		}
 		c.breaker(node).failure()
 	}
@@ -309,7 +294,7 @@ func (c *Client) roundTrip(node int, f *Frame) (*Frame, error) {
 func (c *Client) failoverTrip(node int, f *Frame) (*Frame, int, error) {
 	resp, err := c.roundTrip(node, f)
 	for attempt := 0; attempt < c.retries && isTransient(err); attempt++ {
-		c.failovers.Add(1)
+		atomic.AddUint64(&c.fault.Failovers, 1)
 		c.maybeRefresh()
 		node = c.next()
 		resp, err = c.roundTrip(node, f)
@@ -609,15 +594,11 @@ func (c *Client) NodeTrace(node int) (TraceDump, error) {
 }
 
 // FaultStats snapshots the client-side fault handling counters.
-func (c *Client) FaultStats() ClientFaultStats {
-	return ClientFaultStats{
-		Timeouts:     c.timeouts.Load(),
-		Failovers:    c.failovers.Load(),
-		BreakerSkips: c.breakerSkips.Load(),
-	}
-}
+func (c *Client) FaultStats() ClientFaultStats { return obs.Snapshot(&c.fault) }
 
-// ClusterStats sums the statistics of all reachable nodes. Nodes that fail
+// ClusterStats aggregates the statistics of all reachable nodes: each
+// declared counter and gauge by its rule (a sum, or the maximum for
+// agg:"max"), the latency histograms bucket-wise. Nodes that fail
 // with a transport error are skipped (a crashed node's counters died with
 // it); an error is returned only when no node answers or a node answers
 // garbage.
@@ -639,44 +620,7 @@ func (c *Client) ClusterStats() (Stats, error) {
 			return Stats{}, err
 		}
 		reached++
-		sum.Accesses += s.Accesses
-		sum.LocalHits += s.LocalHits
-		sum.RemoteHits += s.RemoteHits
-		sum.DiskReads += s.DiskReads
-		sum.RaceMisses += s.RaceMisses
-		sum.Forwards += s.Forwards
-		sum.ForwardsRejected += s.ForwardsRejected
-		sum.Invalidations += s.Invalidations
-		sum.Writes += s.Writes
-		sum.RPCTimeouts += s.RPCTimeouts
-		sum.RPCRetries += s.RPCRetries
-		sum.RPCFailures += s.RPCFailures
-		sum.BreakerOpens += s.BreakerOpens
-		sum.BreakerSkips += s.BreakerSkips
-		sum.HomeFallbacks += s.HomeFallbacks
-		sum.StaleDrops += s.StaleDrops
-		sum.InvalidateSkips += s.InvalidateSkips
-		sum.InvalBatched += s.InvalBatched
-		sum.InvalCatchups += s.InvalCatchups
-		sum.InvalBacklog += s.InvalBacklog
-		sum.RunsIssued += s.RunsIssued
-		sum.RunsDegraded += s.RunsDegraded
-		sum.StoreLen += s.StoreLen
-		sum.StoreMasters += s.StoreMasters
-		sum.RebalancedBlocks += s.RebalancedBlocks
-		sum.RebalancePending += s.RebalancePending
-		sum.HeartbeatFailures += s.HeartbeatFailures
-		if s.MembershipEpoch > sum.MembershipEpoch {
-			sum.MembershipEpoch = s.MembershipEpoch
-		}
-		for k, h := range s.RPCLatency {
-			if sum.RPCLatency == nil {
-				sum.RPCLatency = make(map[string]obs.HistogramData)
-			}
-			m := sum.RPCLatency[k]
-			m.Merge(h)
-			sum.RPCLatency[k] = m
-		}
+		sum = sum.add(s)
 	}
 	if reached == 0 {
 		return Stats{}, fmt.Errorf("middleware: no node reachable for stats: %w", lastErr)

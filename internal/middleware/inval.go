@@ -291,7 +291,7 @@ func (b *invalBus) senderLoop(s *invalSender) {
 			req.Payload = nil // s.buf outlives the pooled frame
 			releaseFrame(req)
 			if err != nil {
-				n.c.invalidateSkips.Add(1)
+				atomic.AddUint64(&n.c.InvalidateSkips, 1)
 				n.trace(traceInvalidateSkip, s.peer, block.ID{}, int64(first))
 				if !sleepOrStop(b.stop, backoffJitter(backoff, n.retryRand)) {
 					return
@@ -307,7 +307,7 @@ func (b *invalBus) senderLoop(s *invalSender) {
 				s.acked.Store(hwm)
 			}
 			releaseFrame(resp)
-			n.c.invalBatched.Add(uint64(len(batch)))
+			atomic.AddUint64(&n.c.InvalBatched, uint64(len(batch)))
 			n.invalBatchBlocks.Observe(int64(len(batch)))
 			n.invalLag.Observe(time.Duration(time.Now().UnixNano() - at))
 			n.trace(traceInvalBatch, s.peer, block.ID{}, int64(len(batch)))
@@ -450,7 +450,7 @@ func (n *Node) handleInvalSince(f *Frame) *Frame {
 // flushes the local cache. Failures just return — the next incoming batch
 // re-detects the gap and tries again.
 func (n *Node) invalCatchup(origin int, o *invalOrigin, from uint64) {
-	n.c.invalCatchups.Add(1)
+	atomic.AddUint64(&n.c.InvalCatchups, 1)
 	n.trace(traceInvalCatchup, origin, block.ID{}, int64(from))
 	defer func() {
 		o.mu.Lock()

@@ -95,7 +95,7 @@ func (n *Node) probe(i int, epoch uint64) {
 	resp, err := n.roundTripTo(i, f)
 	releaseFrame(f)
 	if err != nil {
-		n.c.heartbeatFailures.Add(1)
+		atomic.AddUint64(&n.c.HeartbeatFailures, 1)
 		n.hbMu.Lock()
 		n.hbFails[i]++
 		miss := time.Since(n.hbLast[i])

@@ -99,6 +99,9 @@ const (
 // Node is a live cooperative caching node: a TCP server cooperating with
 // its peers to manage the cluster's memory as a single block cache.
 type Node struct {
+	// c is first so its 64-bit atomics are 8-byte aligned on every platform.
+	c Counts
+
 	cfg  Config
 	geom block.Geometry
 	ln   net.Listener
@@ -184,8 +187,6 @@ type Node struct {
 	// records per delivered batch.
 	invalLag         obs.Histogram
 	invalBatchBlocks obs.ValueHistogram
-
-	c counters
 }
 
 // pendShard is one stripe of the miss-coalescing map: concurrent fetches of
@@ -205,67 +206,6 @@ func (n *Node) pendingShard(id block.ID) *pendShard {
 	return &n.pend[shardHash(id)&n.pendMask]
 }
 
-// counters holds the node's statistics.
-type counters struct {
-	accesses, localHits, remoteHits, diskReads, raceMisses atomic.Uint64
-	forwards, forwardsRejected, invalidations, writes      atomic.Uint64
-	// fault-tolerance counters
-	rpcTimeouts, rpcRetries, rpcFailures atomic.Uint64
-	breakerOpens, breakerSkips           atomic.Uint64
-	homeFallbacks, staleDrops            atomic.Uint64
-	invalidateSkips                      atomic.Uint64
-	// run fast-path counters
-	runsIssued, runsDegraded atomic.Uint64
-	// invalidation bus counters
-	invalBatched, invalCatchups atomic.Uint64
-	// membership / rebalance counters
-	rebalancedBlocks, heartbeatFailures atomic.Uint64
-}
-
-// Stats is a snapshot of a node's behaviour (JSON-encodable for the
-// MsgStats RPC).
-type Stats struct {
-	Node             int
-	Accesses         uint64
-	LocalHits        uint64
-	RemoteHits       uint64
-	DiskReads        uint64
-	RaceMisses       uint64
-	Forwards         uint64
-	ForwardsRejected uint64
-	Invalidations    uint64
-	Writes           uint64
-	// Fault-tolerance counters: see the Failure model section of DESIGN.md.
-	RPCTimeouts     uint64 // round trips that missed RPCTimeout
-	RPCRetries      uint64 // retry attempts issued after transient failures
-	RPCFailures     uint64 // RPCs that failed after exhausting their retries
-	BreakerOpens    uint64 // closed→open circuit breaker transitions
-	BreakerSkips    uint64 // requests failed fast by an open breaker
-	HomeFallbacks   uint64 // block fetches degraded to the home node after a peer transport failure
-	StaleDrops      uint64 // directory entries dropped because the named peer failed
-	InvalidateSkips uint64 // write invalidations treated as "peer holds no cache" after a peer failure
-	// Run fast-path counters: see the Run-granular reads section of DESIGN.md.
-	RunsIssued   uint64 // MsgGetRun RPCs issued by the read planner
-	RunsDegraded uint64 // run fetches that served fewer blocks than asked (or failed)
-	// Invalidation bus counters: see the Write path & invalidation bus
-	// section of DESIGN.md.
-	InvalBatched  uint64 // invalidation records delivered via batched bus frames
-	InvalCatchups uint64 // MsgInvalSince catch-up reconciliations started
-	InvalBacklog  uint64 // deepest currently unacknowledged bus backlog across peers
-	// Elastic membership counters: see the Elastic membership section of
-	// DESIGN.md.
-	MembershipEpoch   uint64 // current membership view epoch (0: no view installed)
-	RebalancedBlocks  uint64 // blocks pulled here by home re-assignment (rebalance)
-	RebalancePending  uint64 // files whose re-homing pull has not completed yet
-	HeartbeatFailures uint64 // heartbeat probes that failed
-	StoreLen          int
-	StoreMasters      int
-	// RPCLatency holds the node's per-RPC-type latency histograms, keyed by
-	// the request frame type's metric name (only types with observations).
-	// ClusterStats merges them bucket-wise across nodes.
-	RPCLatency map[string]obs.HistogramData `json:",omitempty"`
-}
-
 // TraceDump is the MsgTrace RPC payload: the retained window of a node's
 // protocol event trace, oldest first. Total exceeding len(Events) means
 // the ring dropped that much earlier history.
@@ -273,14 +213,6 @@ type TraceDump struct {
 	Node   int         `json:"node"`
 	Total  uint64      `json:"total"`
 	Events []obs.Event `json:"events"`
-}
-
-// HitRate is the fraction of block accesses served from cluster memory.
-func (s Stats) HitRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.LocalHits+s.RemoteHits) / float64(s.Accesses)
 }
 
 // Start validates cfg, begins listening, and returns the node. Call
@@ -464,129 +396,6 @@ func (n *Node) Close() error {
 	return err
 }
 
-// Stats snapshots the node's counters.
-func (n *Node) Stats() Stats {
-	s := Stats{
-		Node:             n.cfg.ID,
-		Accesses:         n.c.accesses.Load(),
-		LocalHits:        n.c.localHits.Load(),
-		RemoteHits:       n.c.remoteHits.Load(),
-		DiskReads:        n.c.diskReads.Load(),
-		RaceMisses:       n.c.raceMisses.Load(),
-		Forwards:         n.c.forwards.Load(),
-		ForwardsRejected: n.c.forwardsRejected.Load(),
-		Invalidations:    n.c.invalidations.Load(),
-		Writes:           n.c.writes.Load(),
-		RPCTimeouts:      n.c.rpcTimeouts.Load(),
-		RPCRetries:       n.c.rpcRetries.Load(),
-		RPCFailures:      n.c.rpcFailures.Load(),
-		BreakerOpens:     n.c.breakerOpens.Load(),
-		BreakerSkips:     n.c.breakerSkips.Load(),
-		HomeFallbacks:    n.c.homeFallbacks.Load(),
-		StaleDrops:       n.c.staleDrops.Load(),
-		InvalidateSkips:  n.c.invalidateSkips.Load(),
-		RunsIssued:       n.c.runsIssued.Load(),
-		RunsDegraded:     n.c.runsDegraded.Load(),
-		InvalBatched:     n.c.invalBatched.Load(),
-		InvalCatchups:    n.c.invalCatchups.Load(),
-		StoreLen:         n.store.Len(),
-		StoreMasters:     n.store.Masters(),
-
-		RebalancedBlocks:  n.c.rebalancedBlocks.Load(),
-		RebalancePending:  uint64(n.migrCount.Load()),
-		HeartbeatFailures: n.c.heartbeatFailures.Load(),
-	}
-	if v := n.view.Load(); v != nil {
-		s.MembershipEpoch = v.epoch
-	}
-	if b := n.busRef(); b != nil {
-		s.InvalBacklog = b.depth()
-	}
-	for t := range n.rpcLat {
-		if d := n.rpcLat[t].Snapshot(); d.Count > 0 {
-			if s.RPCLatency == nil {
-				s.RPCLatency = make(map[string]obs.HistogramData)
-			}
-			s.RPCLatency[MsgType(t).metricName()] = d
-		}
-	}
-	return s
-}
-
-// RegisterMetrics registers the node's counters, gauges, and per-RPC-type
-// latency histograms with r under cc_-prefixed Prometheus names (ccnode
-// -metrics-addr serves them on /metrics).
-func (n *Node) RegisterMetrics(r *obs.Registry) {
-	c := &n.c
-	counters := []struct {
-		name, help string
-		fn         func() uint64
-	}{
-		{"cc_accesses_total", "block accesses through the cooperative cache", c.accesses.Load},
-		{"cc_local_hits_total", "accesses served from the local cache", c.localHits.Load},
-		{"cc_remote_hits_total", "accesses served from a peer's cache", c.remoteHits.Load},
-		{"cc_disk_reads_total", "accesses served from the backing store", c.diskReads.Load},
-		{"cc_race_misses_total", "located masters that vanished before the fetch", c.raceMisses.Load},
-		{"cc_forwards_total", "evicted masters forwarded to a peer", c.forwards.Load},
-		{"cc_forwards_rejected_total", "eviction forwards rejected or failed", c.forwardsRejected.Load},
-		{"cc_invalidations_total", "blocks invalidated by the write protocol", c.invalidations.Load},
-		{"cc_writes_total", "write operations handled", c.writes.Load},
-		{"cc_rpc_timeouts_total", "round trips that missed the RPC deadline", c.rpcTimeouts.Load},
-		{"cc_rpc_retries_total", "retry attempts after transient failures", c.rpcRetries.Load},
-		{"cc_rpc_failures_total", "RPCs failed after exhausting retries", c.rpcFailures.Load},
-		{"cc_breaker_opens_total", "circuit breaker transitions into the open state", c.breakerOpens.Load},
-		{"cc_breaker_skips_total", "requests failed fast by an open breaker", c.breakerSkips.Load},
-		{"cc_home_fallbacks_total", "peer fetches degraded to the home node", c.homeFallbacks.Load},
-		{"cc_stale_drops_total", "directory entries dropped after peer failures", c.staleDrops.Load},
-		{"cc_invalidate_skips_total", "invalidations degraded to 'peer holds no cache'", c.invalidateSkips.Load},
-		{"cc_runs_total", "MsgGetRun fetches issued by the read planner", c.runsIssued.Load},
-		{"cc_runs_degraded_total", "run fetches that served fewer blocks than asked", c.runsDegraded.Load},
-		{"cc_inval_batched_total", "invalidation records delivered via batched bus frames", c.invalBatched.Load},
-		{"cc_inval_catchups_total", "invalidation catch-up reconciliations started", c.invalCatchups.Load},
-		{"cc_rebalance_blocks_total", "blocks pulled here by home re-assignment", c.rebalancedBlocks.Load},
-		{"cc_heartbeat_failures_total", "heartbeat probes that failed", c.heartbeatFailures.Load},
-	}
-	for _, m := range counters {
-		r.Counter(m.name, m.help, "", m.fn)
-	}
-	r.ValueHistogram("cc_run_blocks", "blocks served per run fetch", "", &n.runBlocks)
-	r.Histogram("cc_inval_lag_seconds", "publish-to-ack latency of invalidation records", "", &n.invalLag)
-	r.ValueHistogram("cc_inval_batch_blocks", "records per delivered invalidation batch", "", &n.invalBatchBlocks)
-	r.Gauge("cc_inval_bus_depth", "deepest unacknowledged invalidation backlog across peers", "", func() float64 {
-		if b := n.busRef(); b != nil {
-			return float64(b.depth())
-		}
-		return 0
-	})
-	r.Gauge("cc_membership_epoch", "current membership view epoch", "", func() float64 {
-		if v := n.view.Load(); v != nil {
-			return float64(v.epoch)
-		}
-		return 0
-	})
-	r.Gauge("cc_rebalance_pending", "files whose re-homing pull has not completed", "", func() float64 {
-		return float64(n.migrCount.Load())
-	})
-	r.Gauge("cc_store_blocks", "blocks currently cached", "", func() float64 { return float64(n.store.Len()) })
-	r.Gauge("cc_store_masters", "master copies currently cached", "", func() float64 { return float64(n.store.Masters()) })
-	if n.tracer != nil {
-		r.Gauge("cc_trace_events_total", "protocol trace events recorded (including overwritten)", "",
-			func() float64 { return float64(n.tracer.Total()) })
-	}
-	for _, t := range requestMsgTypes {
-		r.Histogram("cc_rpc_latency_seconds", "peer round-trip latency by request frame type",
-			`type="`+t.metricName()+`"`, &n.rpcLat[t])
-	}
-}
-
-// requestMsgTypes are the frame types that initiate round trips — the
-// series pre-registered for the per-RPC-type latency histograms.
-var requestMsgTypes = []MsgType{
-	MsgReadFile, MsgReadRange, MsgDirDrop, MsgForward, MsgWriteBlock,
-	MsgPutBlock, MsgStats, MsgTrace, MsgGetRun, MsgInvalidateN,
-	MsgInvalSince, MsgPing, MsgView, MsgViewUpdate, MsgJoin, MsgDrain,
-}
-
 // busRef reads the bus pointer under the membership lock (SetAddrs can
 // swap it).
 func (n *Node) busRef() *invalBus {
@@ -760,7 +569,7 @@ func (n *Node) roundTripTo(i int, f *Frame) (*Frame, error) {
 func (n *Node) reliableRPC(peer int, f *Frame, retries int) (*Frame, error) {
 	br := n.breakerFor(peer)
 	if !br.allow() {
-		n.c.breakerSkips.Add(1)
+		atomic.AddUint64(&n.c.BreakerSkips, 1)
 		return nil, errPeerSuspect
 	}
 	backoff := defaultRetryBackoff
@@ -777,25 +586,25 @@ func (n *Node) reliableRPC(peer int, f *Frame, retries int) (*Frame, error) {
 			return nil, err
 		}
 		if errors.Is(err, errRPCTimeout) {
-			n.c.rpcTimeouts.Add(1)
+			atomic.AddUint64(&n.c.RPCTimeouts, 1)
 			n.trace(traceRPCTimeout, peer, f.ID(), int64(attempt))
 		}
 		if br.failure() {
-			n.c.breakerOpens.Add(1)
+			atomic.AddUint64(&n.c.BreakerOpens, 1)
 			n.trace(traceBreakerOpen, peer, f.ID(), 0)
 		}
 		if attempt >= retries {
-			n.c.rpcFailures.Add(1)
+			atomic.AddUint64(&n.c.RPCFailures, 1)
 			return nil, err
 		}
 		// Only re-enter the breaker when a retry will actually happen
 		// (allow consumes the half-open probe slot).
 		if !br.allow() {
-			n.c.breakerSkips.Add(1)
-			n.c.rpcFailures.Add(1)
+			atomic.AddUint64(&n.c.BreakerSkips, 1)
+			atomic.AddUint64(&n.c.RPCFailures, 1)
 			return nil, err
 		}
-		n.c.rpcRetries.Add(1)
+		atomic.AddUint64(&n.c.RPCRetries, 1)
 		n.trace(traceRetry, peer, f.ID(), int64(attempt+1))
 		backoffSleep(&backoff, retryBackoffCap, n.retryRand)
 	}
@@ -999,7 +808,7 @@ func (n *Node) handleForward(f *Frame) *Frame {
 // entries, and two nodes whose workers all wait on directory RPCs to each
 // other would serve nothing until the RPCs time out.
 func (n *Node) handleInvalidate(id block.ID) {
-	n.c.invalidations.Add(1)
+	atomic.AddUint64(&n.c.Invalidations, 1)
 	n.trace(traceInvalidate, -1, id, 0)
 	n.store.Remove(id)
 }

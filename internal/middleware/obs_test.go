@@ -1,6 +1,7 @@
 package middleware
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -9,13 +10,77 @@ import (
 	"repro/internal/obs"
 )
 
-// TestClusterStatsAggregation pins the aggregation rules of ClusterStats
-// against a live 4-node cluster: every numeric Stats field sums across nodes
-// (the membership epoch takes the maximum, the node ID is no counter), found
-// by reflection so a counter added later cannot be left out; per-RPC-type
-// latency histograms merge bucket-wise; and a crashed node is skipped (its
+// declaredFields lists the counters and gauges Stats declares: its fields,
+// embedded structs' included, that carry a metric tag.
+func declaredFields() []reflect.StructField {
+	var out []reflect.StructField
+	for _, f := range reflect.VisibleFields(reflect.TypeFor[Stats]()) {
+		if _, ok := f.Tag.Lookup("metric"); ok {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// aggregate is what ClusterStats should report for one declared field.
+func aggregate(f reflect.StructField, per []Stats) uint64 {
+	var want uint64
+	for _, s := range per {
+		v := reflect.ValueOf(s).FieldByIndex(f.Index)
+		var x uint64
+		if v.CanUint() {
+			x = v.Uint()
+		} else {
+			x = uint64(v.Int())
+		}
+		if f.Tag.Get("agg") == "max" {
+			want = max(want, x)
+		} else {
+			want += x
+		}
+	}
+	return want
+}
+
+// TestClusterStatsAggregation pins the aggregation rules of ClusterStats.
+// Every field Stats declares (a metric tag, found by reflection so a
+// counter added later cannot be left out) sums across nodes, except the
+// agg:"max" levels, the bus backlog and the membership epoch, which take
+// the maximum; per-RPC-type latency histograms merge bucket-wise. It checks
+// the fold on synthetic per-node values that are nonzero in every field,
+// then against a live 4-node cluster, where a crashed node is skipped (its
 // counters died with it) instead of failing the aggregate.
 func TestClusterStatsAggregation(t *testing.T) {
+	fields := declaredFields()
+	for _, name := range []string{"InvalBacklog", "MembershipEpoch"} {
+		f, ok := reflect.TypeFor[Stats]().FieldByName(name)
+		if !ok || f.Tag.Get("agg") != "max" {
+			t.Errorf("Stats.%s is not declared agg:\"max\"", name)
+		}
+	}
+	synth := make([]Stats, 3)
+	for i := range synth {
+		v := reflect.ValueOf(&synth[i]).Elem()
+		for j, f := range fields {
+			x := uint64((j + 1) * []int{1, 100, 7}[i])
+			if fv := v.FieldByIndex(f.Index); fv.CanUint() {
+				fv.SetUint(x)
+			} else {
+				fv.SetInt(int64(x))
+			}
+		}
+	}
+	var folded Stats
+	for _, s := range synth {
+		folded = folded.add(s)
+	}
+	for _, f := range fields {
+		got := reflect.ValueOf(folded).FieldByIndex(f.Index)
+		if want := aggregate(f, synth); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("synthetic aggregate %s = %v, want %d", f.Name, got, want)
+		}
+	}
+
 	sizes := map[block.FileID]int64{0: 4096, 1: 4096, 2: 4096, 3: 4096}
 	nodes, client := startCluster(t, 4, 64, sizes, nil)
 
@@ -41,34 +106,10 @@ func TestClusterStatsAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cluster stats: %v", err)
 	}
-
-	num := func(v reflect.Value) (uint64, bool) {
-		switch {
-		case v.CanUint():
-			return v.Uint(), true
-		case v.CanInt():
-			return uint64(v.Int()), true
-		}
-		return 0, false
-	}
-	sv := reflect.ValueOf(sum)
-	for i := 0; i < sv.NumField(); i++ {
-		name := sv.Type().Field(i).Name
-		got, ok := num(sv.Field(i))
-		if !ok || name == "Node" {
-			continue // RPCLatency is checked bucket-wise below
-		}
-		var want uint64
-		for _, s := range per {
-			v, _ := num(reflect.ValueOf(s).Field(i))
-			if name == "MembershipEpoch" {
-				want = max(want, v)
-			} else {
-				want += v
-			}
-		}
-		if got != want {
-			t.Errorf("ClusterStats().%s = %d, want %d from the per-node values", name, got, want)
+	for _, f := range fields {
+		got := reflect.ValueOf(sum).FieldByIndex(f.Index)
+		if want := aggregate(f, per); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("ClusterStats().%s = %v, want %d from the per-node values", f.Name, got, want)
 		}
 	}
 
@@ -169,7 +210,8 @@ func TestTraceRPC(t *testing.T) {
 }
 
 // TestNodeRegisterMetrics scrapes a node's registered metrics after live
-// traffic and checks the key series appear with sane values.
+// traffic and checks the key series appear with sane values, and that
+// every counter and gauge Stats declares has its series.
 func TestNodeRegisterMetrics(t *testing.T) {
 	sizes := map[block.FileID]int64{0: 4096, 1: 4096}
 	nodes, client := startCluster(t, 2, 64, sizes, nil)
@@ -201,6 +243,15 @@ func TestNodeRegisterMetrics(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("metrics output missing %q:\n%s", want, out)
+		}
+	}
+	for _, f := range declaredFields() {
+		name, kind, _ := strings.Cut(f.Tag.Get("metric"), ",")
+		if kind == "" {
+			kind = "counter"
+		}
+		if !strings.Contains(out, "# TYPE "+name+" "+kind+"\n") || !strings.Contains(out, "\n"+name+" ") {
+			t.Errorf("metrics output has no %s series for Stats.%s", kind, f.Name)
 		}
 	}
 	s := nodes[0].Stats()

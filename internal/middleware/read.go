@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/block"
 )
@@ -111,8 +112,8 @@ func (n *Node) pinRange(f block.FileID, size, off int64, length int, pins []*pay
 		pb, ok := n.store.GetRef(block.ID{File: f, Idx: i})
 		pins[k] = pb
 		if ok {
-			n.c.accesses.Add(1)
-			n.c.localHits.Add(1)
+			atomic.AddUint64(&n.c.Accesses, 1)
+			atomic.AddUint64(&n.c.LocalHits, 1)
 			continue
 		}
 		// A miss's access is counted where the block is served, so every
@@ -247,7 +248,7 @@ func (n *Node) execSpan(f block.FileID, size int64, s span, pins []*payloadBuf, 
 // pins, whose slot 0 is block s.first. It returns the per-block codes,
 // every one dirNoEntry after a failed or malformed reply.
 func (n *Node) fetchHomeSpan(f block.FileID, size int64, s span, pins []*payloadBuf) []int32 {
-	n.c.runsIssued.Add(1)
+	atomic.AddUint64(&n.c.RunsIssued, 1)
 	r, home, err := n.askHome(f, size, s, false)
 	if err != nil {
 		r.codes = make([]int32, s.count)
@@ -266,17 +267,17 @@ func (n *Node) fetchHomeSpan(f block.FileID, size int64, s span, pins []*payload
 		pb := r.blocks[j]
 		j++
 		pins[k] = pb.retain()
-		n.c.accesses.Add(1)
+		atomic.AddUint64(&n.c.Accesses, 1)
 		if r.masters&(1<<uint(k)) != 0 {
-			n.c.diskReads.Add(1)
+			atomic.AddUint64(&n.c.DiskReads, 1)
 		} else {
-			n.c.remoteHits.Add(1)
+			atomic.AddUint64(&n.c.RemoteHits, 1)
 		}
 		n.insertBlockBuf(block.ID{File: f, Idx: s.first + int32(k)}, pb, r.masters&(1<<uint(k)) != 0) // takes the reply's reference
 		resolved++
 	}
 	if resolved < s.blocks() {
-		n.c.runsDegraded.Add(1)
+		atomic.AddUint64(&n.c.RunsDegraded, 1)
 	}
 	n.runBlocks.Observe(int64(j))
 	n.trace(traceRunFetch, home, block.ID{File: f, Idx: s.first}, int64(j))
@@ -398,7 +399,7 @@ func (n *Node) askHome(f block.FileID, size int64, s span, force bool) (homeRepl
 	r, err := n.homeAt(home, f, size, s, force)
 	if err != nil && isTransient(err) {
 		if succ, ok := n.ringSuccessor(f, home); ok {
-			n.c.homeFallbacks.Add(1)
+			atomic.AddUint64(&n.c.HomeFallbacks, 1)
 			n.trace(traceHomeFallback, home, block.ID{File: f, Idx: s.first}, 1)
 			home = succ
 			r, err = n.homeAt(succ, f, size, s, force)
@@ -450,7 +451,7 @@ func (n *Node) homeAt(node int, f block.FileID, size int64, s span, force bool) 
 func (n *Node) fetchPeerRun(f block.FileID, size int64, src int, first int32, count int, pins []*payloadBuf) int {
 	req := getFrame()
 	req.Type, req.File, req.Idx, req.Aux = MsgGetRun, f, first, packRunAux(count, 0)
-	n.c.runsIssued.Add(1)
+	atomic.AddUint64(&n.c.RunsIssued, 1)
 	resp, err := n.reliableRPC(src, req, 0)
 	releaseFrame(req)
 	served := 0
@@ -472,8 +473,8 @@ func (n *Node) fetchPeerRun(f block.FileID, size int64, src int, first int32, co
 					copy(pb.data, resp.Payload[off:off+l])
 					off += l
 					pins[i-first] = pb.retain()
-					n.c.accesses.Add(1)
-					n.c.remoteHits.Add(1)
+					atomic.AddUint64(&n.c.Accesses, 1)
+					atomic.AddUint64(&n.c.RemoteHits, 1)
 					blocks = append(blocks, pb)
 				}
 				for _, ev := range n.store.InsertRun(f, first, blocks, false) {
@@ -485,7 +486,7 @@ func (n *Node) fetchPeerRun(f block.FileID, size int64, src int, first int32, co
 		releaseFrame(resp)
 	}
 	if served < count {
-		n.c.runsDegraded.Add(1)
+		atomic.AddUint64(&n.c.RunsDegraded, 1)
 	}
 	n.runBlocks.Observe(int64(served))
 	n.trace(traceRunFetch, src, block.ID{File: f, Idx: first}, int64(served))
@@ -518,9 +519,9 @@ func (n *Node) GetBlock(id block.ID) ([]byte, error) {
 // serves the first fetch only, a fetch after a coalesced wait asks again.
 func (n *Node) getBlock(id block.ID, size int64, holder int32) (*payloadBuf, error) {
 	for {
-		n.c.accesses.Add(1)
+		atomic.AddUint64(&n.c.Accesses, 1)
 		if pb, ok := n.store.GetRef(id); ok {
-			n.c.localHits.Add(1)
+			atomic.AddUint64(&n.c.LocalHits, 1)
 			return pb, nil
 		}
 		// Coalesce concurrent fetches of the same block.
@@ -567,17 +568,17 @@ func (n *Node) fetchBlock(id block.ID, size int64, holder int32) (*payloadBuf, e
 	}
 	pb, err := n.getOne(int(holder), id)
 	if pb != nil {
-		n.c.remoteHits.Add(1)
+		atomic.AddUint64(&n.c.RemoteHits, 1)
 		n.insertBlockBuf(id, pb.retain(), false)
 		return pb, nil
 	}
 	// The master vanished while the request traveled (§3's tolerated race)
 	// or the peer is down: the home's source read records this node in place
 	// of the stale entry, in the same message.
-	n.c.raceMisses.Add(1)
+	atomic.AddUint64(&n.c.RaceMisses, 1)
 	if isTransient(err) {
-		n.c.staleDrops.Add(1)
-		n.c.homeFallbacks.Add(1)
+		atomic.AddUint64(&n.c.StaleDrops, 1)
+		atomic.AddUint64(&n.c.HomeFallbacks, 1)
 		n.trace(traceStaleDrop, int(holder), id, 0)
 		n.trace(traceHomeFallback, int(holder), id, 0)
 	}
@@ -601,9 +602,9 @@ func (n *Node) homeBlock(id block.ID, size int64, force bool) (*payloadBuf, int3
 	}
 	pb := r.blocks[0]
 	if r.masters == 1 {
-		n.c.diskReads.Add(1)
+		atomic.AddUint64(&n.c.DiskReads, 1)
 	} else {
-		n.c.remoteHits.Add(1)
+		atomic.AddUint64(&n.c.RemoteHits, 1)
 	}
 	n.insertBlockBuf(id, pb.retain(), r.masters == 1)
 	return pb, 0, nil
@@ -703,11 +704,11 @@ func (n *Node) forwardEvicted(ev *Evicted) {
 	if !accepted {
 		// Rejected (everything there was younger) or failed: the cluster
 		// forgets this master.
-		n.c.forwardsRejected.Add(1)
+		atomic.AddUint64(&n.c.ForwardsRejected, 1)
 		n.trace(traceForward, target, ev.ID, 0)
 		n.dirCAS(ev.ID, int32(target), dirNoEntry)
 		return
 	}
-	n.c.forwards.Add(1)
+	atomic.AddUint64(&n.c.Forwards, 1)
 	n.trace(traceForward, target, ev.ID, 1)
 }

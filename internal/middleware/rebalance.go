@@ -2,6 +2,7 @@ package middleware
 
 import (
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/block"
 )
@@ -131,7 +132,7 @@ func (n *Node) pullFile(f block.FileID, oldHome int) {
 		}
 	}
 	if pulled > 0 {
-		n.c.rebalancedBlocks.Add(uint64(pulled))
+		atomic.AddUint64(&n.c.RebalancedBlocks, uint64(pulled))
 	}
 	n.trace(traceRebalance, oldHome, block.ID{File: f}, pulled)
 }

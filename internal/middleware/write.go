@@ -2,6 +2,7 @@ package middleware
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/block"
 )
@@ -27,7 +28,7 @@ func (n *Node) WriteBlock(id block.ID, data []byte) error {
 	if want := blockLen(n.geom, size, id.Idx); want < 0 || len(data) != want {
 		return fmt.Errorf("middleware: write of %d bytes to %v (block is %d bytes)", len(data), id, want)
 	}
-	n.c.writes.Add(1)
+	atomic.AddUint64(&n.c.Writes, 1)
 	bus := n.busRef()
 
 	// 1. Invalidate the local copy now: the writer must never read its own
@@ -69,7 +70,7 @@ func (n *Node) writeThrough(id block.ID, data []byte) error {
 	err = n.putMaster(id, data, home)
 	if err != nil && isTransient(err) {
 		if succ, ok := n.ringSuccessor(id.File, home); ok {
-			n.c.homeFallbacks.Add(1)
+			atomic.AddUint64(&n.c.HomeFallbacks, 1)
 			n.trace(traceHomeFallback, home, id, 2)
 			err = n.putMaster(id, data, succ)
 		}

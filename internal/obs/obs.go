@@ -14,7 +14,6 @@ import (
 	"io"
 	"math/bits"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -69,15 +68,16 @@ func (h *Histogram) Observe(d time.Duration) {
 // straddle the copy; each sample is either fully in or fully out of the
 // bucket counts (the sum can lag a bucket increment by one sample, which a
 // scraper cannot distinguish from scrape timing).
-func (h *Histogram) Snapshot() HistogramData {
-	var d HistogramData
-	d.Buckets = make([]uint64, HistBuckets+1)
-	for i := range h.buckets {
-		c := h.buckets[i].Load()
-		d.Buckets[i] = c
-		d.Count += c
+func (h *Histogram) Snapshot() HistogramData { return snapshot(h.buckets[:], &h.sumNanos) }
+
+// snapshot copies bucket counters, then their sum.
+func snapshot(buckets []atomic.Uint64, sum *atomic.Int64) HistogramData {
+	d := HistogramData{Buckets: make([]uint64, len(buckets))}
+	for i := range buckets {
+		d.Buckets[i] = buckets[i].Load()
+		d.Count += d.Buckets[i]
 	}
-	d.SumNanos = h.sumNanos.Load()
+	d.SumNanos = sum.Load()
 	return d
 }
 
@@ -163,17 +163,7 @@ func (h *ValueHistogram) Observe(v int64) {
 // Snapshot copies the histogram's current state (same straddling caveat as
 // Histogram.Snapshot). Buckets share the HistogramData layout so Stats
 // merging works unchanged; bounds are 2^i values, not durations.
-func (h *ValueHistogram) Snapshot() HistogramData {
-	var d HistogramData
-	d.Buckets = make([]uint64, ValueHistBuckets+1)
-	for i := range h.buckets {
-		c := h.buckets[i].Load()
-		d.Buckets[i] = c
-		d.Count += c
-	}
-	d.SumNanos = h.sum.Load()
-	return d
-}
+func (h *ValueHistogram) Snapshot() HistogramData { return snapshot(h.buckets[:], &h.sum) }
 
 // --- metric registry ---
 
@@ -259,9 +249,13 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			case s.gauge != nil:
 				fmt.Fprintf(&b, "%s%s %g\n", f.name, braced(s.labels), s.gauge())
 			case s.hist != nil:
-				writeHistogram(&b, f.name, s.labels, s.hist.Snapshot())
+				d := s.hist.Snapshot()
+				writeHistogram(&b, f.name, s.labels, d, HistBuckets, fmt.Sprintf("%g", time.Duration(d.SumNanos).Seconds()),
+					func(i int) string { return fmt.Sprintf("%g", BucketBound(i).Seconds()) })
 			case s.vhist != nil:
-				writeValueHistogram(&b, f.name, s.labels, s.vhist.Snapshot())
+				d := s.vhist.Snapshot()
+				writeHistogram(&b, f.name, s.labels, d, ValueHistBuckets, fmt.Sprint(d.SumNanos),
+					func(i int) string { return fmt.Sprint(ValueBucketBound(i)) })
 			}
 		}
 	}
@@ -277,38 +271,21 @@ func braced(labels string) string {
 	return "{" + labels + "}"
 }
 
-// writeHistogram renders one histogram series: cumulative buckets with
-// seconds-valued `le` bounds, then _sum (seconds) and _count.
-func writeHistogram(b *strings.Builder, name, labels string, d HistogramData) {
+// writeHistogram renders one histogram series: cumulative buckets with the
+// nb finite `le` bounds bound renders (seconds for latencies, powers of two
+// for values), then _sum and _count.
+func writeHistogram(b *strings.Builder, name, labels string, d HistogramData, nb int, sum string, bound func(int) string) {
 	sep := ""
 	if labels != "" {
 		sep = ","
 	}
 	var cum uint64
-	for i := 0; i < HistBuckets && i < len(d.Buckets); i++ {
+	for i := 0; i < nb && i < len(d.Buckets); i++ {
 		cum += d.Buckets[i]
-		fmt.Fprintf(b, "%s_bucket{%s%sle=\"%g\"} %d\n", name, labels, sep, BucketBound(i).Seconds(), cum)
+		fmt.Fprintf(b, "%s_bucket{%s%sle=\"%s\"} %d\n", name, labels, sep, bound(i), cum)
 	}
 	fmt.Fprintf(b, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, labels, sep, d.Count)
-	fmt.Fprintf(b, "%s_sum%s %g\n", name, braced(labels), time.Duration(d.SumNanos).Seconds())
-	fmt.Fprintf(b, "%s_count%s %d\n", name, braced(labels), d.Count)
-}
-
-// writeValueHistogram renders one value-histogram series: cumulative
-// buckets with power-of-two integer `le` bounds, then the integer _sum and
-// _count.
-func writeValueHistogram(b *strings.Builder, name, labels string, d HistogramData) {
-	sep := ""
-	if labels != "" {
-		sep = ","
-	}
-	var cum uint64
-	for i := 0; i < ValueHistBuckets && i < len(d.Buckets); i++ {
-		cum += d.Buckets[i]
-		fmt.Fprintf(b, "%s_bucket{%s%sle=\"%d\"} %d\n", name, labels, sep, ValueBucketBound(i), cum)
-	}
-	fmt.Fprintf(b, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, labels, sep, d.Count)
-	fmt.Fprintf(b, "%s_sum%s %d\n", name, braced(labels), d.SumNanos)
+	fmt.Fprintf(b, "%s_sum%s %s\n", name, braced(labels), sum)
 	fmt.Fprintf(b, "%s_count%s %d\n", name, braced(labels), d.Count)
 }
 
@@ -319,17 +296,4 @@ func (r *Registry) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		r.WritePrometheus(w) //nolint:errcheck // client went away
 	})
-}
-
-// SortedNames reports the registered family names (for tests and
-// debugging).
-func (r *Registry) SortedNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.byName))
-	for n := range r.byName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
