@@ -63,9 +63,10 @@ type Client struct {
 	cfg     ClientConfig
 	timeout time.Duration
 	retries int
-	// mu guards conns/breakers. Both are node-ID-indexed and only ever
-	// grow; a removed member keeps its slot (skipped via members).
+	// mu guards conns/breakers/closed. Both slices are node-ID-indexed and
+	// only ever grow; a removed member keeps its slot (skipped via members).
 	mu         sync.Mutex
+	closed     bool
 	conns      []*conn
 	breakers   []*breaker
 	brThresh   int
@@ -186,12 +187,20 @@ func (c *Client) conn(i int) (*conn, error) {
 		return nil, errPeerSuspect // unknown slot: steer elsewhere
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.growLocked(len(m.addrs))
-	if c.conns[i] != nil {
-		return c.conns[i], nil
+	if c.closed {
+		c.mu.Unlock()
+		return nil, errConnClosed
 	}
-	nc, err := net.Dial("tcp", m.addrs[i])
+	c.growLocked(len(m.addrs))
+	if cc := c.conns[i]; cc != nil {
+		c.mu.Unlock()
+		return cc, nil
+	}
+	c.mu.Unlock()
+
+	// Dial outside the lock: every RPC the client makes, to any node, takes
+	// c.mu, and a dial to an unreachable node can take a whole timeout.
+	nc, err := net.DialTimeout("tcp", m.addrs[i], c.timeout)
 	if err != nil {
 		return nil, err
 	}
@@ -200,8 +209,21 @@ func (c *Client) conn(i int) (*conn, error) {
 		f.Sender = -1
 		f.OldestAge = noAge
 	}
-	c.conns[i] = newConn(nc, connConfig{stamp: stamp, timeout: c.timeout, latency: c.observeRPCLatency})
-	return c.conns[i], nil
+	cc := newConn(nc, connConfig{stamp: stamp, timeout: c.timeout, latency: c.observeRPCLatency})
+	c.mu.Lock()
+	if won := c.conns[i]; won != nil || c.closed {
+		// Lost the dial race (keep the established conn) or the client
+		// closed meanwhile.
+		c.mu.Unlock()
+		cc.close()
+		if won == nil {
+			return nil, errConnClosed
+		}
+		return won, nil
+	}
+	c.conns[i] = cc
+	c.mu.Unlock()
+	return cc, nil
 }
 
 // observeRPCLatency feeds the client's per-RPC-type latency histograms.
@@ -524,6 +546,7 @@ func (c *Client) Read(f block.FileID) ([]byte, error) {
 func (c *Client) ReadVia(node int, f block.FileID) ([]byte, error) {
 	req := getFrame()
 	req.Type, req.File = MsgReadFile, f
+	req.into.kind = intoOwned // the reply lands in the slice returned below
 	resp, _, err := c.failoverTrip(node, req)
 	releaseFrame(req)
 	if err != nil {
@@ -534,7 +557,7 @@ func (c *Client) ReadVia(node int, f block.FileID) ([]byte, error) {
 		releaseFrame(resp)
 		return nil, fmt.Errorf("middleware: unexpected reply %d", typ)
 	}
-	data := resp.TakePayload() // returned to the caller: keep it off the pool
+	data := resp.TakePayload() // exact-length and the caller's: never pooled
 	releaseFrame(resp)
 	return data, nil
 }
@@ -628,10 +651,11 @@ func (c *Client) ClusterStats() (Stats, error) {
 	return sum, nil
 }
 
-// Close tears down all connections.
+// Close tears down all connections; later requests fail.
 func (c *Client) Close() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.closed = true
 	for _, cc := range c.conns {
 		if cc != nil {
 			cc.close()

@@ -1,11 +1,14 @@
 package middleware
 
 import (
+	"bytes"
 	"net"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/block"
 )
 
 // pipePair builds two connected conns over an in-memory duplex link, with
@@ -119,15 +122,16 @@ func TestConnConcurrentRoundTripsMidFlightClose(t *testing.T) {
 	}
 }
 
-// TestConnRoundTripTimesOut pins the deadline path: a round trip whose
-// reply is withheld must fail with errRPCTimeout near the configured
-// deadline, the connection must stay usable for later requests, and the
-// late reply must be discarded safely (pool ownership: no double release,
-// no delivery to a reused request ID).
+// TestConnRoundTripTimesOut pins the deadline path: round trips whose
+// replies are withheld — two at once, overdue in the same sweep — must each
+// fail with errRPCTimeout near the configured deadline, the connection must
+// stay usable for later requests, and the late replies must be discarded
+// safely (pool ownership: no double release, no delivery to a reused
+// request ID).
 func TestConnRoundTripTimesOut(t *testing.T) {
 	slow := make(chan struct{})
 	cn, sn := net.Pipe()
-	server := newConn(sn, connConfig{workers: 2, handle: func(f *Frame) *Frame {
+	server := newConn(sn, connConfig{workers: 3, handle: func(f *Frame) *Frame {
 		if f.Aux == 1 {
 			<-slow // withhold this reply until after the client gave up
 		}
@@ -140,12 +144,20 @@ func TestConnRoundTripTimesOut(t *testing.T) {
 	})
 
 	start := time.Now()
-	_, err := client.roundTrip(&Frame{Type: MsgGetRun, Idx: 1, Aux: 1})
-	if err != errRPCTimeout {
-		t.Fatalf("withheld reply: err = %v, want errRPCTimeout", err)
+	errs := make(chan error, 2)
+	for idx := int32(1); idx <= 2; idx++ {
+		go func() {
+			_, err := client.roundTrip(&Frame{Type: MsgGetRun, Idx: idx, Aux: 1})
+			errs <- err
+		}()
+	}
+	for range 2 {
+		if err := <-errs; err != errRPCTimeout {
+			t.Fatalf("withheld reply: err = %v, want errRPCTimeout", err)
+		}
 	}
 	if elapsed := time.Since(start); elapsed < 50*time.Millisecond || elapsed > 2*time.Second {
-		t.Fatalf("timeout fired after %v, want ≈60ms", elapsed)
+		t.Fatalf("timeouts fired after %v, want ≈60ms", elapsed)
 	}
 
 	// Release the stalled reply and issue a fresh request on the same
@@ -154,10 +166,10 @@ func TestConnRoundTripTimesOut(t *testing.T) {
 	close(slow)
 	resp, err := client.roundTrip(&Frame{Type: MsgGetRun, Idx: 2})
 	if err != nil {
-		t.Fatalf("round trip after timeout: %v", err)
+		t.Fatalf("round trip after the timeouts: %v", err)
 	}
 	if resp.Idx != 2 {
-		t.Fatalf("resp.Idx = %d, want 2 (late reply must not be delivered)", resp.Idx)
+		t.Fatalf("resp.Idx = %d, want 2 (late replies must not be delivered)", resp.Idx)
 	}
 	releaseFrame(resp)
 
@@ -167,6 +179,103 @@ func TestConnRoundTripTimesOut(t *testing.T) {
 	client.pmu.Unlock()
 	if n != 0 {
 		t.Fatalf("%d entries still pending after timeout", n)
+	}
+}
+
+// TestConnWriteToStalledPeerFails pins the write deadline: a peer that
+// stops reading (a full TCP window; here a pipe nobody reads) must fail the
+// round trip blocked in its write within about one timeout, and the conn
+// must close, since a frame may be half out.
+func TestConnWriteToStalledPeerFails(t *testing.T) {
+	cn, sn := net.Pipe()
+	defer sn.Close()
+	client := newConn(cn, connConfig{timeout: 60 * time.Millisecond})
+	defer client.close()
+
+	start := time.Now()
+	done := make(chan error, 1)
+	go func() {
+		_, err := client.roundTrip(&Frame{Type: MsgGetRun, File: 1})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("round trip to a peer that never reads succeeded")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("write to a stalled peer still blocked after 2s")
+	}
+	if elapsed := time.Since(start); elapsed < 50*time.Millisecond {
+		t.Fatalf("stalled write failed after %v, before its 60ms timeout", elapsed)
+	}
+	select {
+	case <-client.done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("conn still open after a failed write")
+	}
+}
+
+// TestConnReplyLanding pins where a reply's payload lands (replyInto): an
+// owned reply in one exact-length slice off the pool, a run reply's blocks
+// each in its own pooled buffer after a home reply's codes, and a run reply
+// whose length disagrees with its layout in one pooled buffer, whole, for
+// the caller to refuse.
+func TestConnReplyLanding(t *testing.T) {
+	geom := block.Geometry{Size: 1024, ExtentBlocks: 8}
+	const size = 2600 // blocks of 1024, 1024 and 552 bytes
+	blk := func(i int32) []byte { return SyntheticBlock(1, i, blockLen(geom, size, i)) }
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	homeCodes := appendHomeCodes(nil, []int32{homeServed, 5, homeServed})
+	replies := map[int32]*Frame{
+		0: {Type: MsgFileData, Payload: make([]byte, 20000)},
+		1: {Type: MsgRunData, Aux: packRunAux(3, 0), Payload: cat(blk(0), blk(1), blk(2))},
+		2: {Type: MsgRunData, Aux: packRunAux(2, 0), Payload: cat(blk(0), blk(1))},
+		3: {Type: MsgRunData, Aux: packRunAux(2, 1), Payload: cat(homeCodes, blk(0), blk(2))},
+		4: {Type: MsgRunData, Aux: packRunAux(2, 0), Payload: cat(blk(0), blk(1)[1:])},
+		5: {Type: MsgRunData, Aux: packRunAux(2, 1), Payload: cat(homeCodes, blk(0), blk(2), []byte{0})},
+		6: {Type: MsgRunData, Aux: packRunAux(4, 0), Payload: cat(blk(0), blk(1), blk(2))},
+	}
+	client, _ := pipePair(t, func(f *Frame) *Frame {
+		r := *replies[f.Idx]
+		return &r
+	})
+	peer := replyInto{kind: intoRun, count: 3, size: size, geom: geom}
+	home := peer
+	home.codes = true
+	for _, c := range []struct {
+		name    string
+		idx     int32
+		into    replyInto
+		payload []byte   // the pooled Payload, or the owned one
+		blocks  [][]byte // Frame.bufs
+	}{
+		{"owned whole file", 0, replyInto{kind: intoOwned}, replies[0].Payload, nil},
+		{"whole peer run", 1, peer, nil, [][]byte{blk(0), blk(1), blk(2)}},
+		{"peer run prefix", 2, peer, nil, [][]byte{blk(0), blk(1)}},
+		{"home reply", 3, home, homeCodes, [][]byte{blk(0), blk(2)}},
+		{"short peer run", 4, peer, replies[4].Payload, nil},
+		{"long home reply", 5, home, replies[5].Payload, nil},
+		{"peer run over its request", 6, peer, replies[6].Payload, nil},
+		{"pooled run", 1, replyInto{}, replies[1].Payload, nil},
+	} {
+		req := &Frame{Type: MsgGetRun, Idx: c.idx, into: c.into}
+		resp, err := client.roundTrip(req)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !bytes.Equal(resp.Payload, c.payload) || len(resp.bufs) != len(c.blocks) {
+			t.Fatalf("%s: payload of %d bytes and %d blocks, want %d and %d", c.name, len(resp.Payload), len(resp.bufs), len(c.payload), len(c.blocks))
+		}
+		if owned := c.into.kind == intoOwned; owned != (resp.pbuf == nil && len(resp.Payload) > 0) || owned && cap(resp.Payload) != len(resp.Payload) {
+			t.Fatalf("%s: payload of %d bytes, capacity %d, pooled %v", c.name, len(resp.Payload), cap(resp.Payload), resp.pbuf != nil)
+		}
+		for i, pb := range resp.bufs {
+			if !bytes.Equal(pb.data, c.blocks[i]) || pb.pooled == nil || cap(pb.data) != geom.Size {
+				t.Fatalf("%s: block %d is %d bytes in a %d-byte buffer (pooled %v), want the 1 KB class", c.name, i, len(pb.data), cap(pb.data), pb.pooled != nil)
+			}
+		}
+		releaseFrame(resp)
 	}
 }
 

@@ -276,10 +276,11 @@ func FuzzDecodeHomeReply(f *testing.F) {
 	f.Fuzz(func(t *testing.T, aux int64, count uint8, wanted uint32, p []byte) {
 		s := span{count: int(count)%maxRunBlocks + 1}
 		s.wanted = wanted & uint32(1<<uint(s.count)-1)
-		codes, body, err := decodeHomeReply(aux, p, s, func(int32) int { return 3 }, 0)
+		head, body := splitHomeReply(p, s)
+		codes, err := decodeHomeReply(aux, head, body, s, func(int32) int { return 3 }, 0)
 		if err != nil {
-			if codes != nil || body != nil {
-				t.Fatal("a refused reply yielded codes or bytes")
+			if codes != nil {
+				t.Fatal("a refused reply yielded codes")
 			}
 			return
 		}
@@ -297,8 +298,8 @@ func FuzzDecodeHomeReply(f *testing.F) {
 				t.Fatalf("accepted code %d", c)
 			}
 		}
-		if n := bits.OnesCount32(servedBits); n != served || masters&^servedBits != 0 || len(body) != 3*n {
-			t.Fatalf("accepted %d served (masters %#x) over codes %#x and %d bytes", served, masters, servedBits, len(body))
+		if n := bits.OnesCount32(servedBits); n != served || masters&^servedBits != 0 || body != 3*n {
+			t.Fatalf("accepted %d served (masters %#x) over codes %#x and %d bytes", served, masters, servedBits, body)
 		}
 	})
 }

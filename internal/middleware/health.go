@@ -180,29 +180,3 @@ func backoffSleep(cur *time.Duration, max time.Duration, rng *lockedRand) {
 		*cur = max
 	}
 }
-
-// --- pooled round-trip timers ---
-
-// timerPool recycles the deadline timers of roundTrip so the happy path
-// stays allocation-light.
-var timerPool sync.Pool
-
-func getTimer(d time.Duration) *time.Timer {
-	if v := timerPool.Get(); v != nil {
-		t := v.(*time.Timer)
-		t.Reset(d)
-		return t
-	}
-	return time.NewTimer(d)
-}
-
-// putTimer stops and drains t (fired or not) and recycles it.
-func putTimer(t *time.Timer) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-	timerPool.Put(t)
-}

@@ -330,8 +330,8 @@ func (b *invalBus) senderLoop(s *invalSender) {
 // sleepOrStop sleeps d unless stop closes first, reporting whether the
 // sleep completed.
 func sleepOrStop(stop chan struct{}, d time.Duration) bool {
-	t := getTimer(d)
-	defer putTimer(t)
+	t := time.NewTimer(d)
+	defer t.Stop()
 	select {
 	case <-stop:
 		return false

@@ -516,7 +516,7 @@ func (n *Node) proposeDead(i int) {
 // SetAddrs must NOT have been called — Join is the bootstrap for elastic
 // members.
 func (n *Node) Join(seed string) error {
-	nc, err := net.Dial("tcp", seed)
+	nc, err := net.DialTimeout("tcp", seed, n.rpcTimeout)
 	if err != nil {
 		return fmt.Errorf("middleware: join dial %s: %w", seed, err)
 	}

@@ -513,7 +513,7 @@ func (n *Node) peer(i int) (*conn, error) {
 	addr := n.addrs[i]
 	n.mu.Unlock()
 
-	nc, err := net.Dial("tcp", addr)
+	nc, err := net.DialTimeout("tcp", addr, n.rpcTimeout)
 	if err != nil {
 		return nil, err
 	}

@@ -233,24 +233,25 @@ func appendHomeCodes(buf []byte, codes []int32) []byte {
 	return buf
 }
 
-// decodeHomeReply checks a reply to the bitmap MsgGetRun s and returns its
-// codes and the served blocks' bytes: only wanted blocks are served (each
-// blockLen long) or named (any node but self: a joiner the home knows before
-// the requester does fails its fetch into a race miss). On any inconsistency
-// the requester installs nothing and fetches per block.
-func decodeHomeReply(aux int64, p []byte, s span, blockLen func(int32) int, self int32) ([]int32, []byte, error) {
-	if len(p) < 4*s.count {
-		return nil, nil, fmt.Errorf("middleware: %d-byte home reply is short of %d codes", len(p), s.count)
+// decodeHomeReply checks a reply to the bitmap MsgGetRun s, given its code
+// head and the length of the served bytes that followed it, and returns the
+// codes: only wanted blocks are served (each blockLen long) or named (any
+// node but self: a joiner the home knows before the requester does fails
+// its fetch into a race miss). On any inconsistency the requester installs
+// nothing and fetches per block.
+func decodeHomeReply(aux int64, head []byte, body int, s span, blockLen func(int32) int, self int32) ([]int32, error) {
+	if len(head) != 4*s.count {
+		return nil, fmt.Errorf("middleware: %d-byte home reply head is not %d codes", len(head), s.count)
 	}
 	served, masters := unpackRunAux(aux)
 	codes := make([]int32, s.count)
 	var servedBits uint32
-	want := 4 * s.count
+	want := 0
 	for i := range codes {
-		c, idx, bit := int32(binary.BigEndian.Uint32(p[4*i:])), s.first+int32(i), uint32(1)<<uint(i)
+		c, idx, bit := int32(binary.BigEndian.Uint32(head[4*i:])), s.first+int32(i), uint32(1)<<uint(i)
 		if c != dirNoEntry && (s.wanted&bit == 0 || c == homeServed && blockLen(idx) < 0 ||
 			c != homeServed && (c < 0 || c == self)) {
-			return nil, nil, fmt.Errorf("middleware: home reply code %d for block %d", c, idx)
+			return nil, fmt.Errorf("middleware: home reply code %d for block %d", c, idx)
 		}
 		if c == homeServed {
 			servedBits |= bit
@@ -258,10 +259,10 @@ func decodeHomeReply(aux int64, p []byte, s span, blockLen func(int32) int, self
 		}
 		codes[i] = c
 	}
-	if len(p) != want || bits.OnesCount32(servedBits) != served || masters&^servedBits != 0 {
-		return nil, nil, fmt.Errorf("middleware: home reply of %d bytes serving %d (masters %#x) disagrees with its codes", len(p), served, masters)
+	if body != want || bits.OnesCount32(servedBits) != served || masters&^servedBits != 0 {
+		return nil, fmt.Errorf("middleware: home reply of %d bytes serving %d (masters %#x) disagrees with its codes", body, served, masters)
 	}
-	return codes, p[4*s.count:], nil
+	return codes, nil
 }
 
 // maxInvalBatch bounds one MsgInvalidateN / MsgInvalSinceReply batch (a
@@ -333,8 +334,9 @@ type Frame struct {
 	// Aux carries a message-specific integer (directory node, block age...).
 	Aux int64
 	// Payload is the block/file content or error text. For frames decoded
-	// from the wire it is backed by a pooled buffer: use TakePayload to
-	// keep the bytes past releaseFrame.
+	// from the wire it is backed by a pooled buffer, unless the round trip
+	// asked for its reply otherwise (replyInto): use TakePayload to keep
+	// the bytes past releaseFrame.
 	Payload []byte
 	// Segs are extra payload segments written to the wire after Payload,
 	// in order. The wire format is unchanged — the receiver sees one
@@ -342,20 +344,25 @@ type Frame struct {
 	// sender never concatenates them: the writer hands header + Payload +
 	// every segment to one writev. Serving paths point Segs at pinned
 	// store buffers (see bufs), so a run reply ships N cached blocks with
-	// zero copies. Outgoing frames only; the decoder always produces a
-	// contiguous Payload.
+	// zero copies. Outgoing frames only; the decoder produces a contiguous
+	// Payload, or per-block bufs for a run reply received intoRun.
 	Segs [][]byte
 
 	// pbuf, when non-nil, is the pooled buffer backing Payload; it returns
 	// to its size-class pool on releaseFrame.
 	pbuf *[]byte
-	// bufs are payload references pinned to this frame (Payload or Segs
-	// alias their bytes); releaseFrame drops them after the socket write,
-	// which is what keeps store eviction from recycling bytes under an
-	// in-flight reply.
+	// bufs are payload references pinned to this frame. On an outgoing
+	// frame Payload or Segs alias their bytes; releaseFrame drops them after
+	// the socket write, which is what keeps store eviction from recycling
+	// bytes under an in-flight reply. On a run reply received as
+	// replyInto's intoRun, they are the served blocks, one reference each,
+	// in index order.
 	bufs []*payloadBuf
 	// bufArr backs bufs allocation-free for serves of one or two blocks.
 	bufArr [2]*payloadBuf
+	// into, on a request frame, says where its reply's payload lands (see
+	// replyInto); the conn records it with the round trip.
+	into replyInto
 }
 
 // payloadLen is the total payload length on the wire: Payload plus every
@@ -558,8 +565,31 @@ func readFrame(r io.Reader, limit int) (*Frame, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
+	f, plen, err := decodeHeader(&hdr, limit)
+	if err != nil {
+		return nil, err
+	}
+	if err := readPooled(r, f, plen); err != nil {
+		releaseFrame(f)
+		return nil, err
+	}
+	return f, nil
+}
+
+// decodeHeader decodes hdr into a pooled frame and returns the length of
+// the payload that follows it on the wire, which it checks against limit
+// and the frame type.
+func decodeHeader(hdr *[headerLen]byte, limit int) (*Frame, int, error) {
+	plen := binary.BigEndian.Uint32(hdr[34:])
+	if int64(plen) > int64(limit) {
+		return nil, 0, fmt.Errorf("middleware: frame payload %d exceeds limit %d", plen, limit)
+	}
+	t := MsgType(hdr[0])
+	if plen > 0 && !typeCarriesPayload(t) {
+		return nil, 0, fmt.Errorf("middleware: frame type %d carries unexpected %d-byte payload", t, plen)
+	}
 	f := getFrame()
-	f.Type = MsgType(hdr[0])
+	f.Type = t
 	f.Flags = hdr[1]
 	f.Req = binary.BigEndian.Uint32(hdr[2:])
 	f.Sender = int32(binary.BigEndian.Uint32(hdr[6:]))
@@ -567,25 +597,18 @@ func readFrame(r io.Reader, limit int) (*Frame, error) {
 	f.File = block.FileID(binary.BigEndian.Uint32(hdr[18:]))
 	f.Idx = int32(binary.BigEndian.Uint32(hdr[22:]))
 	f.Aux = int64(binary.BigEndian.Uint64(hdr[26:]))
-	plen := binary.BigEndian.Uint32(hdr[34:])
-	if int64(plen) > int64(limit) {
-		releaseFrame(f)
-		return nil, fmt.Errorf("middleware: frame payload %d exceeds limit %d", plen, limit)
+	return f, int(plen), nil
+}
+
+// readPooled reads f's plen-byte payload from r into a pooled buffer.
+func readPooled(r io.Reader, f *Frame, plen int) error {
+	if plen == 0 {
+		return nil
 	}
-	if plen > 0 && !typeCarriesPayload(f.Type) {
-		t := f.Type
-		releaseFrame(f)
-		return nil, fmt.Errorf("middleware: frame type %d carries unexpected %d-byte payload", t, plen)
-	}
-	if plen > 0 {
-		f.pbuf = getPayload(int(plen))
-		f.Payload = *f.pbuf
-		if _, err := io.ReadFull(r, f.Payload); err != nil {
-			releaseFrame(f)
-			return nil, err
-		}
-	}
-	return f, nil
+	f.pbuf = getPayload(plen)
+	f.Payload = *f.pbuf
+	_, err := io.ReadFull(r, f.Payload)
+	return err
 }
 
 // ID returns the block identifier of the frame.

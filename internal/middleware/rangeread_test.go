@@ -3,6 +3,7 @@ package middleware
 import (
 	"bytes"
 	"io"
+	"runtime"
 	"testing"
 	"testing/iotest"
 
@@ -234,3 +235,46 @@ var (
 	_ io.Reader   = (*FileReader)(nil)
 	_ io.Seeker   = (*FileReader)(nil)
 )
+
+// TestClientReplyOwnership pins who owns a reply's buffer. Client.ReadVia
+// returns the whole file in a slice of exactly its length, read straight
+// off the wire and never pooled. A FileReader's ranged reply stays in a
+// pooled frame buffer that goes back to its pool after the copy out, so
+// ranged reads of a warm file allocate far less than the bytes they move.
+func TestClientReplyOwnership(t *testing.T) {
+	const size = 20_000
+	sizes := map[block.FileID]int64{1: size}
+	_, client := startCluster(t, 2, 64, sizes, nil)
+	data, err := client.ReadVia(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, expect(testGeom, 1, size)) || cap(data) != len(data) {
+		t.Fatalf("ReadVia returned %d bytes in a %d-byte buffer, want the file in an exact-length one", len(data), cap(data))
+	}
+
+	fr, err := client.OpenVia(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 16<<10)
+	read := func() {
+		if n, err := fr.ReadAt(buf, 1000); err != nil || n != len(buf) {
+			t.Fatalf("ReadAt: n=%d err=%v", n, err)
+		}
+	}
+	read() // warm the pools
+	const reads = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range reads {
+		read()
+	}
+	runtime.ReadMemStats(&after)
+	if perRead := (after.TotalAlloc - before.TotalAlloc) / reads; perRead >= uint64(len(buf))/2 {
+		t.Fatalf("a %d-byte ranged read allocated %d bytes: its reply buffer is not recycled", len(buf), perRead)
+	}
+	if !bytes.Equal(buf, expect(testGeom, 1, size)[1000:1000+len(buf)]) {
+		t.Fatal("ranged read content mismatch")
+	}
+}

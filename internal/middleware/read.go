@@ -409,8 +409,9 @@ func (n *Node) askHome(f block.FileID, size int64, s span, force bool) (homeRepl
 }
 
 // homeAt runs span s's home request at node: serveHome here, else one
-// MsgGetRun, retried (a restarting home comes back), whose reply is split
-// into per-block pooled copies, so one live block never pins the reply.
+// MsgGetRun, retried (a restarting home comes back), whose served blocks
+// the conn reads each into its own pooled buffer, so one live block never
+// pins the reply.
 func (n *Node) homeAt(node int, f block.FileID, size int64, s span, force bool) (homeReply, error) {
 	self := int32(n.cfg.ID)
 	if node == n.cfg.ID {
@@ -418,6 +419,7 @@ func (n *Node) homeAt(node int, f block.FileID, size int64, s span, force bool) 
 	}
 	req := getFrame()
 	req.Type, req.File, req.Idx, req.Aux = MsgGetRun, f, s.first, packRunAux(s.count, s.wanted)
+	req.into = n.runInto(size, s.first, s.count, true)
 	if force {
 		req.Flags = FlagMaster
 	}
@@ -427,61 +429,54 @@ func (n *Node) homeAt(node int, f block.FileID, size int64, s span, force bool) 
 		return homeReply{}, err
 	}
 	defer releaseFrame(resp)
+	body := 0
+	for _, pb := range resp.bufs {
+		body += len(pb.data)
+	}
 	lens := func(i int32) int { return blockLen(n.geom, size, i) }
-	codes, body, err := decodeHomeReply(resp.Aux, resp.Payload, s, lens, self)
+	codes, err := decodeHomeReply(resp.Aux, resp.Payload, body, s, lens, self)
 	if err != nil {
 		return homeReply{}, err
 	}
-	r := homeReply{codes: codes}
+	r := homeReply{codes: codes, blocks: append([]*payloadBuf(nil), resp.bufs...)}
+	resp.bufs = nil // their references are r's now
 	_, r.masters = unpackRunAux(resp.Aux)
-	for k, c := range codes {
-		if c == homeServed {
-			pb := newPooledPayloadBuf(lens(s.first + int32(k)))
-			body = body[copy(pb.data, body):]
-			r.blocks = append(r.blocks, pb)
-		}
-	}
 	return r, nil
+}
+
+// runInto lays out the reply to a MsgGetRun for count blocks from first of
+// a size-byte file: each served block lands in its own pooled buffer, after
+// one code per block when codes is set (a home reply).
+func (n *Node) runInto(size int64, first int32, count int, codes bool) replyInto {
+	return replyInto{kind: intoRun, codes: codes, first: first, count: count, size: size, geom: n.geom}
 }
 
 // fetchPeerRun fetches count blocks from first as one peer run from src,
 // their named holder, and installs the prefix src served as copies, one
 // remote hit each, pinning each in pins (slot 0: block first). It returns
-// the prefix length.
+// the prefix length. Each served block arrives in its own pooled buffer,
+// so one live block never pins the whole run and eviction recycles each
+// block independently.
 func (n *Node) fetchPeerRun(f block.FileID, size int64, src int, first int32, count int, pins []*payloadBuf) int {
 	req := getFrame()
 	req.Type, req.File, req.Idx, req.Aux = MsgGetRun, f, first, packRunAux(count, 0)
+	req.into = n.runInto(size, first, count, false)
 	atomic.AddUint64(&n.c.RunsIssued, 1)
 	resp, err := n.reliableRPC(src, req, 0)
 	releaseFrame(req)
 	served := 0
 	if err == nil {
-		if k, _ := unpackRunAux(resp.Aux); resp.Type == MsgRunData && k <= count {
-			expect := 0
-			for i := 0; i < k; i++ {
-				expect += blockLen(n.geom, size, first+int32(i))
+		if k, _ := unpackRunAux(resp.Aux); resp.Type == MsgRunData && k <= count && len(resp.bufs) == k && len(resp.Payload) == 0 {
+			for i, pb := range resp.bufs {
+				pins[i] = pb.retain()
+				atomic.AddUint64(&n.c.Accesses, 1)
+				atomic.AddUint64(&n.c.RemoteHits, 1)
 			}
-			if len(resp.Payload) == expect {
-				blocks := make([]*payloadBuf, 0, k)
-				off := 0
-				for i := first; i < first+int32(k); i++ {
-					l := blockLen(n.geom, size, i)
-					// One pool-backed copy per block: splitting the multi-block
-					// response means one live block never pins the whole run's
-					// payload, and eviction recycles each block independently.
-					pb := newPooledPayloadBuf(l)
-					copy(pb.data, resp.Payload[off:off+l])
-					off += l
-					pins[i-first] = pb.retain()
-					atomic.AddUint64(&n.c.Accesses, 1)
-					atomic.AddUint64(&n.c.RemoteHits, 1)
-					blocks = append(blocks, pb)
-				}
-				for _, ev := range n.store.InsertRun(f, first, blocks, false) {
-					n.dispatchEvicted(ev)
-				}
-				served = k
+			for _, ev := range n.store.InsertRun(f, first, resp.bufs, false) {
+				n.dispatchEvicted(ev)
 			}
+			resp.bufs = nil // the store took their references
+			served = k
 		}
 		releaseFrame(resp)
 	}
@@ -566,7 +561,7 @@ func (n *Node) fetchBlock(id block.ID, size int64, holder int32) (*payloadBuf, e
 		}
 		holder = named
 	}
-	pb, err := n.getOne(int(holder), id)
+	pb, err := n.getOne(int(holder), id, size)
 	if pb != nil {
 		atomic.AddUint64(&n.c.RemoteHits, 1)
 		n.insertBlockBuf(id, pb.retain(), false)
@@ -624,22 +619,25 @@ func (n *Node) ringSuccessor(f block.FileID, down int) (int, bool) {
 	return succ, true
 }
 
-// getOne fetches block id from node `to`'s cache as a peer run of one
-// block. A nil payload with a nil error is a miss: the node answered but
-// holds no copy.
-func (n *Node) getOne(to int, id block.ID) (*payloadBuf, error) {
+// getOne fetches block id of a size-byte file from node `to`'s cache as a
+// peer run of one block, which arrives in its own pooled buffer. A nil
+// payload with a nil error is a miss: the node answered but holds no copy.
+func (n *Node) getOne(to int, id block.ID, size int64) (*payloadBuf, error) {
 	req := getFrame()
 	req.Type, req.File, req.Idx, req.Aux = MsgGetRun, id.File, id.Idx, packRunAux(1, 0)
+	req.into = n.runInto(size, id.Idx, 1, false)
 	resp, err := n.reliableRPC(to, req, 0)
 	releaseFrame(req)
 	if err != nil {
 		return nil, err
 	}
 	defer releaseFrame(resp)
-	if count, _ := unpackRunAux(resp.Aux); resp.Type != MsgRunData || count != 1 {
+	if count, _ := unpackRunAux(resp.Aux); resp.Type != MsgRunData || count != 1 || len(resp.bufs) != 1 {
 		return nil, nil
 	}
-	return resp.TakePayloadBuf(), nil // pool backing travels with the bytes
+	pb := resp.bufs[0]
+	resp.bufs = nil // its reference is the caller's now
+	return pb, nil
 }
 
 // insertBlockBuf caches a payload the caller holds a reference on (the

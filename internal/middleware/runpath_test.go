@@ -38,6 +38,13 @@ func TestPackRunAux(t *testing.T) {
 	}
 }
 
+// splitHomeReply splits a home reply's payload p for span s the way the
+// conn receives it: the code head, and the length of the bytes after it.
+func splitHomeReply(p []byte, s span) ([]byte, int) {
+	head := min(len(p), 4*s.count)
+	return p[:head], len(p) - head
+}
+
 // TestHomeReplyCodec round-trips home replies that name, serve and skip —
 // one names a holder beyond the requester's view, which decodes — and checks
 // that the decoder refuses each inconsistency it guards against.
@@ -46,12 +53,13 @@ func TestHomeReplyCodec(t *testing.T) {
 	lens := func(int32) int { return 3 }
 	for _, codes := range [][]int32{{homeServed, 2, dirNoEntry, homeServed}, {homeServed, 9, dirNoEntry, homeServed}} {
 		p := append(appendHomeCodes(nil, codes), "abcdef"...)
-		got, body, err := decodeHomeReply(packRunAux(2, 0b1000), p, s, lens, 0)
+		head, body := splitHomeReply(p, s)
+		got, err := decodeHomeReply(packRunAux(2, 0b1000), head, body, s, lens, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(body) != "abcdef" || len(got) != len(codes) {
-			t.Fatalf("decoded %v + %q", got, body)
+		if len(got) != len(codes) {
+			t.Fatalf("decoded %v", got)
 		}
 		for i := range codes {
 			if got[i] != codes[i] {
@@ -73,8 +81,9 @@ func TestHomeReplyCodec(t *testing.T) {
 		"holder is requester":  {packRunAux(2, 0), append(appendHomeCodes(nil, []int32{homeServed, 0, dirNoEntry, homeServed}), "abcdef"...)},
 		"unwanted block named": {packRunAux(2, 0), append(appendHomeCodes(nil, []int32{homeServed, 2, 1, homeServed}), "abcdef"...)},
 	} {
-		if codes, body, err := decodeHomeReply(c.aux, c.p, s, lens, 0); err == nil || codes != nil || body != nil {
-			t.Errorf("%s: accepted (%v, %q, %v)", name, codes, body, err)
+		head, body := splitHomeReply(c.p, s)
+		if codes, err := decodeHomeReply(c.aux, head, body, s, lens, 0); err == nil || codes != nil {
+			t.Errorf("%s: accepted (%v, %v)", name, codes, err)
 		}
 	}
 }
@@ -465,5 +474,55 @@ func TestGetRunRequestValidation(t *testing.T) {
 			t.Fatalf("run count %d accepted (reply type %d)", count, resp.Type)
 		}
 		releaseFrame(resp)
+	}
+}
+
+// TestRunFillLandsPerBlock follows the two receive paths of a span fill.
+// A cold read through entry 0 takes a home reply from node 1. A read through
+// entry 2 then takes a peer run from node 0, which the home names. Each
+// fill installs the source's bytes with the §3 counters: disk reads and
+// masters at node 0, remote hits and copies at node 2. Every installed
+// block sits in a pooled buffer of its own size class, so no block pins a
+// whole reply.
+func TestRunFillLandsPerBlock(t *testing.T) {
+	const nblocks = 6
+	f := homedAt(3, 1)
+	size := int64(nblocks-1)*int64(testGeom.Size) + 100 // a short last block
+	sizes := map[block.FileID]int64{f: size}
+	nodes, client := startCluster(t, 3, 256, sizes, nil)
+	want := expect(testGeom, f, size)
+	for _, entry := range []int{0, 2} {
+		data, err := client.ReadVia(entry, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, want) {
+			t.Fatalf("content mismatch via %d", entry)
+		}
+	}
+	s0, s2 := nodes[0].Stats(), nodes[2].Stats()
+	if s0.Accesses != nblocks || s0.DiskReads != nblocks || s0.RemoteHits != 0 {
+		t.Fatalf("node 0: accesses=%d disk=%d remote=%d, want %d disk reads", s0.Accesses, s0.DiskReads, s0.RemoteHits, nblocks)
+	}
+	if s2.Accesses != nblocks || s2.RemoteHits != nblocks || s2.DiskReads != 0 || s2.RunsDegraded != 0 {
+		t.Fatalf("node 2: accesses=%d remote=%d disk=%d degraded=%d, want %d remote hits from one run",
+			s2.Accesses, s2.RemoteHits, s2.DiskReads, s2.RunsDegraded, nblocks)
+	}
+	for _, i := range []int{0, 2} {
+		for idx := int32(0); idx < nblocks; idx++ {
+			id := block.ID{File: f, Idx: idx}
+			pb, ok := nodes[i].store.GetRef(id)
+			if !ok {
+				t.Fatalf("node %d does not cache %v", i, id)
+			}
+			if !bytes.Equal(pb.data, SyntheticBlock(f, idx, blockLen(testGeom, size, idx))) || pb.pooled == nil || cap(pb.data) != testGeom.Size {
+				t.Fatalf("node %d: %v is %d bytes in a %d-byte buffer (pooled %v), want its own 1 KB class buffer",
+					i, id, len(pb.data), cap(pb.data), pb.pooled != nil)
+			}
+			if master := nodes[i].store.IsMaster(id); master != (i == 0) {
+				t.Fatalf("node %d: %v master %v", i, id, master)
+			}
+			pb.release()
+		}
 	}
 }
