@@ -3,7 +3,6 @@ package middleware
 import (
 	"encoding/json"
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,27 +50,15 @@ type Client struct {
 	// platform.
 	fault ClientFaultStats
 
-	// members is the client's picture of the cluster: node-ID-indexed
-	// addresses and liveness, refreshed from any live node after failover
-	// trips (so the client survives the death of every original entry
-	// point, and discovers joined nodes without re-dialing).
-	members atomic.Pointer[clientMembers]
-	// view is the last decoded membership view behind members: it keeps
-	// the consistent-hash ring so the client can compute file→home
-	// placement itself (HomeOf) for locality-aware entry (§4.1 hand-off).
-	view    atomic.Pointer[memberView]
-	cfg     ClientConfig
-	timeout time.Duration
-	retries int
-	// mu guards conns/breakers/closed. Both slices are node-ID-indexed and
-	// only ever grow; a removed member keeps its slot (skipped via members).
-	mu         sync.Mutex
-	closed     bool
-	conns      []*conn
-	breakers   []*breaker
-	brThresh   int
-	brCooldown time.Duration
-	rr         atomic.Uint32
+	// peers is the client's picture of the cluster and a conn and a
+	// breaker per member (peer.go). Its view starts as the dialed address
+	// list at epoch 0 and is refreshed from any live node after failover
+	// trips, so the client survives the death of every original entry
+	// point and discovers joined nodes without re-dialing. Its ring gives
+	// the file→home placement the cluster uses (HomeOf) for locality-aware
+	// entry (§4.1 hand-off).
+	peers *peerTable
+	rr    atomic.Uint32
 	// lastRefresh rate-limits membership refreshes (unix nanos).
 	lastRefresh atomic.Int64
 
@@ -85,29 +72,8 @@ type Client struct {
 	stickyRing []block.FileID
 	stickyPos  int
 
-	// rpcLat holds one latency histogram per request frame type, fed by
-	// conn.roundTrip on every client connection.
-	rpcLat [msgTypeCount]obs.Histogram
-}
-
-// clientMembers is the client's immutable membership snapshot: index =
-// node ID, an empty address marks an unknown slot, alive marks slots that
-// accept requests (alive or draining members).
-type clientMembers struct {
-	epoch uint64
-	addrs []string
-	alive []bool
-}
-
-// count reports how many slots currently accept requests.
-func (m *clientMembers) count() int {
-	n := 0
-	for _, a := range m.alive {
-		if a {
-			n++
-		}
-	}
-	return n
+	// rpcLat holds the latency histograms of the client's requests.
+	rpcLat rpcLatency
 }
 
 // DialCluster returns a client for the given node addresses (index = node
@@ -121,116 +87,15 @@ func DialClusterConfig(addrs []string, cfg ClientConfig) (*Client, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("middleware: no cluster addresses")
 	}
-	c := &Client{
-		cfg:      cfg,
-		conns:    make([]*conn, len(addrs)),
-		breakers: make([]*breaker, len(addrs)),
-	}
-	m := &clientMembers{
-		addrs: append([]string(nil), addrs...),
-		alive: make([]bool, len(addrs)),
-	}
-	for i := range m.alive {
-		m.alive[i] = true
-	}
-	c.members.Store(m)
-	c.timeout = cfg.RPCTimeout
-	if c.timeout == 0 {
-		c.timeout = defaultRPCTimeout
-	}
-	if c.timeout < 0 {
-		c.timeout = 0
-	}
-	c.retries = cfg.Retries
-	if c.retries == 0 {
-		c.retries = defaultRetries
-	}
-	if c.retries < 0 {
-		c.retries = 0
-	}
-	thresh := cfg.BreakerThreshold
-	if thresh == 0 {
-		thresh = defaultBreakerThreshold
-	}
-	cooldown := cfg.BreakerCooldown
-	if cooldown <= 0 {
-		cooldown = defaultBreakerCooldown
-	}
-	c.brThresh, c.brCooldown = thresh, cooldown
-	for i := range c.breakers {
-		c.breakers[i] = &breaker{threshold: thresh, cooldown: cooldown}
-	}
-	return c, nil
-}
-
-// growLocked extends the node-ID-indexed conns/breakers arrays to n slots.
-// Callers hold c.mu.
-func (c *Client) growLocked(n int) {
-	for len(c.breakers) < n {
-		c.conns = append(c.conns, nil)
-		c.breakers = append(c.breakers, &breaker{threshold: c.brThresh, cooldown: c.brCooldown})
-	}
-}
-
-// breaker returns node i's circuit breaker, growing the array if the
-// membership view got ahead of it.
-func (c *Client) breaker(i int) *breaker {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.growLocked(i + 1)
-	return c.breakers[i]
-}
-
-func (c *Client) conn(i int) (*conn, error) {
-	m := c.members.Load()
-	if i < 0 || i >= len(m.addrs) || m.addrs[i] == "" {
-		return nil, errPeerSuspect // unknown slot: steer elsewhere
-	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, errConnClosed
-	}
-	c.growLocked(len(m.addrs))
-	if cc := c.conns[i]; cc != nil {
-		c.mu.Unlock()
-		return cc, nil
-	}
-	c.mu.Unlock()
-
-	// Dial outside the lock: every RPC the client makes, to any node, takes
-	// c.mu, and a dial to an unreachable node can take a whole timeout.
-	nc, err := net.DialTimeout("tcp", m.addrs[i], c.timeout)
-	if err != nil {
-		return nil, err
-	}
-	nc = c.cfg.Fault.Wrap(nc, -1, i)
+	tol := newTolerance(cfg.RPCTimeout, cfg.Retries, cfg.BreakerThreshold, cfg.BreakerCooldown)
+	c := &Client{}
 	stamp := func(f *Frame) {
 		f.Sender = -1
 		f.OldestAge = noAge
 	}
-	cc := newConn(nc, connConfig{stamp: stamp, timeout: c.timeout, latency: c.observeRPCLatency})
-	c.mu.Lock()
-	if won := c.conns[i]; won != nil || c.closed {
-		// Lost the dial race (keep the established conn) or the client
-		// closed meanwhile.
-		c.mu.Unlock()
-		cc.close()
-		if won == nil {
-			return nil, errConnClosed
-		}
-		return won, nil
-	}
-	c.conns[i] = cc
-	c.mu.Unlock()
-	return cc, nil
-}
-
-// observeRPCLatency feeds the client's per-RPC-type latency histograms.
-func (c *Client) observeRPCLatency(t MsgType, d time.Duration) {
-	if int(t) < len(c.rpcLat) {
-		c.rpcLat[t].Observe(d)
-	}
+	c.peers = newPeerTable(-1, tol, cfg.Fault, connConfig{stamp: stamp, timeout: tol.timeout, latency: c.rpcLat.observe})
+	c.peers.install(aliveView(0, addrs))
+	return c, nil
 }
 
 // RPCLatency snapshots the client's per-RPC-type latency histograms, keyed
@@ -252,25 +117,21 @@ func (c *Client) RegisterMetrics(r *obs.Registry) {
 // is open, the round-robin choice proceeds anyway — somebody has to
 // probe).
 func (c *Client) next() int {
-	m := c.members.Load()
-	n := len(m.addrs)
-	c.mu.Lock()
-	c.growLocked(n)
-	brs := c.breakers[:n]
-	c.mu.Unlock()
+	v := c.peers.view.Load()
+	n := v.size()
 	for try := 0; try < n; try++ {
 		i := int(c.rr.Add(1)-1) % n
-		if !m.alive[i] {
+		if !v.reachable(i) {
 			continue
 		}
-		if brs[i].allow() {
+		if c.peers.get(i).br.allow() {
 			return i
 		}
 		atomic.AddUint64(&c.fault.BreakerSkips, 1)
 	}
 	for try := 0; try < n; try++ {
 		i := int(c.rr.Add(1)-1) % n
-		if m.addrs[i] != "" {
+		if v.members[i].Addr != "" {
 			return i
 		}
 	}
@@ -278,33 +139,16 @@ func (c *Client) next() int {
 }
 
 func (c *Client) roundTrip(node int, f *Frame) (*Frame, error) {
-	cc, err := c.conn(node)
-	if err == nil {
-		var resp *Frame
-		resp, err = cc.roundTrip(f)
-		if err == errConnClosed {
-			// The connection died (node restart): redial once.
-			c.mu.Lock()
-			if c.conns[node] == cc {
-				c.conns[node] = nil
-			}
-			c.mu.Unlock()
-			if cc, err = c.conn(node); err == nil {
-				resp, err = cc.roundTrip(f)
-			}
-		}
-		if err == nil {
-			c.breaker(node).success()
-			return resp, nil
-		}
+	p := c.peers.get(node)
+	if p == nil {
+		return nil, errPeerSuspect // a slot no view has named: steer elsewhere
 	}
-	if isTransient(err) {
-		if err == errRPCTimeout {
-			atomic.AddUint64(&c.fault.Timeouts, 1)
-		}
-		c.breaker(node).failure()
+	resp, err := c.peers.roundTrip(p, f)
+	if err == errRPCTimeout {
+		atomic.AddUint64(&c.fault.Timeouts, 1)
 	}
-	return nil, err
+	p.settle(err)
+	return resp, err
 }
 
 // failoverTrip runs the request against node, retrying on other nodes
@@ -315,7 +159,7 @@ func (c *Client) roundTrip(node int, f *Frame) (*Frame, error) {
 // cluster has declared dead and reach members that joined after dial.
 func (c *Client) failoverTrip(node int, f *Frame) (*Frame, int, error) {
 	resp, err := c.roundTrip(node, f)
-	for attempt := 0; attempt < c.retries && isTransient(err); attempt++ {
+	for attempt := 0; attempt < c.peers.tol.retries && isTransient(err); attempt++ {
 		atomic.AddUint64(&c.fault.Failovers, 1)
 		c.maybeRefresh()
 		node = c.next()
@@ -344,10 +188,10 @@ func (c *Client) maybeRefresh() {
 // death of every address it was dialed with, as long as some member it
 // has learned about is still alive.
 func (c *Client) RefreshMembership() error {
-	m := c.members.Load()
+	v := c.peers.view.Load()
 	var lastErr error
-	for i := range m.addrs {
-		if m.addrs[i] == "" || !m.alive[i] {
+	for i := range v.members {
+		if !v.reachable(i) {
 			continue
 		}
 		req := getFrame()
@@ -365,7 +209,7 @@ func (c *Client) RefreshMembership() error {
 				lastErr = derr
 				continue
 			}
-			c.installMembers(v)
+			c.peers.install(v)
 			return nil
 		}
 		typ := resp.Type
@@ -378,46 +222,6 @@ func (c *Client) RefreshMembership() error {
 	return lastErr
 }
 
-// installMembers folds a decoded membership view into the client's
-// picture if it is newer, closing connections to members now dead.
-func (c *Client) installMembers(v *memberView) {
-	for {
-		cur := c.members.Load()
-		if cur != nil && cur.epoch >= v.epoch {
-			return
-		}
-		m := &clientMembers{
-			epoch: v.epoch,
-			addrs: make([]string, v.size()),
-			alive: make([]bool, v.size()),
-		}
-		for i, mi := range v.members {
-			m.addrs[i] = mi.Addr
-			// Draining members still serve; only dead (and empty) slots
-			// stop being entry points.
-			m.alive[i] = mi.State != stateDead && mi.Addr != ""
-		}
-		if !c.members.CompareAndSwap(cur, m) {
-			continue
-		}
-		c.view.Store(v)
-		var dead []*conn
-		c.mu.Lock()
-		c.growLocked(len(m.addrs))
-		for i := range m.alive {
-			if !m.alive[i] && i < len(c.conns) && c.conns[i] != nil {
-				dead = append(dead, c.conns[i])
-				c.conns[i] = nil
-			}
-		}
-		c.mu.Unlock()
-		for _, cc := range dead {
-			cc.close()
-		}
-		return
-	}
-}
-
 // HomeOf reports the home node of file f under the client's current
 // membership view — the file→node placement the cluster itself uses, so a
 // serving layer can enter at the node that will own the read (the paper's
@@ -425,16 +229,12 @@ func (c *Client) installMembers(v *memberView) {
 // misrouted hop). ok is false until RefreshMembership has installed a
 // view, or when the computed home is not currently reachable.
 func (c *Client) HomeOf(f block.FileID) (int, bool) {
-	v := c.view.Load()
-	if v == nil {
-		return 0, false
+	v := c.peers.view.Load()
+	if v.epoch == 0 {
+		return 0, false // the dialed address list, not a view of the cluster's
 	}
 	h, ok := v.home(f)
 	if !ok || !v.reachable(h) {
-		return 0, false
-	}
-	m := c.members.Load()
-	if m == nil || h >= len(m.alive) || !m.alive[h] {
 		return 0, false
 	}
 	return h, true
@@ -443,12 +243,7 @@ func (c *Client) HomeOf(f block.FileID) (int, bool) {
 // MembershipEpoch reports the epoch of the client's membership view (0
 // until a refresh has installed one; the dialed address list has no
 // epoch).
-func (c *Client) MembershipEpoch() uint64 {
-	if m := c.members.Load(); m != nil {
-		return m.epoch
-	}
-	return 0
-}
+func (c *Client) MembershipEpoch() uint64 { return c.peers.view.Load().epoch }
 
 // DrainNode asks the cluster to move a member out of the ring (graceful
 // leave): the member keeps serving while its successors pull its blocks.
@@ -480,7 +275,7 @@ func (c *Client) memberDrain(node int, flags uint8) error {
 	}
 	if resp.Type == MsgViewReply {
 		if v, derr := decodeView(resp.Payload); derr == nil {
-			c.installMembers(v)
+			c.peers.install(v)
 		}
 	}
 	releaseFrame(resp)
@@ -520,10 +315,10 @@ func (c *Client) writeEntry(f block.FileID) int {
 	if !ok {
 		return -1
 	}
-	if m := c.members.Load(); node >= len(m.alive) || !m.alive[node] {
+	if !c.peers.view.Load().reachable(node) {
 		return -1 // the sticky node left the cluster
 	}
-	if !c.breaker(node).allow() {
+	if !c.peers.get(node).br.allow() {
 		return -1
 	}
 	return node
@@ -629,9 +424,9 @@ func (c *Client) ClusterStats() (Stats, error) {
 	var sum Stats
 	reached := 0
 	var lastErr error
-	m := c.members.Load()
-	for i := range m.addrs {
-		if m.addrs[i] == "" || !m.alive[i] {
+	v := c.peers.view.Load()
+	for i := range v.members {
+		if !v.reachable(i) {
 			continue
 		}
 		s, err := c.NodeStats(i)
@@ -652,13 +447,4 @@ func (c *Client) ClusterStats() (Stats, error) {
 }
 
 // Close tears down all connections; later requests fail.
-func (c *Client) Close() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.closed = true
-	for _, cc := range c.conns {
-		if cc != nil {
-			cc.close()
-		}
-	}
-}
+func (c *Client) Close() { c.peers.close() }

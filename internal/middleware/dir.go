@@ -102,7 +102,7 @@ func (n *Node) dirCAS(id block.ID, ifNode, toNode int32) {
 	}
 	req := getFrame()
 	req.Type, req.File, req.Idx, req.Aux = MsgDirDrop, id.File, id.Idx, int64(ifNode)<<32|int64(uint32(toNode))
-	resp, err := n.reliableRPC(m, req, n.retries)
+	resp, err := n.reliableRPC(m, req, n.tol.retries)
 	releaseFrame(req)
 	if err == nil {
 		releaseFrame(resp)

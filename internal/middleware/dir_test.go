@@ -356,7 +356,7 @@ func TestForwardKeepsNewerClaim(t *testing.T) {
 		return &Evicted{ID: block.ID{File: f, Idx: idx}, Master: true, Age: age, Data: SyntheticBlock(f, idx, testGeom.Size)}
 	}
 
-	evictor.peerAges[target].Store(1)
+	evictor.peers.get(int(target)).age.Store(1)
 	dir.updateN(f, []int32{0}, 0) // a writer, node 0, claimed block 0
 	dir.updateN(f, []int32{1}, 2) // block 1 still names the evictor
 	evictor.forwardEvicted(evict(0, 1<<40))

@@ -19,6 +19,36 @@ const (
 	defaultBreakerCooldown  = 500 * time.Millisecond
 )
 
+// tolerance is the fault-tolerance settings Config and ClientConfig share,
+// with the defaults applied.
+type tolerance struct {
+	timeout   time.Duration // per round trip and dial; 0: no deadline
+	retries   int
+	threshold int // consecutive failures that open a breaker; <= 0: no breakers
+	cooldown  time.Duration
+}
+
+// newTolerance resolves the four settings: 0 picks the default; a negative
+// timeout or retry count turns deadlines or retries off.
+func newTolerance(timeout time.Duration, retries, threshold int, cooldown time.Duration) tolerance {
+	t := tolerance{timeout: timeout, retries: retries, threshold: threshold, cooldown: cooldown}
+	if t.timeout == 0 {
+		t.timeout = defaultRPCTimeout
+	}
+	t.timeout = max(t.timeout, 0)
+	if t.retries == 0 {
+		t.retries = defaultRetries
+	}
+	t.retries = max(t.retries, 0)
+	if t.threshold == 0 {
+		t.threshold = defaultBreakerThreshold
+	}
+	if t.cooldown <= 0 {
+		t.cooldown = defaultBreakerCooldown
+	}
+	return t
+}
+
 // errRPCTimeout is returned by roundTrip when the reply misses the
 // connection's deadline. The frame, if it ever arrives, is discarded by
 // the pending-map removal; the pool ownership contract is unaffected.
@@ -69,8 +99,8 @@ func IsTimeout(err error) bool {
 // breaker is a per-peer circuit breaker. After `threshold` consecutive
 // transport failures the circuit opens: requests to the peer fail fast
 // (errPeerSuspect) instead of paying a timeout each. After `cooldown`, one
-// half-open probe request is let through; its success closes the circuit,
-// its failure re-arms the cooldown.
+// half-open probe request is let through; any reply to it closes the
+// circuit (peer.settle), a transport failure re-arms the cooldown.
 //
 // A zero or negative threshold disables the breaker (allow always).
 type breaker struct {
@@ -86,7 +116,7 @@ type breaker struct {
 // allow reports whether a request to the peer may proceed. In the open
 // state it admits a single probe once the cooldown elapsed.
 func (b *breaker) allow() bool {
-	if b == nil || b.threshold <= 0 {
+	if b.threshold <= 0 {
 		return true
 	}
 	b.mu.Lock()
@@ -105,7 +135,7 @@ func (b *breaker) allow() bool {
 // whether this closed a previously open circuit (the open→closed
 // transition, for the breaker_close trace event).
 func (b *breaker) success() bool {
-	if b == nil || b.threshold <= 0 {
+	if b.threshold <= 0 {
 		return false
 	}
 	b.mu.Lock()
@@ -124,7 +154,7 @@ func (b *breaker) success() bool {
 // already past the threshold, so comparing against the threshold alone
 // (the old accounting) silently missed every re-open.
 func (b *breaker) failure() bool {
-	if b == nil || b.threshold <= 0 {
+	if b.threshold <= 0 {
 		return false
 	}
 	b.mu.Lock()

@@ -1,9 +1,62 @@
 package middleware
 
 import (
+	"errors"
 	"testing"
 	"time"
+
+	"repro/internal/block"
 )
+
+// TestClientBreakerClosesOnErrorReply: a half-open probe that a node
+// answers with an error (here a 404) proves the node alive and closes the
+// client's breaker; a breaker left probing would steer every later request
+// away from the node for good.
+func TestClientBreakerClosesOnErrorReply(t *testing.T) {
+	nodes, _ := startCluster(t, 2, 16, map[block.FileID]int64{0: 1024}, nil)
+	c := dialNodes(t, nodes, ClientConfig{BreakerThreshold: 1, BreakerCooldown: 10 * time.Millisecond})
+	br := &c.peers.get(1).br
+	br.failure()
+	time.Sleep(20 * time.Millisecond)
+	if !br.allow() { // the half-open probe, as next() admits it
+		t.Fatal("cooldown elapsed: the half-open probe should be admitted")
+	}
+	if _, err := c.ReadVia(1, 99); !errors.Is(err, ErrUnknownFile) {
+		t.Fatalf("read of an unknown file: %v, want ErrUnknownFile", err)
+	}
+	time.Sleep(50 * time.Millisecond)
+	if !br.allow() {
+		t.Fatal("the probe's error reply left the breaker open")
+	}
+}
+
+// TestNodeBreakerClosesOnErrorReply is the same for a node: a probe
+// answered with MsgErr closes the breaker, or every later RPC to the peer
+// fails with errPeerSuspect and the invalidation bus never delivers to it.
+func TestNodeBreakerClosesOnErrorReply(t *testing.T) {
+	nodes, _ := startCluster(t, 2, 16, map[block.FileID]int64{0: 1024}, func(i int, cfg *Config) {
+		cfg.BreakerThreshold, cfg.BreakerCooldown = 1, 10*time.Millisecond
+	})
+	n := nodes[0]
+	br := &n.peers.get(1).br
+	br.failure()
+	time.Sleep(20 * time.Millisecond)
+	req := getFrame()
+	req.Type, req.Aux = MsgGetRun, packRunAux(0, 0) // a zero-block run: an error reply
+	resp, err := n.reliableRPC(1, req, 0)
+	releaseFrame(req)
+	if err == nil {
+		releaseFrame(resp)
+		t.Fatal("a zero-block run got a reply, want an error reply")
+	}
+	if isTransient(err) {
+		t.Fatalf("a zero-block run failed in transport: %v", err)
+	}
+	time.Sleep(50 * time.Millisecond)
+	if !br.allow() {
+		t.Fatal("the probe's error reply left the breaker open")
+	}
+}
 
 // TestBreakerReopenCounted is the regression test for the breaker
 // accounting bug: failure() used to report the open transition only when

@@ -256,7 +256,7 @@ func (b *invalBus) senderLoop(s *invalSender) {
 	recs := make([]block.ID, 0, maxInvalBatch)
 	seen := make(map[block.ID]struct{}, maxInvalBatch)
 	backoff := defaultRetryBackoff
-	backoffCap := max(retryBackoffCap, n.brCooldown)
+	backoffCap := max(retryBackoffCap, n.tol.cooldown)
 	for {
 		select {
 		case <-b.stop:
@@ -350,17 +350,6 @@ type invalOrigin struct {
 	catching bool
 }
 
-// invalOriginFor returns the receive state for records from `origin` (nil
-// when membership is not installed or origin is out of range).
-func (n *Node) invalOriginFor(origin int) *invalOrigin {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if origin < 0 || origin >= len(n.invalIn) {
-		return nil
-	}
-	return n.invalIn[origin]
-}
-
 // handleInvalidateN applies one batch of sequenced invalidation records.
 // Batches are idempotent per origin: a frame whose window is entirely below
 // the applied mark is a resend and is skipped whole (re-invalidating would
@@ -371,10 +360,11 @@ func (n *Node) invalOriginFor(origin int) *invalOrigin {
 // tracks reality.
 func (n *Node) handleInvalidateN(f *Frame) *Frame {
 	origin := int(f.Sender)
-	o := n.invalOriginFor(origin)
-	if o == nil {
+	p := n.peers.get(origin)
+	if p == nil {
 		return errFrame("invalidation batch from unknown origin %d", origin)
 	}
+	o := &p.inval
 	first, ids, err := decodeInvalPayload(f.Payload, nil)
 	if err != nil {
 		return errFrame("invalidation batch: %v", err)
@@ -461,7 +451,7 @@ func (n *Node) invalCatchup(origin int, o *invalOrigin, from uint64) {
 		req := getFrame()
 		req.Type = MsgInvalSince
 		req.Aux = int64(from)
-		resp, err := n.reliableRPC(origin, req, n.retries)
+		resp, err := n.reliableRPC(origin, req, n.tol.retries)
 		releaseFrame(req)
 		if err != nil {
 			return

@@ -2,7 +2,6 @@ package middleware
 
 import (
 	"fmt"
-	"net"
 	"sync/atomic"
 	"time"
 
@@ -46,7 +45,7 @@ func (n *Node) heartbeatLoop() {
 // probe still in flight (a slow peer gets one outstanding probe, not a
 // pile-up).
 func (n *Node) probePeers() {
-	v := n.view.Load()
+	v := n.viewRef()
 	if v == nil {
 		return
 	}
@@ -55,18 +54,19 @@ func (n *Node) probePeers() {
 		if i == n.cfg.ID || !v.reachable(i) {
 			continue
 		}
-		n.hbMu.Lock()
-		if n.hbBusy[i] {
-			n.hbMu.Unlock()
+		p := n.peers.get(i)
+		p.mu.Lock()
+		if p.hbBusy {
+			p.mu.Unlock()
 			continue
 		}
-		if _, seen := n.hbLast[i]; !seen {
+		if p.hbLast.IsZero() {
 			// First sight: the miss clock starts now, not at epoch zero.
-			n.hbLast[i] = now
+			p.hbLast = now
 		}
-		n.hbBusy[i] = true
-		n.hbMu.Unlock()
-		go n.probe(i, v.epoch)
+		p.hbBusy = true
+		p.mu.Unlock()
+		go n.probe(p, v.epoch)
 	}
 }
 
@@ -76,65 +76,66 @@ func (n *Node) probePeers() {
 // a congested link must never retire a live member (dead is terminal).
 const deadMinFails = 3
 
-// probe sends one MsgPing to peer i, feeding the suspect clock and — past
+// probe sends one MsgPing to peer p, feeding the suspect clock and — past
 // DeadTimeout and deadMinFails consecutive failures — the coordinator's
 // dead promotion. The exchanged epochs drive anti-entropy in both
 // directions. The probe deliberately bypasses the circuit breaker: the
 // breaker opens on data-path congestion too, and a failure detector that
 // reads the breaker instead of the peer would fail fast for a whole
 // cooldown and promote a live-but-loaded member.
-func (n *Node) probe(i int, epoch uint64) {
+func (n *Node) probe(p *peer, epoch uint64) {
 	defer func() {
-		n.hbMu.Lock()
-		n.hbBusy[i] = false
-		n.hbMu.Unlock()
+		p.mu.Lock()
+		p.hbBusy = false
+		p.mu.Unlock()
 	}()
 	f := getFrame()
 	f.Type = MsgPing
 	f.Aux = int64(epoch)
-	resp, err := n.roundTripTo(i, f)
+	resp, err := n.peers.roundTrip(p, f)
 	releaseFrame(f)
 	if err != nil {
 		atomic.AddUint64(&n.c.HeartbeatFailures, 1)
-		n.hbMu.Lock()
-		n.hbFails[i]++
-		miss := time.Since(n.hbLast[i])
-		n.hbSuspect[i] = miss >= n.hbSuspectAfter
-		dead := miss >= n.hbDeadAfter && n.hbFails[i] >= deadMinFails
-		n.hbMu.Unlock()
-		n.trace(traceHeartbeatFail, i, block.ID{}, int64(miss/time.Millisecond))
+		p.mu.Lock()
+		p.hbFails++
+		miss := time.Since(p.hbLast)
+		p.hbSuspect = miss >= n.hbSuspectAfter
+		dead := miss >= n.hbDeadAfter && p.hbFails >= deadMinFails
+		p.mu.Unlock()
+		n.trace(traceHeartbeatFail, p.id, block.ID{}, int64(miss/time.Millisecond))
 		if dead {
-			n.proposeDead(i)
+			n.proposeDead(p.id)
 		}
 		return
 	}
 	peerEpoch := uint64(resp.Aux)
 	releaseFrame(resp)
-	n.hbMu.Lock()
-	n.hbLast[i] = time.Now()
-	n.hbFails[i] = 0
-	n.hbSuspect[i] = false
-	n.hbMu.Unlock()
-	if cur := n.view.Load(); cur != nil && peerEpoch > cur.epoch {
-		n.fetchView(i)
+	p.mu.Lock()
+	p.hbLast = time.Now()
+	p.hbFails = 0
+	p.hbSuspect = false
+	p.mu.Unlock()
+	if cur := n.viewRef(); cur != nil && peerEpoch > cur.epoch {
+		n.fetchView(p.id)
 	}
 }
 
 // suspects reports whether this node currently suspects peer i (local
 // judgement only — never a view state).
 func (n *Node) suspects(i int) bool {
-	if n.hbSuspect == nil {
+	p := n.peers.get(i)
+	if p == nil {
 		return false
 	}
-	n.hbMu.Lock()
-	defer n.hbMu.Unlock()
-	return n.hbSuspect[i]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.hbSuspect
 }
 
 // handlePing answers a heartbeat with this node's epoch; a probe carrying a
 // higher epoch than ours triggers a fetch from the prober (anti-entropy).
 func (n *Node) handlePing(f *Frame) *Frame {
-	v := n.view.Load()
+	v := n.viewRef()
 	if v != nil && f.Sender >= 0 && uint64(f.Aux) > v.epoch {
 		go n.fetchView(int(f.Sender))
 	}
@@ -149,7 +150,7 @@ func (n *Node) handlePing(f *Frame) *Frame {
 
 // handleView answers with the current membership view.
 func (n *Node) handleView(f *Frame) *Frame {
-	v := n.view.Load()
+	v := n.viewRef()
 	if v == nil {
 		return errFrame("node %d has no membership view", n.cfg.ID)
 	}
@@ -164,7 +165,7 @@ func (n *Node) handleViewUpdate(f *Frame) *Frame {
 	}
 	n.installView(v)
 	r := ackFrame()
-	if cur := n.view.Load(); cur != nil {
+	if cur := n.viewRef(); cur != nil {
 		r.Aux = int64(cur.epoch)
 	}
 	return r
@@ -195,66 +196,30 @@ func (n *Node) fetchView(i int) {
 	releaseFrame(resp)
 }
 
-// installView makes v the current view if it is strictly newer, growing the
-// per-peer arrays first (so a concurrent reader that sees the new view
-// never indexes past an old array) and running the post-install work
-// (bus resize, dead cleanup, rebalance computation) on success. Until that
-// work has queued the pulls a view owes, ensureMigrated waits (installMu).
+// installView makes v the current view if it is strictly newer (the peer
+// table covers its slots and drops the conns of moved and dead members
+// first) and runs the post-install work (bus resize, dead cleanup,
+// rebalance computation) on success. Until that work has queued the pulls
+// a view owes, ensureMigrated waits (installMu).
 func (n *Node) installView(v *memberView) bool {
-	n.growMembership(v)
 	n.installing.Add(1)
 	n.installMu.Lock()
 	defer n.installMu.Unlock()
 	defer n.installing.Add(-1)
-	for {
-		cur := n.view.Load()
-		if cur != nil && cur.epoch >= v.epoch {
-			return false
-		}
-		if n.view.CompareAndSwap(cur, v) {
-			if hook := testAfterViewCAS.Load(); hook != nil {
-				(*hook)(n)
-			}
-			n.afterViewInstall(cur, v)
-			return true
-		}
+	old, ok := n.peers.install(v)
+	if !ok {
+		return false
 	}
+	if hook := testAfterViewCAS.Load(); hook != nil {
+		(*hook)(n)
+	}
+	n.afterViewInstall(old, v)
+	return true
 }
 
-// testAfterViewCAS, when set by a test, runs between installView's CAS and
-// the post-install work.
+// testAfterViewCAS, when set by a test, runs between installView's install
+// and the post-install work.
 var testAfterViewCAS atomic.Pointer[func(*Node)]
-
-// growMembership extends the per-peer arrays (connections, ages, breakers,
-// invalidation origins) to cover v's member slots and records addresses for
-// slots that appeared or changed. Arrays only ever grow — a dead member's
-// slot stays allocated, keeping node IDs stable as array indexes.
-func (n *Node) growMembership(v *memberView) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.addrs == nil && v.size() > 0 {
-		n.addrs = []string{}
-	}
-	for i := len(n.addrs); i < v.size(); i++ {
-		n.addrs = append(n.addrs, v.members[i].Addr)
-		n.peers = append(n.peers, nil)
-		age := &atomic.Int64{}
-		age.Store(noAge)
-		n.peerAges = append(n.peerAges, age)
-		n.breakers = append(n.breakers, &breaker{threshold: n.brThresh, cooldown: n.brCooldown})
-		n.invalIn = append(n.invalIn, &invalOrigin{})
-	}
-	for i := 0; i < v.size(); i++ {
-		m := v.members[i]
-		if m.Addr != "" && n.addrs[i] != m.Addr {
-			if old := n.peers[i]; old != nil {
-				n.peers[i] = nil
-				go old.close()
-			}
-			n.addrs[i] = m.Addr
-		}
-	}
-}
 
 // afterViewInstall runs once per successful install: bus lifecycle, dead
 // member cleanup, membership traces, the sweep of directory entries whose
@@ -266,17 +231,7 @@ func (n *Node) afterViewInstall(old, v *memberView) {
 		n.bus = newInvalBus(n, v.size())
 	}
 	bus := n.bus
-	var deadConns []*conn
-	for i, m := range v.members {
-		if m.State == stateDead && i < len(n.peers) && n.peers[i] != nil {
-			deadConns = append(deadConns, n.peers[i])
-			n.peers[i] = nil
-		}
-	}
 	n.mu.Unlock()
-	for _, c := range deadConns {
-		c.close()
-	}
 	if bus != nil {
 		bus.resize(v.size())
 		for i, m := range v.members {
@@ -308,7 +263,7 @@ func (n *Node) afterViewInstall(old, v *memberView) {
 // suspect. Every membership change funnels through it; when it dies, its
 // suspecters skip past it to the next slot.
 func (n *Node) coordinator() int {
-	v := n.view.Load()
+	v := n.viewRef()
 	if v == nil {
 		return -1
 	}
@@ -366,7 +321,7 @@ func (n *Node) memberChange(f *Frame, apply func() (*memberView, error)) *Frame 
 		if len(f.Payload) > 0 {
 			req.Payload = append([]byte(nil), f.Payload...)
 		}
-		resp, err := n.reliableRPC(coord, req, n.retries)
+		resp, err := n.reliableRPC(coord, req, n.tol.retries)
 		releaseFrame(req)
 		if err != nil {
 			return errFrame("forwarding to coordinator %d: %v", coord, err)
@@ -401,7 +356,7 @@ func (n *Node) admitMember(id int, addr string) (*memberView, error) {
 	}
 	n.memberMu.Lock()
 	defer n.memberMu.Unlock()
-	cur := n.view.Load()
+	cur := n.viewRef()
 	if cur == nil {
 		return nil, fmt.Errorf("middleware: no membership view to join")
 	}
@@ -432,7 +387,7 @@ func (n *Node) admitMember(id int, addr string) (*memberView, error) {
 func (n *Node) changeMemberState(id int, to memberState) (*memberView, error) {
 	n.memberMu.Lock()
 	defer n.memberMu.Unlock()
-	cur := n.view.Load()
+	cur := n.viewRef()
 	if cur == nil {
 		return nil, fmt.Errorf("middleware: no membership view")
 	}
@@ -478,7 +433,7 @@ func (n *Node) broadcastView(v *memberView) {
 // DeadTimeout; idempotent and best-effort — every suspecter re-proposes
 // each interval until a view without i lands.
 func (n *Node) proposeDead(i int) {
-	v := n.view.Load()
+	v := n.viewRef()
 	if v == nil || !v.reachable(i) {
 		return // already out
 	}
@@ -516,12 +471,10 @@ func (n *Node) proposeDead(i int) {
 // SetAddrs must NOT have been called — Join is the bootstrap for elastic
 // members.
 func (n *Node) Join(seed string) error {
-	nc, err := net.DialTimeout("tcp", seed, n.rpcTimeout)
+	c, err := n.peers.dial(seed, -1)
 	if err != nil {
 		return fmt.Errorf("middleware: join dial %s: %w", seed, err)
 	}
-	nc = n.cfg.Fault.Wrap(nc, n.cfg.ID, -1)
-	c := newConn(nc, n.connConfig())
 	defer c.close()
 	f := getFrame()
 	f.Type = MsgJoin
@@ -571,7 +524,7 @@ func (n *Node) Drain() error {
 	f := getFrame()
 	f.Type = MsgDrain
 	f.Aux = int64(n.cfg.ID)
-	resp, err := n.reliableRPC(coord, f, n.retries)
+	resp, err := n.reliableRPC(coord, f, n.tol.retries)
 	releaseFrame(f)
 	if err != nil {
 		return err
@@ -590,7 +543,7 @@ func (n *Node) Drain() error {
 
 // MembershipEpoch reports the node's current view epoch (0: none).
 func (n *Node) MembershipEpoch() uint64 {
-	if v := n.view.Load(); v != nil {
+	if v := n.viewRef(); v != nil {
 		return v.epoch
 	}
 	return 0

@@ -168,6 +168,49 @@ func (s *badBlockSource) ReadBlock(f block.FileID, idx int32) ([]byte, error) {
 	return s.MemSource.ReadBlock(f, idx)
 }
 
+// TestEvictionForwardDuringJoins: an evicted master's forward reads every
+// peer's piggybacked age with no lock held, while a join grows the peer
+// table those ages live in. Two 8-block nodes serve four readers over 64
+// files of four blocks, so masters are evicted and forwarded all the time,
+// and four nodes join one after another. Under -race an unsynchronized
+// read shows up in a few rounds; the test runs sixteen.
+func TestEvictionForwardDuringJoins(t *testing.T) {
+	const files = 64
+	sizes := map[block.FileID]int64{}
+	for f := 0; f < files; f++ {
+		sizes[block.FileID(f)] = 4 * int64(testGeom.Size)
+	}
+	for round := 0; round < 16; round++ {
+		t.Run(fmt.Sprint(round), func(t *testing.T) {
+			nodes, client := startCluster(t, 2, 8, sizes, nil)
+			var stop atomic.Bool
+			var readers sync.WaitGroup
+			for g := 0; g < 4; g++ {
+				readers.Add(1)
+				go func(g int) {
+					defer readers.Done()
+					for f := block.FileID(g); !stop.Load(); f = (f + 4) % files {
+						client.Read(f) //nolint:errcheck // the race, not the read, is under test
+					}
+				}(g)
+			}
+			defer readers.Wait()
+			defer stop.Store(true)
+			for id := 2; id < 6; id++ {
+				joiner, err := Start(Config{ID: id, CapacityBlocks: 8, Policy: core.PolicyMaster,
+					Geometry: testGeom, Source: NewMemSource(testGeom, sizes)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { joiner.Close() })
+				if err := joiner.Join(nodes[0].Addr()); err != nil {
+					t.Fatalf("join of node %d: %v", id, err)
+				}
+			}
+		})
+	}
+}
+
 // TestPullFileSkipsOnlyTheBadBlock: a block that fails to read at the old
 // home costs the rebalance pull that block and no other. The file's first
 // block fails, which fails the first run outright, and every block written

@@ -52,11 +52,13 @@ type Config struct {
 	// admitting a half-open probe. 0 applies the 500 ms default.
 	BreakerCooldown time.Duration
 	// HeartbeatInterval enables heartbeat failure detection: every interval
-	// the node probes its peers with MsgPing (feeding the existing circuit
-	// breakers), marks a peer suspect after SuspectTimeout without a
-	// successful probe, and proposes it dead after DeadTimeout (the
-	// coordinator then re-homes its slice of the ring). 0 (the default)
-	// disables heartbeats — membership only changes by explicit RPC.
+	// the node probes its peers with MsgPing, marks a peer suspect after
+	// SuspectTimeout without a successful probe, and proposes it dead after
+	// DeadTimeout (the coordinator then re-homes its slice of the ring).
+	// Probes bypass the circuit breakers: they neither wait for nor feed
+	// them, so a breaker opened by data-path congestion cannot fail a live
+	// member's probes. 0 (the default) disables heartbeats — membership
+	// only changes by explicit RPC.
 	HeartbeatInterval time.Duration
 	// SuspectTimeout is how long a peer can miss probes before it is
 	// locally suspect (reads route around it). Default 3×HeartbeatInterval.
@@ -110,37 +112,24 @@ type Node struct {
 	dirSrv *dirServer // directory entries of the files this node homes (dir.go)
 
 	mu       sync.Mutex
-	addrs    []string
-	peers    []*conn
-	peerAges []*atomic.Int64
-	breakers []*breaker // per-peer circuit breakers (index = node ID)
 	accepted map[*conn]struct{}
 	closed   bool
 
-	// view is the current membership snapshot (ring.go): an immutable
-	// epoch-versioned value swapped atomically, so the home mapping on the
-	// read path is a single pointer load with no lock. memberMu serializes
-	// view construction (join/drain/dead promotion — the coordinator's
-	// serialization point); installView does the CAS install.
-	view     atomic.Pointer[memberView]
+	// peers holds the current membership view (ring.go), an immutable
+	// epoch-versioned snapshot swapped atomically so the home mapping on
+	// the read path is one pointer load with no lock, and everything this
+	// node keeps per member: conn, breaker, piggybacked age, invalidation
+	// and heartbeat state (peer.go). memberMu serializes view construction
+	// (join/drain/dead promotion — the coordinator's serialization point).
+	peers    *peerTable
 	memberMu sync.Mutex
 	// installMu is held by installView through its post-install work, and
 	// installing counts the installs under way (see ensureMigrated).
 	installMu  sync.RWMutex
 	installing atomic.Int32
 
-	// Heartbeat failure detection (member.go). hbStop ends the probe loop;
-	// hbMu guards hbBusy (peers with a probe in flight), hbLast (last
-	// successful probe per peer), and hbFails (consecutive probe failures,
-	// reset on success — dead promotion needs deadMinFails of them).
-	// hbSuspect marks peers this node currently routes around (local
-	// judgement — not a view state).
+	// Heartbeat failure detection (member.go): hbStop ends the probe loop.
 	hbStop                                  chan struct{}
-	hbMu                                    sync.Mutex
-	hbBusy                                  map[int]bool
-	hbLast                                  map[int]time.Time
-	hbFails                                 map[int]int
-	hbSuspect                               map[int]bool
 	hbInterval, hbSuspectAfter, hbDeadAfter time.Duration
 
 	// Rebalance state (rebalance.go): migrPending maps each file whose home
@@ -159,17 +148,11 @@ type Node struct {
 	pendMask uint64
 
 	// bus is the asynchronous invalidation bus (nil: a single-node cluster,
-	// which has no peer to tell). invalIn is the per-origin receive state
-	// (index = origin node ID). See inval.go.
-	bus     *invalBus
-	invalIn []*invalOrigin
+	// which has no peer to tell). See inval.go.
+	bus *invalBus
 
-	// rpcTimeout/retries and the breaker parameters are the resolved
-	// settings (Config values with defaults applied).
-	rpcTimeout time.Duration
-	retries    int
-	brThresh   int
-	brCooldown time.Duration
+	// tol is the Config's fault-tolerance settings, defaults applied.
+	tol tolerance
 
 	// retryRand is the per-node seeded jitter stream of the retry backoff:
 	// deterministic under a seeded FaultPlan and free of global-rand
@@ -177,9 +160,8 @@ type Node struct {
 	retryRand *lockedRand
 	// tracer is Config.Tracer (nil: tracing disabled).
 	tracer *obs.Tracer
-	// rpcLat holds one latency histogram per outgoing request frame type,
-	// fed by conn.roundTrip.
-	rpcLat [msgTypeCount]obs.Histogram
+	// rpcLat holds the latency histograms of outgoing requests.
+	rpcLat rpcLatency
 	// runBlocks is the distribution of blocks served per run fetch RPC.
 	runBlocks obs.ValueHistogram
 	// invalLag is the publish-to-ack latency of invalidation records (the
@@ -251,28 +233,8 @@ func Start(cfg Config) (*Node, error) {
 	for i := range n.pend {
 		n.pend[i].waiting = make(map[block.ID]chan struct{})
 	}
-	n.rpcTimeout = cfg.RPCTimeout
-	if n.rpcTimeout == 0 {
-		n.rpcTimeout = defaultRPCTimeout
-	}
-	if n.rpcTimeout < 0 {
-		n.rpcTimeout = 0 // deadlines disabled
-	}
-	n.retries = cfg.Retries
-	if n.retries == 0 {
-		n.retries = defaultRetries
-	}
-	if n.retries < 0 {
-		n.retries = 0
-	}
-	n.brThresh = cfg.BreakerThreshold
-	if n.brThresh == 0 {
-		n.brThresh = defaultBreakerThreshold
-	}
-	n.brCooldown = cfg.BreakerCooldown
-	if n.brCooldown <= 0 {
-		n.brCooldown = defaultBreakerCooldown
-	}
+	n.tol = newTolerance(cfg.RPCTimeout, cfg.Retries, cfg.BreakerThreshold, cfg.BreakerCooldown)
+	n.peers = newPeerTable(cfg.ID, n.tol, cfg.Fault, n.connConfig())
 	// Seed the retry jitter per node (XOR-folded with the fault plan's seed
 	// when one is attached), so a seeded chaos run has deterministic retry
 	// timing draws.
@@ -294,10 +256,6 @@ func Start(cfg Config) (*Node, error) {
 		if n.hbDeadAfter <= 0 {
 			n.hbDeadAfter = 10 * n.hbInterval
 		}
-		n.hbBusy = make(map[int]bool)
-		n.hbLast = make(map[int]time.Time)
-		n.hbFails = make(map[int]int)
-		n.hbSuspect = make(map[int]bool)
 		n.hbStop = make(chan struct{})
 		go n.heartbeatLoop()
 	}
@@ -319,49 +277,23 @@ func (n *Node) ID() int { return n.cfg.ID }
 // Join/Drain/dead promotion (member.go), which install views incrementally
 // and migrate data.
 func (n *Node) SetAddrs(addrs []string) {
+	n.installMu.Lock()
+	epoch := uint64(1)
+	if v := n.viewRef(); v != nil {
+		epoch = v.epoch + 1
+	}
+	n.peers.install(aliveView(epoch, addrs))
+	n.installMu.Unlock()
 	n.mu.Lock()
-	n.addrs = append([]string(nil), addrs...)
-	n.peers = make([]*conn, len(addrs))
-	n.peerAges = make([]*atomic.Int64, len(addrs))
-	n.breakers = make([]*breaker, len(addrs))
-	for i := range n.peerAges {
-		n.peerAges[i] = &atomic.Int64{}
-		n.peerAges[i].Store(noAge)
-		n.breakers[i] = &breaker{threshold: n.brThresh, cooldown: n.brCooldown}
-	}
-	n.invalIn = make([]*invalOrigin, len(addrs))
-	for i := range n.invalIn {
-		n.invalIn[i] = &invalOrigin{}
-	}
 	old := n.bus
 	n.bus = nil
 	if len(addrs) > 1 && !n.closed {
 		n.bus = newInvalBus(n, len(addrs))
 	}
-	epoch := uint64(1)
-	if v := n.view.Load(); v != nil && v.epoch >= epoch {
-		epoch = v.epoch + 1
-	}
-	members := make([]memberInfo, len(addrs))
-	for i, a := range addrs {
-		members[i] = memberInfo{Addr: a, State: stateAlive}
-	}
-	n.view.Store(newMemberView(epoch, members))
 	n.mu.Unlock()
 	if old != nil {
 		old.shutdown()
 	}
-}
-
-// breakerFor returns the circuit breaker of peer i (nil when membership is
-// not installed or i is out of range; a nil breaker always allows).
-func (n *Node) breakerFor(i int) *breaker {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if i < 0 || i >= len(n.breakers) {
-		return nil
-	}
-	return n.breakers[i]
 }
 
 // Close shuts the node down.
@@ -378,26 +310,20 @@ func (n *Node) Close() error {
 	if n.bus != nil {
 		n.bus.shutdown()
 	}
-	peers := append([]*conn(nil), n.peers...)
 	acc := make([]*conn, 0, len(n.accepted))
 	for c := range n.accepted {
 		acc = append(acc, c)
 	}
 	n.mu.Unlock()
 	err := n.ln.Close()
-	for _, c := range peers {
-		if c != nil {
-			c.close()
-		}
-	}
+	n.peers.close()
 	for _, c := range acc {
 		c.close()
 	}
 	return err
 }
 
-// busRef reads the bus pointer under the membership lock (SetAddrs can
-// swap it).
+// busRef reads the bus pointer under n.mu (SetAddrs can swap it).
 func (n *Node) busRef() *invalBus {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -434,16 +360,8 @@ func (n *Node) connConfig() connConfig {
 		observe: n.observe,
 		stamp:   n.stamp,
 		workers: runtime.GOMAXPROCS(0),
-		timeout: n.rpcTimeout,
-		latency: n.observeRPCLatency,
-	}
-}
-
-// observeRPCLatency feeds the per-RPC-type latency histograms (two atomic
-// adds per round trip).
-func (n *Node) observeRPCLatency(t MsgType, d time.Duration) {
-	if int(t) < len(n.rpcLat) {
-		n.rpcLat[t].Observe(d)
+		timeout: n.tol.timeout,
+		latency: n.rpcLat.observe,
 	}
 }
 
@@ -477,121 +395,48 @@ func (n *Node) stamp(f *Frame) {
 
 // observe harvests piggybacked peer ages.
 func (n *Node) observe(f *Frame) {
-	if f.Sender < 0 {
-		return
-	}
-	n.mu.Lock()
-	var age *atomic.Int64
-	if int(f.Sender) < len(n.peerAges) {
-		age = n.peerAges[f.Sender]
-	}
-	n.mu.Unlock()
-	if age != nil {
-		age.Store(f.OldestAge)
+	if p := n.peers.get(int(f.Sender)); p != nil {
+		p.age.Store(f.OldestAge)
 	}
 }
 
-// peer returns (dialing lazily) the connection to node i.
-func (n *Node) peer(i int) (*conn, error) {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return nil, errConnClosed
-	}
-	if n.addrs == nil {
-		n.mu.Unlock()
-		return nil, fmt.Errorf("middleware: node %d has no cluster membership (SetAddrs not called)", n.cfg.ID)
-	}
-	if i < 0 || i >= len(n.addrs) {
-		n.mu.Unlock()
-		return nil, fmt.Errorf("middleware: peer %d out of range", i)
-	}
-	if c := n.peers[i]; c != nil {
-		n.mu.Unlock()
-		return c, nil
-	}
-	addr := n.addrs[i]
-	n.mu.Unlock()
-
-	nc, err := net.DialTimeout("tcp", addr, n.rpcTimeout)
-	if err != nil {
-		return nil, err
-	}
-	nc = n.cfg.Fault.Wrap(nc, n.cfg.ID, i)
-	c := newConn(nc, n.connConfig())
-	n.mu.Lock()
-	if won := n.peers[i]; won != nil {
-		// Lost the dial race; keep the established one. The winner is read
-		// under the lock: a concurrent roundTripTo may clear the slot the
-		// moment the lock is released.
-		n.mu.Unlock()
-		c.close()
-		return won, nil
-	}
-	n.peers[i] = c
-	n.mu.Unlock()
-	return c, nil
-}
-
-// roundTripTo sends a request to node i and awaits the response. When a
-// connection has died (peer restart), one redial is attempted.
-func (n *Node) roundTripTo(i int, f *Frame) (*Frame, error) {
-	c, err := n.peer(i)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.roundTrip(f)
-	if err == errConnClosed {
-		n.mu.Lock()
-		if n.peers[i] == c {
-			n.peers[i] = nil
-		}
-		n.mu.Unlock()
-		c2, err2 := n.peer(i)
-		if err2 != nil {
-			return nil, err2
-		}
-		return c2.roundTrip(f)
-	}
-	return resp, err
-}
-
-// reliableRPC is roundTripTo behind the fault-tolerance layer: the peer's
-// circuit breaker is consulted up front (an open breaker fails fast with
-// errPeerSuspect instead of paying a timeout), transient transport
-// failures are retried up to `retries` extra times with capped exponential
-// backoff and jitter, and every outcome feeds the breaker and the fault
-// counters. Only idempotent requests may pass retries > 0. Application
-// errors (MsgErr) are returned immediately: the peer is alive.
+// reliableRPC is a round trip to member i behind the fault-tolerance
+// layer: the member's circuit breaker is consulted up front (an open
+// breaker fails fast with errPeerSuspect instead of paying a timeout),
+// transient transport failures are retried up to `retries` extra times
+// with capped exponential backoff and jitter, and every outcome feeds the
+// breaker and the fault counters. Only idempotent requests may pass
+// retries > 0. Application errors (MsgErr) are returned immediately: the
+// member is alive.
 //
 // The request frame stays owned by the caller and is reused across
 // attempts; the returned response must be released by the caller.
-func (n *Node) reliableRPC(peer int, f *Frame, retries int) (*Frame, error) {
-	br := n.breakerFor(peer)
-	if !br.allow() {
+func (n *Node) reliableRPC(i int, f *Frame, retries int) (*Frame, error) {
+	p := n.peers.get(i)
+	if p == nil {
+		return nil, fmt.Errorf("middleware: node %d has no member %d in its view", n.cfg.ID, i)
+	}
+	if !p.br.allow() {
 		atomic.AddUint64(&n.c.BreakerSkips, 1)
 		return nil, errPeerSuspect
 	}
 	backoff := defaultRetryBackoff
 	for attempt := 0; ; attempt++ {
-		resp, err := n.roundTripTo(peer, f)
-		if err == nil {
-			if br.success() {
-				n.trace(traceBreakerClose, peer, f.ID(), 0)
-			}
-			return resp, nil
-		}
-		if !isTransient(err) {
-			// The peer answered: the operation is wrong, not the wire.
-			return nil, err
-		}
+		resp, err := n.peers.roundTrip(p, f)
 		if errors.Is(err, errRPCTimeout) {
 			atomic.AddUint64(&n.c.RPCTimeouts, 1)
-			n.trace(traceRPCTimeout, peer, f.ID(), int64(attempt))
+			n.trace(traceRPCTimeout, i, f.ID(), int64(attempt))
 		}
-		if br.failure() {
+		opened, closed := p.settle(err)
+		if closed {
+			n.trace(traceBreakerClose, i, f.ID(), 0)
+		}
+		if opened {
 			atomic.AddUint64(&n.c.BreakerOpens, 1)
-			n.trace(traceBreakerOpen, peer, f.ID(), 0)
+			n.trace(traceBreakerOpen, i, f.ID(), 0)
+		}
+		if !isTransient(err) {
+			return resp, err // a reply, an application error included
 		}
 		if attempt >= retries {
 			atomic.AddUint64(&n.c.RPCFailures, 1)
@@ -599,13 +444,13 @@ func (n *Node) reliableRPC(peer int, f *Frame, retries int) (*Frame, error) {
 		}
 		// Only re-enter the breaker when a retry will actually happen
 		// (allow consumes the half-open probe slot).
-		if !br.allow() {
+		if !p.br.allow() {
 			atomic.AddUint64(&n.c.BreakerSkips, 1)
 			atomic.AddUint64(&n.c.RPCFailures, 1)
 			return nil, err
 		}
 		atomic.AddUint64(&n.c.RPCRetries, 1)
-		n.trace(traceRetry, peer, f.ID(), int64(attempt+1))
+		n.trace(traceRetry, i, f.ID(), int64(attempt+1))
 		backoffSleep(&backoff, retryBackoffCap, n.retryRand)
 	}
 }
@@ -613,7 +458,7 @@ func (n *Node) reliableRPC(peer int, f *Frame, retries int) (*Frame, error) {
 // home reports the home node of file f — the global file-to-node mapping
 // of §3, a lock-free lookup on the current view's consistent-hash ring.
 func (n *Node) home(f block.FileID) (int, error) {
-	v := n.view.Load()
+	v := n.viewRef()
 	if v == nil {
 		return 0, fmt.Errorf("middleware: no cluster membership")
 	}
@@ -627,14 +472,14 @@ func (n *Node) home(f block.FileID) (int, error) {
 // clusterSize is the member-slot count (dead slots included): the bound of
 // every per-peer loop and array index.
 func (n *Node) clusterSize() int {
-	if v := n.view.Load(); v != nil {
+	if v := n.viewRef(); v != nil {
 		return v.size()
 	}
 	return 0
 }
 
 // viewRef is the current membership view (nil before SetAddrs).
-func (n *Node) viewRef() *memberView { return n.view.Load() }
+func (n *Node) viewRef() *memberView { return n.peers.view.Load() }
 
 // --- request handling ---
 

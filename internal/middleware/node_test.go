@@ -306,15 +306,16 @@ func TestPeerBeforeMembershipFails(t *testing.T) {
 	}
 }
 
-// TestPeerDialRace: peer must hand back a connection or an error, never
-// neither. Many goroutines use one peer while its connection keeps dying,
-// so dials race each other and the redial in roundTripTo clears the slot a
-// dial's loser is about to read. A failed round trip is expected here; a
-// nil connection (a panic in conn.roundTrip) is the bug.
+// TestPeerDialRace: the peer table must hand back a connection or an
+// error, never neither. Many goroutines use one peer while its connection
+// keeps dying, so dials race each other and the redial in roundTrip clears
+// the slot a dial's loser is about to read. A failed round trip is
+// expected here; a nil connection (a panic in conn.roundTrip) is the bug.
 func TestPeerDialRace(t *testing.T) {
 	sizes := map[block.FileID]int64{0: 1024}
 	nodes, _ := startCluster(t, 2, 16, sizes, nil)
 	n := nodes[0]
+	p := n.peers.get(1)
 
 	stop := make(chan struct{})
 	var closer sync.WaitGroup
@@ -327,10 +328,7 @@ func TestPeerDialRace(t *testing.T) {
 				return
 			default:
 			}
-			n.mu.Lock()
-			c := n.peers[1]
-			n.mu.Unlock()
-			if c != nil {
+			if c := p.conn.Load(); c != nil {
 				c.close()
 			}
 			runtime.Gosched()
@@ -343,13 +341,13 @@ func TestPeerDialRace(t *testing.T) {
 		go func() {
 			defer users.Done()
 			for i := 0; i < 200; i++ {
-				if c, err := n.peer(1); c == nil && err == nil {
-					t.Error("peer returned neither a connection nor an error")
+				if c, err := n.peers.conn(p); c == nil && err == nil {
+					t.Error("conn returned neither a connection nor an error")
 					return
 				}
 				req := getFrame()
 				req.Type, req.File, req.Aux = MsgGetRun, 0, packRunAux(1, 0)
-				if resp, err := n.roundTripTo(1, req); err == nil {
+				if resp, err := n.peers.roundTrip(p, req); err == nil {
 					releaseFrame(resp)
 				}
 				releaseFrame(req)

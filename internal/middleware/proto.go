@@ -12,10 +12,10 @@
 // replacement algorithm needs (§3) without dedicated traffic.
 //
 // The codec is allocation-light: Frame structs and payload buffers are
-// recycled through size-classed pools, and a frame is encoded into a single
-// contiguous buffer so the writer issues one socket write (or one writev
-// for large payloads) instead of one per section. See conn.go for the
-// ownership contract.
+// recycled through size-classed pools, and every frame leaves in one
+// socket call: header and payload encoded into one contiguous buffer, or,
+// for a reply whose segments alias pinned store blocks, one writev of the
+// header and the segments. See conn.go for the ownership contract.
 package middleware
 
 import (

@@ -423,7 +423,7 @@ func (n *Node) homeAt(node int, f block.FileID, size int64, s span, force bool) 
 	if force {
 		req.Flags = FlagMaster
 	}
-	resp, err := n.reliableRPC(node, req, n.retries)
+	resp, err := n.reliableRPC(node, req, n.tol.retries)
 	releaseFrame(req)
 	if err != nil {
 		return homeReply{}, err
@@ -608,7 +608,7 @@ func (n *Node) homeBlock(id block.ID, size int64, force bool) (*payloadBuf, int3
 // ringSuccessor names the node that takes over f if `down` leaves the ring:
 // the next alive member on the hash ring.
 func (n *Node) ringSuccessor(f block.FileID, down int) (int, bool) {
-	v := n.view.Load()
+	v := n.viewRef()
 	if v == nil {
 		return 0, false
 	}
@@ -674,7 +674,7 @@ func (n *Node) forwardEvicted(ev *Evicted) {
 		if i == n.cfg.ID || (v != nil && !v.reachable(i)) {
 			continue
 		}
-		age := n.peerAges[i].Load()
+		age := n.peers.get(i).age.Load()
 		if age >= ev.Age {
 			continue // peer holds nothing older (or age unknown)
 		}

@@ -15,10 +15,10 @@ import (
 // it without locks (satellite: Node.home is a single atomic pointer load).
 //
 // A member is one slot in a dense array indexed by node ID. Slots are never
-// reused or compacted: a dead member keeps its ID forever (its slot turns
-// into a hole), and a joining member takes the next free ID. That keeps
-// every existing per-peer array (connections, breakers, invalidation
-// origins) index-stable across membership changes.
+// compacted: a dead member keeps its ID (its slot turns into a hole), and a
+// joining member takes the next free ID. That keeps the peer table
+// (peer.go), which holds each member's conn, breaker and invalidation and
+// heartbeat state, index-stable across membership changes.
 
 // memberState is a member slot's lifecycle state. There are exactly three:
 // "suspect" is deliberately not a view state — suspicion is a local,
@@ -104,6 +104,15 @@ func newMemberView(epoch uint64, members []memberInfo) *memberView {
 	return v
 }
 
+// aliveView is the view of a bootstrap address list: every slot alive.
+func aliveView(epoch uint64, addrs []string) *memberView {
+	members := make([]memberInfo, len(addrs))
+	for i, a := range addrs {
+		members[i] = memberInfo{Addr: a, State: stateAlive}
+	}
+	return newMemberView(epoch, members)
+}
+
 // home maps a file to its home node under this view — the node that stores
 // the file and manages its blocks' directory entries: the ring successor of
 // the key's hash. ok is false when the view has no placeable member.
@@ -142,7 +151,7 @@ func (v *memberView) search(h uint64) int {
 }
 
 // size is the member-slot count (dead slots and holes included) — the bound
-// of every per-peer array.
+// of every per-peer loop; the peer table has at least this many slots.
 func (v *memberView) size() int { return len(v.members) }
 
 // reachable reports whether slot i can be sent an RPC: filled and not dead.

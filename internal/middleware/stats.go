@@ -1,6 +1,10 @@
 package middleware
 
-import "repro/internal/obs"
+import (
+	"time"
+
+	"repro/internal/obs"
+)
 
 // Counts declares the node's counters, each once: its Prometheus name and
 // help text sit in its tag, and Stats, ClusterStats, /metrics and the stats
@@ -92,7 +96,7 @@ func (n *Node) gauges() Gauges {
 	if b := n.busRef(); b != nil {
 		g.InvalBacklog = b.depth()
 	}
-	if v := n.view.Load(); v != nil {
+	if v := n.viewRef(); v != nil {
 		g.MembershipEpoch = v.epoch
 	}
 	return g
@@ -103,9 +107,20 @@ func (n *Node) Stats() Stats {
 	return Stats{Node: n.cfg.ID, Counts: obs.Snapshot(&n.c), Gauges: n.gauges(), RPCLatency: latencies(&n.rpcLat)}
 }
 
+// rpcLatency holds one round-trip latency histogram per request frame
+// type, fed by conn.roundTrip on a node's or a client's conns.
+type rpcLatency [msgTypeCount]obs.Histogram
+
+// observe records one round trip (two atomic adds).
+func (h *rpcLatency) observe(t MsgType, d time.Duration) {
+	if int(t) < len(h) {
+		h[t].Observe(d)
+	}
+}
+
 // latencies snapshots per-RPC-type latency histograms, keyed by metric
 // name (only types with observations).
-func latencies(h *[msgTypeCount]obs.Histogram) map[string]obs.HistogramData {
+func latencies(h *rpcLatency) map[string]obs.HistogramData {
 	out := make(map[string]obs.HistogramData)
 	for t := range h {
 		if d := h[t].Snapshot(); d.Count > 0 {

@@ -85,7 +85,7 @@ func (n *Node) putMaster(id block.ID, data []byte, home int) error {
 	}
 	req := getFrame()
 	req.Type, req.File, req.Idx, req.Payload = MsgPutBlock, id.File, id.Idx, data
-	resp, err := n.reliableRPC(home, req, n.retries)
+	resp, err := n.reliableRPC(home, req, n.tol.retries)
 	req.Payload = nil // caller's slice, not ours to recycle
 	releaseFrame(req)
 	if err == nil {
