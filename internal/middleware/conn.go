@@ -80,8 +80,8 @@ const (
 	intoPooled intoKind = iota
 	// intoOwned: one exact-length slice for the caller to keep (TakePayload).
 	intoOwned
-	// intoRun: a MsgRunData reply's blocks each straight into its own pooled
-	// payloadBuf (Frame.bufs), a home reply's codes into the pooled
+	// intoRun: a MsgRunData reply's blocks each straight into an arena
+	// frame of its own (Frame.bufs), a home reply's codes into the pooled
 	// Payload. A reply whose length disagrees with its layout lands pooled,
 	// as one buffer, for the caller to refuse.
 	intoRun
@@ -419,7 +419,8 @@ func (in *replyInto) served(f *Frame, i, count int) bool {
 // readRun reads a run reply's plen-byte payload laid out as in says: the
 // codes of a home reply into the pooled Payload, then each served block —
 // the prefix the Aux count names of a peer run, the blocks coded homeServed
-// of a home reply — into its own pooled payloadBuf in f.bufs. A payload
+// of a home reply — into a frame-backed payloadBuf of its own in f.bufs
+// (newPooledPayloadBuf), ready for the store to keep. A payload
 // whose length disagrees with that layout lands pooled instead, as one
 // buffer, which the caller's checks refuse.
 func (c *conn) readRun(f *Frame, plen int, in *replyInto) error {

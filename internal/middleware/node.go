@@ -296,7 +296,7 @@ func (n *Node) SetAddrs(addrs []string) {
 	}
 }
 
-// Close shuts the node down.
+// Close shuts the node down and releases its cache.
 func (n *Node) Close() error {
 	n.mu.Lock()
 	if n.closed {
@@ -320,6 +320,10 @@ func (n *Node) Close() error {
 	for _, c := range acc {
 		c.close()
 	}
+	// Cached blocks live in arena frames, which only a release returns: the
+	// store gives every block back, and a handler still running after this
+	// has its install released instead of cached.
+	n.store.Close()
 	return err
 }
 
@@ -628,9 +632,9 @@ func (n *Node) handleRead(f *Frame) *Frame {
 
 func (n *Node) handleForward(f *Frame) *Frame {
 	id := f.ID()
-	// The store keeps the forwarded payload: take the refcounted buffer from
-	// the frame, pooled backing and all, so an eventual eviction recycles it.
-	accepted, displaced := n.store.AcceptForwardBuf(id, f.TakePayloadBuf(), f.Aux)
+	// The store caches a copy in a frame; the request's wire buffer goes
+	// back to its pool with the request.
+	accepted, displaced := n.store.AcceptForward(id, f.Payload, f.Aux)
 	if displaced != nil && displaced.Master {
 		// The block we discarded to make room was a master: the cluster
 		// forgets it (no cascaded forwarding, §3). Off the handler, like

@@ -363,9 +363,10 @@ func TestPeerDialRace(t *testing.T) {
 // through every entry, grown by a joiner whose rebalance pulls ran, and
 // lost a member to a crash its heartbeats promoted to dead, gives every
 // goroutine back once its nodes and its client are closed — conn readers
-// and workers, bus senders, accept loops, tickers and rebalance drainers.
+// and workers, bus senders, accept loops, tickers and rebalance drainers —
+// and every arena frame its stores cached.
 func TestCloseLeavesNoGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before, framesBefore := runtime.NumGoroutine(), frames.used()
 
 	const k = 4
 	sizes := map[block.FileID]int64{}
@@ -454,6 +455,14 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 			buf := make([]byte, 1<<20)
 			t.Fatalf("%d goroutines before the cluster started, %d after everything closed:\n%s",
 				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Every cached block sits in an arena frame, which only a release gives
+	// back: a closed cluster must hold none of them.
+	for frames.used() > framesBefore {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d arena frames in use before the cluster started, %d after everything closed", framesBefore, frames.used())
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -434,13 +434,13 @@ func (f *Frame) TakePayload() []byte {
 }
 
 // TakePayloadBuf transfers ownership of the payload to the caller as a
-// refcounted buffer (one reference). Unlike TakePayload, the pooled backing
-// travels with the bytes: when the last reference drops, the buffer returns
-// to its size-class pool instead of leaking to the garbage collector —
-// the path by which store-cached blocks keep the wire pools warm.
+// class-backed refcounted buffer (one reference). Unlike TakePayload, the
+// pooled backing travels with the bytes: when the last reference drops, the
+// buffer returns to its size-class pool instead of to the garbage
+// collector. A FileReader keeps its head this way.
 func (f *Frame) TakePayloadBuf() *payloadBuf {
 	pb := payloadBufPool.Get().(*payloadBuf)
-	pb.data, pb.pooled = f.Payload, f.pbuf
+	pb.data, pb.back = f.Payload, f.pbuf
 	pb.refs.Store(1)
 	f.Payload, f.pbuf = nil, nil
 	return pb

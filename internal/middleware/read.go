@@ -342,7 +342,7 @@ func (n *Node) serveHome(f block.FileID, s span, requester int32, force bool) (h
 		}
 		for j, b := range data {
 			k := read[j] - s.first
-			bufs[k], r.codes[k] = newPayloadBuf(b), homeServed
+			bufs[k], r.codes[k] = copyPayloadBuf(b), homeServed
 			r.masters |= 1 << uint(k)
 		}
 		if claims && len(data) > 0 {
@@ -410,8 +410,8 @@ func (n *Node) askHome(f block.FileID, size int64, s span, force bool) (homeRepl
 
 // homeAt runs span s's home request at node: serveHome here, else one
 // MsgGetRun, retried (a restarting home comes back), whose served blocks
-// the conn reads each into its own pooled buffer, so one live block never
-// pins the reply.
+// the conn reads each into an arena frame of its own, so one live block
+// never pins the reply.
 func (n *Node) homeAt(node int, f block.FileID, size int64, s span, force bool) (homeReply, error) {
 	self := int32(n.cfg.ID)
 	if node == n.cfg.ID {
@@ -445,8 +445,8 @@ func (n *Node) homeAt(node int, f block.FileID, size int64, s span, force bool) 
 }
 
 // runInto lays out the reply to a MsgGetRun for count blocks from first of
-// a size-byte file: each served block lands in its own pooled buffer, after
-// one code per block when codes is set (a home reply).
+// a size-byte file: each served block lands in an arena frame of its own,
+// after one code per block when codes is set (a home reply).
 func (n *Node) runInto(size int64, first int32, count int, codes bool) replyInto {
 	return replyInto{kind: intoRun, codes: codes, first: first, count: count, size: size, geom: n.geom}
 }
@@ -454,9 +454,9 @@ func (n *Node) runInto(size int64, first int32, count int, codes bool) replyInto
 // fetchPeerRun fetches count blocks from first as one peer run from src,
 // their named holder, and installs the prefix src served as copies, one
 // remote hit each, pinning each in pins (slot 0: block first). It returns
-// the prefix length. Each served block arrives in its own pooled buffer,
-// so one live block never pins the whole run and eviction recycles each
-// block independently.
+// the prefix length. Each served block arrives in an arena frame of its
+// own, so one live block never pins the whole run and eviction recycles
+// each block independently.
 func (n *Node) fetchPeerRun(f block.FileID, size int64, src int, first int32, count int, pins []*payloadBuf) int {
 	req := getFrame()
 	req.Type, req.File, req.Idx, req.Aux = MsgGetRun, f, first, packRunAux(count, 0)
@@ -620,7 +620,7 @@ func (n *Node) ringSuccessor(f block.FileID, down int) (int, bool) {
 }
 
 // getOne fetches block id of a size-byte file from node `to`'s cache as a
-// peer run of one block, which arrives in its own pooled buffer. A nil
+// peer run of one block, which arrives in an arena frame of its own. A nil
 // payload with a nil error is a miss: the node answered but holds no copy.
 func (n *Node) getOne(to int, id block.ID, size int64) (*payloadBuf, error) {
 	req := getFrame()

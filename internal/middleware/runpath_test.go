@@ -151,8 +151,8 @@ func TestStoreInsertRun(t *testing.T) {
 	s.Insert(block.ID{File: 9, Idx: 1}, mk(9, 1), false)
 
 	blocks := []*payloadBuf{
-		newPayloadBuf(mk(2, 3)), newPayloadBuf(mk(2, 4)),
-		newPayloadBuf(mk(2, 5)), newPayloadBuf(mk(2, 6)),
+		copyPayloadBuf(mk(2, 3)), copyPayloadBuf(mk(2, 4)),
+		copyPayloadBuf(mk(2, 5)), copyPayloadBuf(mk(2, 6)),
 	}
 	evs := s.InsertRun(2, 3, blocks, true)
 	if len(evs) != 2 {
@@ -482,8 +482,7 @@ func TestGetRunRequestValidation(t *testing.T) {
 // entry 2 then takes a peer run from node 0, which the home names. Each
 // fill installs the source's bytes with the §3 counters: disk reads and
 // masters at node 0, remote hits and copies at node 2. Every installed
-// block sits in a pooled buffer of its own size class, so no block pins a
-// whole reply.
+// block sits in an arena frame of its own, so no block pins a whole reply.
 func TestRunFillLandsPerBlock(t *testing.T) {
 	const nblocks = 6
 	f := homedAt(3, 1)
@@ -508,6 +507,7 @@ func TestRunFillLandsPerBlock(t *testing.T) {
 		t.Fatalf("node 2: accesses=%d remote=%d disk=%d degraded=%d, want %d remote hits from one run",
 			s2.Accesses, s2.RemoteHits, s2.DiskReads, s2.RunsDegraded, nblocks)
 	}
+	var cached []*payloadBuf
 	for _, i := range []int{0, 2} {
 		for idx := int32(0); idx < nblocks; idx++ {
 			id := block.ID{File: f, Idx: idx}
@@ -515,14 +515,17 @@ func TestRunFillLandsPerBlock(t *testing.T) {
 			if !ok {
 				t.Fatalf("node %d does not cache %v", i, id)
 			}
-			if !bytes.Equal(pb.data, SyntheticBlock(f, idx, blockLen(testGeom, size, idx))) || pb.pooled == nil || cap(pb.data) != testGeom.Size {
-				t.Fatalf("node %d: %v is %d bytes in a %d-byte buffer (pooled %v), want its own 1 KB class buffer",
-					i, id, len(pb.data), cap(pb.data), pb.pooled != nil)
+			cached = append(cached, pb)
+			if !bytes.Equal(pb.data, SyntheticBlock(f, idx, blockLen(testGeom, size, idx))) {
+				t.Fatalf("node %d: %v differs from the source", i, id)
 			}
 			if master := nodes[i].store.IsMaster(id); master != (i == 0) {
 				t.Fatalf("node %d: %v master %v", i, id, master)
 			}
-			pb.release()
 		}
 	}
+	if err := ownFrameErr(cached); err != nil {
+		t.Fatal(err)
+	}
+	releasePins(cached)
 }

@@ -3,9 +3,9 @@ package middleware
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 
 	"repro/internal/block"
@@ -79,17 +79,57 @@ func (m *MemSource) Files() []block.FileID {
 	return out
 }
 
+// The LCG behind SyntheticBlock, and the same generator stepped eight
+// states at a time: state → lcgMul8*state + lcgAdd8.
+const (
+	lcgMul = 6364136223846793005
+	lcgAdd = 1442695040888963407
+)
+
+var lcgMul8, lcgAdd8 = func() (uint64, uint64) {
+	m, a := uint64(1), uint64(0)
+	for i := 0; i < 8; i++ {
+		m, a = m*lcgMul, a*lcgMul+lcgAdd
+	}
+	return m, a
+}()
+
 // SyntheticBlock is the deterministic content of block (f, idx) of the
-// given length: a keyed byte pattern any reader can recompute.
+// given length: a keyed byte pattern any reader can recompute. Byte i is the
+// top byte of state i+1 of the LCG seeded with the 64-bit FNV-1a hash of
+// "f:idx". Eight lanes each hold every eighth state and jump eight states a
+// step, so the bytes come without one serial multiply each.
 func SyntheticBlock(f block.FileID, idx int32, n int) []byte {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d:%d", f, idx)
-	seed := h.Sum64()
+	var key [24]byte
+	k := strconv.AppendInt(key[:0], int64(f), 10)
+	k = append(k, ':')
+	k = strconv.AppendInt(k, int64(idx), 10)
+	state := uint64(14695981039346656037) // FNV-1a offset basis
+	for _, c := range k {
+		state ^= uint64(c)
+		state *= 1099511628211 // FNV-1a prime
+	}
+	s0 := state*lcgMul + lcgAdd
+	s1 := s0*lcgMul + lcgAdd
+	s2 := s1*lcgMul + lcgAdd
+	s3 := s2*lcgMul + lcgAdd
+	s4 := s3*lcgMul + lcgAdd
+	s5 := s4*lcgMul + lcgAdd
+	s6 := s5*lcgMul + lcgAdd
+	s7 := s6*lcgMul + lcgAdd
+	m, a := lcgMul8, lcgAdd8
 	out := make([]byte, n)
-	state := seed
-	for i := range out {
-		state = state*6364136223846793005 + 1442695040888963407
-		out[i] = byte(state >> 56)
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		o := out[i : i+8 : i+8]
+		o[0], o[1], o[2], o[3] = byte(s0>>56), byte(s1>>56), byte(s2>>56), byte(s3>>56)
+		o[4], o[5], o[6], o[7] = byte(s4>>56), byte(s5>>56), byte(s6>>56), byte(s7>>56)
+		s0, s1, s2, s3 = s0*m+a, s1*m+a, s2*m+a, s3*m+a
+		s4, s5, s6, s7 = s4*m+a, s5*m+a, s6*m+a, s7*m+a
+	}
+	tail := [8]uint64{s0, s1, s2, s3, s4, s5, s6, s7}
+	for j := 0; i < n; i, j = i+1, j+1 {
+		out[i] = byte(tail[j] >> 56)
 	}
 	return out
 }

@@ -2,12 +2,42 @@ package middleware
 
 import (
 	"bytes"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/block"
 )
+
+// TestSyntheticBlockGolden pins SyntheticBlock's bytes: CRCs taken from
+// the one-state-per-byte generator it replaced, so every lane, the tail past
+// the last whole group of eight, negative and extreme keys, and the empty
+// block come out as before.
+func TestSyntheticBlockGolden(t *testing.T) {
+	for _, c := range []struct {
+		f   block.FileID
+		idx int32
+		n   int
+		crc uint32
+	}{
+		{0, 0, 0, 0x00000000},
+		{0, 0, 1, 0x5ed1937e},
+		{0, 0, 7, 0xbbd8dcbf},
+		{1, 2, 9, 0x7ec5bd8e},
+		{11, 3, 8192, 0x92548732},
+		{7, 0, 1024, 0xb1c494d1},
+		{-3, -1, 100, 0x5ec4599f},
+		{2147483647, 2147483647, 8191, 0x6ac4d8a8},
+		{-2147483648, 5, 4097, 0x4bc74789},
+		{123456, 789, 65536, 0x2d86482d},
+	} {
+		b := SyntheticBlock(c.f, c.idx, c.n)
+		if got := crc32.ChecksumIEEE(b); len(b) != c.n || got != c.crc {
+			t.Errorf("SyntheticBlock(%d, %d, %d): %d bytes, CRC %#08x, want %#08x", c.f, c.idx, c.n, len(b), got, c.crc)
+		}
+	}
+}
 
 func TestMemSourceReadBlock(t *testing.T) {
 	geom := block.Geometry{Size: 1024, ExtentBlocks: 8}

@@ -64,6 +64,8 @@ type storeShard struct {
 	c     *cache.BlockCache
 	data  map[block.ID]*payloadBuf
 	clock int64
+	// closed: the store is closed (Store.Close) and caches nothing more.
+	closed bool
 
 	oldest atomic.Int64 // age of the shard's oldest block; emptyAge when none
 	nlen   atomic.Int64
@@ -274,12 +276,12 @@ func (s *Store) OldestAge() (int64, bool) {
 	return oldest, true
 }
 
-// Insert caches a copy of id backed by caller-owned bytes, evicting per the
-// policy if the shard is full. The returned eviction (nil if none, or the
-// block was already present) tells the node layer what left memory; the
-// caller decides forwarding and must Release it.
+// Insert caches a copy of data as block id, evicting per the policy if the
+// shard is full; the caller keeps data. The returned eviction (nil if none,
+// or the block was already present) tells the node layer what left memory;
+// the caller decides forwarding and must Release it.
 func (s *Store) Insert(id block.ID, data []byte, master bool) *Evicted {
-	return s.InsertBuf(id, newPayloadBuf(data), master)
+	return s.InsertBuf(id, copyPayloadBuf(data), master)
 }
 
 // InsertBuf is Insert taking ownership of one reference to pb (retain
@@ -292,6 +294,10 @@ func (s *Store) InsertBuf(id block.ID, pb *payloadBuf, master bool) *Evicted {
 }
 
 func (s *Store) insertLocked(sh *storeShard, id block.ID, pb *payloadBuf, master bool) *Evicted {
+	if sh.closed {
+		pb.release()
+		return nil
+	}
 	if sh.c.Contains(id) {
 		if master {
 			sh.c.Promote(id)
@@ -391,16 +397,17 @@ func (s *Store) InsertRun(f block.FileID, first int32, blocks []*payloadBuf, mas
 // (accepted=false); otherwise the shard's oldest is discarded outright
 // (never re-forwarded — no cascades) and the block is installed with its
 // original age. displaced reports what was discarded to make room (its
-// directory entry must be dropped if a master; it never carries data).
+// directory entry must be dropped if a master; it never carries data). The
+// store caches a copy of data; the caller keeps data.
 func (s *Store) AcceptForward(id block.ID, data []byte, age int64) (accepted bool, displaced *Evicted) {
-	return s.AcceptForwardBuf(id, newPayloadBuf(data), age)
-}
-
-// AcceptForwardBuf is AcceptForward taking ownership of one reference to pb.
-func (s *Store) AcceptForwardBuf(id block.ID, pb *payloadBuf, age int64) (accepted bool, displaced *Evicted) {
+	pb := copyPayloadBuf(data) // outside the shard lock
 	sh := s.shardOf(id)
 	sh.mu.Lock()
 	defer sh.unlock()
+	if sh.closed {
+		pb.release()
+		return false, nil
+	}
 	if sh.c.Contains(id) {
 		sh.c.Promote(id)
 		old := sh.data[id]
@@ -454,4 +461,17 @@ func (s *Store) RemoveAll() []block.ID {
 		sh.unlock()
 	}
 	return masters
+}
+
+// Close releases every cached block and closes the store: from then on an
+// insert or a forward releases the buffer it is handed instead of caching
+// it. A node closes its store on Close, so every frame it cached goes back
+// to the arena; a pin taken before Close stays valid until it is released.
+func (s *Store) Close() {
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		sh.closed = true
+		sh.mu.Unlock()
+	}
+	s.RemoveAll()
 }

@@ -47,7 +47,7 @@ func (n *Node) WriteBlock(id block.ID, data []byte) error {
 
 	// 3. Only a durable write is cached. A reader the home names meanwhile
 	// finds no copy here yet: one race miss on soft state.
-	n.insertBlockBuf(id, newPayloadBuf(data), true)
+	n.insertBlockBuf(id, copyPayloadBuf(data), true)
 
 	// 4. Publish the invalidation record: per-peer sender loops deliver it
 	// in batched MsgInvalidateN frames in the background.
