@@ -20,7 +20,7 @@ var errConnClosed = errors.New("middleware: connection closed")
 // isResponse classifies frame types that answer a prior request.
 func isResponse(t MsgType) bool {
 	switch t {
-	case MsgFileData, MsgForwardAck, MsgAck, MsgErr, MsgStatsReply,
+	case MsgFileData, MsgAck, MsgErr, MsgStatsReply,
 		MsgTraceReply, MsgRunData, MsgInvalSinceReply, MsgViewReply:
 		return true
 	}
@@ -30,7 +30,7 @@ func isResponse(t MsgType) bool {
 // connConfig parameterizes a conn.
 type connConfig struct {
 	// handle processes an incoming request and returns the response (nil
-	// for one-way messages).
+	// for one-way messages, which a MsgDirDrop always is).
 	handle func(*Frame) *Frame
 	// observe sees every incoming frame before dispatch (may be nil).
 	observe func(*Frame)
@@ -223,6 +223,22 @@ func (c *conn) write(f *Frame) error {
 	return err
 }
 
+// send writes a one-way frame: no pending entry, no reply. The frame
+// stays owned by the caller, whose payload may go back to its owner as soon
+// as send returns. A write that fails on a closed conn, or closes it,
+// reports errConnClosed, as a round trip on it would.
+func (c *conn) send(f *Frame) error {
+	err := c.write(f)
+	if err != nil {
+		select {
+		case <-c.done:
+			return errConnClosed
+		default:
+		}
+	}
+	return err
+}
+
 // roundTrip sends a request and waits for its response. The request frame
 // stays owned by the caller; the returned response frame must be released
 // by the caller, its payload landed as the request's into says. With a
@@ -358,6 +374,15 @@ func (c *conn) readLoop() {
 			continue
 		}
 		if c.cfg.handle == nil {
+			releaseFrame(f)
+			continue
+		}
+		if f.Type == MsgDirDrop {
+			// One-way and applied here, in arrival order, never queued
+			// behind a worker's source read: its handling neither blocks
+			// nor writes. A MsgForward is one-way too, but its handler
+			// writes, so it is queued.
+			c.cfg.handle(f)
 			releaseFrame(f)
 			continue
 		}

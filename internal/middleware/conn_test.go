@@ -324,6 +324,43 @@ func TestConnOneWayMessagesIgnoredWithoutHandler(t *testing.T) {
 	_ = client
 }
 
+// TestConnDirDropSkipsBusyWorkers: a MsgDirDrop is applied on the read
+// loop in arrival order and gets no reply, so it never waits behind the
+// requests that hold every worker (a home's 1 ms source reads).
+func TestConnDirDropSkipsBusyWorkers(t *testing.T) {
+	busy, release := make(chan struct{}, 2), make(chan struct{})
+	applied := make(chan int32, 3)
+	client, _ := pipePair(t, func(f *Frame) *Frame {
+		if f.Type == MsgDirDrop {
+			applied <- f.Idx
+			return nil
+		}
+		busy <- struct{}{}
+		<-release
+		return &Frame{Type: MsgAck}
+	})
+	t.Cleanup(func() { close(release) })
+	for i := 0; i < 2; i++ { // both workers
+		go func() { _, _ = client.roundTrip(&Frame{Type: MsgGetRun}) }() // answered once released
+		<-busy
+	}
+	for i := int32(1); i <= 3; i++ {
+		if err := client.send(&Frame{Type: MsgDirDrop, Idx: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for want := int32(1); want <= 3; want++ {
+		select {
+		case got := <-applied:
+			if got != want {
+				t.Fatalf("drop %d applied in place of drop %d", got, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("drop %d waited behind the busy workers", want)
+		}
+	}
+}
+
 func TestConnStampApplied(t *testing.T) {
 	cn, sn := net.Pipe()
 	// The request frame is pooled and reclaimed after the handler returns:

@@ -1,6 +1,7 @@
 package middleware
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/block"
@@ -17,22 +18,51 @@ import (
 type dirServer struct {
 	mu      sync.Mutex
 	masters map[block.ID]int32
+	// passed lists, per block, the nodes whose repoint away from the block
+	// arrived while its entry named another node. Each repoint comes from
+	// the node it names, on that node's own conn, so the repoint naming a
+	// node can land after that node's repoint onward: it had passed the
+	// block on first. A claim clears the block's list; it holds at most
+	// maxPassed blocks, and forgets them all when full.
+	passed map[block.ID][]int32
 }
 
+// maxPassed bounds dirServer.passed. A list outlives its use only when no
+// repoint naming the node ever lands; these are rare (a refused repoint
+// is about one in 10 000 operations on disk_bound).
+const maxPassed = 1024
+
 func newDirServer() *dirServer {
-	return &dirServer{masters: make(map[block.ID]int32)}
+	return &dirServer{masters: make(map[block.ID]int32), passed: make(map[block.ID][]int32)}
 }
 
 // cas repoints the entry to toNode (dirNoEntry: drops it), but only if it
-// still names ifNode, so a stale repoint cannot erase a newer claim.
+// still names ifNode, so a stale repoint cannot erase a newer claim. A
+// repoint refused while the entry names another node is remembered in
+// passed, and a later repoint to that node drops the entry instead: the
+// node no longer holds the block.
 func (d *dirServer) cas(id block.ID, ifNode, toNode int32) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if cur, ok := d.masters[id]; !ok || cur != ifNode {
+	cur, ok := d.masters[id]
+	if !ok {
 		return
+	}
+	if cur != ifNode {
+		if !slices.Contains(d.passed[id], ifNode) {
+			if len(d.passed) >= maxPassed {
+				clear(d.passed)
+			}
+			d.passed[id] = append(d.passed[id], ifNode)
+		}
+		return
+	}
+	if slices.Contains(d.passed[id], toNode) {
+		toNode = dirNoEntry
 	}
 	if toNode == dirNoEntry {
 		delete(d.masters, id)
+		delete(d.passed, id)
 	} else {
 		d.masters[id] = toNode
 	}
@@ -59,7 +89,11 @@ func (d *dirServer) updateN(f block.FileID, idxs []int32, node int32) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for _, idx := range idxs {
-		d.masters[block.ID{File: f, Idx: idx}] = node
+		id := block.ID{File: f, Idx: idx}
+		d.masters[id] = node
+		if len(d.passed) > 0 {
+			delete(d.passed, id)
+		}
 	}
 }
 
@@ -70,6 +104,11 @@ func (d *dirServer) sweep(v *memberView, self int) {
 	for id := range d.masters {
 		if h, ok := v.home(id.File); !ok || h != self {
 			delete(d.masters, id)
+		}
+	}
+	for id := range d.passed {
+		if _, kept := d.masters[id]; !kept {
+			delete(d.passed, id)
 		}
 	}
 }
@@ -89,8 +128,10 @@ func (n *Node) homes(f block.FileID) bool {
 
 // dirCAS repoints id's entry from ifNode to toNode (dirNoEntry: drops it)
 // at the file's home: a local call when this node homes the file, else one
-// MsgDirDrop. Best effort: a lost repoint leaves a stale entry, which costs
-// the next reader one race miss.
+// one-way MsgDirDrop, which the home applies in the order this node wrote
+// it. It waits on nothing, so a peer's request may cause one. Best effort: a
+// repoint lost with its conn leaves a stale entry, which costs the next
+// reader one race miss.
 func (n *Node) dirCAS(id block.ID, ifNode, toNode int32) {
 	m, err := n.home(id.File)
 	if err != nil {
@@ -102,9 +143,6 @@ func (n *Node) dirCAS(id block.ID, ifNode, toNode int32) {
 	}
 	req := getFrame()
 	req.Type, req.File, req.Idx, req.Aux = MsgDirDrop, id.File, id.Idx, int64(ifNode)<<32|int64(uint32(toNode))
-	resp, err := n.reliableRPC(m, req, n.tol.retries)
+	_ = n.sendTo(m, req) // best effort, as above
 	releaseFrame(req)
-	if err == nil {
-		releaseFrame(resp)
-	}
 }

@@ -2,6 +2,7 @@ package middleware
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
@@ -339,11 +340,12 @@ func TestWriteClaimsAtHomeInOneRPC(t *testing.T) {
 	}
 }
 
-// TestForwardKeepsNewerClaim: an evicted master's forward repoints the
-// directory with a compare-and-set from the evicting node. When a writer
-// has claimed the block in the meantime its claim stands; when the entry
-// still names the evicting node it moves to the target; and a forward
-// nobody can take drops only the evicting node's entry.
+// TestForwardKeepsNewerClaim: an evicted master's forward is recorded at
+// the directory by the target, a compare-and-set from the evicting node.
+// When a writer has claimed the block in the meantime its claim stands;
+// when the entry still names the evicting node it moves to the target; and
+// a forward nobody can take drops only the evicting node's entry. The
+// frames are one-way, so the outcomes are read once they have landed.
 func TestForwardKeepsNewerClaim(t *testing.T) {
 	f := homedAt(3, 1)
 	sizes := map[block.FileID]int64{f: 2 * int64(testGeom.Size)}
@@ -355,31 +357,183 @@ func TestForwardKeepsNewerClaim(t *testing.T) {
 	evict := func(idx int32, age int64) *Evicted {
 		return &Evicted{ID: block.ID{File: f, Idx: idx}, Master: true, Age: age, Data: SyntheticBlock(f, idx, testGeom.Size)}
 	}
+	entry := func(idx int32) int32 {
+		holder, _ := dir.lookup(block.ID{File: f, Idx: idx})
+		return holder
+	}
 
 	evictor.peers.get(int(target)).age.Store(1)
 	dir.updateN(f, []int32{0}, 0) // a writer, node 0, claimed block 0
 	dir.updateN(f, []int32{1}, 2) // block 1 still names the evictor
 	evictor.forwardEvicted(evict(0, 1<<40))
 	evictor.forwardEvicted(evict(1, 1<<40+1))
-	if holder, _ := dir.lookup(block.ID{File: f, Idx: 0}); holder != 0 {
+	waitFor(t, 5*time.Second, "the target to take both forwards", func() bool {
+		st := nodes[target].Stats()
+		return st.Forwards+st.ForwardsRejected == 2
+	})
+	waitFor(t, 5*time.Second, "block 1's entry to move to the target", func() bool { return entry(1) == target })
+	if holder := entry(0); holder != 0 {
 		t.Fatalf("block 0: directory names %d after the forward, want the writer, node 0", holder)
 	}
-	if holder, _ := dir.lookup(block.ID{File: f, Idx: 1}); holder != target {
-		t.Fatalf("block 1: directory names %d after the forward, want the target, node %d", holder, target)
-	}
-	if st := evictor.Stats(); st.Forwards != 2 || st.ForwardsRejected != 0 {
-		t.Fatalf("forwards %d, rejected %d; want 2 and 0", st.Forwards, st.ForwardsRejected)
+	if st := nodes[target].Stats(); st.Forwards != 2 || st.ForwardsRejected != 0 {
+		t.Fatalf("the target counted forwards %d, rejected %d; want 2 and 0", st.Forwards, st.ForwardsRejected)
 	}
 
 	dir.updateN(f, []int32{0}, 0)
 	dir.updateN(f, []int32{1}, 2)
 	evictor.forwardEvicted(evict(0, 0))
 	evictor.forwardEvicted(evict(1, 0))
+	waitFor(t, 5*time.Second, "block 1's entry to be dropped", func() bool { return entry(1) == dirNoEntry })
 	if holder, ok := dir.lookup(block.ID{File: f, Idx: 0}); !ok || holder != 0 {
 		t.Fatalf("block 0: directory names %d (present %v) after the drop, want the writer, node 0", holder, ok)
 	}
-	if holder, ok := dir.lookup(block.ID{File: f, Idx: 1}); ok {
-		t.Fatalf("block 1: directory still names %d after the drop", holder)
+}
+
+// TestForwardIsOneWay: an eviction forward costs no round trip. The
+// evictor writes the block and waits on nothing; the target records the
+// outcome at the home with one-way directory frames: its own name on
+// accept, none on refusal, and none for a master the accept displaced.
+// Until the forward became one-way, the evictor paid a directory round trip
+// and a forward round trip for each.
+func TestForwardIsOneWay(t *testing.T) {
+	f := homedAt(3, 0)
+	sizes := map[block.FileID]int64{f: 3 * int64(testGeom.Size)}
+	nodes, _ := startCluster(t, 3, 64, sizes, func(i int, cfg *Config) {
+		if i == 1 {
+			cfg.CapacityBlocks = 1 // the target: room for one block
+		}
+	})
+	dir := dirOf(t, nodes, f)
+	evictor, target := nodes[2], nodes[1]
+	entry := func(idx int32) int32 {
+		holder, _ := dir.lookup(block.ID{File: f, Idx: idx})
+		return holder
+	}
+	forward := func(idx int32, age int64) {
+		// The target reads as older than every forward, so each one is
+		// sent; the target's store decides.
+		evictor.peers.get(1).age.Store(1)
+		dir.updateN(f, []int32{idx}, 2)
+		evictor.forwardEvicted(&Evicted{ID: block.ID{File: f, Idx: idx}, Master: true, Age: age, Data: SyntheticBlock(f, idx, testGeom.Size)})
+	}
+
+	// Accepted into the empty target.
+	forward(0, 1<<40)
+	waitFor(t, 5*time.Second, "block 0's entry to name the target", func() bool { return entry(0) == 1 })
+	// Accepted, displacing the master of block 0, which is dropped.
+	forward(1, 1<<40+1)
+	waitFor(t, 5*time.Second, "block 1's entry to name the target", func() bool { return entry(1) == 1 })
+	waitFor(t, 5*time.Second, "the displaced block 0's entry to be dropped", func() bool { return entry(0) == dirNoEntry })
+	// Refused: everything at the target is younger. The target drops the
+	// evictor's entry.
+	forward(2, 5)
+	waitFor(t, 5*time.Second, "the refused block 2's entry to be dropped", func() bool { return entry(2) == dirNoEntry })
+	if target.store.Contains(block.ID{File: f, Idx: 2}) {
+		t.Fatal("the target cached a forward it refused")
+	}
+
+	const n = 3
+	var forwards, rejected uint64
+	for _, node := range nodes {
+		st := node.Stats()
+		forwards += st.Forwards
+		rejected += st.ForwardsRejected
+	}
+	if forwards+rejected != n || forwards != 2 || rejected != 1 {
+		t.Fatalf("cluster counted forwards %d, rejected %d; want 2 and 1 of %d", forwards, rejected, n)
+	}
+	for name, node := range map[string]*Node{"evictor": evictor, "target": target} {
+		for _, typ := range []string{"forward", "dir_drop"} {
+			if h, ok := node.Stats().RPCLatency[typ]; ok {
+				t.Errorf("the %s recorded %d %s round trips, want 0", name, h.Count, typ)
+			}
+		}
+	}
+}
+
+// TestForwardedBlockEvictedAgain: a target with room for one block accepts
+// a forward and evicts the block onward at once. The home is a fourth node,
+// so the target's repoint (evictor → target) and the next holder's
+// (target → next) reach it on different conns, in either order. The entry
+// must end on the next holder, or on none when the second landed first,
+// never on the target, which no longer holds the block.
+func TestForwardedBlockEvictedAgain(t *testing.T) {
+	const evictorID, targetID, nextID = 0, 1, 2
+	f := homedAt(4, 3)
+	sizes := map[block.FileID]int64{f: 2 * int64(testGeom.Size)}
+	nodes, _ := startCluster(t, 4, 64, sizes, func(i int, cfg *Config) {
+		if i == targetID {
+			cfg.CapacityBlocks = 1
+		}
+	})
+	dir := dirOf(t, nodes, f)
+	evictor, target, next := nodes[evictorID], nodes[targetID], nodes[nextID]
+	x := block.ID{File: f, Idx: 0}
+	const age = 1 << 40
+	// The next holder caches a block older than x, so the age it
+	// piggybacks and the age the target is told agree.
+	next.store.AcceptForward(block.ID{File: f, Idx: 1}, SyntheticBlock(f, 1, testGeom.Size), 1)
+	target.peers.get(nextID).age.Store(1)
+	evictor.peers.get(targetID).age.Store(1)
+	dir.updateN(f, []int32{x.Idx}, evictorID)
+
+	evictor.forwardEvicted(&Evicted{ID: x, Master: true, Age: age, Data: SyntheticBlock(f, x.Idx, testGeom.Size)})
+	deadline := time.Now().Add(5 * time.Second)
+	for !target.store.Contains(x) {
+		if time.Now().After(deadline) {
+			t.Fatal("the target never cached the forwarded block")
+		}
+		runtime.Gosched()
+	}
+	// A new block displaces x, the target's one and oldest, at once: the
+	// target forwards it on to the next holder.
+	y := block.ID{File: homedAt(4, 0), Idx: 0}
+	target.insertBlockBuf(y, copyPayloadBuf(SyntheticBlock(y.File, y.Idx, testGeom.Size)), true)
+
+	waitFor(t, 5*time.Second, "the next holder to take the block", func() bool { return next.Stats().Forwards == 1 })
+	deadline = time.Now().Add(5 * time.Second)
+	for holder, ok := dir.lookup(x); ok && holder != nextID; holder, ok = dir.lookup(x) {
+		if time.Now().After(deadline) {
+			t.Fatalf("x's entry names %d, want the next holder, node %d, or none", holder, nextID)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestDirRepointAfterPassOnDrops: the home may see a block's repoint
+// onward (target → next) before the repoint that named the target
+// (evictor → target), since each comes from the node it names on that
+// node's conn. The early one is refused, and when the late one lands the
+// entry is dropped, not pointed at a node that has passed the block on. A
+// claim clears the record, and the record never holds more than maxPassed
+// blocks.
+func TestDirRepointAfterPassOnDrops(t *testing.T) {
+	const evictor, target, next = 0, 1, 2
+	d := newDirServer()
+	id := block.ID{File: 7, Idx: 3}
+	d.updateN(id.File, []int32{id.Idx}, evictor)
+	d.cas(id, target, next)
+	if holder, _ := d.lookup(id); holder != evictor {
+		t.Fatalf("entry names %d after the early repoint, want the evictor, node %d", holder, evictor)
+	}
+	d.cas(id, evictor, target)
+	if holder, ok := d.lookup(id); ok {
+		t.Fatalf("entry names %d after the late repoint, want none: node %d passed the block on", holder, target)
+	}
+
+	d.updateN(id.File, []int32{id.Idx}, evictor)
+	d.cas(id, evictor, target)
+	d.cas(id, target, next)
+	if holder, _ := d.lookup(id); holder != next {
+		t.Fatalf("entry names %d after both repoints in order, want the next holder, node %d", holder, next)
+	}
+
+	for i := int32(0); i <= maxPassed; i++ {
+		d.updateN(8, []int32{i}, evictor)
+		d.cas(block.ID{File: 8, Idx: i}, target, next)
+	}
+	if len(d.passed) > maxPassed {
+		t.Fatalf("the home remembers %d blocks' refused repoints, want at most %d", len(d.passed), maxPassed)
 	}
 }
 

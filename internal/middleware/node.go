@@ -80,7 +80,7 @@ type Config struct {
 
 // Protocol trace event kinds (obs.Event.Kind).
 const (
-	traceForward        = "forward"         // eviction forward shipped (Aux: 1 accepted, 0 rejected/failed)
+	traceForward        = "forward"         // eviction forward's outcome where it is known (Peer: the other end; Aux: 1 accepted, 0 refused or unsent)
 	traceHomeFallback   = "home_fallback"   // peer fetch degraded to the home node
 	traceStaleDrop      = "stale_drop"      // directory entry dropped after a peer failure
 	traceInvalidate     = "invalidate"      // block invalidated (write protocol)
@@ -459,6 +459,16 @@ func (n *Node) reliableRPC(i int, f *Frame, retries int) (*Frame, error) {
 	}
 }
 
+// sendTo writes the one-way frame f to member i (peerTable.send): no
+// reply, no retry, no breaker. The frame stays owned by the caller.
+func (n *Node) sendTo(i int, f *Frame) error {
+	p := n.peers.get(i)
+	if p == nil {
+		return fmt.Errorf("middleware: node %d has no member %d in its view", n.cfg.ID, i)
+	}
+	return n.peers.send(p, f)
+}
+
 // home reports the home node of file f — the global file-to-node mapping
 // of §3, a lock-free lookup on the current view's consistent-hash ring.
 func (n *Node) home(f block.FileID) (int, error) {
@@ -494,8 +504,9 @@ func (n *Node) handle(f *Frame) *Frame {
 	case MsgReadFile, MsgReadRange:
 		return n.handleRead(f)
 	case MsgDirDrop:
+		// One-way, applied on the conn's read loop: no reply.
 		n.dirSrv.cas(f.ID(), int32(f.Aux>>32), int32(f.Aux))
-		return ackFrame()
+		return nil
 	case MsgForward:
 		return n.handleForward(f)
 	case MsgWriteBlock:
@@ -630,23 +641,34 @@ func (n *Node) handleRead(f *Frame) *Frame {
 	return r
 }
 
+// handleForward takes or refuses an evicted master a peer forwards (§3
+// second chance) and records the outcome at the block's home, where the
+// entry still names the evictor: it moves to this node on accept and is
+// dropped on refusal, each a compare-and-set, so a claim made in the
+// meantime stands. A master the accept displaced is dropped, not forwarded
+// on (no cascaded forwarding, §3). The evictor gets no reply. The repoints
+// are one-way frames written here, not from a goroutine, so they leave on
+// this node's conn to the home ahead of any later message of this node's
+// about either block; a repoint that still lands late is the home's to
+// resolve (dirServer.passed).
 func (n *Node) handleForward(f *Frame) *Frame {
-	id := f.ID()
+	id, evictor, self := f.ID(), f.Sender, int32(n.cfg.ID)
 	// The store caches a copy in a frame; the request's wire buffer goes
 	// back to its pool with the request.
 	accepted, displaced := n.store.AcceptForward(id, f.Payload, f.Aux)
-	if displaced != nil && displaced.Master {
-		// The block we discarded to make room was a master: the cluster
-		// forgets it (no cascaded forwarding, §3). Off the handler, like
-		// every RPC a peer's request causes: see handleInvalidate.
-		go n.dirCAS(displaced.ID, int32(n.cfg.ID), dirNoEntry)
-	}
-	r := getFrame()
-	r.Type, r.File, r.Idx = MsgForwardAck, f.File, f.Idx
 	if accepted {
-		r.Flags = 1
+		atomic.AddUint64(&n.c.Forwards, 1)
+		n.trace(traceForward, int(evictor), id, 1)
+		n.dirCAS(id, evictor, self)
+	} else {
+		atomic.AddUint64(&n.c.ForwardsRejected, 1)
+		n.trace(traceForward, int(evictor), id, 0)
+		n.dirCAS(id, evictor, dirNoEntry)
 	}
-	return r
+	if displaced != nil && displaced.Master {
+		n.dirCAS(displaced.ID, self, dirNoEntry)
+	}
+	return nil
 }
 
 // handleInvalidate discards this node's copy of a block a write superseded.

@@ -188,13 +188,36 @@ func (t *peerTable) roundTrip(p *peer, f *Frame) (*Frame, error) {
 	if err != errConnClosed {
 		return resp, err
 	}
-	p.mu.Lock()
-	p.conn.CompareAndSwap(c, nil)
-	p.mu.Unlock()
-	if c, err = t.conn(p); err != nil {
+	if c, err = t.redial(p, c); err != nil {
 		return nil, err
 	}
 	return c.roundTrip(f)
+}
+
+// send writes the one-way frame f to p and waits for nothing: a frame that
+// leaves is not known to arrive. A conn found dead is dropped and redialed
+// once, as in roundTrip. It neither consults nor feeds the breaker: a write
+// that succeeds proves nothing about the member.
+func (t *peerTable) send(p *peer, f *Frame) error {
+	c, err := t.conn(p)
+	if err != nil {
+		return err
+	}
+	if err = c.send(f); err != errConnClosed {
+		return err
+	}
+	if c, err = t.redial(p, c); err != nil {
+		return err
+	}
+	return c.send(f)
+}
+
+// redial drops p's dead conn c and returns a fresh one.
+func (t *peerTable) redial(p *peer, c *conn) (*conn, error) {
+	p.mu.Lock()
+	p.conn.CompareAndSwap(c, nil)
+	p.mu.Unlock()
+	return t.conn(p)
 }
 
 // close closes every conn; later dials fail with errConnClosed.

@@ -40,12 +40,13 @@ const (
 	MsgFileData
 	// MsgDirDrop repoints one block's directory entry at its file's home, a
 	// compare-and-set: Aux is ifNode<<32 | uint32(toNode), and toNode
-	// dirNoEntry drops the entry.
+	// dirNoEntry drops the entry. One-way: the home applies it on the
+	// conn's read loop, in arrival order, and sends no reply.
 	MsgDirDrop
 	// MsgForward ships an evicted master to a peer (§3 second chance).
+	// One-way: the target records the outcome at the block's home with a
+	// MsgDirDrop of its own, and sends the evictor nothing.
 	MsgForward
-	// MsgForwardAck acknowledges a forward (accepted or dropped).
-	MsgForwardAck
 	// MsgWriteBlock writes one block through the cluster (client entry).
 	MsgWriteBlock
 	// MsgPutBlock stores block content on the home node's disk.
@@ -135,8 +136,6 @@ func (t MsgType) metricName() string {
 		return "dir_drop"
 	case MsgForward:
 		return "forward"
-	case MsgForwardAck:
-		return "forward_ack"
 	case MsgWriteBlock:
 		return "write_block"
 	case MsgPutBlock:

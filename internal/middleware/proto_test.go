@@ -166,7 +166,7 @@ func TestErrFrame(t *testing.T) {
 }
 
 func TestIsResponse(t *testing.T) {
-	for _, typ := range []MsgType{MsgRunData, MsgFileData, MsgForwardAck, MsgAck, MsgErr, MsgStatsReply} {
+	for _, typ := range []MsgType{MsgRunData, MsgFileData, MsgAck, MsgErr, MsgStatsReply} {
 		if !isResponse(typ) {
 			t.Errorf("type %d should be a response", typ)
 		}

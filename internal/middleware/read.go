@@ -660,10 +660,11 @@ func (n *Node) dispatchEvicted(ev *Evicted) {
 	}
 }
 
-// forwardEvicted gives an evicted master its §3 second chance. The entry
-// moves by compare-and-set from this node to the target before the block
-// ships, so a newer claim survives and the target's own later eviction of
-// the block finds its name; a refused forward drops that name again.
+// forwardEvicted gives an evicted master its §3 second chance: it ships
+// the block, one way, to the peer whose (piggyback-known) oldest block is
+// oldest and older than it, and leaves the directory to that target, which
+// records the outcome at the block's home (handleForward). This node drops
+// its own name only when no peer qualifies or the frame cannot be written.
 func (n *Node) forwardEvicted(ev *Evicted) {
 	defer ev.Release() // the eviction's pin on the payload ends here
 	self := int32(n.cfg.ID)
@@ -687,26 +688,17 @@ func (n *Node) forwardEvicted(ev *Evicted) {
 		n.dirCAS(ev.ID, self, dirNoEntry)
 		return
 	}
-	n.dirCAS(ev.ID, self, int32(target))
 	req := getFrame()
 	req.Type, req.File, req.Idx, req.Aux = MsgForward, ev.ID.File, ev.ID.Idx, ev.Age
 	req.Payload = ev.Data // pinned by ev until the Release above
-	// Best effort: a forward to a dead peer is simply a dropped master.
-	resp, err := n.reliableRPC(target, req, 0)
+	err := n.sendTo(target, req)
 	req.Payload = nil // still owned by ev, keep releaseFrame's hands off
 	releaseFrame(req)
-	accepted := err == nil && resp.Flags != 0
-	if err == nil {
-		releaseFrame(resp)
-	}
-	if !accepted {
-		// Rejected (everything there was younger) or failed: the cluster
-		// forgets this master.
+	if err != nil {
+		// The frame did not leave (a dead or unreachable peer): the
+		// cluster forgets this master.
 		atomic.AddUint64(&n.c.ForwardsRejected, 1)
 		n.trace(traceForward, target, ev.ID, 0)
-		n.dirCAS(ev.ID, int32(target), dirNoEntry)
-		return
+		n.dirCAS(ev.ID, self, dirNoEntry)
 	}
-	atomic.AddUint64(&n.c.Forwards, 1)
-	n.trace(traceForward, target, ev.ID, 1)
 }

@@ -16,8 +16,8 @@ type Counts struct {
 	RemoteHits       uint64 `metric:"cc_remote_hits_total" help:"accesses served from a peer's cache"`
 	DiskReads        uint64 `metric:"cc_disk_reads_total" help:"accesses served from the backing store"`
 	RaceMisses       uint64 `metric:"cc_race_misses_total" help:"located masters that vanished before the fetch"`
-	Forwards         uint64 `metric:"cc_forwards_total" help:"evicted masters forwarded to a peer"`
-	ForwardsRejected uint64 `metric:"cc_forwards_rejected_total" help:"eviction forwards rejected or failed"`
+	Forwards         uint64 `metric:"cc_forwards_total" help:"evicted masters a peer forwarded here that this node accepted"`
+	ForwardsRejected uint64 `metric:"cc_forwards_rejected_total" help:"evicted masters this node refused as forwards, or could not forward"`
 	Invalidations    uint64 `metric:"cc_invalidations_total" help:"blocks invalidated by the write protocol"`
 	Writes           uint64 `metric:"cc_writes_total" help:"write operations handled"`
 	// Fault tolerance: see the Failure model section of DESIGN.md.
@@ -150,9 +150,10 @@ func (n *Node) RegisterMetrics(r *obs.Registry) {
 }
 
 // requestMsgTypes are the frame types that initiate round trips — the
-// series pre-registered for the per-RPC-type latency histograms.
+// series pre-registered for the per-RPC-type latency histograms. The
+// one-way MsgDirDrop and MsgForward wait on no reply and have no series.
 var requestMsgTypes = []MsgType{
-	MsgReadFile, MsgReadRange, MsgDirDrop, MsgForward, MsgWriteBlock,
+	MsgReadFile, MsgReadRange, MsgWriteBlock,
 	MsgPutBlock, MsgStats, MsgTrace, MsgGetRun, MsgInvalidateN,
 	MsgInvalSince, MsgPing, MsgView, MsgViewUpdate, MsgJoin, MsgDrain,
 }
