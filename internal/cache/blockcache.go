@@ -188,6 +188,18 @@ func (c *BlockCache) EvictOldestNonMaster() (id block.ID, age sim.Time, ok bool)
 	return e.id, e.age, true
 }
 
+// EvictVictim removes and returns the replacement victim: the oldest block,
+// except that with keepMasters (§5's master-preserving policy) an oldest
+// master is passed over for the oldest non-master while any non-master
+// copy remains. The simulator and the live store both evict through it.
+func (c *BlockCache) EvictVictim(keepMasters bool) (id block.ID, master bool, age sim.Time, ok bool) {
+	if keepMasters && c.head != nil && c.head.master && c.nmHead != nil {
+		id, age, ok = c.EvictOldestNonMaster()
+		return id, false, age, ok
+	}
+	return c.EvictOldest()
+}
+
 func (c *BlockCache) drop(e *entry) {
 	c.unlink(e)
 	if e.master {

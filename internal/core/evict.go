@@ -36,7 +36,8 @@ func (s *Server) insertBlock(n *ccNode, b block.ID, master bool) {
 	}
 }
 
-// evictOne frees one block slot at node n according to the policy:
+// evictOne frees one block slot at node n according to the policy (the
+// victim rule is cache.BlockCache.EvictVictim, shared with the live store):
 //
 //   - All policies: the victim is the locally oldest block; a non-master
 //     victim is simply dropped.
@@ -47,21 +48,12 @@ func (s *Server) insertBlock(n *ccNode, b block.ID, master bool) {
 //     block, the master is forwarded there; if it is the globally oldest
 //     block, it is dropped and the directory forgets it.
 func (s *Server) evictOne(n *ccNode) {
-	c := n.cache
-	_, vMaster, _, ok := c.Oldest()
-	if !ok {
-		return
-	}
 	if s.cfg.Policy == PolicyNChance {
 		s.evictNChance(n)
 		return
 	}
-	if s.cfg.Policy == PolicyMaster && vMaster && c.NonMasters() > 0 {
-		c.EvictOldestNonMaster()
-		return
-	}
-	victim, vMaster, vAge, _ := c.EvictOldest()
-	if !vMaster {
+	victim, vMaster, vAge, ok := n.cache.EvictVictim(s.cfg.Policy == PolicyMaster)
+	if !ok || !vMaster {
 		return
 	}
 	if s.cfg.DisableForwarding {

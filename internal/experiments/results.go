@@ -29,8 +29,8 @@ type BenchResults struct {
 	Parallelism int    `json:"parallelism"`
 	// GoMaxProcs/NumCPU/GoVersion record the machine the numbers came from:
 	// a 1-CPU CI container and a 16-core dev box produce legitimately
-	// different throughput, and contention-sensitive results (the sharded
-	// store, parallel benchmarks) are only comparable at equal NumCPU.
+	// different throughput, and contention-sensitive results (parallel
+	// benchmarks) are only comparable at equal NumCPU.
 	GoMaxProcs  int     `json:"gomaxprocs"`
 	NumCPU      int     `json:"num_cpu"`
 	GoVersion   string  `json:"go_version"`

@@ -18,7 +18,7 @@ type modelCounts struct{ accesses, local, remote, disk uint64 }
 // is a local hit where the entry node holds a copy, a remote hit where any
 // master exists, and a disk read (installing the reader as master)
 // otherwise. With ample capacity there are no evictions, hence no forwards,
-// races, or invalidations. It knows nothing of runs, shards, rings, buses or
+// races, or invalidations. It knows nothing of runs, rings, buses or
 // replicas: every configuration of the live path must reproduce it.
 func protocolModel(tr *trace.Trace, sizes map[block.FileID]int64, k int) modelCounts {
 	copies := map[block.ID]map[int]bool{}

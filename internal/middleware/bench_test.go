@@ -122,18 +122,15 @@ func BenchmarkNodeReadFile(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreGetParallel measures concurrent warm hits on the sharded
-// store under GOMAXPROCS goroutines (b.RunParallel): the lock-contention
-// profile the shard split exists to flatten. Run with -cpu 1,4 to see the
-// scaling; pair with -mutexprofile to see where the remaining contention
-// lives. On a 1-CPU host this degenerates to the serial path.
+// BenchmarkStoreGetParallel measures concurrent warm hits on the store
+// under GOMAXPROCS goroutines (b.RunParallel): every hit takes the store's
+// one mutex to touch LRU state and pin the payload, then copies outside it.
+// Run with -cpu 1,2 to see what contention on that mutex costs; pair with
+// -mutexprofile to see where it lives. It is a micro-benchmark: the
+// end-to-end workloads (benchmark/) decide whether the lock matters.
 func BenchmarkStoreGetParallel(b *testing.B) {
 	const blocks = 256
-	// The IDs do not hash evenly over the shards: every shard gets room for
-	// the whole warm set, so no warm block is evicted before the loop reads
-	// it.
-	shards := resolveShards(0, blocks) // NumCPU shards
-	s := newShardedStore(blocks*shards, core.PolicyMaster, shards)
+	s := NewStore(blocks, core.PolicyMaster)
 	for i := int32(0); i < blocks; i++ {
 		s.Insert(block.ID{File: 1, Idx: i}, SyntheticBlock(1, i, 8192), true)
 	}
@@ -154,8 +151,8 @@ func BenchmarkStoreGetParallel(b *testing.B) {
 
 // BenchmarkNodeReadFileParallel is BenchmarkNodeReadFile under concurrent
 // readers: every goroutine sweeps the same warm 64 KB file, so the store's
-// shard mutexes (and the payload refcounts) are the only shared state on the
-// path. Run with -cpu 1,4 for the before/after of the shard split.
+// mutex (and the payload refcounts) are the only shared state on the path.
+// Run with -cpu 1,2 to see what concurrent readers cost.
 func BenchmarkNodeReadFileParallel(b *testing.B) {
 	geom := block.Geometry{Size: 8192, ExtentBlocks: 8}
 	sizes := map[block.FileID]int64{0: 8 * 8192}

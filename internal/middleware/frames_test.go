@@ -116,7 +116,7 @@ func TestPayloadBacking(t *testing.T) {
 // TestStoreCloseReleases: Close gives back every cached block, and a closed
 // store releases what it is handed instead of caching it.
 func TestStoreCloseReleases(t *testing.T) {
-	s := newShardedStore(8, core.PolicyMaster, 2)
+	s := NewStore(8, core.PolicyMaster)
 	pins := make([]*payloadBuf, 4)
 	for i := range pins {
 		pins[i] = copyPayloadBuf(SyntheticBlock(1, int32(i), 1024))

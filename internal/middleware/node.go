@@ -141,11 +141,11 @@ type Node struct {
 	migrFlight  map[block.FileID]chan struct{}
 	migrCount   atomic.Int64
 
-	// pend stripes the miss-coalescing map with the store's shard count, so
-	// concurrent misses on different blocks do not serialize on one mutex
-	// while they register their in-flight fetch.
-	pend     []pendShard
-	pendMask uint64
+	// pending is the miss-coalescing map: concurrent fetches of the same
+	// block join its in-flight channel instead of issuing a duplicate RPC
+	// (getBlock).
+	pendMu  sync.Mutex
+	pending map[block.ID]chan struct{}
 
 	// bus is the asynchronous invalidation bus (nil: a single-node cluster,
 	// which has no peer to tell). See inval.go.
@@ -169,23 +169,6 @@ type Node struct {
 	// records per delivered batch.
 	invalLag         obs.Histogram
 	invalBatchBlocks obs.ValueHistogram
-}
-
-// pendShard is one stripe of the miss-coalescing map: concurrent fetches of
-// the same block join the stripe's in-flight channel instead of issuing a
-// duplicate RPC (getBlock).
-type pendShard struct {
-	mu      sync.Mutex
-	waiting map[block.ID]chan struct{}
-}
-
-// pendingShard routes a block to its miss-coalescing stripe (same hash and
-// stripe count as the store's shards).
-func (n *Node) pendingShard(id block.ID) *pendShard {
-	if len(n.pend) == 1 {
-		return &n.pend[0]
-	}
-	return &n.pend[shardHash(id)&n.pendMask]
 }
 
 // TraceDump is the MsgTrace RPC payload: the retained window of a node's
@@ -224,14 +207,10 @@ func Start(cfg Config) (*Node, error) {
 		cfg:      cfg,
 		geom:     cfg.Geometry,
 		ln:       ln,
-		store:    newShardedStore(cfg.CapacityBlocks, cfg.Policy, 0),
+		store:    NewStore(cfg.CapacityBlocks, cfg.Policy),
 		dirSrv:   newDirServer(),
 		accepted: make(map[*conn]struct{}),
-	}
-	n.pend = make([]pendShard, n.store.ShardCount())
-	n.pendMask = uint64(len(n.pend) - 1)
-	for i := range n.pend {
-		n.pend[i].waiting = make(map[block.ID]chan struct{})
+		pending:  make(map[block.ID]chan struct{}),
 	}
 	n.tol = newTolerance(cfg.RPCTimeout, cfg.Retries, cfg.BreakerThreshold, cfg.BreakerCooldown)
 	n.peers = newPeerTable(cfg.ID, n.tol, cfg.Fault, n.connConfig())
@@ -593,7 +572,7 @@ func (n *Node) handleGetRun(f *Frame) *Frame {
 		}
 		return r
 	}
-	// Peer run: pinned references straight out of the sharded store, kept
+	// Peer run: pinned references straight out of the store, kept
 	// as the reply's pins (in its inline array for up to two blocks). The
 	// reply aliases the pinned buffers — N cached blocks ship with zero
 	// payload copies and zero concatenation, a single block as the plain

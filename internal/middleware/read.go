@@ -520,10 +520,9 @@ func (n *Node) getBlock(id block.ID, size int64, holder int32) (*payloadBuf, err
 			return pb, nil
 		}
 		// Coalesce concurrent fetches of the same block.
-		sh := n.pendingShard(id)
-		sh.mu.Lock()
-		if ch, inflight := sh.waiting[id]; inflight {
-			sh.mu.Unlock()
+		n.pendMu.Lock()
+		if ch, inflight := n.pending[id]; inflight {
+			n.pendMu.Unlock()
 			<-ch
 			// Re-check the cache; if the block was already evicted again
 			// (or the fetch failed), loop and fetch for ourselves.
@@ -531,14 +530,14 @@ func (n *Node) getBlock(id block.ID, size int64, holder int32) (*payloadBuf, err
 			continue
 		}
 		ch := make(chan struct{})
-		sh.waiting[id] = ch
-		sh.mu.Unlock()
+		n.pending[id] = ch
+		n.pendMu.Unlock()
 
 		pb, err := n.fetchBlock(id, size, holder)
 
-		sh.mu.Lock()
-		delete(sh.waiting, id)
-		sh.mu.Unlock()
+		n.pendMu.Lock()
+		delete(n.pending, id)
+		n.pendMu.Unlock()
 		close(ch)
 		if err != nil {
 			return nil, err

@@ -2,7 +2,7 @@ package middleware
 
 import (
 	"math"
-	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,144 +38,67 @@ func (ev *Evicted) Release() {
 	ev.buf, ev.Data = nil, nil
 }
 
-// shardHash is the shard hash of a block ID: the ID folded into 64 bits
-// (file in the high half, index in the low) through the splitmix64
-// finalizer, which spreads those structured bits uniformly over the shard
-// space, so the blocks of one file stripe across every shard.
-func shardHash(id block.ID) uint64 {
-	x := uint64(id.File)<<32 | uint64(uint32(id.Idx))
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	x *= 0xc4ceb9fe1a85ec53
-	x ^= x >> 33
-	return x
-}
-
-// emptyAge is the per-shard oldest-age sentinel for an empty shard.
+// emptyAge is the oldest-age mirror's sentinel for an empty store.
 const emptyAge = math.MaxInt64
 
-// storeShard is one lock stripe of the store: its own mutex, replacement
-// structure, payload map, and monotone clock. Aggregate counters are
-// mirrored into atomics on every unlock, so Len/Masters/OldestAge never take
-// a shard lock.
-type storeShard struct {
+// Store is the thread-safe in-memory block store of a live node: one
+// BlockCache replacement structure plus the actual payloads, under one
+// mutex, so the §5 victim rule and the §3 arrival rule for forwards are
+// applied against everything the node holds. Payloads are refcounted (see
+// payloadBuf): every read path pins a reference before the lock drops, so
+// the copy to the caller — or the socket write, for zero-copy serves —
+// happens outside the lock and can never race a recycle.
+type Store struct {
+	policy core.Policy
+
 	mu    sync.Mutex
 	c     *cache.BlockCache
 	data  map[block.ID]*payloadBuf
 	clock int64
-	// closed: the store is closed (Store.Close) and caches nothing more.
+	// closed: the store is closed (Close) and caches nothing more.
 	closed bool
 
-	oldest atomic.Int64 // age of the shard's oldest block; emptyAge when none
-	nlen   atomic.Int64
-	nmast  atomic.Int64
+	// oldest mirrors the age of the oldest block (emptyAge when none) on
+	// every unlock, so OldestAge never takes the lock.
+	oldest atomic.Int64
 }
 
-// unlock publishes the shard's aggregate counters and releases its mutex.
-// Every locked operation must exit through it: the mirrors are what keep
-// the lock-free aggregate reads exact at quiescence.
-func (sh *storeShard) unlock() {
-	if age, ok := sh.c.OldestAge(); ok {
-		sh.oldest.Store(int64(age))
-	} else {
-		sh.oldest.Store(emptyAge)
-	}
-	sh.nlen.Store(int64(sh.c.Len()))
-	sh.nmast.Store(int64(sh.c.Masters()))
-	sh.mu.Unlock()
-}
-
-// tick returns the current access age. Callers hold sh.mu. Ages are
-// wall-clock nanoseconds guarded to be per-shard monotone: comparable
-// across nodes to the accuracy of their clocks, which is all the
-// *approximate* global LRU of §3 requires.
-func (sh *storeShard) tick() sim.Time {
-	now := time.Now().UnixNano()
-	if now <= sh.clock {
-		now = sh.clock + 1
-	}
-	sh.clock = now
-	return sim.Time(now)
-}
-
-// Store is the thread-safe in-memory block store of a live node: the
-// BlockCache replacement structure plus the actual payloads, lock-striped
-// into power-of-two shards keyed by a block-ID hash so concurrent hits on a
-// multicore host scale instead of convoying on one mutex. Payloads are
-// refcounted (see payloadBuf): every read path pins a reference before the
-// shard lock drops, so the copy to the caller — or the socket write, for
-// zero-copy serves — happens outside the lock and can never race a recycle.
-//
-// Replacement quality: each shard runs the paper's policy over its own
-// partition. Consistent-hash-partitioned LRU asymptotically matches
-// monolithic LRU miss ratio (Asymptotic Miss Ratio of LRU Caching with
-// Consistent Hashing), and shard count 1 (NewStore) is the exact single-lock
-// global LRU.
-type Store struct {
-	policy core.Policy
-	shards []*storeShard
-	mask   uint64
-}
-
-// resolveShards picks a shard count: requested (rounded up to a power
-// of two) or, for requested <= 0, the smallest power of two covering
-// runtime.NumCPU, capped at 64. The count never exceeds capacity — every
-// shard's BlockCache needs at least one slot.
-func resolveShards(requested, capacity int) int {
-	n := requested
-	if n <= 0 {
-		n = runtime.NumCPU()
-	}
-	p := 1
-	for p < n && p < 64 {
-		p <<= 1
-	}
-	for p > capacity && p > 1 {
-		p >>= 1
-	}
-	return p
-}
-
-// NewStore builds a single-shard store holding at most capacity blocks
-// under the given replacement policy — exact global LRU order, for tests
-// and the benchmark's store rung. A node's store is sized to the host.
+// NewStore builds a store holding at most capacity blocks under the given
+// replacement policy.
 func NewStore(capacity int, policy core.Policy) *Store {
-	return newShardedStore(capacity, policy, 1)
-}
-
-// newShardedStore builds a store striped over the given shard count
-// (rounded up to a power of two, capped at capacity; <= 0 selects the
-// NumCPU default). Capacity is divided across shards with the remainder
-// spread over the first shards, so per-shard capacities sum exactly to the
-// configured total.
-func newShardedStore(capacity int, policy core.Policy, shards int) *Store {
-	n := resolveShards(shards, capacity)
-	s := &Store{policy: policy, shards: make([]*storeShard, n), mask: uint64(n - 1)}
-	base, extra := capacity/n, capacity%n
-	for i := range s.shards {
-		c := base
-		if i < extra {
-			c++
-		}
-		s.shards[i] = &storeShard{
-			c:    cache.NewBlockCache(c),
-			data: make(map[block.ID]*payloadBuf, c),
-		}
-		s.shards[i].oldest.Store(emptyAge)
+	s := &Store{
+		policy: policy,
+		c:      cache.NewBlockCache(capacity),
+		data:   make(map[block.ID]*payloadBuf, capacity),
 	}
+	s.oldest.Store(emptyAge)
 	return s
 }
 
-// ShardCount reports the number of lock stripes.
-func (s *Store) ShardCount() int { return len(s.shards) }
-
-// shardOf routes a block ID to its lock stripe.
-func (s *Store) shardOf(id block.ID) *storeShard {
-	if len(s.shards) == 1 {
-		return s.shards[0]
+// unlock publishes the oldest-age mirror and releases the mutex. Every
+// operation that changes the cache must exit through it: the mirror is what
+// keeps the lock-free OldestAge exact at quiescence.
+func (s *Store) unlock() {
+	if age, ok := s.c.OldestAge(); ok {
+		s.oldest.Store(int64(age))
+	} else {
+		s.oldest.Store(emptyAge)
 	}
-	return s.shards[shardHash(id)&s.mask]
+	s.mu.Unlock()
+}
+
+// tick returns the access age for a clock reading now. Callers hold s.mu
+// and read the clock before taking it, so no clock read (108 ns on a
+// 2-vCPU KVM guest with the tsc clocksource) lengthens the critical
+// section. Ages are wall-clock nanoseconds guarded to be monotone:
+// comparable across nodes to the accuracy of their clocks, which is all
+// the *approximate* global LRU of §3 requires.
+func (s *Store) tick(now int64) sim.Time {
+	if now <= s.clock {
+		now = s.clock + 1
+	}
+	s.clock = now
+	return sim.Time(now)
 }
 
 // GetRef returns a pinned reference to the cached content of id (touching
@@ -184,17 +107,17 @@ func (s *Store) shardOf(id block.ID) *storeShard {
 // invalidation, or a write. This is the zero-copy read primitive — no byte
 // is copied, under the lock or after it.
 func (s *Store) GetRef(id block.ID) (*payloadBuf, bool) {
-	sh := s.shardOf(id)
-	sh.mu.Lock()
-	defer sh.unlock()
-	if !sh.c.Touch(id, sh.tick()) {
+	now := time.Now().UnixNano()
+	s.mu.Lock()
+	defer s.unlock()
+	if !s.c.Touch(id, s.tick(now)) {
 		return nil, false
 	}
-	return sh.data[id].retain(), true
+	return s.data[id].retain(), true
 }
 
 // Get returns a copy of the cached content of id (touching LRU state) and
-// whether it was present. The copy happens outside the shard lock;
+// whether it was present. The copy happens outside the lock;
 // latency-critical paths use GetRef or CopyInto instead.
 func (s *Store) Get(id block.ID) ([]byte, bool) {
 	pb, ok := s.GetRef(id)
@@ -209,8 +132,8 @@ func (s *Store) Get(id block.ID) ([]byte, bool) {
 
 // CopyInto copies the cached content of id into dst (touching LRU state),
 // returning the byte count and whether it was present. The reference is
-// pinned under the shard lock; the copy itself happens after the lock
-// drops, so a warm local hit never holds a shard mutex across a memcpy.
+// pinned under the lock; the copy itself happens after the lock drops, so a
+// warm local hit never holds the store mutex across a memcpy.
 func (s *Store) CopyInto(id block.ID, dst []byte) (int, bool) {
 	pb, ok := s.GetRef(id)
 	if !ok {
@@ -223,61 +146,45 @@ func (s *Store) CopyInto(id block.ID, dst []byte) (int, bool) {
 
 // Contains reports presence without touching.
 func (s *Store) Contains(id block.ID) bool {
-	sh := s.shardOf(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.c.Contains(id)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.c.Contains(id)
 }
 
 // IsMaster reports whether id is held as a master copy.
 func (s *Store) IsMaster(id block.ID) bool {
-	sh := s.shardOf(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.c.IsMaster(id)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.c.IsMaster(id)
 }
 
-// Len reports the number of cached blocks (lock-free sum of the per-shard
-// mirrors; exact whenever no shard lock is held).
+// Len reports the number of cached blocks.
 func (s *Store) Len() int {
-	var n int64
-	for _, sh := range s.shards {
-		n += sh.nlen.Load()
-	}
-	return int(n)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.c.Len()
 }
 
 // Masters reports the number of cached master copies.
 func (s *Store) Masters() int {
-	var n int64
-	for _, sh := range s.shards {
-		n += sh.nmast.Load()
-	}
-	return int(n)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.c.Masters()
 }
 
 // OldestAge reports the logical age of the oldest block; ok is false when
-// the store is empty. It reads the per-shard atomic mirrors — no lock —
-// because every outgoing frame stamps this value (§3 peer-age piggyback)
-// and the stamp must never contend with the data plane.
+// the store is empty. It reads the atomic mirror — no lock — because every
+// outgoing frame stamps this value (§3 peer-age piggyback) and the stamp
+// must never contend with the data plane.
 func (s *Store) OldestAge() (int64, bool) {
-	oldest, ok := int64(emptyAge), false
-	for _, sh := range s.shards {
-		if a := sh.oldest.Load(); a != emptyAge {
-			ok = true
-			if a < oldest {
-				oldest = a
-			}
-		}
+	if a := s.oldest.Load(); a != emptyAge {
+		return a, true
 	}
-	if !ok {
-		return 0, false
-	}
-	return oldest, true
+	return 0, false
 }
 
 // Insert caches a copy of data as block id, evicting per the policy if the
-// shard is full; the caller keeps data. The returned eviction (nil if none,
+// store is full; the caller keeps data. The returned eviction (nil if none,
 // or the block was already present) tells the node layer what left memory;
 // the caller decides forwarding and must Release it.
 func (s *Store) Insert(id block.ID, data []byte, master bool) *Evicted {
@@ -287,60 +194,53 @@ func (s *Store) Insert(id block.ID, data []byte, master bool) *Evicted {
 // InsertBuf is Insert taking ownership of one reference to pb (retain
 // first to keep using it past the call).
 func (s *Store) InsertBuf(id block.ID, pb *payloadBuf, master bool) *Evicted {
-	sh := s.shardOf(id)
-	sh.mu.Lock()
-	defer sh.unlock()
-	return s.insertLocked(sh, id, pb, master)
+	now := time.Now().UnixNano()
+	s.mu.Lock()
+	defer s.unlock()
+	return s.insertLocked(id, pb, master, now)
 }
 
-func (s *Store) insertLocked(sh *storeShard, id block.ID, pb *payloadBuf, master bool) *Evicted {
-	if sh.closed {
+func (s *Store) insertLocked(id block.ID, pb *payloadBuf, master bool, now int64) *Evicted {
+	if s.closed {
 		pb.release()
 		return nil
 	}
-	if sh.c.Contains(id) {
+	if s.c.Contains(id) {
 		if master {
-			sh.c.Promote(id)
+			s.c.Promote(id)
 		}
-		old := sh.data[id]
-		sh.data[id] = pb
+		old := s.data[id]
+		s.data[id] = pb
 		old.release()
 		return nil
 	}
 	var ev *Evicted
-	if sh.c.Full() {
-		ev = s.evictOneLocked(sh)
+	if s.c.Full() {
+		ev = s.evictOneLocked()
 	}
-	sh.c.Insert(id, master, sh.tick())
-	sh.data[id] = pb
+	s.c.Insert(id, master, s.tick(now))
+	s.data[id] = pb
 	return ev
 }
 
-// evictOneLocked applies the replacement policy to one shard. A master
-// victim's payload reference transfers to the Evicted (the §3 second-chance
-// forward reads it after the lock drops); non-master victims release theirs
-// immediately. Callers hold sh.mu.
-func (s *Store) evictOneLocked(sh *storeShard) *Evicted {
-	if _, oldestMaster, _, ok := sh.c.Oldest(); ok &&
-		s.policy == core.PolicyMaster && oldestMaster && sh.c.NonMasters() > 0 {
-		id, age, _ := sh.c.EvictOldestNonMaster()
-		ev := &Evicted{ID: id, Master: false, Age: int64(age)}
-		sh.data[id].release()
-		delete(sh.data, id)
-		return ev
-	}
-	id, master, age, ok := sh.c.EvictOldest()
+// evictOneLocked applies the replacement policy (cache.BlockCache's
+// EvictVictim, the simulator's rule too). A master victim's payload
+// reference transfers to the Evicted (the §3 second-chance forward reads it
+// after the lock drops); non-master victims release theirs immediately.
+// Callers hold s.mu.
+func (s *Store) evictOneLocked() *Evicted {
+	id, master, age, ok := s.c.EvictVictim(s.policy == core.PolicyMaster)
 	if !ok {
 		return nil
 	}
 	ev := &Evicted{ID: id, Master: master, Age: int64(age)}
 	if master {
-		ev.buf = sh.data[id] // transfer the store's reference
+		ev.buf = s.data[id] // transfer the store's reference
 		ev.Data = ev.buf.data
 	} else {
-		sh.data[id].release()
+		s.data[id].release()
 	}
-	delete(sh.data, id)
+	delete(s.data, id)
 	return ev
 }
 
@@ -348,44 +248,41 @@ func (s *Store) evictOneLocked(sh *storeShard) *Evicted {
 // of f starting at first (at most max blocks) to out, touching each served
 // block's LRU state. It stops at the first gap and returns the extended
 // slice and a bitmask marking which served blocks are held as master copies
-// (bit i = block first+i). No byte is copied or concatenated — the caller
-// points reply segments at the pinned buffers and releases them after the
-// socket write. Blocks of a run stripe across shards, so the walk locks
-// each block's shard in turn (one short critical section per block, never
-// one long one).
+// (bit i = block first+i). The walk is one critical section that neither
+// reads the clock nor allocates; no byte is copied or concatenated — the
+// caller points reply segments at the pinned buffers and releases them
+// after the socket write.
 func (s *Store) GetRun(f block.FileID, first int32, max int, out []*payloadBuf) ([]*payloadBuf, uint32) {
 	var masters uint32
+	out = slices.Grow(out, max)
+	now := time.Now().UnixNano()
+	s.mu.Lock()
+	defer s.unlock()
 	for count := 0; count < max; count++ {
 		id := block.ID{File: f, Idx: first + int32(count)}
-		sh := s.shardOf(id)
-		sh.mu.Lock()
-		if !sh.c.Touch(id, sh.tick()) {
-			sh.unlock()
+		if !s.c.Touch(id, s.tick(now)) {
 			break
 		}
-		if sh.c.IsMaster(id) {
+		if s.c.IsMaster(id) {
 			masters |= 1 << uint(count)
 		}
-		pb := sh.data[id].retain()
-		sh.unlock()
-		out = append(out, pb)
+		out = append(out, s.data[id].retain())
 	}
 	return out, masters
 }
 
 // InsertRun installs a fetched run of contiguous blocks (blocks[i] is block
-// first+i), taking ownership of one reference to each, and returns every
-// eviction the installs caused, in order. Master victims among them get the
-// §3 second chance from the caller, exactly as with Insert.
+// first+i) in one critical section, taking ownership of one reference to
+// each, and returns every eviction the installs caused, in order. Master
+// victims among them get the §3 second chance from the caller, exactly as
+// with Insert.
 func (s *Store) InsertRun(f block.FileID, first int32, blocks []*payloadBuf, master bool) []*Evicted {
 	var evs []*Evicted
+	now := time.Now().UnixNano()
+	s.mu.Lock()
+	defer s.unlock()
 	for i, pb := range blocks {
-		id := block.ID{File: f, Idx: first + int32(i)}
-		sh := s.shardOf(id)
-		sh.mu.Lock()
-		ev := s.insertLocked(sh, id, pb, master)
-		sh.unlock()
-		if ev != nil {
+		if ev := s.insertLocked(block.ID{File: f, Idx: first + int32(i)}, pb, master, now); ev != nil {
 			evs = append(evs, ev)
 		}
 	}
@@ -393,53 +290,51 @@ func (s *Store) InsertRun(f block.FileID, first int32, blocks []*payloadBuf, mas
 }
 
 // AcceptForward applies the §3 arrival rules for a forwarded master:
-// dropped if everything local (in the block's shard) is younger
-// (accepted=false); otherwise the shard's oldest is discarded outright
-// (never re-forwarded — no cascades) and the block is installed with its
-// original age. displaced reports what was discarded to make room (its
-// directory entry must be dropped if a master; it never carries data). The
-// store caches a copy of data; the caller keeps data.
+// dropped if everything the node holds is younger (accepted=false);
+// otherwise the node's oldest block is discarded outright (never
+// re-forwarded — no cascades) and the block is installed with its original
+// age. displaced reports what was discarded to make room (its directory
+// entry must be dropped if a master; it never carries data). The store
+// caches a copy of data; the caller keeps data.
 func (s *Store) AcceptForward(id block.ID, data []byte, age int64) (accepted bool, displaced *Evicted) {
-	pb := copyPayloadBuf(data) // outside the shard lock
-	sh := s.shardOf(id)
-	sh.mu.Lock()
-	defer sh.unlock()
-	if sh.closed {
+	pb := copyPayloadBuf(data) // outside the lock
+	s.mu.Lock()
+	defer s.unlock()
+	if s.closed {
 		pb.release()
 		return false, nil
 	}
-	if sh.c.Contains(id) {
-		sh.c.Promote(id)
-		old := sh.data[id]
-		sh.data[id] = pb
+	if s.c.Contains(id) {
+		s.c.Promote(id)
+		old := s.data[id]
+		s.data[id] = pb
 		old.release()
 		return true, nil
 	}
-	if sh.c.Full() {
-		if oldest, ok := sh.c.OldestAge(); ok && int64(oldest) >= age {
+	if s.c.Full() {
+		if oldest, ok := s.c.OldestAge(); ok && int64(oldest) >= age {
 			pb.release()
 			return false, nil
 		}
-		vid, vMaster, vAge, _ := sh.c.EvictOldest()
+		vid, vMaster, vAge, _ := s.c.EvictOldest()
 		displaced = &Evicted{ID: vid, Master: vMaster, Age: int64(vAge)}
-		sh.data[vid].release()
-		delete(sh.data, vid)
+		s.data[vid].release()
+		delete(s.data, vid)
 	}
-	sh.c.Insert(id, true, sim.Time(age))
-	sh.data[id] = pb
+	s.c.Insert(id, true, sim.Time(age))
+	s.data[id] = pb
 	return true, displaced
 }
 
 // Remove discards id; reports presence and master role. The payload is
 // released — but any reply that pinned a reference first keeps its bytes.
 func (s *Store) Remove(id block.ID) (present, master bool) {
-	sh := s.shardOf(id)
-	sh.mu.Lock()
-	defer sh.unlock()
-	present, master = sh.c.Remove(id)
+	s.mu.Lock()
+	defer s.unlock()
+	present, master = s.c.Remove(id)
 	if present {
-		sh.data[id].release()
-		delete(sh.data, id)
+		s.data[id].release()
+		delete(s.data, id)
 	}
 	return present, master
 }
@@ -449,17 +344,15 @@ func (s *Store) Remove(id block.ID) (present, master bool) {
 // when a truncated invalidation catch-up makes the whole cache suspect.
 func (s *Store) RemoveAll() []block.ID {
 	var masters []block.ID
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for id, pb := range sh.data {
-			if _, master := sh.c.Remove(id); master {
-				masters = append(masters, id)
-			}
-			pb.release()
+	s.mu.Lock()
+	defer s.unlock()
+	for id, pb := range s.data {
+		if _, master := s.c.Remove(id); master {
+			masters = append(masters, id)
 		}
-		sh.data = make(map[block.ID]*payloadBuf)
-		sh.unlock()
+		pb.release()
 	}
+	s.data = make(map[block.ID]*payloadBuf)
 	return masters
 }
 
@@ -468,10 +361,8 @@ func (s *Store) RemoveAll() []block.ID {
 // it. A node closes its store on Close, so every frame it cached goes back
 // to the arena; a pin taken before Close stays valid until it is released.
 func (s *Store) Close() {
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		sh.closed = true
-		sh.mu.Unlock()
-	}
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
 	s.RemoveAll()
 }
