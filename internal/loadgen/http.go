@@ -167,9 +167,8 @@ func ReplayHTTP(baseURL string, tr *trace.Trace, pathOf func(block.FileID) strin
 	}
 	if rt.Count() > 0 {
 		res.Mean = time.Duration(rt.Mean())
-		res.P50 = time.Duration(rt.Percentile(0.50))
-		res.P95 = time.Duration(rt.Percentile(0.95))
-		res.P99 = time.Duration(rt.Percentile(0.99))
+		q := rt.Percentiles(0.50, 0.95, 0.99)
+		res.P50, res.P95, res.P99 = time.Duration(q[0]), time.Duration(q[1]), time.Duration(q[2])
 	}
 	return res, nil
 }

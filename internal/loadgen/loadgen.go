@@ -245,13 +245,12 @@ func Replay(client *middleware.Client, tr *trace.Trace, cfg Config) (Result, err
 	}
 	if rt.Count() > 0 {
 		res.Mean = time.Duration(rt.Mean())
-		res.P50 = time.Duration(rt.Percentile(0.50))
-		res.P95 = time.Duration(rt.Percentile(0.95))
-		res.P99 = time.Duration(rt.Percentile(0.99))
+		q := rt.Percentiles(0.50, 0.95, 0.99)
+		res.P50, res.P95, res.P99 = time.Duration(q[0]), time.Duration(q[1]), time.Duration(q[2])
 	}
 	if wrt.Count() > 0 {
-		res.WriteP50 = time.Duration(wrt.Percentile(0.50))
-		res.WriteP99 = time.Duration(wrt.Percentile(0.99))
+		q := wrt.Percentiles(0.50, 0.99)
+		res.WriteP50, res.WriteP99 = time.Duration(q[0]), time.Duration(q[1])
 	}
 	if stats, err := client.ClusterStats(); err == nil {
 		res.Cluster = stats

@@ -137,24 +137,37 @@ func (r *ResponseTimes) Max() sim.Duration {
 }
 
 // Percentile reports the p-quantile (p in [0,1]) by nearest rank over the
-// retained samples. The lazy sort runs under the lock, so it cannot race
-// with a concurrent Add (which may clear sorted again — correctness is
-// preserved, only the sort is redone).
+// retained samples.
 func (r *ResponseTimes) Percentile(p float64) sim.Duration {
-	if p < 0 || p > 1 {
-		panic(fmt.Sprintf("metrics: percentile %v out of [0,1]", p))
+	return r.Percentiles(p)[0]
+}
+
+// Percentiles reports the quantiles ps (each in [0,1]) by nearest rank,
+// all read under one lock from one sample set. Separate Percentile calls
+// beside a concurrent Add may see different sets: a reservoir replacement
+// between them can leave a later p99 below an earlier p50. The lazy sort
+// runs under the lock too (an Add may clear sorted again; only the sort is
+// redone).
+func (r *ResponseTimes) Percentiles(ps ...float64) []sim.Duration {
+	for _, p := range ps {
+		if p < 0 || p > 1 {
+			panic(fmt.Sprintf("metrics: percentile %v out of [0,1]", p))
+		}
 	}
+	out := make([]sim.Duration, len(ps))
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.samples) == 0 {
-		return 0
+		return out
 	}
 	if !r.sorted {
 		sort.Slice(r.samples, func(i, j int) bool { return r.samples[i] < r.samples[j] })
 		r.sorted = true
 	}
-	idx := int(p * float64(len(r.samples)-1))
-	return r.samples[idx]
+	for i, p := range ps {
+		out[i] = r.samples[int(p*float64(len(r.samples)-1))]
+	}
+	return out
 }
 
 // Throughput reports completed requests per second of virtual time over the

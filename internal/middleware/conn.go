@@ -21,7 +21,7 @@ var errConnClosed = errors.New("middleware: connection closed")
 func isResponse(t MsgType) bool {
 	switch t {
 	case MsgFileData, MsgAck, MsgErr, MsgStatsReply,
-		MsgTraceReply, MsgRunData, MsgInvalSinceReply, MsgViewReply:
+		MsgTraceReply, MsgRunData, MsgViewReply:
 		return true
 	}
 	return false

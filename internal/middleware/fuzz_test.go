@@ -88,7 +88,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(henc[:len(henc)-4]) // cut inside the codes
 
 	// Invalidation-bus frames: a valid batched invalidation window and a
-	// catch-up reply, then the ragged and oversized payloads a corrupted
+	// truncated one, then the ragged and oversized payloads a corrupted
 	// stream produces (decodeInvalPayload must reject, never panic).
 	var invBuf bytes.Buffer
 	if err := WriteFrame(&invBuf, &Frame{
@@ -101,15 +101,14 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(ienc)
 	f.Add(ienc[:len(ienc)-3]) // ragged record payload (not 8 + k*8 bytes)
 	f.Add(ienc[:headerLen+4]) // cut inside the firstSeq prefix
-	var sinceBuf bytes.Buffer
-	if err := WriteFrame(&sinceBuf, &Frame{
-		Type: MsgInvalSinceReply, Flags: 1, Aux: 7,
+	var truncBuf bytes.Buffer
+	if err := WriteFrame(&truncBuf, &Frame{
+		Type: MsgInvalidateN, Flags: flagTruncated, Aux: 7,
 		Payload: appendInvalPayload(nil, 7, []block.ID{{File: 9, Idx: 1}}),
 	}); err != nil {
 		f.Fatal(err)
 	}
-	senc := sinceBuf.Bytes()
-	f.Add(senc)
+	f.Add(truncBuf.Bytes())
 	invHuge := append([]byte(nil), ienc[:headerLen]...)
 	binary.BigEndian.PutUint32(invHuge[plenOff:], uint32(8+(maxInvalBatch+1)*8)) // batch over the limit
 	f.Add(invHuge)
@@ -225,9 +224,9 @@ func FuzzDecodeView(f *testing.F) {
 }
 
 // FuzzDecodeInvalPayload hardens the invalidation-batch decoder, which
-// every node runs on each MsgInvalidateN and MsgInvalSinceReply a peer
-// sends: it never panics, never hands the bus more than maxInvalBatch
-// records, and a batch it accepts re-encodes to the same bytes.
+// every node runs on each MsgInvalidateN window a peer sends, truncated or
+// not: it never panics, never hands the bus more than maxInvalBatch records,
+// and a batch it accepts re-encodes to the same bytes.
 func FuzzDecodeInvalPayload(f *testing.F) {
 	valid := appendInvalPayload(nil, 42, []block.ID{{File: 1, Idx: 0}, {File: 2, Idx: 3}})
 	f.Add(valid)

@@ -22,12 +22,16 @@ import (
 //   - The writer reads its own write immediately (local invalidate + master
 //     insert happen before WriteBlock returns; the client pins reads of a
 //     written file to the write's entry node).
-//   - Every peer applies each origin's records in sequence order. A peer
-//     that observes a sequence gap (frames lost, breaker-healed reconnect)
-//     issues a MsgInvalSince catch-up RPC instead of serving stale forever.
-//   - The origin's record history is bounded (invalHistory); a peer so far
-//     behind that its range fell off the ring is told to flush its whole
-//     cache (truncated catch-up reply) — the bounded queue's backpressure
+//   - Every peer applies each origin's records in sequence order and acks
+//     its applied mark, the one piece of delivery state. The origin always
+//     sends from the mark it was last told, so every repair is a resend:
+//     a lost frame or ack is re-offered, a window the peer refuses as a gap
+//     is resent from the mark it names.
+//   - A bus numbers its records from its creation time in unix nanoseconds,
+//     so a restarted or rejoined origin's records never pass for resends of
+//     its earlier bus's. A peer whose mark falls below the retained history
+//     (a long partition, or an earlier bus) is sent a truncated window and
+//     flushes its whole cache before applying it: the bounded history
 //     degrades to "start over", never to unbounded memory or a blocked
 //     writer.
 //
@@ -51,10 +55,8 @@ type invalRec struct {
 // invalSender is the persistent sender loop state for one peer.
 type invalSender struct {
 	peer   int
-	notify chan struct{} // cap 1: publish wake-up, coalesced
-	next   uint64        // next sequence to send (sender-loop private)
-	acked  atomic.Uint64 // last sequence the peer acknowledged
-	dead   atomic.Bool   // peer promoted to dead: stop delivering, count as drained
+	notify chan struct{} // cap 1: publish or view-install wake-up, coalesced
+	acked  atomic.Uint64 // the peer's applied mark, as its last ack named it
 	buf    []byte        // reusable MsgInvalidateN payload buffer
 }
 
@@ -62,34 +64,34 @@ type invalSender struct {
 // history plus one sender loop per peer.
 type invalBus struct {
 	n *Node
+	// base is the bus's creation time in unix nanoseconds and the sequence
+	// before its first record. A record takes more than a nanosecond to
+	// publish and the wall clock does not step back, so no sequence of a
+	// later bus on this slot is at or below one this bus published.
+	base uint64
 
 	mu      sync.Mutex
 	ring    [invalHistory]invalRec
 	start   int    // ring index of the oldest retained record
 	count   int    // retained records
-	head    uint64 // sequence of the newest record (0: none published yet)
+	head    uint64 // sequence of the newest record (base: none published yet)
 	stopped bool
 
 	senders []*invalSender
 	stop    chan struct{}
 }
 
-// newInvalBus builds the bus and starts one sender loop per peer.
+// newInvalBus builds an empty bus and starts one sender loop per peer.
 func newInvalBus(n *Node, clusterSize int) *invalBus {
-	b := &invalBus{n: n, stop: make(chan struct{})}
-	for i := 0; i < clusterSize; i++ {
-		if i == n.cfg.ID {
-			continue
-		}
-		s := &invalSender{peer: i, notify: make(chan struct{}, 1), next: 1}
-		b.senders = append(b.senders, s)
-		go b.senderLoop(s)
-	}
+	base := uint64(time.Now().UnixNano())
+	b := &invalBus{n: n, base: base, head: base, stop: make(chan struct{})}
+	b.resize(clusterSize)
 	return b
 }
 
-// shutdown stops the sender loops. Unsent records are abandoned: the peers'
-// gap detection (or their next read's freshness fetch) repairs them.
+// shutdown stops the sender loops. Unsent records are abandoned: a later
+// bus on this slot numbers past them, so its first window reaches each peer
+// as truncated and flushes it.
 func (b *invalBus) shutdown() {
 	b.mu.Lock()
 	if !b.stopped {
@@ -117,6 +119,11 @@ func (b *invalBus) publish(id block.ID) {
 	b.ring[idx] = invalRec{id: id, at: time.Now().UnixNano()}
 	senders := b.senders // resize appends concurrently: snapshot under mu
 	b.mu.Unlock()
+	wake(senders)
+}
+
+// wake signals each sender's loop to drain toward its peer.
+func wake(senders []*invalSender) {
 	for _, s := range senders {
 		select {
 		case s.notify <- struct{}{}:
@@ -126,73 +133,54 @@ func (b *invalBus) publish(id block.ID) {
 }
 
 // resize grows the sender set to cover a membership view of clusterSize
-// slots. Existing senders (and their sequence state) are untouched — an
-// origin's per-peer sequences survive every home move, which is what keeps
-// receivers' gap detection sound across a resize. A sender that joins
-// mid-stream owes nothing for history published before it existed: it
-// starts acknowledged up to the current head.
+// slots, then wakes every sender: an install can revive a slot, whose
+// backlog should not wait for the next publish. Senders are never removed,
+// and whether one delivers is read from the current view. A new sender
+// starts at the bus's base, so a joiner is sent the retained history.
 func (b *invalBus) resize(clusterSize int) {
 	b.mu.Lock()
 	if b.stopped {
 		b.mu.Unlock()
 		return
 	}
-	have := make(map[int]bool, len(b.senders))
-	for _, s := range b.senders {
-		have[s.peer] = true
+	covered := 0 // senders are appended in slot order
+	if len(b.senders) > 0 {
+		covered = b.senders[len(b.senders)-1].peer + 1
 	}
-	var started []*invalSender
-	for i := 0; i < clusterSize; i++ {
-		if i == b.n.cfg.ID || have[i] {
+	for i := covered; i < clusterSize; i++ {
+		if i == b.n.cfg.ID {
 			continue
 		}
-		s := &invalSender{peer: i, notify: make(chan struct{}, 1), next: b.head + 1}
-		s.acked.Store(b.head)
+		s := &invalSender{peer: i, notify: make(chan struct{}, 1)}
+		s.acked.Store(b.base)
 		b.senders = append(b.senders, s)
-		started = append(started, s)
-	}
-	b.mu.Unlock()
-	for _, s := range started {
 		go b.senderLoop(s)
 	}
-}
-
-// markDead tells the sender for a dead peer to stop delivering. The peer's
-// backlog is unrecoverable (it will flush and catch up if it ever returns);
-// a dead sender counts as drained so FlushInval and the depth gauge are not
-// wedged forever by a corpse.
-func (b *invalBus) markDead(peer int) {
-	b.mu.Lock()
 	senders := b.senders
 	b.mu.Unlock()
-	for _, s := range senders {
-		if s.peer != peer {
-			continue
-		}
-		s.dead.Store(true)
-		select {
-		case s.notify <- struct{}{}:
-		default:
-		}
-	}
+	wake(senders)
 }
 
-// collect builds the next batch for a sender starting at sequence `from`:
-// up to maxInvalBatch distinct block IDs covering the consecutive sequence
-// window [first, last] (back-to-back writes of the same block coalesce into
-// one record; the window stays consecutive, so receivers track one applied
-// high-water mark per origin). `at` is the publish time of the last covered
-// record. A `from` below the retained floor is clamped to it — the receiver
-// sees the jump as a gap and catches up. An empty batch means drained.
-func (b *invalBus) collect(from uint64, out []block.ID, seen map[block.ID]struct{}) (first, last uint64, at int64, batch []block.ID) {
+// collect builds the next batch for a peer whose applied mark is acked: up
+// to maxInvalBatch distinct block IDs covering the consecutive sequence
+// window [first, last] from acked+1 (back-to-back writes of the same block
+// coalesce into one record; the window stays consecutive, so receivers
+// track one applied mark per origin). `at` is the publish time of the last
+// covered record. A window that would start below the retained floor
+// starts at the floor and is truncated — the peer missed records it cannot
+// be sent — unless the mark is 0 and the history is intact, so the peer has
+// heard nothing and misses nothing. An empty batch means drained.
+func (b *invalBus) collect(acked uint64, out []block.ID, seen map[block.ID]struct{}) (first, last uint64, at int64, truncated bool, batch []block.ID) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	out = out[:0]
+	from := acked + 1
 	if b.count == 0 || from > b.head {
-		return 0, 0, 0, out
+		return 0, 0, 0, false, out
 	}
 	floor := b.head - uint64(b.count) + 1
 	if from < floor {
+		truncated = acked != 0 || floor != b.base+1
 		from = floor
 	}
 	clear(seen)
@@ -206,51 +194,39 @@ func (b *invalBus) collect(from uint64, out []block.ID, seen map[block.ID]struct
 		seen[rec.id] = struct{}{}
 		out = append(out, rec.id)
 	}
-	return first, last, at, out
+	return first, last, at, truncated, out
 }
 
-// depth reports the deepest unacknowledged backlog across peers (the
-// cc_inval_bus_depth gauge).
+// depth reports the deepest backlog of this bus's records a peer the
+// current view reaches has not acknowledged (the cc_inval_bus_depth gauge;
+// 0 means drained). Unreachable peers owe nothing until a view revives
+// them, and a mark below the base counts as none of this bus's records
+// acknowledged, not as a deeper backlog.
 func (b *invalBus) depth() uint64 {
 	b.mu.Lock()
-	head := b.head
-	senders := b.senders
+	head, senders := b.head, b.senders
 	b.mu.Unlock()
+	v := b.n.viewRef()
 	var deepest uint64
 	for _, s := range senders {
-		if s.dead.Load() {
+		if !v.reachable(s.peer) {
 			continue
 		}
-		if d := head - min(s.acked.Load(), head); d > deepest {
+		if d := head - min(max(s.acked.Load(), b.base), head); d > deepest {
 			deepest = d
 		}
 	}
 	return deepest
 }
 
-// drained reports whether every peer has acknowledged every record
-// published before the call.
-func (b *invalBus) drained() bool {
-	b.mu.Lock()
-	head := b.head
-	senders := b.senders
-	b.mu.Unlock()
-	for _, s := range senders {
-		if s.dead.Load() {
-			continue
-		}
-		if s.acked.Load() < head {
-			return false
-		}
-	}
-	return true
-}
-
-// senderLoop drains the bus toward one peer: batched MsgInvalidateN frames,
-// retried forever with capped backoff (a failed attempt counts one
-// InvalidateSkips: this peer's staleness window grew by one delivery
-// attempt). The backoff cap stretches to the breaker cooldown so a dead
-// peer costs about two probe attempts per cooldown, not a hot retry loop.
+// senderLoop drains the bus toward one peer: batched MsgInvalidateN frames
+// from the peer's acked mark, retried forever with capped backoff (a failed
+// attempt counts one InvalidateSkips: this peer's staleness window grew by
+// one delivery attempt). The backoff cap stretches to the breaker cooldown
+// so a dead peer costs about two probe attempts per cooldown, not a hot
+// retry loop. An ack below the window's end is a refused gap: the mark it
+// names is stored even if it is lower than before, and the resend from it
+// goes out at once.
 func (b *invalBus) senderLoop(s *invalSender) {
 	n := b.n
 	recs := make([]block.ID, 0, maxInvalBatch)
@@ -264,20 +240,10 @@ func (b *invalBus) senderLoop(s *invalSender) {
 		case <-s.notify:
 		}
 		for {
-			if s.dead.Load() {
-				break // the peer is gone; markDead made drained() ignore us
+			if !n.viewRef().reachable(s.peer) {
+				break // out of the view; an install that revives it wakes us
 			}
-			// Send from the acked mark, not the sent mark: a peer that
-			// answered a batch with a gap-ack (it went off to catch up)
-			// still owes acknowledgements for the unacked window, and with
-			// no further publishes there would be no later frame to carry
-			// them. Resends are idempotent — the peer skips windows at or
-			// below its applied mark.
-			from := s.next
-			if a := s.acked.Load(); a+1 < from {
-				from = a + 1
-			}
-			first, last, at, batch := b.collect(from, recs, seen)
+			first, last, at, truncated, batch := b.collect(s.acked.Load(), recs, seen)
 			recs = batch
 			if len(batch) == 0 {
 				break // drained; sleep until the next publish
@@ -285,11 +251,19 @@ func (b *invalBus) senderLoop(s *invalSender) {
 			req := getFrame()
 			req.Type = MsgInvalidateN
 			req.Aux = int64(last)
+			if truncated {
+				req.Flags = flagTruncated
+			}
 			s.buf = appendInvalPayload(s.buf[:0], first, batch)
 			req.Payload = s.buf
 			resp, err := n.reliableRPC(s.peer, req, 0)
 			req.Payload = nil // s.buf outlives the pooled frame
 			releaseFrame(req)
+			if err == nil {
+				if err = resp.Err(); err != nil {
+					releaseFrame(resp) // e.g. a peer whose view lacks us yet
+				}
+			}
 			if err != nil {
 				atomic.AddUint64(&n.c.InvalidateSkips, 1)
 				n.trace(traceInvalidateSkip, s.peer, block.ID{}, int64(first))
@@ -301,28 +275,17 @@ func (b *invalBus) senderLoop(s *invalSender) {
 				}
 				continue // re-collect: the window may have grown meanwhile
 			}
-			s.next = last + 1
-			hwm := uint64(resp.Aux)
-			if hwm > s.acked.Load() {
-				s.acked.Store(hwm)
-			}
+			backoff = defaultRetryBackoff
+			mark := uint64(resp.Aux)
 			releaseFrame(resp)
+			s.acked.Store(mark)
+			if mark < last {
+				continue // refused as a gap: resend from its mark
+			}
 			atomic.AddUint64(&n.c.InvalBatched, uint64(len(batch)))
 			n.invalBatchBlocks.Observe(int64(len(batch)))
 			n.invalLag.Observe(time.Duration(time.Now().UnixNano() - at))
 			n.trace(traceInvalBatch, s.peer, block.ID{}, int64(len(batch)))
-			if hwm < last {
-				// The peer is repairing a gap (catch-up in flight): pace the
-				// re-offers of the unacked window instead of spinning.
-				if !sleepOrStop(b.stop, backoffJitter(backoff, n.retryRand)) {
-					return
-				}
-				if backoff = 2 * backoff; backoff > backoffCap {
-					backoff = backoffCap
-				}
-				continue
-			}
-			backoff = defaultRetryBackoff
 		}
 	}
 }
@@ -342,22 +305,22 @@ func sleepOrStop(stop chan struct{}, d time.Duration) bool {
 
 // --- receiver side ---
 
-// invalOrigin is a node's per-origin receive state: the applied sequence
-// high-water mark and whether a catch-up is already in flight.
+// invalOrigin is a node's receive state for one origin slot: the applied
+// mark, the last sequence applied from it (0: nothing heard from the slot
+// in this process).
 type invalOrigin struct {
-	mu       sync.Mutex
-	applied  uint64
-	catching bool
+	mu      sync.Mutex
+	applied uint64
 }
 
-// handleInvalidateN applies one batch of sequenced invalidation records.
-// Batches are idempotent per origin: a frame whose window is entirely below
-// the applied mark is a resend and is skipped whole (re-invalidating would
-// needlessly kill freshly re-fetched copies). A window starting above
-// applied+1 is a gap: the records are NOT applied out of order — a catch-up
-// RPC re-fetches the full range so staleness repairs happen exactly once,
-// in sequence. The ack carries the applied mark so the origin's depth gauge
-// tracks reality.
+// handleInvalidateN applies one window of an origin's records and acks the
+// applied mark. A window at or below the mark is a resend and is skipped
+// whole (re-invalidating would needlessly kill freshly re-fetched copies).
+// One that continues the mark, or reaches a receiver that has heard nothing
+// from the origin, or is truncated, is applied; a truncated window first
+// flushes the whole cache, since the records it skips are unknowable. Any
+// other window is a gap: it is refused, and the mark in the ack tells the
+// origin where to resend from.
 func (n *Node) handleInvalidateN(f *Frame) *Frame {
 	origin := int(f.Sender)
 	p := n.peers.get(origin)
@@ -373,155 +336,55 @@ func (n *Node) handleInvalidateN(f *Frame) *Frame {
 	if last < first {
 		return errFrame("invalidation batch window [%d,%d] inverted", first, last)
 	}
+	truncated := f.Flags&flagTruncated != 0
+	var masters []block.ID
+	repair := false
 	o.mu.Lock()
 	switch {
 	case last <= o.applied:
 		// Duplicate resend (timeout raced the ack): already applied.
-	case first > o.applied+1:
-		if !o.catching {
-			o.catching = true
-			go n.invalCatchup(origin, o, o.applied+1)
+	case first <= o.applied+1 || o.applied == 0 || truncated:
+		if truncated {
+			masters = n.store.RemoveAll()
+			repair = true
 		}
-	default:
 		for _, id := range ids {
 			n.handleInvalidate(id)
 		}
 		o.applied = last
+	default:
+		repair = true // a gap: refused
 	}
 	applied := o.applied
 	o.mu.Unlock()
+	if repair {
+		atomic.AddUint64(&n.c.InvalCatchups, 1)
+		aux := int64(applied)
+		if truncated {
+			aux = -1
+		}
+		n.trace(traceInvalCatchup, origin, block.ID{}, aux)
+	}
+	for _, id := range masters {
+		n.dirCAS(id, int32(n.cfg.ID), dirNoEntry)
+	}
 	r := ackFrame()
 	r.Aux = int64(applied)
 	return r
 }
 
-// handleInvalSince serves a catch-up request from this node's bus history:
-// the retained records from sequence Aux on, batched like MsgInvalidateN.
-// A range that fell off the bounded history gets a truncated reply
-// (Flags=1): the requester must treat its whole cache as suspect.
-func (n *Node) handleInvalSince(f *Frame) *Frame {
-	b := n.busRef()
-	if b == nil {
-		return errFrame("node %d is a single-node cluster and has no invalidation bus", n.cfg.ID)
-	}
-	from := uint64(f.Aux)
-	b.mu.Lock()
-	head := b.head
-	var floor uint64
-	if b.count > 0 {
-		floor = head - uint64(b.count) + 1
-	} else {
-		floor = head + 1
-	}
-	b.mu.Unlock()
-	r := getFrame()
-	r.Type = MsgInvalSinceReply
-	if from < floor && head >= floor {
-		// The range fell off the ring: the requester cannot be repaired
-		// record by record.
-		r.Flags = 1
-		r.Aux = int64(head)
-		return r
-	}
-	recs := make([]block.ID, 0, maxInvalBatch)
-	seen := make(map[block.ID]struct{}, maxInvalBatch)
-	first, last, _, batch := b.collect(from, recs, seen)
-	if len(batch) == 0 {
-		r.Aux = int64(from - 1) // nothing at or past `from`: caught up
-		return r
-	}
-	r.Aux = int64(last)
-	r.Payload = appendInvalPayload(nil, first, batch)
-	return r
-}
-
-// invalCatchup reconciles a detected sequence gap with the origin: batched
-// MsgInvalSince rounds until the reply covers nothing, or a truncated reply
-// flushes the local cache. Failures just return — the next incoming batch
-// re-detects the gap and tries again.
-func (n *Node) invalCatchup(origin int, o *invalOrigin, from uint64) {
-	atomic.AddUint64(&n.c.InvalCatchups, 1)
-	n.trace(traceInvalCatchup, origin, block.ID{}, int64(from))
-	defer func() {
-		o.mu.Lock()
-		o.catching = false
-		o.mu.Unlock()
-	}()
-	for {
-		req := getFrame()
-		req.Type = MsgInvalSince
-		req.Aux = int64(from)
-		resp, err := n.reliableRPC(origin, req, n.tol.retries)
-		releaseFrame(req)
-		if err != nil {
-			return
-		}
-		if e := resp.Err(); e != nil {
-			releaseFrame(resp)
-			return
-		}
-		last := uint64(resp.Aux)
-		if resp.Flags&1 != 0 {
-			// Truncated: the missed range is unknowable. Flush everything
-			// cached and fast-forward to the origin's head.
-			releaseFrame(resp)
-			o.mu.Lock()
-			if last > o.applied {
-				o.applied = last
-			}
-			o.mu.Unlock()
-			n.flushSuspect(origin)
-			return
-		}
-		if last < from {
-			releaseFrame(resp) // drained: caught up
-			return
-		}
-		var ids []block.ID
-		if len(resp.Payload) > 0 {
-			if _, ids, err = decodeInvalPayload(resp.Payload, nil); err != nil {
-				releaseFrame(resp)
-				return
-			}
-		}
-		o.mu.Lock()
-		for _, id := range ids {
-			n.handleInvalidate(id)
-		}
-		if last > o.applied {
-			o.applied = last
-		}
-		o.mu.Unlock()
-		releaseFrame(resp)
-		from = last + 1
-	}
-}
-
-// flushSuspect discards the whole local cache after a truncated catch-up:
-// any cached block could be stale, and serving stale forever is the one
-// outcome the bus forbids. Master drops are propagated to the directory.
-func (n *Node) flushSuspect(origin int) {
-	masters := n.store.RemoveAll()
-	for _, id := range masters {
-		n.dirCAS(id, int32(n.cfg.ID), dirNoEntry)
-	}
-	n.trace(traceInvalCatchup, origin, block.ID{}, -1)
-}
-
-// FlushInval blocks until every peer has acknowledged every invalidation
-// record published before the call, or the timeout expires, reporting
-// success. A single-node cluster has no bus and nothing to wait for:
-// FlushInval reports true immediately. Intended for tests and orderly
-// drains (ccload's node-drain scenario).
+// FlushInval blocks until every peer the current view reaches has
+// acknowledged every invalidation record published before the call, or the
+// timeout expires, reporting success. A single-node cluster has no bus and
+// nothing to wait for: FlushInval reports true immediately. Intended for
+// tests and orderly drains (ccload's node-drain scenario).
 func (n *Node) FlushInval(timeout time.Duration) bool {
-	n.mu.Lock()
-	b := n.bus
-	n.mu.Unlock()
+	b := n.busRef()
 	if b == nil {
 		return true
 	}
 	deadline := time.Now().Add(timeout)
-	for !b.drained() {
+	for b.depth() > 0 {
 		if time.Now().After(deadline) {
 			return false
 		}

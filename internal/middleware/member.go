@@ -198,9 +198,9 @@ func (n *Node) fetchView(i int) {
 
 // installView makes v the current view if it is strictly newer (the peer
 // table covers its slots and drops the conns of moved and dead members
-// first) and runs the post-install work (bus resize, dead cleanup,
-// rebalance computation) on success. Until that work has queued the pulls
-// a view owes, ensureMigrated waits (installMu).
+// first) and runs the post-install work (bus resize and wake-up, rebalance
+// computation) on success. Until that work has queued the pulls a view
+// owes, ensureMigrated waits (installMu).
 func (n *Node) installView(v *memberView) bool {
 	n.installing.Add(1)
 	n.installMu.Lock()
@@ -221,10 +221,10 @@ func (n *Node) installView(v *memberView) bool {
 // and the post-install work.
 var testAfterViewCAS atomic.Pointer[func(*Node)]
 
-// afterViewInstall runs once per successful install: bus lifecycle, dead
-// member cleanup, membership traces, the sweep of directory entries whose
-// files moved away, and the rebalance diff between the replaced view and
-// the new one.
+// afterViewInstall runs once per successful install: bus lifecycle (every
+// sender wakes, so a revived slot's backlog leaves now), membership traces,
+// the sweep of directory entries whose files moved away, and the rebalance
+// diff between the replaced view and the new one.
 func (n *Node) afterViewInstall(old, v *memberView) {
 	n.mu.Lock()
 	if n.bus == nil && v.size() > 1 && !n.closed {
@@ -234,11 +234,6 @@ func (n *Node) afterViewInstall(old, v *memberView) {
 	n.mu.Unlock()
 	if bus != nil {
 		bus.resize(v.size())
-		for i, m := range v.members {
-			if m.State == stateDead {
-				bus.markDead(i)
-			}
-		}
 	}
 	for i, m := range v.members {
 		var was memberState = stateDead

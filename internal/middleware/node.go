@@ -91,7 +91,7 @@ const (
 	traceRPCTimeout     = "rpc_timeout"     // round trip missed the RPC deadline
 	traceRunFetch       = "run_fetch"       // run fetch completed (Peer: source, Aux: blocks served)
 	traceInvalBatch     = "inval_batch"     // invalidation batch delivered to Peer (Aux: records)
-	traceInvalCatchup   = "inval_catchup"   // catch-up started against origin Peer (Aux: from seq, -1 flush)
+	traceInvalCatchup   = "inval_catchup"   // window from origin Peer refused as a gap (Aux: the mark acked) or truncated and flushed on (Aux: -1)
 	traceRebalance      = "rebalance"       // file re-homed here (File: file, Aux: blocks pulled, -1 unreachable old home)
 	traceMemberJoin     = "member_join"     // membership view installed with a new/returning member (Peer: member, Aux: epoch)
 	traceMemberDead     = "member_dead"     // membership view installed promoting Peer to dead (Aux: epoch)
@@ -497,8 +497,6 @@ func (n *Node) handle(f *Frame) *Frame {
 		return ackFrame()
 	case MsgInvalidateN:
 		return n.handleInvalidateN(f)
-	case MsgInvalSince:
-		return n.handleInvalSince(f)
 	case MsgPing:
 		return n.handlePing(f)
 	case MsgView:

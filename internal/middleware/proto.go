@@ -79,23 +79,15 @@ const (
 	// answers a peer run, and Aux packs the served count and the per-block
 	// master flags (packRunAux).
 	MsgRunData
-	// MsgInvalidateN carries a batch of sequenced invalidation records from
-	// the origin node's invalidation bus: the payload is the first record's
-	// sequence number (8 bytes big-endian) followed by one 8-byte block ID
-	// (file, idx — 4 bytes each) per record; Aux is the last sequence in the
-	// batch (consecutive — coalesced records keep their sequence slots).
-	// The receiver replies MsgAck with Aux carrying its applied high-water
-	// mark for that origin.
+	// MsgInvalidateN carries a window of sequenced invalidation records
+	// from the origin node's invalidation bus: the payload is the first
+	// record's sequence number (8 bytes big-endian) followed by one 8-byte
+	// block ID (file, idx — 4 bytes each) per record; Aux is the last
+	// sequence in the window (consecutive — coalesced records keep their
+	// sequence slots). flagTruncated marks a window the receiver must flush
+	// its cache before applying. The receiver replies MsgAck with Aux
+	// carrying its applied mark for that origin.
 	MsgInvalidateN
-	// MsgInvalSince asks an origin node to resend the invalidation records
-	// from sequence Aux onward (catch-up after a detected gap or a healed
-	// partition). Answered by MsgInvalSinceReply.
-	MsgInvalSince
-	// MsgInvalSinceReply answers MsgInvalSince with the same payload layout
-	// as MsgInvalidateN; Aux is the last sequence the reply covers. Flags=1
-	// means the requested range fell off the origin's bounded history — the
-	// requester must treat its whole cache as suspect and flush.
-	MsgInvalSinceReply
 	// MsgPing is the heartbeat probe. Aux carries the sender's membership
 	// epoch; the MsgAck reply carries the receiver's, so either side learns
 	// it is behind and fetches the newer view (anti-entropy).
@@ -160,10 +152,6 @@ func (t MsgType) metricName() string {
 		return "run_data"
 	case MsgInvalidateN:
 		return "invalidate_n"
-	case MsgInvalSince:
-		return "inval_since"
-	case MsgInvalSinceReply:
-		return "inval_since_reply"
 	case MsgPing:
 		return "ping"
 	case MsgView:
@@ -264,9 +252,9 @@ func decodeHomeReply(aux int64, head []byte, body int, s span, blockLen func(int
 	return codes, nil
 }
 
-// maxInvalBatch bounds one MsgInvalidateN / MsgInvalSinceReply batch (a
-// 4 KB record payload; big enough to drain a deep backlog in a few frames,
-// small enough that one frame never monopolizes a connection).
+// maxInvalBatch bounds one MsgInvalidateN window (a 4 KB record payload;
+// big enough to drain a deep backlog in a few frames, small enough that one
+// frame never monopolizes a connection).
 const maxInvalBatch = 512
 
 // appendInvalPayload encodes an invalidation batch: the first record's
@@ -312,6 +300,12 @@ const (
 	// of treating every remote error alike.
 	FlagNotFound
 )
+
+// flagTruncated, on a MsgInvalidateN, marks a window that does not continue
+// the receiver's applied mark: the records between them fell off the
+// origin's history or belong to an earlier bus on that slot, so the
+// receiver flushes its whole cache before applying the window.
+const flagTruncated uint8 = 1 << 3
 
 // noAge is the OldestAge piggyback value for an empty cache or a client.
 const noAge = math.MaxInt64
@@ -389,7 +383,7 @@ func typeCarriesPayload(t MsgType) bool {
 	switch t {
 	case MsgFileData, MsgForward, MsgWriteBlock, MsgPutBlock,
 		MsgErr, MsgStatsReply, MsgTraceReply, MsgRunData, MsgInvalidateN,
-		MsgInvalSinceReply, MsgViewUpdate, MsgJoin, MsgViewReply:
+		MsgViewUpdate, MsgJoin, MsgViewReply:
 		return true
 	}
 	return false

@@ -33,7 +33,9 @@ type Counts struct {
 	RunsIssued   uint64 `metric:"cc_runs_total" help:"MsgGetRun fetches issued by the read planner"`
 	RunsDegraded uint64 `metric:"cc_runs_degraded_total" help:"run fetches that served fewer blocks than asked"`
 	// Invalidation bus: see the Write path & invalidation bus section.
-	InvalBatched  uint64 `metric:"cc_inval_batched_total" help:"invalidation records delivered via batched bus frames"`
+	InvalBatched uint64 `metric:"cc_inval_batched_total" help:"invalidation records delivered via batched bus frames"`
+	// InvalCatchups counts the windows a receiver refused as gaps plus the
+	// truncated windows it flushed its cache on.
 	InvalCatchups uint64 `metric:"cc_inval_catchups_total" help:"invalidation catch-up reconciliations started"`
 	// Membership: see the Elastic membership section.
 	RebalancedBlocks  uint64 `metric:"cc_rebalance_blocks_total" help:"blocks pulled here by home re-assignment"`
@@ -155,5 +157,5 @@ func (n *Node) RegisterMetrics(r *obs.Registry) {
 var requestMsgTypes = []MsgType{
 	MsgReadFile, MsgReadRange, MsgWriteBlock,
 	MsgPutBlock, MsgStats, MsgTrace, MsgGetRun, MsgInvalidateN,
-	MsgInvalSince, MsgPing, MsgView, MsgViewUpdate, MsgJoin, MsgDrain,
+	MsgPing, MsgView, MsgViewUpdate, MsgJoin, MsgDrain,
 }

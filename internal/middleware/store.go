@@ -341,7 +341,7 @@ func (s *Store) Remove(id block.ID) (present, master bool) {
 
 // RemoveAll discards every cached block, returning the IDs that were held
 // as masters (their directory entries must be dropped by the caller). Used
-// when a truncated invalidation catch-up makes the whole cache suspect.
+// when a truncated invalidation window makes the whole cache suspect.
 func (s *Store) RemoveAll() []block.ID {
 	var masters []block.ID
 	s.mu.Lock()
